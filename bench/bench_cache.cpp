@@ -1,20 +1,14 @@
-// Caching benchmark (docs/CACHING.md): quantifies all three tiers.
+// Caching benchmark (docs/CACHING.md):
 //
-//  * tier 3 -- on-disk result cache: the Table 1 corpus is verified cold
-//    (every model a miss: verify + store) and warm (every model a hit:
-//    hash + load only).  The acceptance bar is a >= 1.3x warm speedup;
-//    in practice hits skip verification entirely and the speedup is
-//    orders of magnitude.
-//  * tier 2 -- learned-clause store: total per-signal CSC fan-out search
-//    nodes with and without the shared store on the conflict-free
-//    instances (exhaustive searches, where first-difference cuts recorded
-//    by one signal's instance prune every later sibling).
-//  * tier 2 certificates: the USC->CSC handoff, where an exhaustive clean
-//    USC pass answers the whole CSC phase without a single search node.
+//  * on-disk result cache: the Table 1 corpus is verified cold (every
+//    model a miss: verify + store) and warm (every model a hit: hash +
+//    load only).  The acceptance bar is a >= 1.3x warm speedup; in
+//    practice hits skip verification entirely and the speedup is orders
+//    of magnitude.  Cold and warm verdicts are compared while measuring.
+//  * the USC=>CSC certificate: on every model whose USC holds, the
+//    exhaustive clean USC pass answers CSC without a single search node.
 //
-// Verdicts are asserted identical with caching on and off while measuring
-// -- a benchmark run doubles as a differential check.  Writes
-// BENCH_cache.json.
+// Writes BENCH_cache.json.
 #include <unistd.h>
 
 #include <cstdio>
@@ -26,7 +20,6 @@
 #include "cache/result_cache.hpp"
 #include "core/checkers.hpp"
 #include "core/verifier.hpp"
-#include "sched/parallel.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "util/stopwatch.hpp"
@@ -69,7 +62,7 @@ double run_corpus(const std::vector<stg::bench::NamedBenchmark>& suite,
 int main() {
     benchutil::BenchReport report("cache");
 
-    // --- tier 3: cold vs warm corpus through the on-disk result cache ----
+    // --- cold vs warm corpus through the on-disk result cache -------------
     const auto suite = stg::bench::table1_suite();
     std::vector<std::string> texts;
     for (const auto& named : suite)
@@ -106,61 +99,19 @@ int main() {
                        .set("verdicts_identical",
                             cold_verdicts == warm_verdicts));
 
-    // --- tier 2: clause replay across the per-signal CSC fan-out ---------
-    std::printf("Learned-clause store, per-signal CSC fan-out "
-                "(exhaustive conflict-free searches)\n");
+    // --- the USC=>CSC certificate -----------------------------------------
+    std::printf("USC=>CSC certificate (clean USC pass answers CSC)\n");
     benchutil::rule(72);
-    std::printf("  %-24s %14s %14s %10s\n", "model", "nodes(off)",
-                "nodes(on)", "reduction");
-    std::vector<stg::bench::NamedBenchmark> cf_models;
     for (const auto& named : suite) {
-        core::UnfoldingChecker probe(named.stg);
-        core::SearchOptions off;
-        off.use_learned_clauses = false;
-        if (probe.check_usc(off).holds) cf_models.push_back(named);
-    }
-    for (const auto& named : cf_models) {
-        sched::Executor serial(1);
-        core::SearchOptions off;
-        off.use_learned_clauses = false;
-        core::UnfoldingChecker plain(named.stg);
-        const auto r_off = plain.check_csc(off, serial);
-
-        core::UnfoldingChecker cached(named.stg);
-        const auto r_on = cached.check_csc({}, serial);
-
-        const bool same = r_off.holds == r_on.holds;
-        const double reduction =
-            r_off.stats.search_nodes > 0
-                ? 1.0 - static_cast<double>(r_on.stats.search_nodes) /
-                            static_cast<double>(r_off.stats.search_nodes)
-                : 0.0;
-        std::printf("  %-24s %14zu %14zu %9.1f%%%s\n", named.name.c_str(),
-                    r_off.stats.search_nodes, r_on.stats.search_nodes,
-                    100.0 * reduction, same ? "" : "  VERDICT MISMATCH");
-        report.add_row(obs::Json::object()
-                           .set("benchmark", "clause_store_csc_fanout")
-                           .set("model", named.name)
-                           .set("nodes_off", r_off.stats.search_nodes)
-                           .set("nodes_on", r_on.stats.search_nodes)
-                           .set("node_reduction", reduction)
-                           .set("verdicts_identical", same));
-    }
-
-    // --- tier 2 certificates: USC -> CSC handoff --------------------------
-    std::printf("\nUSC->CSC certificate (clean USC pass answers CSC)\n");
-    benchutil::rule(72);
-    for (const auto& named : cf_models) {
         core::UnfoldingChecker checker(named.stg);
-        const auto usc = checker.check_usc();
+        if (!checker.check_usc().holds) continue;
         const auto csc = checker.check_csc();
-        std::printf("  %-24s USC %s -> CSC %s in %zu nodes\n",
-                    named.name.c_str(), usc.holds ? "holds" : "violated",
-                    csc.holds ? "holds" : "violated",
-                    csc.stats.search_nodes);
+        std::printf("  %-24s CSC %s in %zu nodes\n", named.name.c_str(),
+                    csc.holds ? "holds" : "violated", csc.stats.search_nodes);
         report.add_row(obs::Json::object()
                            .set("benchmark", "usc_csc_certificate")
                            .set("model", named.name)
+                           .set("csc_holds", csc.holds)
                            .set("csc_nodes_after_usc", csc.stats.search_nodes));
     }
 

@@ -4,10 +4,9 @@
 // prefix and reports consistency, USC, CSC and normalcy with witness
 // execution paths.  --state-based additionally runs the explicit state-graph
 // baseline for comparison; --dot dumps the prefix as Graphviz; --reduce runs
-// the verdict-preserving reduction pipeline first (docs/REDUCTIONS.md;
-// --contract is the legacy alias for --reduce=contract); --deadlock runs the
-// section 5 deadlock check; --synthesize derives next-state covers (requires
-// CSC).  A `.pnml` input file is dispatched to the Petri-side analyses
+// the verdict-preserving reduction pipeline first (docs/REDUCTIONS.md);
+// --deadlock runs the section 5 deadlock check; --synthesize derives
+// next-state covers (requires CSC).  A `.pnml` input file is dispatched to the Petri-side analyses
 // instead: reachability-graph construction, boundedness and deadlock.
 //
 // Observability: --trace writes a Chrome trace-event JSON (load it in
@@ -18,7 +17,8 @@
 // (--cache-dir or $STGCC_CACHE_DIR), finished verdicts are stored on disk
 // keyed by the model file's content hash and the checker options; a warm
 // run replays the stored report without re-verifying.  --no-cache disables
-// both the result cache and the in-process learned-clause sharing.
+// the result caches only; the USC=>CSC certificate is a rule, not a cache,
+// and always applies.
 //
 // Exit codes: 0 = all checked properties hold, 1 = a conflict / violation
 // was found, 2 = usage or IO error, 3 = internal error (baselines disagree).
@@ -70,7 +70,6 @@ void print_usage(std::ostream& out) {
            "                      dup-place,const-place; witnesses are still\n"
            "                      reported on the original net\n"
            "  --no-reduce         disable reductions (the default)\n"
-           "  --contract          legacy alias for --reduce=contract\n"
            "  --deadlock          also run the deadlock check (section 5)\n"
            "  --persistency       also check output persistency\n"
            "  --state-based       cross-check against the explicit state-graph "
@@ -93,8 +92,8 @@ void print_usage(std::ostream& out) {
            "  --cache-dir DIR     on-disk result cache (default: "
            "$STGCC_CACHE_DIR;\n"
            "                      unset = no result cache)\n"
-           "  --no-cache          disable the result cache and learned-clause "
-           "sharing\n"
+           "  --no-cache          disable the result caches (verdicts are "
+           "unchanged)\n"
            "\n"
            "service (docs/SERVICE.md):\n"
            "  --connect EP        verify through a running stgd at EP\n"
@@ -265,8 +264,6 @@ int main(int argc, char** argv) {
             normalcy = false;
         else if (!std::strcmp(argv[i], "--state-based"))
             state_based = true;
-        else if (!std::strcmp(argv[i], "--contract"))
-            reduce_spec = "contract";  // legacy alias for --reduce=contract
         else if (!std::strcmp(argv[i], "--reduce"))
             reduce_spec = "all";
         else if (!std::strncmp(argv[i], "--reduce=", 9))
@@ -424,7 +421,6 @@ int main(int argc, char** argv) {
         opts.reduce = stg::reduce::Options::parse(reduce_spec);
         opts.check_deadlock = deadlock;
         opts.check_persistency = persistency;
-        opts.search.use_learned_clauses = use_cache;
         Stopwatch timer;
         // The cacheable path rides the shared semantic tier too: the reduced
         // net's canonical hash can hit a verdict stored by stgd or by a

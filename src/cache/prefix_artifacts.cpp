@@ -47,7 +47,6 @@ void PrefixArtifacts::build() {
 
     problem_ = std::make_unique<core::CodingProblem>(*stg_, prefix_, consistency_);
     const std::size_t q = problem_->size();
-    clauses_ = std::make_unique<ClauseStore>(q);
 
     // Condition masks for marking_of_dense.
     const std::size_t nb = prefix_.num_conditions();

@@ -13,11 +13,12 @@
 //     turn the leaf-predicate marking computation (cut of a configuration)
 //     into three word-parallel bit operations instead of a vector<bool>
 //     sweep over all conditions,
-//   * the tier-2 learned-clause store shared by sibling solver instances.
+//   * the USC=>CSC certificate: set once an exhaustive USC search has
+//     found no conflict, after which CSC holds without searching.
 //
-// The object is immutable after construction (the clause store is
-// internally locked), so a PrefixArtifactsPtr may be shared across any
-// number of worker threads; UnfoldingChecker and verify_stg read through
+// The object is immutable after construction (the certificate is an
+// atomic flag), so a PrefixArtifactsPtr may be shared across any number of
+// worker threads; UnfoldingChecker and verify_stg read through
 // it, and callers such as `stgcheck --cores` / `--dot` reuse the prefix
 // instead of re-unfolding.
 //
@@ -26,10 +27,11 @@
 // used to raise, so checker construction keeps its historical behaviour.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "cache/clause_store.hpp"
 #include "core/coding_problem.hpp"
 #include "unfolding/prefix_checks.hpp"
 #include "unfolding/unfolder.hpp"
@@ -37,6 +39,32 @@
 #include "util/bit_matrix.hpp"
 
 namespace stgcc::cache {
+
+/// The USC=>CSC certificate of one prefix (docs/ALGORITHMS.md): recorded by
+/// UnfoldingChecker::check_usc after an exhaustive, uncancelled search that
+/// found no conflict, and consulted by both check_csc overloads.  The old
+/// name, PrefixArtifacts::clauses() and the always-zero efficacy() stay only
+/// because perfbench/stgbench.cpp compiles against them; they go with the
+/// next change to the benchmark.
+class ClauseStore {
+public:
+    struct Efficacy {
+        std::uint64_t recorded = 0;
+        std::uint64_t replayed = 0;
+        std::uint64_t pruned_nodes = 0;
+    };
+    [[nodiscard]] Efficacy efficacy() const noexcept { return {}; }
+
+    void record_usc_holds() noexcept {
+        usc_holds_.store(true, std::memory_order_release);
+    }
+    [[nodiscard]] bool usc_holds() const noexcept {
+        return usc_holds_.load(std::memory_order_acquire);
+    }
+
+private:
+    std::atomic<bool> usc_holds_{false};
+};
 
 class PrefixArtifacts {
 public:
@@ -83,14 +111,9 @@ public:
     /// Only valid when consistent().
     [[nodiscard]] petri::Marking marking_of_dense(const BitVec& dense) const;
 
-    /// Tier-2 learned-clause store shared by all solver instances over this
-    /// problem.  Mutable through const artifacts: recording a proved cut
-    /// does not change any observable verdict (see clause_store.hpp).
-    /// Only valid when consistent().
-    [[nodiscard]] ClauseStore& clauses() const {
-        STGCC_ASSERT(clauses_ != nullptr);
-        return *clauses_;
-    }
+    /// The USC=>CSC certificate.  Mutable through const artifacts: it
+    /// records a proved fact and never changes a verdict.
+    [[nodiscard]] ClauseStore& clauses() const noexcept { return clauses_; }
 
 private:
     void build();
@@ -104,7 +127,7 @@ private:
     std::unique_ptr<core::CodingProblem> problem_;  ///< null when inconsistent
     BitVec min_mask_;                        ///< Min(ON), width num_conditions
     util::BitMatrix pre_masks_, post_masks_;  ///< q x num_conditions, in arena_
-    mutable std::unique_ptr<ClauseStore> clauses_;
+    mutable ClauseStore clauses_;
 };
 
 /// Shared read-only handle; every checker over one model holds one of these.

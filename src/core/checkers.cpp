@@ -8,6 +8,20 @@
 
 namespace stgcc::core {
 
+namespace {
+
+/// USC => CSC: equal codes with equal markings give equal enabled-output
+/// sets, so once an exhaustive USC search found no conflict the CSC verdict
+/// is forced and the search is skipped (its stats stay zero).
+bool usc_certified(const cache::PrefixArtifacts& artifacts, obs::Span& span) {
+    if (!artifacts.clauses().usc_holds()) return false;
+    obs::counter("cache.certificates.csc_from_usc").add();
+    span.attr("certificate", "usc_holds");
+    return true;
+}
+
+}  // namespace
+
 UnfoldingChecker::UnfoldingChecker(const stg::Stg& stg, unf::UnfoldOptions opts)
     : UnfoldingChecker(
           std::make_shared<const cache::PrefixArtifacts>(stg, opts)) {}
@@ -20,12 +34,6 @@ UnfoldingChecker::UnfoldingChecker(cache::PrefixArtifactsPtr artifacts)
     : artifacts_(std::move(artifacts)),
       stg_(&artifacts_->stg()),
       problem_(&artifacts_->problem()) {}  // throws when inconsistent
-
-SearchOptions UnfoldingChecker::with_clause_store(SearchOptions opts) const {
-    if (opts.use_learned_clauses && opts.clauses == nullptr)
-        opts.clauses = &artifacts_->clauses();
-    return opts;
-}
 
 stg::ConflictWitness UnfoldingChecker::make_witness(const BitVec& ca,
                                                     const BitVec& cb) const {
@@ -45,8 +53,7 @@ stg::ConflictWitness UnfoldingChecker::make_witness(const BitVec& ca,
 
 stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
     obs::Span span("solve.usc");
-    const SearchOptions local = with_clause_store(opts);
-    CompatSolver solver(*problem_, local);
+    CompatSolver solver(*problem_, opts);
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
             // USC separating predicate: the markings must differ.
@@ -58,26 +65,18 @@ stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
     if (outcome.found) {
         result.holds = false;
         result.witness = make_witness(outcome.ca, outcome.cb);
-    } else if (local.clauses && !outcome.cancelled) {
+    } else if (!outcome.cancelled) {
         // Exhaustive no-conflict proof: every equal-code pair has equal
         // markings, hence equal enabled-output sets -- CSC holds too.
-        local.clauses->record_usc_holds();
+        artifacts_->clauses().record_usc_holds();
     }
     return result;
 }
 
 stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts) const {
     obs::Span span("solve.csc");
-    const SearchOptions local = with_clause_store(opts);
-    if (local.clauses && local.clauses->usc_holds()) {
-        // Subsumption certificate from an exhaustive USC pass; the verdict
-        // is forced, so skip the search (stats stay zero -- they are
-        // schedule-dependent anyway, see docs/CACHING.md).
-        obs::counter("cache.certificates.csc_from_usc").add();
-        span.attr("certificate", "usc_holds");
-        return {};
-    }
-    CompatSolver solver(*problem_, local);
+    if (usc_certified(*artifacts_, span)) return {};
+    CompatSolver solver(*problem_, opts);
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
             // CSC separating predicate: enabled-output sets must differ
@@ -99,15 +98,10 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
                                                    sched::Executor& ex) const {
     obs::Span span("solve.csc");
     span.attr("decomposition", "per_signal");
-    const SearchOptions shared = with_clause_store(opts);
     const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
     stg::CodingCheckResult result;
     if (outputs.empty()) return result;  // no circuit-driven signal: holds
-    if (shared.clauses && shared.clauses->usc_holds()) {
-        obs::counter("cache.certificates.csc_from_usc").add();
-        span.attr("certificate", "usc_holds");
-        return result;
-    }
+    if (usc_certified(*artifacts_, span)) return result;
 
     // Stats are accumulated across all per-signal instances (including
     // cancelled ones), so totals depend on the schedule -- verdicts and
@@ -122,11 +116,11 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
             const stg::SignalId z = outputs[i];
             obs::Span task_span("solve.csc.signal");
             task_span.attr("signal", stg_->signal_name(z));
-            SearchOptions local = shared;
+            SearchOptions local = opts;
             // The early-stop token must not drop a caller-supplied deadline
             // token: either cancels this instance.
             local.cancel =
-                sched::CancellationToken::combine(shared.cancel, token);
+                sched::CancellationToken::combine(opts.cancel, token);
             CompatSolver solver(*problem_, local);
             auto outcome = solver.solve(
                 CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
@@ -193,7 +187,7 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
     // ordered pair is found either with Code(x') <= Code(x'') (lo = x')
     // or with Code(x') >= Code(x'') (lo = x'').  Each flag keeps the
     // *first* violating pair in enumeration order, which is deterministic.
-    CompatSolver solver(*problem_, with_clause_store(opts));
+    CompatSolver solver(*problem_, opts);
     auto outcome = solver.solve(rel, [&](const BitVec& ca, const BitVec& cb) {
         const BitVec& lo_cfg = rel == CodeRelation::LessEq ? ca : cb;
         const BitVec& hi_cfg = rel == CodeRelation::LessEq ? cb : ca;

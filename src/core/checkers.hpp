@@ -7,7 +7,7 @@
 // paths.
 //
 // All derived per-prefix data (consistency, coding problem, condition
-// masks, learned-clause store) lives in a shared cache::PrefixArtifacts;
+// masks, the USC=>CSC certificate) lives in a shared cache::PrefixArtifacts;
 // several checkers -- or a checker and a conflict-core / dot consumer --
 // can read one bundle concurrently without recomputing anything.
 #pragma once
@@ -54,12 +54,15 @@ public:
     }
 
     /// Unique State Coding: search for two configurations with equal codes
-    /// and different markings.
+    /// and different markings.  An exhaustive, uncancelled search that finds
+    /// none records the USC=>CSC certificate on the artifacts.
     [[nodiscard]] stg::CodingCheckResult check_usc(SearchOptions opts = {}) const;
 
     /// Complete State Coding: search for two configurations with equal codes
     /// and different enabled-output sets (the paper's staged USC-then-CSC
     /// approach collapses to filtering USC solutions by the Out predicate).
+    /// Both overloads answer "holds" without searching once the USC=>CSC
+    /// certificate is recorded.
     [[nodiscard]] stg::CodingCheckResult check_csc(SearchOptions opts = {}) const;
 
     /// CSC decomposed into independent per-signal instances (one solve per
@@ -90,10 +93,6 @@ public:
 private:
     [[nodiscard]] stg::ConflictWitness make_witness(const BitVec& ca,
                                                     const BitVec& cb) const;
-
-    /// Wire the shared clause store into the search options unless the
-    /// caller disabled it (`--no-cache`) or supplied a store of their own.
-    [[nodiscard]] SearchOptions with_clause_store(SearchOptions opts) const;
 
     /// One normalcy orientation solved against fresh per-signal state.
     struct NormalcyPass {

@@ -11,7 +11,7 @@ CompatSolver::CompatSolver(const CodingProblem& problem, SearchOptions opts)
     : problem_(&problem), opts_(opts) {}
 
 bool CompatSolver::signal_feasible(stg::SignalId z) const {
-    const SignalState& s = ws_->signals[z];
+    const SignalState& s = ws_.signals[z];
     const int min_sum = s.fixed - s.neg_slack;
     const int max_sum = s.fixed + s.pos_slack;
     switch (relation_) {
@@ -30,24 +30,24 @@ bool CompatSolver::force_extreme(stg::SignalId z, bool maximum) {
     // unassigned variable of z is forced (max: coef>0 -> 1, coef<0 -> 0;
     // min: the opposite).
     for (const VarRef& v : problem_->vars_of_signal()[z]) {
-        if (ws_->val[v.side][v.idx] != kUnassigned) continue;
+        if (ws_.val[v.side][v.idx] != kUnassigned) continue;
         const int coef = coefficient(v.side, v.idx);
         const std::int8_t forced =
             static_cast<std::int8_t>(maximum == (coef > 0) ? 1 : 0);
-        ws_->pending.emplace_back(v, forced);
+        ws_.pending.emplace_back(v, forced);
     }
     return true;
 }
 
 bool CompatSolver::assign(int side, std::size_t idx, int value) {
-    ws_->pending.clear();
-    ws_->pending.emplace_back(VarRef{static_cast<std::uint8_t>(side),
-                                 static_cast<std::uint32_t>(idx)},
-                          static_cast<std::int8_t>(value));
-    while (!ws_->pending.empty()) {
-        const auto [v, val] = ws_->pending.back();
-        ws_->pending.pop_back();
-        const std::int8_t cur = ws_->val[v.side][v.idx];
+    ws_.pending.clear();
+    ws_.pending.emplace_back(VarRef{static_cast<std::uint8_t>(side),
+                                    static_cast<std::uint32_t>(idx)},
+                             static_cast<std::int8_t>(value));
+    while (!ws_.pending.empty()) {
+        const auto [v, val] = ws_.pending.back();
+        ws_.pending.pop_back();
+        const std::int8_t cur = ws_.val[v.side][v.idx];
         if (cur != kUnassigned) {
             if (cur != val) {
                 // Closure contradiction (Theorem 1 forcing clash).
@@ -56,13 +56,13 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
             }
             continue;
         }
-        ws_->val[v.side][v.idx] = val;
-        ws_->trail.push_back(v);
+        ws_.val[v.side][v.idx] = val;
+        ws_.trail.push_back(v);
         ++stats_.propagations;
 
         // Per-signal accounting and interval pruning.
         const stg::SignalId z = problem_->signal(v.idx);
-        SignalState& s = ws_->signals[z];
+        SignalState& s = ws_.signals[z];
         const int coef = coefficient(v.side, v.idx);
         if (coef > 0)
             --s.pos_slack;
@@ -95,43 +95,43 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
         const std::uint8_t side8 = v.side;
         if (val == 1) {
             problem_->preds(v.idx).for_each([&](std::size_t f) {
-                ws_->pending.emplace_back(
+                ws_.pending.emplace_back(
                     VarRef{side8, static_cast<std::uint32_t>(f)}, std::int8_t{1});
             });
             problem_->conflicts(v.idx).for_each([&](std::size_t g) {
-                ws_->pending.emplace_back(
+                ws_.pending.emplace_back(
                     VarRef{side8, static_cast<std::uint32_t>(g)}, std::int8_t{0});
             });
         } else {
             problem_->succs(v.idx).for_each([&](std::size_t g) {
-                ws_->pending.emplace_back(
+                ws_.pending.emplace_back(
                     VarRef{side8, static_cast<std::uint32_t>(g)}, std::int8_t{0});
             });
         }
 
         // First-difference linking: below index d the two vectors are equal.
         if (v.idx < first_diff_)
-            ws_->pending.emplace_back(
+            ws_.pending.emplace_back(
                 VarRef{static_cast<std::uint8_t>(1 - v.side), v.idx}, val);
 
         // Section 7 optimisation: restrict to C' subset C'' (x'_e <= x''_e).
         if (conflict_free_mode_) {
             if (v.side == 0 && val == 1)
-                ws_->pending.emplace_back(VarRef{1, v.idx}, std::int8_t{1});
+                ws_.pending.emplace_back(VarRef{1, v.idx}, std::int8_t{1});
             if (v.side == 1 && val == 0)
-                ws_->pending.emplace_back(VarRef{0, v.idx}, std::int8_t{0});
+                ws_.pending.emplace_back(VarRef{0, v.idx}, std::int8_t{0});
         }
     }
     return true;
 }
 
 void CompatSolver::undo_to(std::size_t mark) {
-    while (ws_->trail.size() > mark) {
-        const VarRef v = ws_->trail.back();
-        ws_->trail.pop_back();
-        const std::int8_t val = ws_->val[v.side][v.idx];
-        ws_->val[v.side][v.idx] = kUnassigned;
-        SignalState& s = ws_->signals[problem_->signal(v.idx)];
+    while (ws_.trail.size() > mark) {
+        const VarRef v = ws_.trail.back();
+        ws_.trail.pop_back();
+        const std::int8_t val = ws_.val[v.side][v.idx];
+        ws_.val[v.side][v.idx] = kUnassigned;
+        SignalState& s = ws_.signals[problem_->signal(v.idx)];
         const int coef = coefficient(v.side, v.idx);
         if (coef > 0)
             ++s.pos_slack;
@@ -144,7 +144,7 @@ void CompatSolver::undo_to(std::size_t mark) {
 BitVec CompatSolver::extract(int side) const {
     BitVec out(problem_->size());
     for (std::size_t i = 0; i < problem_->size(); ++i)
-        if (ws_->val[side][i] == 1) out.set(i);
+        if (ws_.val[side][i] == 1) out.set(i);
     return out;
 }
 
@@ -175,8 +175,8 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
         int best_slack = INT_MAX;
         for (std::size_t i = 0; i < q && best_slack > 1; ++i) {
             for (int s = 0; s < 2; ++s) {
-                if (ws_->val[s][i] != kUnassigned) continue;
-                const SignalState& st = ws_->signals[problem_->signal(i)];
+                if (ws_.val[s][i] != kUnassigned) continue;
+                const SignalState& st = ws_.signals[problem_->signal(i)];
                 const int slack = st.pos_slack + st.neg_slack;
                 if (slack < best_slack) {
                     best_slack = slack;
@@ -188,12 +188,12 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
     } else {
         // First unassigned variable, x' before x'' at equal index.
         for (std::size_t i = 0; i < q; ++i) {
-            if (ws_->val[0][i] == kUnassigned) {
+            if (ws_.val[0][i] == kUnassigned) {
                 side = 0;
                 idx = i;
                 break;
             }
-            if (ws_->val[1][i] == kUnassigned) {
+            if (ws_.val[1][i] == kUnassigned) {
                 side = 1;
                 idx = i;
                 break;
@@ -215,7 +215,7 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
     const int first = opts_.first_branch_value;
     for (int k = 0; k < 2; ++k) {
         const int v = k == 0 ? first : 1 - first;
-        const std::size_t mark = ws_->trail.size();
+        const std::size_t mark = ws_.trail.size();
         if (timed_assign(side, idx, v) && dfs(accept, depth + 1)) return true;
         undo_to(mark);
     }
@@ -251,83 +251,43 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
                                   const PairPredicate& accept) {
     obs::Span span("compat.solve");
     span.attr("relation", relation_name(relation));
-    // Per-worker pooled workspace; every field is re-initialised below, so a
-    // reused workspace behaves exactly like a fresh one.
-    auto lease = sched::WorkspacePool<Workspace>::global().acquire();
-    ws_ = lease.get();
     relation_ = relation;
     conflict_free_mode_ = opts_.use_conflict_free_optimisation &&
                           problem_->dynamically_conflict_free();
     const std::size_t q = problem_->size();
-    ws_->val[0].assign(q, kUnassigned);
-    ws_->val[1].assign(q, kUnassigned);
-    ws_->trail.clear();
+    ws_.val[0].assign(q, kUnassigned);
+    ws_.val[1].assign(q, kUnassigned);
+    ws_.trail.clear();
     stats_ = stg::CheckStats{};
     outcome_ = SearchOutcome{};
 
     // Seed the per-signal interval state from the problem's shared template
     // (tier-1 artifact: computed once, copied per instance).
     const auto& slacks = problem_->initial_slacks();
-    ws_->signals.assign(slacks.size(), SignalState{});
+    ws_.signals.assign(slacks.size(), SignalState{});
     for (std::size_t z = 0; z < slacks.size(); ++z) {
-        ws_->signals[z].pos_slack = slacks[z].pos;
-        ws_->signals[z].neg_slack = slacks[z].neg;
+        ws_.signals[z].pos_slack = slacks[z].pos;
+        ws_.signals[z].neg_slack = slacks[z].neg;
     }
-
-    // Tier-2 learned clauses: snapshot the first-difference cuts proved by
-    // sibling instances whose feasible set contains ours.  Skipped subtrees
-    // are leaf-free, so the enumeration order of actual candidate pairs --
-    // and with it verdict and witness -- is exactly that of an uncached run.
-    const int relation_key = static_cast<int>(relation);
-    BitVec known_cuts;
-    const bool sharing = opts_.clauses && opts_.clauses->num_vars() == q;
-    if (sharing)
-        known_cuts = opts_.clauses->cuts_for(relation_key, conflict_free_mode_);
-    std::size_t cuts_replayed = 0, cuts_recorded = 0;
-    BitVec replayed_mask;
-    if (sharing) replayed_mask.resize(q);
     bound_ns_ = 0;
 
     // Outer loop over the first index d where the two vectors differ.
     cancelled_ = false;
     for (std::size_t d = 0; d < q && !outcome_.found && !cancelled_; ++d) {
-        if (!known_cuts.empty() && known_cuts.test(d)) {
-            ++cuts_replayed;
-            replayed_mask.set(d);
-            continue;
-        }
         first_diff_ = d;
-        const std::size_t leaves_before = stats_.leaves;
-        const std::size_t nodes_before = stats_.search_nodes;
-        const std::size_t mark = ws_->trail.size();
+        const std::size_t mark = ws_.trail.size();
         if (timed_assign(0, d, 0) && timed_assign(1, d, 1))
             (void)dfs(accept, 0);
         undo_to(mark);
-        // The subtree was exhausted (not found, not cancelled) without a
-        // single leaf: no pair satisfies the linear system with first
-        // difference d.  Record the cut for siblings, priced at the search
-        // nodes the proof cost -- replaying siblings are credited exactly
-        // that many pruned nodes (efficacy accounting, docs/CACHING.md).
-        if (sharing && !outcome_.found && !cancelled_ &&
-            stats_.leaves == leaves_before) {
-            opts_.clauses->record_cut(relation_key, conflict_free_mode_, d,
-                                      stats_.search_nodes - nodes_before);
-            ++cuts_recorded;
-        }
     }
-    if (sharing && cuts_replayed > 0)
-        opts_.clauses->note_replayed(relation_key, conflict_free_mode_,
-                                     replayed_mask);
     outcome_.cancelled = cancelled_;
     outcome_.stats = stats_;
     outcome_.stats.seconds = span.seconds();
     outcome_.stats.bound_seconds = static_cast<double>(bound_ns_) / 1e9;
-    ws_ = nullptr;
 
     obs::counter("compat.solves").add();
     obs::counter("compat.nodes").add(stats_.search_nodes);
     obs::counter("compat.leaves").add(stats_.leaves);
-    if (cuts_replayed > 0) obs::counter("cache.clauses.replayed").add(cuts_replayed);
     span.attr("vars", 2 * q);
     span.attr("conflict_free_mode", conflict_free_mode_);
     span.attr("nodes", stats_.search_nodes);
@@ -336,8 +296,6 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     span.attr("max_depth", stats_.max_depth);
     span.attr("bound_ns", bound_ns_);
     span.attr("found", outcome_.found);
-    if (cuts_replayed > 0) span.attr("cuts_replayed", cuts_replayed);
-    if (cuts_recorded > 0) span.attr("cuts_recorded", cuts_recorded);
     if (cancelled_) span.attr("cancelled", true);
     return outcome_;
 }

@@ -28,11 +28,10 @@
 
 #include <functional>
 #include <optional>
+#include <vector>
 
-#include "cache/clause_store.hpp"
 #include "core/coding_problem.hpp"
 #include "sched/cancellation.hpp"
-#include "sched/workspace.hpp"
 #include "stg/results.hpp"
 
 namespace stgcc::core {
@@ -66,15 +65,6 @@ struct SearchOptions {
     /// nodes; a cancelled solve stops early with found == false and
     /// cancelled == true.  Empty token (the default): never cancelled.
     sched::CancellationToken cancel;
-    /// Learned-clause store shared with sibling instances (tier 2,
-    /// src/cache/): proved leaf-free first-difference subtrees are skipped
-    /// on replay and newly proved ones recorded.  Never changes verdicts or
-    /// witnesses (docs/CACHING.md); nullptr = no sharing.
-    cache::ClauseStore* clauses = nullptr;
-    /// Checker-level switch for the shared-store wiring (`--no-cache`):
-    /// when false, UnfoldingChecker leaves `clauses` unset and skips the
-    /// USC->CSC subsumption certificates.
-    bool use_learned_clauses = true;
 };
 
 /// Leaf predicate: given the two dense configurations, decide whether they
@@ -95,17 +85,6 @@ public:
         int fixed = 0;      ///< contribution of assigned variables to D_z
         int pos_slack = 0;  ///< number of unassigned vars with coefficient +1
         int neg_slack = 0;  ///< number of unassigned vars with coefficient -1
-    };
-
-    /// The solver's mutable search state, checked out of the per-worker
-    /// WorkspacePool at the top of every solve() and fully re-initialised
-    /// there -- so per-instance construction pays no allocation once the
-    /// pool is warm, and pooling cannot change any observable result.
-    struct Workspace {
-        std::vector<std::int8_t> val[2];
-        std::vector<SignalState> signals;
-        std::vector<VarRef> trail;
-        std::vector<std::pair<VarRef, std::int8_t>> pending;
     };
 
     explicit CompatSolver(const CodingProblem& problem, SearchOptions opts = {});
@@ -141,11 +120,16 @@ private:
     bool cancelled_ = false;
     std::size_t first_diff_ = 0;  ///< current outer-loop index d
 
-    // Pooled search state; valid only inside solve() (the lease lives on
-    // solve()'s stack).  The per-signal interval state is seeded from the
-    // problem's shared template (CodingProblem::initial_slacks); the
-    // per-signal variable lists stay read-only in the problem.
-    Workspace* ws_ = nullptr;
+    // Mutable search state, fully re-initialised at the top of every
+    // solve().  The per-signal interval state is seeded from the problem's
+    // shared template (CodingProblem::initial_slacks); the per-signal
+    // variable lists stay read-only in the problem.
+    struct Workspace {
+        std::vector<std::int8_t> val[2];
+        std::vector<SignalState> signals;
+        std::vector<VarRef> trail;
+        std::vector<std::pair<VarRef, std::int8_t>> pending;
+    } ws_;
     stg::CheckStats stats_;
     std::uint64_t bound_ns_ = 0;  ///< time inside assign() while obs is on
     SearchOutcome outcome_;

@@ -10,9 +10,9 @@
 // Transitions and places are therefore addressed by name (names are part
 // of the canonical text, so equal hashes imply equal name sets); codes and
 // signal sets are bit strings over SignalId (signal order is likewise
-// canonical).  Volatile data -- solver stats, clause-funnel counters,
-// jobs -- is deliberately not encoded; decoded reports carry zeroed stats,
-// matching the volatile-key stripping of every byte-compare consumer.
+// canonical).  Volatile data -- solver stats and jobs -- is deliberately
+// not encoded; decoded reports carry zeroed stats, matching the
+// volatile-key stripping of every byte-compare consumer.
 #pragma once
 
 #include <optional>
@@ -33,7 +33,7 @@ inline constexpr std::int64_t kReportCodecVersion = 1;
 
 /// Rebuild a report from `payload` against this input's own reduced net.
 /// nullopt on any version/name/shape mismatch (treated as a cache miss).
-/// artifacts is null and stats/cuts are zero in the result; reduction
+/// artifacts is null and stats are zero in the result; reduction
 /// bookkeeping (reduced_stg, summary, dummies_contracted) is the caller's.
 [[nodiscard]] std::optional<VerificationReport> decode_report(
     const obs::Json& payload, const stg::Stg& checked);

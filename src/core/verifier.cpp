@@ -22,10 +22,9 @@ stg::reduce::ReduceResult reduce_input(const stg::Stg& input,
                                        const VerifyOptions& opts,
                                        VerificationReport& report) {
     stg::reduce::ReduceResult red;
-    const stg::reduce::Options ropts = opts.effective_reduce();
-    if (!ropts.enabled) return red;
+    if (!opts.reduce.enabled) return red;
     red = stg::reduce::run_passes(std::make_shared<const stg::Stg>(input),
-                                  ropts);
+                                  opts.reduce);
     report.reduction = red.summary;
     report.dummies_contracted = red.summary.transitions_removed();
     if (red.summary.any()) report.reduced_stg = *red.stg;
@@ -60,7 +59,7 @@ VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts,
     VerificationReport report;
     stg::reduce::ReduceResult red = reduce_input(input, opts, report);
     // Tier-1 shared artifacts: the prefix, its consistency analysis, the
-    // coding problem, condition masks and the learned-clause store are
+    // coding problem, condition masks and the USC=>CSC certificate are
     // computed exactly once here and shared by every checking phase (the
     // consistency analysis used to run twice -- once here and once inside
     // the CodingProblem constructor).  The bundle outlives this call inside
@@ -209,8 +208,6 @@ void run_checks(VerificationReport& report, const VerifyOptions& opts,
             [&] { report.normalcy = checker.check_normalcy(opts.search, ex); });
     }
     sched::parallel_invoke(ex, std::move(phases));
-    if (opts.search.use_learned_clauses)
-        report.cuts = report.artifacts->clauses().efficacy();
     if (opts.check_deadlock) {
         obs::Span phase("solve.deadlock");
         report.deadlock_checked = true;
@@ -348,10 +345,6 @@ obs::Json report_json(const stg::Stg& input, const VerificationReport& r) {
     stats.set("usc", stats_json(r.usc.stats));
     stats.set("csc", stats_json(r.csc.stats));
     if (r.normalcy_checked) stats.set("normalcy", stats_json(r.normalcy.stats));
-    stats.set("cuts", obs::Json::object()
-                          .set("recorded", r.cuts.recorded)
-                          .set("replayed", r.cuts.replayed)
-                          .set("pruned_nodes", r.cuts.pruned_nodes));
 
     obs::Json out = obs::Json::object();
     out.set("model", std::move(model));

@@ -30,21 +30,10 @@ struct VerifyOptions {
     /// secure contraction still cause a ModelError (the checkers require
     /// dummy-free STGs).
     stg::reduce::Options reduce;
-    /// Legacy alias: when `reduce` is disabled and this is set, the
-    /// contract pass alone runs (the pre-pass-manager behaviour).
-    bool contract_dummies = false;
     /// Also run the section 5 deadlock check.
     bool check_deadlock = false;
     /// Also check output persistency (speed-independence precondition).
     bool check_persistency = false;
-
-    /// The reduction options that actually apply (`reduce`, or the
-    /// contract-only pipeline via the legacy alias).
-    [[nodiscard]] stg::reduce::Options effective_reduce() const {
-        if (reduce.enabled) return reduce;
-        if (contract_dummies) return stg::reduce::Options::parse("contract");
-        return {};
-    }
 };
 
 struct PrefixStats {
@@ -55,7 +44,7 @@ struct PrefixStats {
 
 struct VerificationReport {
     /// Shared per-prefix artifact bundle the checks ran on (tier-1 cache):
-    /// prefix, consistency, coding problem, learned-clause store.  Lets
+    /// prefix, consistency, coding problem, USC=>CSC certificate.  Lets
     /// consumers such as `stgcheck --cores` / `--dot` reuse the prefix
     /// instead of re-unfolding.  Null only on the early contract-failure
     /// paths; drop it (reset()) to release prefix memory when keeping many
@@ -96,11 +85,8 @@ struct VerificationReport {
         std::vector<petri::TransitionId> trace;
     };
     std::optional<PersistencyViolation> persistency_violation;
-    /// Learned-clause funnel of this run's ClauseStore (tier-2 cache):
-    /// cuts recorded by exhaustive subtree proofs, replays by sibling
-    /// solver instances, and the search nodes those replays skipped.
-    /// Schedule- and cache-state-dependent (like CheckStats); exported
-    /// under the volatile "stats" report key.
+    /// Always zero and read by nothing; kept only because
+    /// perfbench/stgbench.cpp assigns it (see cache::ClauseStore).
     cache::ClauseStore::Efficacy cuts;
 };
 
@@ -118,11 +104,11 @@ struct VerificationReport {
                                             sched::Executor& ex);
 
 /// Run the checking phases on an already built artifact bundle, skipping
-/// reduction and unfolding entirely (VerifyOptions::reduce /
-/// ::contract_dummies and ::unfold are ignored -- they were decided when
-/// the bundle was built).  This is the resident-service fast path
-/// (docs/SERVICE.md): `stgd` keeps recent bundles in memory and re-checks
-/// a model under different options without paying parse or unfold again.
+/// reduction and unfolding entirely (VerifyOptions::reduce and ::unfold
+/// are ignored -- they were decided when the bundle was built).  This is
+/// the resident-service fast path (docs/SERVICE.md): `stgd` keeps recent
+/// bundles in memory and re-checks a model under different options
+/// without paying parse or unfold again.
 /// The caller owns the reduction bookkeeping (report.reduced_stg /
 /// reduction / dummies_contracted are left unset) and must call
 /// translate_report itself when the bundle was built from a reduced net.

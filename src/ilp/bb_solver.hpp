@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "ilp/model.hpp"
-#include "sched/workspace.hpp"
 
 namespace stgcc::ilp {
 
@@ -39,16 +38,6 @@ public:
         int old_lo, old_hi;
     };
 
-    /// Mutable search state, checked out of the per-worker WorkspacePool at
-    /// the top of solve() and fully re-initialised there (pooling cannot
-    /// change any observable result).
-    struct Workspace {
-        std::vector<int> lo, hi;
-        std::vector<TrailEntry> trail;
-        std::vector<std::uint32_t> dirty;
-        std::vector<char> in_dirty;
-    };
-
     explicit BBSolver(const Model& model, SolveOptions opts = {})
         : model_(&model), opts_(opts) {}
 
@@ -69,7 +58,13 @@ private:
     const Model* model_;
     SolveOptions opts_;
     SolveStats stats_;
-    Workspace* ws_ = nullptr;  ///< valid only inside solve()
+    /// Mutable search state, fully re-initialised at the top of solve().
+    struct Workspace {
+        std::vector<int> lo, hi;
+        std::vector<TrailEntry> trail;
+        std::vector<std::uint32_t> dirty;
+        std::vector<char> in_dirty;
+    } ws_;
 };
 
 }  // namespace stgcc::ilp

@@ -111,12 +111,9 @@ constexpr const char* kBuiltinCounters[] = {
     "sg.edges",         "sched.tasks_submitted", "sched.tasks_executed",
     "sched.tasks_stolen", "sched.steal_failures", "sched.worker_busy_ns",
     "sched.parks",        "sched.park_ns",        "sched.injector_contention",
-    "cache.artifacts.built",  "cache.clauses.recorded",
-    "cache.clauses.replayed", "cache.clauses.pruned_nodes",
-    "cache.certificates.csc_from_usc",
+    "cache.artifacts.built",  "cache.certificates.csc_from_usc",
     "cache.result.hits",      "cache.result.misses",
     "cache.result.stores",    "cache.result.evicted",
-    "sched.workspace_reuse",
     // Reduction pass manager (docs/REDUCTIONS.md).
     "stg.reduce.runs",        "stg.reduce.places_removed",
     "stg.reduce.transitions_removed",

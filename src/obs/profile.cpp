@@ -1,7 +1,6 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -146,26 +145,6 @@ double sample_quantile(std::vector<double> samples, double q) {
     const double frac = pos - static_cast<double>(lo);
     if (lo + 1 >= samples.size()) return samples.back();
     return samples[lo] + frac * (samples[lo + 1] - samples[lo]);
-}
-
-std::string model_family(const std::string& file) {
-    std::string s = file;
-    const auto slash = s.find_last_of("/\\");
-    if (slash != std::string::npos) s.erase(0, slash + 1);
-    const auto dot = s.rfind('.');
-    if (dot != std::string::npos && dot > 0) s.erase(dot);
-    static constexpr char kTag[] = "_csc";
-    if (s.size() > 4 && s.compare(s.size() - 4, 4, kTag) == 0)
-        s.erase(s.size() - 4);
-    std::size_t end = s.size();
-    while (end > 0 && std::isdigit(static_cast<unsigned char>(s[end - 1])))
-        --end;
-    if (end > 0 && end < s.size()) s.erase(end);
-    // Single-letter variant tags: dup_mod_a / dup_mod_b are one family.
-    if (s.size() > 2 && s[s.size() - 2] == '_' &&
-        std::isalpha(static_cast<unsigned char>(s.back())))
-        s.erase(s.size() - 2);
-    return s;
 }
 
 TraceProfile profile_trace(const Trace& trace) {
@@ -496,49 +475,6 @@ void append_bottlenecks(std::string& out, const SchedSnapshot& s) {
         appendf(out, "\ndominant bottleneck: %s\n", dominant_of(b));
 }
 
-/// Cut funnel summed per model family out of stgbatch rows (each row's
-/// "stats"/"cuts") and stgcheck reports ("stats"/"cuts" of the body).
-struct FamilyCuts {
-    std::uint64_t models = 0;
-    std::uint64_t recorded = 0;
-    std::uint64_t replayed = 0;
-    std::uint64_t pruned = 0;
-};
-
-void append_cut_table(std::string& out,
-                      const std::map<std::string, FamilyCuts>& families) {
-    append_rule(out, "cut efficacy (recorded -> replayed -> pruned)");
-    appendf(out, "  %-14s %6s %9s %9s %13s\n", "family", "models",
-            "recorded", "replayed", "pruned nodes");
-    FamilyCuts total;
-    for (const auto& [family, c] : families) {
-        appendf(out, "  %-14s %6llu %9llu %9llu %13llu\n", family.c_str(),
-                static_cast<unsigned long long>(c.models),
-                static_cast<unsigned long long>(c.recorded),
-                static_cast<unsigned long long>(c.replayed),
-                static_cast<unsigned long long>(c.pruned));
-        total.models += c.models;
-        total.recorded += c.recorded;
-        total.replayed += c.replayed;
-        total.pruned += c.pruned;
-    }
-    appendf(out, "  %-14s %6llu %9llu %9llu %13llu\n", "total",
-            static_cast<unsigned long long>(total.models),
-            static_cast<unsigned long long>(total.recorded),
-            static_cast<unsigned long long>(total.replayed),
-            static_cast<unsigned long long>(total.pruned));
-}
-
-void accumulate_cuts(std::map<std::string, FamilyCuts>& families,
-                     const std::string& file, const Json* cuts) {
-    FamilyCuts& c = families[model_family(file)];
-    ++c.models;
-    if (!cuts) return;
-    c.recorded += uint_or(cuts->find("recorded"));
-    c.replayed += uint_or(cuts->find("replayed"));
-    c.pruned += uint_or(cuts->find("pruned_nodes"));
-}
-
 }  // namespace
 
 std::string bottleneck_report(const InputSet& in) {
@@ -635,33 +571,6 @@ std::string bottleneck_report(const InputSet& in) {
         if (tp->spans.size() > limit)
             appendf(out, "  (%zu more)\n", tp->spans.size() - limit);
     }
-
-    std::map<std::string, FamilyCuts> families;
-    if (in.batch) {
-        const Json* body = in.batch->find("body");
-        const Json* models = body ? body->find("models") : nullptr;
-        if (models && models->kind() == Json::Kind::Array) {
-            for (std::size_t i = 0; i < models->size(); ++i) {
-                const Json& row = models->at(i);
-                const Json* file = row.find("file");
-                const Json* stats = row.find("stats");
-                accumulate_cuts(families,
-                                file ? file->as_string() : std::string("?"),
-                                stats ? stats->find("cuts") : nullptr);
-            }
-        }
-    }
-    for (const Json& c : in.checks) {
-        const Json* body = c.find("body");
-        const Json* model = body ? body->find("model") : nullptr;
-        const Json* stats = body ? body->find("stats") : nullptr;
-        accumulate_cuts(families,
-                        model && model->find("name")
-                            ? model->find("name")->as_string()
-                            : std::string("?"),
-                        stats ? stats->find("cuts") : nullptr);
-    }
-    if (!families.empty()) append_cut_table(out, families);
 
     for (const Json& b : in.benches) {
         const Json* body = b.find("body");

@@ -5,8 +5,7 @@
 // report envelopes and `BENCH_*.json` files -- and computes the bottleneck
 // attribution the profiler prints: parallel-efficiency bounds from the
 // work-span tallies, queue-delay percentiles from the scheduler's flow
-// links, per-span self time, and the learned-clause efficacy funnel per
-// model family (docs/OBSERVABILITY.md has the workflow).
+// links and per-span self time (docs/OBSERVABILITY.md has the workflow).
 //
 // The trace model is lossless for everything the Tracer writes: parsing a
 // trace and re-emitting it with `to_chrome_json` reproduces the input byte
@@ -95,12 +94,6 @@ struct TraceProfile {
 /// statistics; q clamped to [0, 1]; 0 for an empty vector).  Exposed for
 /// the queue-delay table and its tests.
 [[nodiscard]] double sample_quantile(std::vector<double> samples, double q);
-
-/// Model family of a corpus entry: basename without extension, a trailing
-/// "_csc" tag, or trailing digits -- "models/vme_csc.g" and "vme" are one
-/// family, "par4" / "seq4" fold to "par" / "seq".  Groups the cut-efficacy
-/// table of corpora that carry size-scaled variants of each circuit.
-[[nodiscard]] std::string model_family(const std::string& file);
 
 // ------------------------------------------------------------- inputs
 

@@ -283,16 +283,21 @@ void WorkStealingPool::execute(PoolTask& task, unsigned self_index,
         g.busy_ns.fetch_add(ns, std::memory_order_relaxed);
     }
 
+    // `executed` is published last, with release: a reader that sees a
+    // task counted there (stats() acquires it first) also sees that task's
+    // group, busy, queue-delay and steal tallies.  TaskGroup::wait() returns
+    // before this point, so polling stats().executed is the quiescence
+    // point for exact reads.
     if (self_index != kNotWorker) {
         Worker& w = *workers_[self_index];
-        w.executed.fetch_add(1, std::memory_order_relaxed);
         w.busy_ns.fetch_add(ns, std::memory_order_relaxed);
         w.queue_delay_ns.fetch_add(queue_delay, std::memory_order_relaxed);
+        w.executed.fetch_add(1, std::memory_order_release);
     } else {
-        external_executed_.fetch_add(1, std::memory_order_relaxed);
         external_busy_ns_.fetch_add(ns, std::memory_order_relaxed);
         external_queue_delay_ns_.fetch_add(queue_delay,
                                            std::memory_order_relaxed);
+        external_executed_.fetch_add(1, std::memory_order_release);
     }
     if (tracing) {
         c_executed().add();
@@ -357,7 +362,7 @@ void WorkStealingPool::help_until(const std::function<bool()>& done) {
 WorkStealingPool::Stats WorkStealingPool::stats() const {
     Stats s;
     for (const auto& w : workers_) {
-        s.executed += w->executed.load(std::memory_order_relaxed);
+        s.executed += w->executed.load(std::memory_order_acquire);
         s.stolen += w->stolen.load(std::memory_order_relaxed);
         s.steal_failures += w->steal_failures.load(std::memory_order_relaxed);
         s.busy_ns += w->busy_ns.load(std::memory_order_relaxed);
@@ -365,7 +370,7 @@ WorkStealingPool::Stats WorkStealingPool::stats() const {
         s.parks += w->parks.load(std::memory_order_relaxed);
         s.park_ns += w->park_ns.load(std::memory_order_relaxed);
     }
-    s.executed += external_executed_.load(std::memory_order_relaxed);
+    s.executed += external_executed_.load(std::memory_order_acquire);
     s.stolen += external_stolen_.load(std::memory_order_relaxed);
     s.external_busy_ns = external_busy_ns_.load(std::memory_order_relaxed);
     s.busy_ns += s.external_busy_ns;

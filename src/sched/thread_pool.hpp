@@ -118,8 +118,8 @@ public:
     /// submitting work (`configure_groups(models)`), each top-level task
     /// claims its group via `set_current_group(i)`, and nested submissions
     /// inherit the submitter's group.  `group_stats` reads back the tallies
-    /// (exact once the group's tasks are quiescent, i.e. after the owning
-    /// TaskGroup::wait returned).
+    /// (exact once stats().executed counts every task of the group:
+    /// TaskGroup::wait returns before the last task's tallies land).
     struct GroupStats {
         std::uint64_t tasks = 0;
         std::uint64_t queue_delay_ns = 0;

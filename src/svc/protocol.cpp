@@ -8,7 +8,6 @@ obs::Json CheckOptions::to_json() const {
     return obs::Json::object()
         .set("normalcy", normalcy)
         .set("reduce", reduce)
-        .set("contract", reduce != "none")  // legacy mirror
         .set("deadlock", deadlock)
         .set("persistency", persistency)
         .set("use_cache", use_cache);
@@ -22,10 +21,7 @@ CheckOptions CheckOptions::from_json(const obs::Json* j) {
         return v ? v->as_bool() : fallback;
     };
     opts.normalcy = flag("normalcy", opts.normalcy);
-    if (const obs::Json* r = j->find("reduce"))
-        opts.reduce = r->as_string();
-    else if (flag("contract", false))
-        opts.reduce = "contract";  // legacy request spelling
+    if (const obs::Json* r = j->find("reduce")) opts.reduce = r->as_string();
     opts.deadlock = flag("deadlock", opts.deadlock);
     opts.persistency = flag("persistency", opts.persistency);
     opts.use_cache = flag("use_cache", opts.use_cache);

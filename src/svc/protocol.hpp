@@ -34,20 +34,18 @@
 
 namespace stgcc::svc {
 
-inline constexpr std::int64_t kProtocolVersion = 1;
+inline constexpr std::int64_t kProtocolVersion = 2;
 
 /// Checker options carried by check/batch requests -- exactly the flag set
 /// that discriminates cached verdicts (docs/CACHING.md).
 struct CheckOptions {
     bool normalcy = true;
     /// Reduction-pipeline spec (docs/REDUCTIONS.md): "none", "all", or a
-    /// comma-separated pass list.  Supersedes the legacy boolean `contract`
-    /// member, which from_json still accepts ("contract": true maps to
-    /// "contract") and to_json still emits for old readers.
+    /// comma-separated pass list.
     std::string reduce = "none";
     bool deadlock = false;
     bool persistency = false;
-    bool use_cache = true;  ///< learned clauses + result cache for this request
+    bool use_cache = true;  ///< result caches for this request
 
     [[nodiscard]] obs::Json to_json() const;
     [[nodiscard]] static CheckOptions from_json(const obs::Json* j);

@@ -615,7 +615,6 @@ Server::Outcome Server::run_check(const std::string& model_text,
         vopts.check_normalcy = copts.normalcy;
         vopts.check_deadlock = copts.deadlock;
         vopts.check_persistency = copts.persistency;
-        vopts.search.use_learned_clauses = copts.use_cache;
         vopts.search.cancel = deadline;
         // Semantic tier ("stgcore", docs/CACHING.md): the reduced net's
         // canonical hash keys a pre-translation report shared with

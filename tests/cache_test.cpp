@@ -1,6 +1,5 @@
-// Unit tests for the three caching tiers (src/cache/, docs/CACHING.md):
-// the learned-clause store's subsumption closure, the shared prefix
-// artifacts (bit-parallel co-relation, consistency and marking helpers must
+// Unit tests for the caching layer (src/cache/, docs/CACHING.md): the
+// USC=>CSC certificate flag, the shared prefix artifacts (bit-parallel co-relation, consistency and marking helpers must
 // agree exactly with the first-principles implementations they replace),
 // and the on-disk result cache's keying, eviction and atomicity.
 #include <gtest/gtest.h>
@@ -12,13 +11,10 @@
 #include <thread>
 #include <vector>
 
-#include "cache/clause_store.hpp"
 #include "cache/prefix_artifacts.hpp"
 #include "cache/result_cache.hpp"
-#include "core/compat_solver.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "stg/benchmarks.hpp"
 #include "unfolding/configuration.hpp"
 #include "test_util.hpp"
 
@@ -27,76 +23,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// --- tier 2: learned-clause store ---------------------------------------
-
-TEST(ClauseStore, RecordsAndReplaysExactKey) {
-    cache::ClauseStore store(10);
-    EXPECT_EQ(store.num_cuts(), 0u);
-    store.record_cut(cache::ClauseStore::kEqual, false, 3);
-    store.record_cut(cache::ClauseStore::kEqual, false, 7);
-    EXPECT_EQ(store.num_cuts(), 2u);
-    const BitVec cuts = store.cuts_for(cache::ClauseStore::kEqual, false);
-    EXPECT_TRUE(cuts.test(3));
-    EXPECT_TRUE(cuts.test(7));
-    EXPECT_FALSE(cuts.test(0));
-}
-
-TEST(ClauseStore, OneSidedCutsReplayUnderEqual) {
-    // D_z = 0 satisfies both D_z <= 0 and D_z >= 0, so a subtree proved
-    // empty under a one-sided relation is empty under Equal too.
-    cache::ClauseStore store(8);
-    store.record_cut(cache::ClauseStore::kLessEq, false, 2);
-    store.record_cut(cache::ClauseStore::kGreaterEq, false, 5);
-    const BitVec eq = store.cuts_for(cache::ClauseStore::kEqual, false);
-    EXPECT_TRUE(eq.test(2));
-    EXPECT_TRUE(eq.test(5));
-    // The converse is unsound: Equal cuts must NOT replay one-sided.
-    store.record_cut(cache::ClauseStore::kEqual, false, 1);
-    EXPECT_FALSE(store.cuts_for(cache::ClauseStore::kLessEq, false).test(1));
-    EXPECT_FALSE(store.cuts_for(cache::ClauseStore::kGreaterEq, false).test(1));
-}
-
-TEST(ClauseStore, UnrestrictedCutsReplayUnderConflictFree) {
-    // The conflict-free search (C' subset C'') enumerates a subset of the
-    // unrestricted pairs, so cf=false cuts are valid at cf=true -- never
-    // the other way round.
-    cache::ClauseStore store(8);
-    store.record_cut(cache::ClauseStore::kEqual, false, 4);
-    EXPECT_TRUE(store.cuts_for(cache::ClauseStore::kEqual, true).test(4));
-    store.record_cut(cache::ClauseStore::kLessEq, true, 6);
-    EXPECT_FALSE(store.cuts_for(cache::ClauseStore::kLessEq, false).test(6));
-    EXPECT_TRUE(store.cuts_for(cache::ClauseStore::kLessEq, true).test(6));
-    // Closure composes: one-sided + unrestricted -> Equal + conflict-free.
-    EXPECT_TRUE(store.cuts_for(cache::ClauseStore::kEqual, true).test(6));
-}
+// --- the USC=>CSC certificate -------------------------------------------
 
 TEST(ClauseStore, UscCertificate) {
-    cache::ClauseStore store(4);
+    cache::ClauseStore store;
     EXPECT_FALSE(store.usc_holds());
     store.record_usc_holds();
     EXPECT_TRUE(store.usc_holds());
-}
-
-TEST(ClauseStore, SharedStoreReducesSiblingNodesWithoutChangingOutcome) {
-    // An exhaustive reject-all search proves every first-difference subtree
-    // leaf-free; an identical sibling replaying those cuts must reach the
-    // same (negative) outcome while visiting strictly fewer nodes.
-    auto model = stg::bench::muller_pipeline(3);
-    cache::PrefixArtifacts artifacts(model);
-    ASSERT_TRUE(artifacts.consistent());
-    const auto reject = [](const BitVec&, const BitVec&) { return false; };
-
-    core::SearchOptions opts;
-    opts.clauses = &artifacts.clauses();
-    core::CompatSolver first(artifacts.problem(), opts);
-    const auto cold = first.solve(core::CodeRelation::Equal, reject);
-    ASSERT_FALSE(cold.found);
-    ASSERT_GT(artifacts.clauses().num_cuts(), 0u);
-
-    core::CompatSolver second(artifacts.problem(), opts);
-    const auto warm = second.solve(core::CodeRelation::Equal, reject);
-    EXPECT_FALSE(warm.found);
-    EXPECT_LT(warm.stats.search_nodes, cold.stats.search_nodes);
 }
 
 // --- tier 1: shared prefix artifacts ------------------------------------

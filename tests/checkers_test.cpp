@@ -132,6 +132,31 @@ TEST(Checkers, ConflictFreeFamiliesHold) {
     }
 }
 
+TEST(Checkers, UscCertificateNeedsAnExhaustiveUncancelledSearch) {
+    // USC => CSC: only a search that ran to exhaustion proves USC, so a
+    // cancelled pass records nothing and CSC still searches; a clean pass
+    // answers both CSC overloads without a single node.
+    auto model = stg::bench::counterflow(4, /*symmetric=*/true);
+    UnfoldingChecker checker(model);
+    sched::CancellationSource source;
+    source.cancel();
+    SearchOptions cancelled;
+    cancelled.cancel = source.token();
+    (void)checker.check_usc(cancelled);
+    EXPECT_FALSE(checker.artifacts()->clauses().usc_holds());
+    EXPECT_GT(checker.check_csc().stats.search_nodes, 0u);
+
+    ASSERT_TRUE(checker.check_usc().holds);
+    EXPECT_TRUE(checker.artifacts()->clauses().usc_holds());
+    const auto single = checker.check_csc();
+    EXPECT_TRUE(single.holds);
+    EXPECT_EQ(single.stats.search_nodes, 0u);
+    sched::Executor serial(1);
+    const auto fanned = checker.check_csc({}, serial);
+    EXPECT_TRUE(fanned.holds);
+    EXPECT_EQ(fanned.stats.search_nodes, 0u);
+}
+
 TEST(Checkers, StatsReported) {
     auto model = stg::bench::vme_bus();
     UnfoldingChecker checker(model);

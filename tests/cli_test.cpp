@@ -167,6 +167,29 @@ TEST_F(CliTest, StgcheckWarmAndNoCacheRunsAreByteIdentical) {
     EXPECT_FALSE(fs::is_empty(cache));
 }
 
+TEST_F(CliTest, NoCacheStillAppliesTheUscCscCertificate) {
+    // USC => CSC is a rule, not a cache: with the result caches off, the
+    // clean USC pass on a conflict-free Table 1 row still answers CSC
+    // without a single search node.
+    const std::string json = in_work("cf.json");
+    const auto r = run(std::string(STGCC_STGCHECK_BIN) + " " +
+                       model("cf_sym_a_csc.g") +
+                       " --jobs 1 --no-normalcy --no-cache --json " + json);
+    EXPECT_EQ(r.exit_code, 0) << r.output;
+    const auto bytes = cache::read_file_bytes(json);
+    ASSERT_TRUE(bytes.has_value());
+    const auto report = obs::Json::parse(*bytes);
+    ASSERT_TRUE(report.has_value());
+    const obs::Json* body = report->find("body");
+    ASSERT_NE(body, nullptr);
+    const obs::Json& results = *body->find("results");
+    EXPECT_TRUE(results.find("usc")->find("holds")->as_bool());
+    EXPECT_TRUE(results.find("csc")->find("holds")->as_bool());
+    const obs::Json& stats = *body->find("stats");
+    EXPECT_GT(stats.find("usc")->find("search_nodes")->as_uint(), 0u);
+    EXPECT_EQ(stats.find("csc")->find("search_nodes")->as_uint(), 0u);
+}
+
 TEST_F(CliTest, StgbatchCacheAndJobsNeutralReports) {
     const std::string cache = in_work("cache");
     // A representative fast subset (conflicted + clean models); the full

@@ -1,9 +1,8 @@
 // Layout-refactor property tests (docs/MEMORY.md): the frozen CSR/arena
 // prefix must answer every structural and relational query identically to
 // the mutable builder it was frozen from, across the random-STG generator's
-// choice/sync/dummy knobs; and the pooled solver workspaces must be
-// observable only through the `sched.workspace_reuse` counter -- reports
-// stay byte-identical at any jobs value.
+// choice/sync/dummy knobs; and reports stay byte-identical at any jobs
+// value.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -127,19 +126,9 @@ TEST(LayoutProperty, FreezeIsRepeatable) {
     EXPECT_GT(a.arena_bytes(), 0u);
 }
 
-TEST(LayoutWorkspace, PoolReusesAcrossSolves) {
-    // Two sequential verifications on one thread: the second must check its
-    // solver workspaces back out of the pool rather than reallocating.
-    const stg::Stg model = stg::bench::vme_bus();
-    (void)core::verify_stg(model, {});
-    const std::uint64_t before = obs::counter("sched.workspace_reuse").value();
-    (void)core::verify_stg(model, {});
-    EXPECT_GT(obs::counter("sched.workspace_reuse").value(), before);
-}
-
 TEST(LayoutWorkspace, ReportsByteIdenticalAcrossJobsWithPooling) {
-    // The pool is per-thread-sharded, so jobs=8 exercises cross-shard
-    // checkout; the canonical report surface must not move.
+    // Every solver instance owns its search state, so jobs=8 runs many
+    // instances side by side; the canonical report surface must not move.
     for (unsigned seed : {11u, 29u}) {
         test::RandomStgConfig cfg;
         cfg.machines = 3;

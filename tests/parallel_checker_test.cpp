@@ -5,6 +5,7 @@
 // CI job can select them with `ctest -R 'Sched|Parallel'`.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 
 namespace stgcc::core {
 namespace {
+
+namespace fs = std::filesystem;
 
 /// The Table-1 subset the determinism contract is asserted on: both paper
 /// models, a conflict-carrying ring, a USC-violating sequencer, and
@@ -46,23 +49,26 @@ TEST(ParallelDeterminism, ReportsByteIdenticalAcrossJobs) {
 }
 
 TEST(ParallelDeterminism, CacheOnAndOffReportsByteIdentical) {
-    // The clause-store replay and the USC->CSC certificates (src/cache/)
-    // must be verdict- and witness-neutral at every jobs value on the
-    // determinism corpus -- the fixed-model counterpart of the random
-    // DifferentialCacheTest fleet.
+    // The result cache (src/cache/) must be verdict- and witness-neutral
+    // across the jobs matrix on the determinism corpus -- the fixed-model
+    // counterpart of the random DifferentialCacheTest fleet: a cold cached
+    // run at jobs 1 and a warm (replayed) run at jobs 8 both render the
+    // uncached jobs-1 report.
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "stgcc_parallel_determinism_cache";
+    fs::remove_all(dir);
+    const cache::ResultCache rcache(dir.string());
     for (const auto& model : determinism_models()) {
+        const std::string reference = report_text(model, 1);
         for (const unsigned jobs : {1u, 8u}) {
-            VerifyOptions on;
-            on.jobs = jobs;
-            on.search.use_learned_clauses = true;
-            VerifyOptions off;
-            off.jobs = jobs;
-            off.search.use_learned_clauses = false;
-            EXPECT_EQ(format_report(model, verify_stg(model, on)),
-                      format_report(model, verify_stg(model, off)))
+            VerifyOptions opts;
+            opts.jobs = jobs;
+            const auto report = verify_stg_cached(model, opts, rcache);
+            EXPECT_EQ(format_report(model, report), reference)
                 << "model " << model.name() << " jobs=" << jobs;
         }
     }
+    fs::remove_all(dir);
 }
 
 TEST(ParallelDeterminism, RepeatedParallelRunsAreStable) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 
 #include "core/checkers.hpp"
 #include "core/extended_checks.hpp"
@@ -17,6 +18,8 @@
 
 namespace stgcc {
 namespace {
+
+namespace fs = std::filesystem;
 
 class RandomStgTest : public ::testing::TestWithParam<unsigned> {
 protected:
@@ -146,12 +149,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomSyncStgTest,
 //
 // Larger random nets -- three machines, choice places, cross-machine syncs
 // and spliced dummy transitions (contracted before checking) -- verified
-// twice per jobs value: once with the learned-clause/certificate sharing on
-// and once with --no-cache semantics.  The human-readable report must be
-// byte-identical and the machine-readable report identical after stripping
-// the volatile timing/stats fields; this is the executable form of the
-// soundness argument in docs/CACHING.md.  The fleet size scales with
-// STGCC_DIFF_ITERS (the nightly CI job runs 10x).
+// across one jobs x result-cache matrix: cache off at jobs 1 (the
+// reference) and jobs 8, cache on at jobs 1 (a cold pass that stores the
+// semantic entry) and jobs 8 (a warm pass that replays it).  The
+// human-readable report must be byte-identical across the matrix and the
+// machine-readable report identical after stripping the volatile
+// timing/stats fields; this is the executable form of the soundness
+// argument in docs/CACHING.md.  The fleet size scales with STGCC_DIFF_ITERS
+// (the nightly CI job runs 10x).
 
 unsigned diff_iters() {
     if (const char* env = std::getenv("STGCC_DIFF_ITERS")) {
@@ -173,31 +178,43 @@ TEST_P(DifferentialCacheTest, CacheOnAndOffAreByteIdentical) {
     cfg.dummy_probability = 0.2;
     const auto model = test::random_stg(seed, cfg);
 
-    core::VerifyOptions base;
-    base.contract_dummies = true;  // generated dummies need contraction
-    base.check_deadlock = true;
-    for (const unsigned jobs : {1u, 8u}) {
-        core::VerifyOptions on = base;
-        on.jobs = jobs;
-        on.search.use_learned_clauses = true;
-        core::VerifyOptions off = base;
-        off.jobs = jobs;
-        off.search.use_learned_clauses = false;
-        auto r_on = core::verify_stg(model, on);
-        auto r_off = core::verify_stg(model, off);
-        EXPECT_EQ(core::format_report(model, r_on),
-                  core::format_report(model, r_off))
-            << "seed=" << seed << " jobs=" << jobs;
-        EXPECT_EQ(test::canonical_json(core::report_json(model, r_on)),
-                  test::canonical_json(core::report_json(model, r_off)))
-            << "seed=" << seed << " jobs=" << jobs;
-    }
+    core::VerifyOptions opts;
+    opts.reduce = stg::reduce::Options::parse("contract");  // generated dummies
+    opts.check_deadlock = true;
+    const auto reference = core::verify_stg(model, opts);
+    const std::string text = core::format_report(model, reference);
+    const std::string json =
+        test::canonical_json(core::report_json(model, reference));
+    const auto agrees = [&](const core::VerificationReport& r,
+                            const char* config) {
+        EXPECT_EQ(core::format_report(model, r), text)
+            << "seed=" << seed << " " << config;
+        EXPECT_EQ(test::canonical_json(core::report_json(model, r)), json)
+            << "seed=" << seed << " " << config;
+    };
+
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         ("stgcc_diff_fleet_" + std::to_string(seed));
+    fs::remove_all(dir);
+    const cache::ResultCache rcache(dir.string());
+    opts.jobs = 8;
+    agrees(core::verify_stg(model, opts), "jobs=8 cache=off");
+    bool hit = true;
+    opts.jobs = 1;
+    agrees(core::verify_stg_cached(model, opts, rcache, &hit),
+           "jobs=1 cache=cold");
+    EXPECT_FALSE(hit) << "seed=" << seed;
+    opts.jobs = 8;
+    agrees(core::verify_stg_cached(model, opts, rcache, &hit),
+           "jobs=8 cache=warm");
+    EXPECT_TRUE(hit) << "seed=" << seed;
+    fs::remove_all(dir);
 }
 
 TEST_P(DifferentialCacheTest, ContractedVerdictsAgreeWithStateGraph) {
     // The same fleet models, cross-checked against ground truth: verify_stg
-    // (contraction + shared artifacts + clause store) must agree with the
-    // state graph of the contracted net.
+    // (contraction + shared artifacts + USC=>CSC certificate) must agree
+    // with the state graph of the contracted net.
     const unsigned seed = GetParam();
     test::RandomStgConfig cfg;
     cfg.machines = 2;
@@ -206,7 +223,7 @@ TEST_P(DifferentialCacheTest, ContractedVerdictsAgreeWithStateGraph) {
     const auto model = test::random_stg(seed, cfg);
 
     core::VerifyOptions opts;
-    opts.contract_dummies = true;
+    opts.reduce = stg::reduce::Options::parse("contract");
     const auto report = core::verify_stg(model, opts);
     ASSERT_TRUE(report.consistent) << "seed=" << seed;
     const stg::Stg& checked =

@@ -321,15 +321,6 @@ TEST(OptionsSignature, OneSpellingSharedByAllCaches) {
     EXPECT_EQ(alias.signature(), listed.signature());
     EXPECT_NE(alias.signature(), copts.signature());
 
-    // Legacy protocol spelling {"contract": true} maps onto the contract
-    // pipeline and agrees with the modern spelling.
-    const obs::Json legacy =
-        obs::Json::object().set("contract", true).set("normalcy", true);
-    svc::CheckOptions modern;
-    modern.reduce = "contract";
-    EXPECT_EQ(svc::CheckOptions::from_json(&legacy).signature(),
-              modern.signature());
-
     // to_json/from_json round-trips the signature.
     const obs::Json j = listed.to_json();
     EXPECT_EQ(svc::CheckOptions::from_json(&j).signature(),
@@ -590,10 +581,15 @@ TEST_F(ReduceCliTest, ReduceFlagSupersedesContract) {
     const std::string path = write("dum.g", kDummyModel);
     const auto reduced =
         run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path + " --reduce");
-    const auto contracted =
-        run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path + " --contract");
+    const auto contracted = run_cli(std::string(STGCC_STGCHECK_BIN) + " " +
+                                    path + " --reduce=contract");
     EXPECT_EQ(reduced.exit_code, 0) << reduced.output;
     EXPECT_EQ(contracted.exit_code, 0) << contracted.output;
+    // The retired --contract alias is an unknown option.
+    EXPECT_EQ(run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path +
+                      " --contract")
+                  .exit_code,
+              2);
     EXPECT_NE(reduced.output.find("dummies contracted: 1"), std::string::npos);
     EXPECT_NE(reduced.output.find("reduction:"), std::string::npos);
 

@@ -74,8 +74,11 @@ TEST(ScalingStress, ProducerConsumerFanOutWithHelping) {
         EXPECT_EQ(sums[p].load(), expected) << "producer " << p;
     }
 
-    const auto stats = pool.stats();
-    EXPECT_GE(stats.executed, kProducers + kProducers * kConsumers);
+    // wait() returns before the last producer's tally is published; poll
+    // stats().executed (published last) rather than reading it once.
+    const std::uint64_t total = kProducers + kProducers * kConsumers;
+    while (pool.stats().executed < total) std::this_thread::yield();
+    EXPECT_EQ(pool.stats().executed, total);
 }
 
 // Nested parallel_for under contention: every (i, j) cell must be visited

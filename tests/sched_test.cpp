@@ -30,6 +30,13 @@ TEST(SchedPool, ZeroWorkersClampedToOne) {
     EXPECT_EQ(pool.num_workers(), 1u);
 }
 
+// TaskGroup::wait() and flags set inside a task body fire before the pool
+// publishes that task's tallies; stats().executed is published last, so
+// polling it is the quiescence point for exact telemetry reads.
+void quiesce(const WorkStealingPool& pool, std::uint64_t executed) {
+    while (pool.stats().executed < executed) std::this_thread::yield();
+}
+
 TEST(SchedPool, ExecutesAllSubmittedTasks) {
     WorkStealingPool pool(4);
     std::atomic<int> count{0};
@@ -38,6 +45,7 @@ TEST(SchedPool, ExecutesAllSubmittedTasks) {
         group.run([&] { count.fetch_add(1, std::memory_order_relaxed); });
     group.wait();
     EXPECT_EQ(count.load(), 500);
+    quiesce(pool, 500);
     const auto stats = pool.stats();
     EXPECT_EQ(stats.submitted, 500u);
     EXPECT_EQ(stats.executed, 500u);
@@ -67,6 +75,7 @@ TEST(SchedPool, StealCorrectnessUnderLoad) {
         std::this_thread::yield();
     EXPECT_TRUE(parent_on_worker.load());
     EXPECT_EQ(done.load(), kSubtasks);
+    quiesce(pool, kSubtasks + 1u);
     const auto stats = pool.stats();
     EXPECT_EQ(stats.executed, kSubtasks + 1u);
     EXPECT_EQ(stats.stolen, static_cast<std::uint64_t>(kSubtasks));
@@ -119,6 +128,7 @@ TEST(SchedPool, QueueDelayTalliesMatchPerTaskObservations) {
         });
     while (done.load(std::memory_order_acquire) < kTasks)
         std::this_thread::yield();
+    quiesce(pool, kTasks);
     const auto s = pool.stats();
     EXPECT_EQ(s.executed, static_cast<std::uint64_t>(kTasks));
     EXPECT_EQ(s.queue_delay_ns, delay_sum.load());
@@ -148,7 +158,7 @@ TEST(SchedPool, SelfTimePartitionsHelpedNestedWork) {
     });
     // Quiesce on executed: it is written after the busy tallies, so the
     // stats read below is exact (and not racing the parent's accounting).
-    while (pool.stats().executed < 2u) std::this_thread::yield();
+    quiesce(pool, 2u);
     const std::uint64_t wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
@@ -195,7 +205,7 @@ TEST(SchedPool, ExternalHelperBusyIsTalliedSeparately) {
         return payloads_done.load(std::memory_order_acquire) == kPayloads;
     });
     release.store(true, std::memory_order_release);
-    while (pool.stats().executed < kPayloads + 1u) std::this_thread::yield();
+    quiesce(pool, kPayloads + 1u);
     const auto s = pool.stats();
     EXPECT_GT(s.external_busy_ns, 0u);
     EXPECT_GE(s.busy_ns, s.external_busy_ns);
@@ -217,10 +227,7 @@ TEST(SchedPool, GroupStatsAttributeNestedTasksToTheClaimedGroup) {
             inner.wait();
         });
     outer.wait();
-    // wait() returns on the in-task completion flag, which fires *before*
-    // execute() writes the group tallies; quiesce on executed (written
-    // after them) so the read below is exact.
-    while (pool.stats().executed < 8u) std::this_thread::yield();
+    quiesce(pool, 8u);
     for (std::uint32_t g = 0; g < 2; ++g) {
         const auto gs = pool.group_stats(g);
         EXPECT_EQ(gs.tasks, 4u) << g;  // the claimer + 3 nested

@@ -96,7 +96,7 @@ struct RandomStgConfig {
     /// `mid` carrying q's code.  `mid` feeds only the dummy, so every
     /// generated dummy is type-1 securely contractable, and contraction
     /// recovers exactly the dummy-free net -- models with dummies must be
-    /// verified with contract_dummies enabled.
+    /// verified with reduce = "contract" (or a pipeline containing it).
     double dummy_probability = 0.0;
 };
 

@@ -73,7 +73,7 @@ TEST(Verifier, ContractionOptionHandlesDummies) {
     // Without contraction the checkers reject dummies.
     EXPECT_THROW((void)verify_stg(model), ModelError);
     VerifyOptions opts;
-    opts.contract_dummies = true;
+    opts.reduce = stg::reduce::Options::parse("contract");
     auto report = verify_stg(model, opts);
     EXPECT_EQ(report.dummies_contracted, 1u);
     ASSERT_TRUE(report.reduced_stg.has_value());

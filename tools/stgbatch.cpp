@@ -13,7 +13,8 @@
 // (--cache-dir or $STGCC_CACHE_DIR), each model's verdict line and report
 // row are stored keyed by the model file's content hash and the checker
 // options; a warm corpus run replays hits without re-verifying.
-// --no-cache disables the result cache and learned-clause sharing.
+// --no-cache disables the result caches only (verdicts and search work are
+// unchanged).
 //
 // Exit codes: 0 = every model satisfies all checked properties,
 //             1 = at least one conflict / violation found,
@@ -28,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/clause_store.hpp"
 #include "cache/result_cache.hpp"
 #include "core/verifier.hpp"
 #include "obs/eventlog.hpp"
@@ -62,14 +62,13 @@ void print_usage(std::ostream& out) {
            "                   (docs/REDUCTIONS.md): all passes or a comma\n"
            "                   list; witnesses stay on the original nets\n"
            "  --no-reduce      disable reductions (the default)\n"
-           "  --contract       legacy alias for --reduce=contract\n"
            "  --deadlock       also run the deadlock check\n"
            "  --quiet          suppress per-model result lines\n"
            "  --json FILE      write the aggregate machine-readable report\n"
            "  --trace FILE     write a Chrome trace-event JSON\n"
            "  --cache-dir DIR  on-disk result cache (default: $STGCC_CACHE_DIR;\n"
            "                   unset = no result cache)\n"
-           "  --no-cache       disable result cache and learned-clause sharing\n"
+           "  --no-cache       disable the result caches (verdicts are unchanged)\n"
            "  --connect EP     verify through a running stgd at EP\n"
            "                   (unix:/path or host:port); verdicts and the\n"
            "                   aggregate report match a local run\n"
@@ -146,7 +145,6 @@ struct ModelResult {
     /// "stats", never cached.
     std::uint64_t tasks = 0;
     std::uint64_t queue_delay_ns = 0;
-    cache::ClauseStore::Efficacy cuts;
 };
 
 /// Reduction totals across the corpus, summed from the (cached or fresh)
@@ -402,8 +400,6 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--no-normalcy"))
             normalcy = false;
-        else if (!std::strcmp(argv[i], "--contract"))
-            reduce_spec = "contract";  // legacy alias for --reduce=contract
         else if (!std::strcmp(argv[i], "--reduce"))
             reduce_spec = "all";
         else if (!std::strncmp(argv[i], "--reduce=", 9))
@@ -479,7 +475,6 @@ int main(int argc, char** argv) {
         return 2;
     }
     vopts.check_deadlock = deadlock;
-    vopts.search.use_learned_clauses = use_cache;
 
     if (connect) {
         if (trace_path) {
@@ -554,7 +549,6 @@ int main(int argc, char** argv) {
                 const std::string name = model.name();
                 auto report = core::verify_stg(model, vopts, ex);
                 r.loaded = true;
-                r.cuts = report.cuts;
                 r.all_hold = report_all_hold(report);
                 r.verdict = report_verdict_line(report);
                 r.row = report_row(files[i], name, report);
@@ -625,13 +619,7 @@ int main(int argc, char** argv) {
                 row.set("stats",
                         obs::Json::object()
                             .set("tasks", r.tasks)
-                            .set("queue_delay_ns", r.queue_delay_ns)
-                            .set("cuts",
-                                 obs::Json::object()
-                                     .set("recorded", r.cuts.recorded)
-                                     .set("replayed", r.cuts.replayed)
-                                     .set("pruned_nodes",
-                                          r.cuts.pruned_nodes)));
+                            .set("queue_delay_ns", r.queue_delay_ns));
             }
             rows.push(std::move(row));
         }

@@ -6,9 +6,9 @@
 //
 // Default mode prints the ranked bottleneck report: parallel-efficiency
 // and speedup bounds from the scheduler's work-span tallies, queue-delay
-// percentiles, per-span self time, the learned-clause efficacy funnel per
-// model family, and the wall-clock share each loss source (queue delay,
-// steal contention, serialization) explains.  `--compare A B` instead
+// percentiles, per-span self time, and the wall-clock share each loss
+// source (queue delay, steal contention, serialization) explains.
+// `--compare A B` instead
 // triages a regression between two stgbatch reports.  The analysis lives
 // in src/obs/profile.cpp; docs/OBSERVABILITY.md has the workflow.
 //
