@@ -185,10 +185,11 @@ int main() {
                 cache::fnv1a64(stg::write_astg_string(b));
             core::VerifyOptions opts;
             opts.reduce = stg::reduce::Options::parse("contract");
+            sched::Executor ex(opts.jobs);
             bool hit = false;
-            const auto ra = core::verify_stg_cached(a, opts, rcache, &hit);
+            const auto ra = core::verify_stg_cached(a, opts, rcache, ex, &hit);
             Stopwatch warm;
-            const auto rb = core::verify_stg_cached(b, opts, rcache, &hit);
+            const auto rb = core::verify_stg_cached(b, opts, rcache, ex, &hit);
             const double warm_s = warm.seconds();
             ++pairs;
             if (hit) ++hits;

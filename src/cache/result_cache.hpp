@@ -1,19 +1,21 @@
 // stgcc -- tier-3 cache: on-disk verification-result cache (docs/CACHING.md).
 //
-// `stgcheck` and `stgbatch` re-verify the same corpora over and over (CI,
-// nightly property fleets, regression sweeps).  This cache keys a finished
-// verification result by
+// `stgcheck`, `stgbatch` and `stgd` re-verify the same corpora over and
+// over (CI, nightly property fleets, regression sweeps).  This cache keys a
+// finished verification result by
 //   * the FNV-1a 64 hash of the model file's raw bytes (content-addressed:
 //     renaming or touching the file does not invalidate, editing it does),
 //   * an options signature string (the checker options that can change the
-//     result -- normalcy / contract / deadlock / persistency -- plus the
+//     result -- normalcy / reduce / deadlock / persistency -- plus the
 //     checker version; deliberately NOT --jobs, which the determinism
 //     contract of docs/PARALLELISM.md guarantees result-neutral),
 //   * the cache format version.
 //
 // An entry is one pretty-printed JSON file
 //   { "cache_version": N, "content_hash": "...", "options": "...",
-//     "value": <tool-specific payload> }
+//     "value": <payload> }
+// filed under a tool tag ("verdict" for the rendered verdict all three
+// front ends share, core/verdict.hpp; "stgcore" for the semantic tier) and
 // written atomically (writer-unique temp file + rename) under a per-entry
 // advisory lock (`<entry>.lock`, flock): concurrent writers of the same key
 // -- daemon worker threads of `stgd`, or two processes racing on a shared
@@ -46,7 +48,7 @@ namespace stgcc::cache {
 class ResultCache {
 public:
     /// Bump when the meaning of cached payloads changes.
-    static constexpr std::int64_t kFormatVersion = 1;
+    static constexpr std::int64_t kFormatVersion = 2;
 
     /// `dir` is the cache root; created on first store.  An empty dir
     /// disables the cache (load always misses, store is a no-op), so

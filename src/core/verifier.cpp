@@ -13,26 +13,11 @@ namespace stgcc::core {
 namespace {
 void run_checks(VerificationReport& report, const VerifyOptions& opts,
                 sched::Executor& ex);
+void translate_report(VerificationReport& report, const stg::Stg& input,
+                      const stg::reduce::WitnessChain& chain);
 
-/// Run the reduction pipeline on a shared-owned copy of the input and
-/// record the bookkeeping (reduced_stg / dummies_contracted / summary) in
-/// the report.  Every removed transition is a dummy, so the legacy
-/// `dummies contracted` count is the summary's transition total.
-stg::reduce::ReduceResult reduce_input(const stg::Stg& input,
-                                       const VerifyOptions& opts,
-                                       VerificationReport& report) {
-    stg::reduce::ReduceResult red;
-    if (!opts.reduce.enabled) return red;
-    red = stg::reduce::run_passes(std::make_shared<const stg::Stg>(input),
-                                  opts.reduce);
-    report.reduction = red.summary;
-    report.dummies_contracted = red.summary.transitions_removed();
-    if (red.summary.any()) report.reduced_stg = *red.stg;
-    return red;
-}
-
-}  // namespace
-
+/// Render the "output X disabled by Y via: ..." persistency note on `stg`
+/// (which must be the net the violation's ids refer to).
 std::string persistency_note_text(
     const stg::Stg& stg, const VerificationReport::PersistencyViolation& v) {
     return "output " + stg.net().transition_name(v.output) + " disabled by " +
@@ -40,12 +25,26 @@ std::string persistency_note_text(
            " via: " + stg.sequence_text(v.trace);
 }
 
+/// Run the reduction pipeline on a shared-owned copy of the input (an
+/// empty result, without the copy, when reductions are off).
+stg::reduce::ReduceResult reduce_input(const stg::Stg& input,
+                                       const VerifyOptions& opts) {
+    if (!opts.reduce.enabled) return {};
+    return stg::reduce::run_passes(std::make_shared<const stg::Stg>(input),
+                                   opts.reduce);
+}
+
+/// Options fragment of a semantic ("stgcore") cache entry: only the flags
+/// that change what the checks compute -- the reduce spec is deliberately
+/// absent, because the entry is keyed by the reduced net itself.
 std::string semantic_entry_options(const VerifyOptions& opts) {
     return std::string("stgcore/") + std::to_string(kReportCodecVersion) +
            ";normalcy=" + (opts.check_normalcy ? "1" : "0") +
            ";deadlock=" + (opts.check_deadlock ? "1" : "0") +
            ";persistency=" + (opts.check_persistency ? "1" : "0");
 }
+
+}  // namespace
 
 VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts) {
     sched::Executor ex(opts.jobs);
@@ -54,75 +53,81 @@ VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts) {
 
 VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts,
                               sched::Executor& ex) {
-    obs::Span span("verify");
-    span.attr("stg", input.name());
-    VerificationReport report;
-    stg::reduce::ReduceResult red = reduce_input(input, opts, report);
-    // Tier-1 shared artifacts: the prefix, its consistency analysis, the
-    // coding problem, condition masks and the USC=>CSC certificate are
-    // computed exactly once here and shared by every checking phase (the
-    // consistency analysis used to run twice -- once here and once inside
-    // the CodingProblem constructor).  The bundle outlives this call inside
-    // the report, so the reduced STG it references is shared-owned.
-    report.artifacts =
-        red.stg
-            ? std::make_shared<const cache::PrefixArtifacts>(red.stg,
-                                                             opts.unfold)
-            : std::make_shared<const cache::PrefixArtifacts>(input, opts.unfold);
-    run_checks(report, opts, ex);
-    translate_report(report, input, red.chain);
-    return report;
+    return verify_stg_cached(input, std::move(opts), cache::ResultCache(""),
+                             ex);
 }
 
 VerificationReport verify_stg_cached(const stg::Stg& input, VerifyOptions opts,
                                      const cache::ResultCache& rcache,
-                                     bool* semantic_hit) {
-    if (semantic_hit) *semantic_hit = false;
-    if (!rcache.enabled()) return verify_stg(input, std::move(opts));
-
-    obs::Span span("verify.cached");
+                                     sched::Executor& ex, bool* semantic_hit) {
+    obs::Span span("verify");
     span.attr("stg", input.name());
-    VerificationReport report;
-    stg::reduce::ReduceResult red = reduce_input(input, opts, report);
+    const stg::reduce::ReduceResult red = reduce_input(input, opts);
+    // Tier-1 shared artifacts: the prefix, its consistency analysis, the
+    // coding problem, condition masks and the USC=>CSC certificate are
+    // computed exactly once and shared by every checking phase.  The
+    // bundle outlives this call inside the report, so the reduced STG it
+    // references is shared-owned.
+    const auto artifacts = [&]() -> cache::PrefixArtifactsPtr {
+        if (red.stg)
+            return std::make_shared<const cache::PrefixArtifacts>(red.stg,
+                                                                  opts.unfold);
+        return std::make_shared<const cache::PrefixArtifacts>(input,
+                                                              opts.unfold);
+    };
+    return verify_reduced(input, red, artifacts, opts, &rcache, ex,
+                          semantic_hit);
+}
+
+VerificationReport verify_reduced(
+    const stg::Stg& input, const stg::reduce::ReduceResult& red,
+    const std::function<cache::PrefixArtifactsPtr()>& artifacts,
+    const VerifyOptions& opts, const cache::ResultCache* rcache,
+    sched::Executor& ex, bool* semantic_hit) {
     const stg::Stg& checked = red.stg ? *red.stg : input;
-    const std::uint64_t key = stg::reduce::semantic_hash(checked);
-    const std::string entry_opts = semantic_entry_options(opts);
-
-    if (auto payload = rcache.load("stgcore", key, entry_opts)) {
-        if (auto decoded = decode_report(*payload, checked)) {
-            obs::counter("cache.result.semantic_hits").add(1);
-            span.attr("semantic_hit", true);
-            if (semantic_hit) *semantic_hit = true;
-            decoded->jobs = opts.jobs;
-            decoded->reduction = report.reduction;
-            decoded->dummies_contracted = report.dummies_contracted;
-            decoded->reduced_stg = std::move(report.reduced_stg);
-            if (!red.chain.empty())
-                translate_report(*decoded, input, red.chain);
-            else if (decoded->persistency_violation)
-                decoded->persistency_note = persistency_note_text(
-                    input, *decoded->persistency_violation);
-            return *std::move(decoded);
-        }
+    const bool cached = rcache && rcache->enabled();
+    const std::uint64_t key = cached ? stg::reduce::semantic_hash(checked) : 0;
+    const std::string entry = cached ? semantic_entry_options(opts) : "";
+    std::optional<VerificationReport> hit;
+    if (cached)
+        if (const auto payload = rcache->load("stgcore", key, entry))
+            hit = decode_report(*payload, checked);
+    if (semantic_hit) *semantic_hit = hit.has_value();
+    VerificationReport report;
+    if (hit) {
+        obs::counter("cache.result.semantic_hits").add(1);
+        report = *std::move(hit);
+        report.jobs = ex.jobs();
+    } else {
+        report.artifacts = artifacts();
+        run_checks(report, opts, ex);
+        // A cancelled solve stops early with indeterminate verdicts.
+        if (cached && !opts.search.cancel.cancelled())
+            rcache->store("stgcore", key, entry,
+                          encode_report(report, checked));
     }
-
-    sched::Executor ex(opts.jobs);
-    report.artifacts =
-        red.stg
-            ? std::make_shared<const cache::PrefixArtifacts>(red.stg,
-                                                             opts.unfold)
-            : std::make_shared<const cache::PrefixArtifacts>(input, opts.unfold);
-    run_checks(report, opts, ex);
-    rcache.store("stgcore", key, entry_opts, encode_report(report, checked));
+    // Every removed transition is a dummy, so the legacy `dummies
+    // contracted` count is the summary's transition total.
+    report.reduction = red.summary;
+    report.dummies_contracted = red.summary.transitions_removed();
+    if (red.summary.any()) report.reduced_stg = checked;
     translate_report(report, input, red.chain);
     return report;
 }
 
+namespace {
+
+/// Rewrite every witness in `r` -- conflict/normalcy traces and markings,
+/// the deadlock trace, the persistency violation -- from the reduced net the
+/// checks ran on back to `input`, via the composed witness chain of the
+/// reduction that produced that net, and render the persistency note on
+/// `input` (a decoded cache entry carries none).  Throws ModelError if a
+/// trace fails to replay on `input` (a reduction soundness bug).
 void translate_report(VerificationReport& r, const stg::Stg& input,
                       const stg::reduce::WitnessChain& chain) {
-    if (chain.empty()) return;
     const auto lift = [&](std::vector<petri::TransitionId>& trace,
                           petri::Marking* m) {
+        if (chain.empty()) return;
         auto translated = chain.translate(trace);
         if (!translated)
             throw ModelError(
@@ -156,20 +161,8 @@ void translate_report(VerificationReport& r, const stg::Stg& input,
     }
 }
 
-VerificationReport verify_artifacts(cache::PrefixArtifactsPtr artifacts,
-                                    VerifyOptions opts, sched::Executor& ex) {
-    obs::Span span("verify.artifacts");
-    span.attr("stg", artifacts->stg().name());
-    VerificationReport report;
-    report.artifacts = std::move(artifacts);
-    run_checks(report, opts, ex);
-    return report;
-}
-
-namespace {
-
-/// Shared back half of verify_stg / verify_artifacts: run every checking
-/// phase against report.artifacts (already set).  The STG the checks see is
+/// Back half of verify_reduced: run every checking phase against
+/// report.artifacts (already set).  The STG the checks see is
 /// the one the bundle was built from (post-contraction when the caller
 /// contracted).
 void run_checks(VerificationReport& report, const VerifyOptions& opts,
@@ -287,8 +280,9 @@ obs::Json stats_json(const stg::CheckStats& s) {
         .set("bound_seconds", s.bound_seconds);
 }
 
-}  // namespace
-
+/// Machine-readable per-pass reduction accounting (rounds, removals,
+/// remaining dummy names, per-pass counts): the "reduction" member of
+/// report_json and, through it, of every report row.
 obs::Json reduction_json(const stg::reduce::Summary& s) {
     obs::Json passes = obs::Json::array();
     for (const stg::reduce::PassStats& p : s.passes)
@@ -306,6 +300,8 @@ obs::Json reduction_json(const stg::reduce::Summary& s) {
         .set("remaining_dummies", std::move(remaining))
         .set("passes", std::move(passes));
 }
+
+}  // namespace
 
 obs::Json report_json(const stg::Stg& input, const VerificationReport& r) {
     // Witnesses (and therefore sizes too) are reported on the original

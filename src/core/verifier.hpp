@@ -6,6 +6,7 @@
 // violated property.
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "cache/result_cache.hpp"
@@ -66,8 +67,7 @@ struct VerificationReport {
     /// When reduction changed the net, the STG the checks actually ran on.
     /// Witness traces in this report are nevertheless expressed on the
     /// *original* input net: verify_stg translates them back through the
-    /// composed witness chain before returning (stgd does the same via
-    /// translate_report).  Consumers that need the dummy-free checked net
+    /// composed witness chain before returning.  Consumers that need the dummy-free checked net
     /// itself -- synthesis, the state-graph baseline -- read this field.
     std::optional<stg::Stg> reduced_stg;
     bool deadlock_checked = false;
@@ -103,30 +103,6 @@ struct VerificationReport {
                                             VerifyOptions opts,
                                             sched::Executor& ex);
 
-/// Run the checking phases on an already built artifact bundle, skipping
-/// reduction and unfolding entirely (VerifyOptions::reduce and ::unfold
-/// are ignored -- they were decided when the bundle was built).  This is
-/// the resident-service fast path (docs/SERVICE.md): `stgd` keeps recent
-/// bundles in memory and re-checks a model under different options
-/// without paying parse or unfold again.
-/// The caller owns the reduction bookkeeping (report.reduced_stg /
-/// reduction / dummies_contracted are left unset) and must call
-/// translate_report itself when the bundle was built from a reduced net.
-/// Verdicts and witnesses are identical to a fresh verify_stg of the same
-/// (possibly reduced) STG.
-[[nodiscard]] VerificationReport verify_artifacts(
-    cache::PrefixArtifactsPtr artifacts, VerifyOptions opts,
-    sched::Executor& ex);
-
-/// Rewrite every witness in `report` -- conflict/normalcy traces and
-/// markings, the deadlock trace, the persistency violation and its note --
-/// from the reduced net the checks ran on back to `input`, via the
-/// composed witness chain of the reduction that produced that net.  No-op
-/// on an empty chain.  Throws ModelError if a trace fails to replay on
-/// `input` (a reduction soundness bug).
-void translate_report(VerificationReport& report, const stg::Stg& input,
-                      const stg::reduce::WitnessChain& chain);
-
 /// verify_stg plus the shared semantic result-cache tier ("stgcore",
 /// docs/CACHING.md): the input is reduced first and the *reduced* net's
 /// canonical hash keys a stored pre-translation report, so structurally
@@ -136,27 +112,26 @@ void translate_report(VerificationReport& report, const stg::Stg& input,
 /// this input's own reduced net and translated through this input's own
 /// witness chain, so rendering is always faithful to the caller's net.
 /// `semantic_hit` (optional) reports whether the verdict came from the
-/// cache; report.artifacts is null in that case.
+/// cache; report.artifacts is null in that case.  A disabled cache makes
+/// this plain verify_stg.
 [[nodiscard]] VerificationReport verify_stg_cached(
     const stg::Stg& input, VerifyOptions opts,
-    const cache::ResultCache& rcache, bool* semantic_hit = nullptr);
+    const cache::ResultCache& rcache, sched::Executor& ex,
+    bool* semantic_hit = nullptr);
 
-/// Options fragment of a semantic ("stgcore") cache entry: only the flags
-/// that change what the checks compute -- the reduce spec is deliberately
-/// absent, because the entry is keyed by the reduced net itself.  One
-/// spelling shared by verify_stg_cached and stgd.
-[[nodiscard]] std::string semantic_entry_options(const VerifyOptions& opts);
-
-/// Machine-readable per-pass reduction accounting (rounds, removals,
-/// remaining dummy names, per-pass counts).  One schema shared by
-/// `stgcheck --json` ("reduction" key), stgd's report rows and the
-/// stgbatch aggregate.
-[[nodiscard]] obs::Json reduction_json(const stg::reduce::Summary& s);
-
-/// Render the "output X disabled by Y via: ..." persistency note on `stg`
-/// (which must be the net the violation's ids refer to).
-[[nodiscard]] std::string persistency_note_text(
-    const stg::Stg& stg, const VerificationReport::PersistencyViolation& v);
+/// The back half of verify_stg_cached, for callers that keep the reduction
+/// and the prefix of a model across calls (stgd's bundles).  `red` is the
+/// reduction of `input` (a null red.stg means none ran and the checks see
+/// `input`), and `artifacts` hands out the checked net's prefix bundle --
+/// it is called only when the verdict is not cached.  With a non-null, enabled `rcache`
+/// the "stgcore" entry is looked up first and stored after a fresh run
+/// (never after a cancelled one).  Either way the reduction bookkeeping is
+/// filled in and every witness is translated onto `input`.
+[[nodiscard]] VerificationReport verify_reduced(
+    const stg::Stg& input, const stg::reduce::ReduceResult& red,
+    const std::function<cache::PrefixArtifactsPtr()>& artifacts,
+    const VerifyOptions& opts, const cache::ResultCache* rcache,
+    sched::Executor& ex, bool* semantic_hit = nullptr);
 
 /// Multi-line human-readable report (used by the examples and the CLI).
 [[nodiscard]] std::string format_report(const stg::Stg& stg,

@@ -53,13 +53,8 @@ bool EventLog::write(LogLevel level, std::string_view event, Json fields) {
     Json record = Json::object()
                       .set("ts_ms", static_cast<std::int64_t>(ts_ms))
                       .set("level", log_level_name(level))
-                      .set("event", std::string(event));
-    if (fields.kind() == Json::Kind::Object) {
-        for (std::size_t i = 0; i < fields.size(); ++i) {
-            const auto& [key, value] = fields.member(i);
-            record.set(key, value);
-        }
-    }
+                      .set("event", std::string(event))
+                      .merge(fields);
     std::string line = record.dump();
     line += '\n';
 

@@ -98,6 +98,15 @@ public:
         return *this;
     }
 
+    /// Append every member of `other` (no-op unless it is an object);
+    /// returns *this for chaining.
+    Json& merge(const Json& other) {
+        if (other.kind_ == Kind::Object)
+            members_.insert(members_.end(), other.members_.begin(),
+                            other.members_.end());
+        return *this;
+    }
+
     /// Array append; returns *this for chaining.
     Json& push(Json value) {
         items_.push_back(std::move(value));

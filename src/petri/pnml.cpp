@@ -120,6 +120,34 @@ std::string trim(const std::string& s) {
     return s.substr(a, b - a);
 }
 
+std::uint32_t parse_count(const std::string& value, const char* what) {
+    try {
+        std::size_t used = 0;
+        const unsigned long n = std::stoul(value, &used);
+        if (used == value.size()) return static_cast<std::uint32_t>(n);
+    } catch (const std::exception&) {
+    }
+    throw ModelError(std::string("pnml: bad ") + what + " '" + value + "'");
+}
+
+/// Why `tag` carries semantics the ordinary P/T substrate cannot represent
+/// (nullptr when it does not): rejecting beats verifying a different net.
+const char* unsupported(const Tag& tag) {
+    const std::string& n = tag.name;
+    if (n == "hlinitialMarking" || n == "hlinscription" || n == "condition" ||
+        n == "declaration" || n == "structure")
+        return "high-level (coloured) net annotations are not supported";
+    if (n == "referencePlace" || n == "referenceTransition")
+        return "reference nodes are not supported";
+    // Inhibitor / reset / read arcs: an arc "type" attribute, or a
+    // <type value="..."/> child.
+    const auto type = tag.attrs.find(n == "type" ? "value" : "type");
+    if ((n == "arc" || n == "type") && type != tag.attrs.end() &&
+        type->second != "normal")
+        return "only normal arcs are supported";
+    return nullptr;
+}
+
 }  // namespace
 
 void write_pnml(std::ostream& out, const NetSystem& sys, const std::string& net_id) {
@@ -176,7 +204,8 @@ NetSystem parse_pnml(std::istream& in) {
     };
     std::vector<Arc> arcs;
 
-    enum class In { None, Place, Transition, Name, InitialMarking };
+    enum class In { None, Place, Transition, Name, InitialMarking, Inscription,
+                    Capacity };
     std::string current_id;
     bool current_is_place = false;
     std::string current_name;
@@ -204,9 +233,17 @@ NetSystem parse_pnml(std::istream& in) {
         current_marking = 0;
     };
 
+    bool seen_net = false;
     while (auto tag = scanner.next()) {
         if (tag->name == "?" ) continue;
-        if (tag->name == "place" && !tag->closing) {
+        if (const char* why = unsupported(*tag))
+            throw ModelError("pnml: <" + tag->name + ">: " + why);
+        if (tag->name == "net" && !tag->closing) {
+            if (seen_net)
+                throw ModelError("pnml: several <net> elements in one file "
+                                 "are not supported");
+            seen_net = true;
+        } else if (tag->name == "place" && !tag->closing) {
             finish_node();
             current_id = tag->attrs.count("id") ? tag->attrs["id"] : "";
             if (current_id.empty()) throw ModelError("pnml: place without id");
@@ -230,6 +267,12 @@ NetSystem parse_pnml(std::istream& in) {
             if (!tag->attrs.count("source") || !tag->attrs.count("target"))
                 throw ModelError("pnml: arc without source/target");
             arcs.push_back(Arc{tag->attrs["source"], tag->attrs["target"]});
+        } else if (tag->name == "inscription" && !tag->closing) {
+            if (arcs.empty())
+                throw ModelError("pnml: <inscription> outside an arc");
+            context = In::Inscription;
+        } else if (tag->name == "capacity" && !tag->closing) {
+            context = In::Capacity;
         } else if (tag->name == "name" && !tag->closing) {
             if (context == In::Place || context == In::Transition)
                 context = In::Name;
@@ -240,14 +283,22 @@ NetSystem parse_pnml(std::istream& in) {
             if (context == In::Name) {
                 current_name = value;
             } else if (context == In::InitialMarking) {
-                try {
-                    current_marking =
-                        static_cast<std::uint32_t>(std::stoul(value));
-                } catch (const std::exception&) {
-                    throw ModelError("pnml: bad initialMarking '" + value + "'");
-                }
+                current_marking = parse_count(value, "initialMarking");
+            } else if (context == In::Inscription &&
+                       parse_count(value, "inscription") != 1) {
+                const Arc& arc = arcs.back();
+                throw ModelError("pnml: arc " + arc.source + " -> " +
+                                 arc.target + " has weight " + value +
+                                 "; only ordinary (weight-1) arcs are "
+                                 "supported");
+            } else if (context == In::Capacity &&
+                       parse_count(value, "capacity") != 0) {
+                throw ModelError("pnml: place '" + current_id +
+                                 "' has capacity " + value +
+                                 "; place capacities are not supported");
             }
-        } else if ((tag->name == "name" || tag->name == "initialMarking") &&
+        } else if ((tag->name == "name" || tag->name == "initialMarking" ||
+                    tag->name == "inscription" || tag->name == "capacity") &&
                    tag->closing) {
             context = current_id.empty()
                           ? In::None

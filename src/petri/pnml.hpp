@@ -6,6 +6,11 @@
 // underlying STGs between this library and mainstream Petri-net tools.
 // The reader accepts exactly the subset the writer produces plus
 // whitespace/attribute-order variations; it is not a general XML parser.
+// Everything that would change the net's behaviour and that the ordinary,
+// safe-by-construction substrate cannot represent -- arc weights other
+// than 1, non-normal arc types, place capacities, high-level (coloured)
+// annotations, reference nodes, several nets in one file -- is rejected with a ModelError instead of being dropped.
+// Layout-only elements (<graphics>, <toolspecific>, pages) are ignored.
 #pragma once
 
 #include <iosfwd>

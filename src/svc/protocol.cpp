@@ -1,6 +1,6 @@
 #include "svc/protocol.hpp"
 
-#include "stg/reduce/reduce.hpp"
+#include "core/verdict.hpp"
 
 namespace stgcc::svc {
 
@@ -28,17 +28,17 @@ CheckOptions CheckOptions::from_json(const obs::Json* j) {
     return opts;
 }
 
+core::VerifyOptions CheckOptions::verify_options() const {
+    core::VerifyOptions v;
+    v.check_normalcy = normalcy;
+    v.reduce = stg::reduce::Options::parse(reduce);
+    v.check_deadlock = deadlock;
+    v.check_persistency = persistency;
+    return v;
+}
+
 std::string CheckOptions::signature() const {
-    std::string spec = reduce;
-    try {
-        spec = stg::reduce::Options::parse(reduce).spec();
-    } catch (const ModelError&) {
-        // Unparsable spec: keep the raw string; the request errors out
-        // before any cache interaction, so the key never materializes.
-    }
-    return std::string("v2;normalcy=") + (normalcy ? "1" : "0") +
-           ";reduce=" + spec + ";deadlock=" + (deadlock ? "1" : "0") +
-           ";persistency=" + (persistency ? "1" : "0");
+    return core::options_signature(verify_options());
 }
 
 obs::Json make_ok(std::int64_t id) {

@@ -14,7 +14,9 @@
 //    "model":"<.g text>"},...],"options":{...},"deadline_ms":D}
 //
 // Responses (one frame, except batch which streams):
-//   {"id":N,"ok":true,...}                           -- op-specific payload
+//   {"id":N,"ok":true,...}                           -- op-specific payload;
+//                          check: the core::RenderedVerdict members
+//                          (core/verdict.hpp) plus cached, seconds, trace
 //   {"id":N,"ok":false,"error":{"code":"...","message":"..."}}
 //   batch: zero or more {"id":N,"ok":true,"event":"row","index":i,...}
 //          frames in completion order, then one
@@ -22,14 +24,15 @@
 //
 // Error codes: bad_request, model_error, deadline_exceeded, shutting_down,
 // internal.  The check options mirror the stgcheck flags that change
-// verdicts; `options_signature` renders the result-cache key fragment so
-// the daemon, stgcheck and the tests agree on one spelling.
+// verdicts; `signature()` renders the result-cache key fragment, so the
+// daemon, stgcheck, stgbatch and the tests agree on one spelling.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 
+#include "core/verifier.hpp"
 #include "obs/json.hpp"
 
 namespace stgcc::svc {
@@ -50,14 +53,15 @@ struct CheckOptions {
     [[nodiscard]] obs::Json to_json() const;
     [[nodiscard]] static CheckOptions from_json(const obs::Json* j);
 
+    /// The checker configuration these options select (jobs, unfolding and
+    /// search settings stay at their defaults).  Throws ModelError on an
+    /// unparsable reduce spec.
+    [[nodiscard]] core::VerifyOptions verify_options() const;
+
     /// Options fragment of the result-cache key
-    /// ("v2;normalcy=1;reduce=none;...").  This is THE one signature
-    /// spelling: stgcheck's offline path, stgbatch and the daemon all embed
-    /// exactly this string in their cache keys, so a verdict cached by one
-    /// is warm for the others (svc_test pins the agreement).  The reduce
-    /// spec is canonicalized (pass-list order and aliases normalized) when
-    /// it parses; an unparsable spec is embedded verbatim -- such requests
-    /// fail before any cache store, so no entry is ever keyed by it.
+    /// (core::options_signature of verify_options()).  stgcheck, stgbatch
+    /// and stgd key their shared rendered-verdict entries by exactly this
+    /// string.  Throws ModelError on an unparsable reduce spec.
     [[nodiscard]] std::string signature() const;
 };
 

@@ -48,7 +48,7 @@
 
 #include "cache/prefix_artifacts.hpp"
 #include "cache/result_cache.hpp"
-#include "core/verifier.hpp"
+#include "core/verdict.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/expo.hpp"
 #include "sched/cancellation.hpp"
@@ -137,27 +137,18 @@ public:
     [[nodiscard]] obs::Json stats_json();
 
 private:
-    /// One fully rendered verification outcome -- everything a client needs
-    /// to replay stgcheck/stgbatch output byte-for-byte; exactly the value
-    /// persisted to the tier-3 cache.
-    struct Rendered {
-        int exit_code = 2;
-        bool all_hold = false;
-        std::string verdict;       ///< stgbatch one-line verdict
-        std::string report;        ///< stgcheck multi-line report text
-        std::string deadlock_via;  ///< "deadlock via: ..." line, "" when none
-        obs::Json row;             ///< stgbatch report row, minus "file"
-        obs::Json json;            ///< stgcheck --json body (no metrics)
-    };
-
-    /// Outcome of one check: either a Rendered result or a protocol error.
+    /// Outcome of one check: either a rendered verdict or a protocol error.
     struct Outcome {
         bool ok = false;
         std::string error_code;
         std::string error_message;
-        Rendered r;
+        core::RenderedVerdict r;
         /// "memory" / "disk" / "semantic" / nullptr (a fresh solve).
         const char* cache_tier = nullptr;
+        /// The "cached" response member: the tier name, or false.
+        [[nodiscard]] obs::Json cached() const {
+            return cache_tier ? obs::Json(cache_tier) : obs::Json(false);
+        }
         std::uint64_t model_hash = 0;      ///< fnv1a64 of the model text
     };
 
@@ -166,11 +157,9 @@ private:
     struct Bundle {
         std::uint64_t hash = 0;
         std::string reduce_spec;                  ///< canonical pipeline spec
-        std::shared_ptr<const stg::Stg> model;    ///< as parsed
-        std::shared_ptr<const stg::Stg> checked;  ///< == model unless reduced
-        stg::reduce::Summary reduction;
-        stg::reduce::WitnessChain chain;          ///< checked -> model
-        std::uint64_t semantic_key = 0;  ///< canonical hash of `checked`
+        std::shared_ptr<const stg::Stg> model;  ///< as parsed
+        stg::reduce::ReduceResult red;  ///< checked net (== model unless
+                                        ///< reduced) and its chain to model
         cache::PrefixArtifactsPtr artifacts;
         std::uint64_t last_used = 0;
     };
@@ -197,16 +186,17 @@ private:
     [[nodiscard]] std::shared_ptr<Bundle> get_bundle(
         const std::string& model_text, std::uint64_t hash,
         const stg::reduce::Options& reduce);
-    [[nodiscard]] static Rendered render(const Bundle& bundle,
-                                         const core::VerificationReport& report);
-
-    /// Rendered <-> tier-3 cache payload (docs/CACHING.md, tool "stgd").
-    [[nodiscard]] static obs::Json rendered_payload(const Rendered& r);
-    [[nodiscard]] static bool rendered_from_payload(const obs::Json& v,
-                                                    Rendered& out);
-
-    /// Wait for an inflight slot; false when the deadline fired first.
-    bool admit(const sched::CancellationToken& deadline);
+    /// The request's deadline token (`deadline_ms`, else the server
+    /// default; empty when neither is set), armed on `source`.
+    [[nodiscard]] sched::CancellationToken arm_deadline(
+        const obs::Json& req, sched::CancellationSource& source) const;
+    /// Wait for an inflight slot.  When the deadline fires first, answer
+    /// the request `deadline_exceeded` (queued for `queued`) and return
+    /// false.
+    bool admit(int fd, std::mutex& write_mu, std::int64_t id,
+               const std::string& trace,
+               const sched::CancellationToken& deadline,
+               const Stopwatch& queued);
     void release();
 
     /// Pull the trace id out of a request frame, or mint one when absent or
@@ -251,7 +241,7 @@ private:
     std::uint64_t bundle_clock_ = 0;
 
     std::mutex results_mu_;
-    std::unordered_map<std::string, Rendered> results_;
+    std::unordered_map<std::string, core::RenderedVerdict> results_;
 
     // Live tallies for the stats op (obs counters carry the same data, but
     // these are exact and cheap to read without a registry snapshot).

@@ -182,9 +182,13 @@ TEST_F(ResultCacheTest, StaleFormatVersionIsEvicted) {
     const std::string path = cache.entry_path("stgcheck", 9, "o");
     auto bytes = cache::read_file_bytes(path);
     ASSERT_TRUE(bytes.has_value());
-    const auto pos = bytes->find("\"cache_version\": 1");
+    const std::string current =
+        "\"cache_version\": " + std::to_string(cache::ResultCache::kFormatVersion);
+    const auto pos = bytes->find(current);
     ASSERT_NE(pos, std::string::npos);
-    bytes->replace(pos, 18, "\"cache_version\": 0");
+    bytes->replace(pos, current.size(),
+                   "\"cache_version\": " +
+                       std::to_string(cache::ResultCache::kFormatVersion - 1));
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << *bytes;

@@ -13,9 +13,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "cache/result_cache.hpp"
 #include "obs/json.hpp"
+#include "svc/client.hpp"
+#include "svc/server.hpp"
 #include "test_util.hpp"
 
 namespace stgcc {
@@ -114,6 +117,71 @@ TEST_F(CliTest, StgcheckExitCodes) {
                   in_work("missing.g") + " --no-cache")
                   .exit_code,
               2);
+    // A weighted PNML arc is rejected, not dropped: t0 needs 2 tokens from
+    // p0, which holds 1, so the net is dead at M0 -- read as an ordinary
+    // net it would report "deadlock: free" and exit 0.
+    {
+        std::ofstream net(in_work("weighted.pnml"));
+        net << "<pnml><net id=\"n\" type=\"ptnet\"><page id=\"pg\">"
+               "<place id=\"p0\"><initialMarking><text>1</text>"
+               "</initialMarking></place><transition id=\"t0\"/>"
+               "<arc id=\"a0\" source=\"p0\" target=\"t0\"><inscription>"
+               "<text>2</text></inscription></arc>"
+               "<arc id=\"a1\" source=\"t0\" target=\"p0\"/>"
+               "</page></net></pnml>";
+    }
+    const auto weighted = run(std::string(STGCC_STGCHECK_BIN) + " " +
+                              in_work("weighted.pnml"));
+    EXPECT_EQ(weighted.exit_code, 2) << weighted.output;
+    EXPECT_NE(weighted.output.find("weight 2"), std::string::npos)
+        << weighted.output;
+}
+
+TEST_F(CliTest, StgcheckAndStgbatchShareOneFlagParser) {
+    {
+        std::ofstream m(in_work("one.txt"));
+        m << model("johnson4.g") << "\n";
+    }
+    const std::string tools[2] = {
+        std::string(STGCC_STGCHECK_BIN) + " " + model("johnson4.g"),
+        std::string(STGCC_STGBATCH_BIN) + " " + in_work("one.txt")};
+    for (const std::string& tool : tools) {
+        SCOPED_TRACE(tool);
+        // Every spelling of every shared flag is accepted ...
+        for (const std::string& flags :
+             {std::string("--jobs 2"), std::string("--jobs 1 --no-normalcy"),
+              std::string("--reduce"), std::string("--reduce=contract,series"),
+              std::string("--reduce --no-reduce"), std::string("--deadlock"),
+              std::string("--no-cache"),
+              "--cache-dir " + in_work("cache"),
+              "--json " + in_work("r.json"), "--trace " + in_work("t.json"),
+              std::string("--deadline-ms 5000")}) {
+            const auto r = run(tool + " " + flags);
+            EXPECT_EQ(r.exit_code, 0) << flags << "\n" << r.output;
+        }
+        for (const char* help : {"-h", "--help"}) {
+            const auto r = run(tool + " " + help);
+            EXPECT_EQ(r.exit_code, 0) << help;
+            for (const char* flag :
+                 {"--jobs N", "--no-normalcy", "--reduce[=LIST]", "--no-reduce",
+                  "--deadlock", "--json FILE", "--trace FILE", "--cache-dir DIR",
+                  "--no-cache", "--connect EP", "--deadline-ms D"})
+                EXPECT_NE(r.output.find(flag), std::string::npos) << flag;
+        }
+        // ... and the same malformed values are usage errors in both.
+        for (const char* bad :
+             {"--jobs x", "--deadline-ms x", "--deadline-ms 5ms",
+              "--reduce=bogus", "--reduce=contract,bogus", "--bogus",
+              "--jobs", "--connect unix:/nonexistent/stgd.sock"}) {
+            const auto r = run(tool + " " + bad);
+            EXPECT_EQ(r.exit_code, 2) << bad << "\n" << r.output;
+        }
+    }
+    // Tool-specific flags stay with their tool.
+    EXPECT_EQ(run(tools[0] + " --persistency").exit_code, 0);
+    EXPECT_EQ(run(tools[1] + " --persistency").exit_code, 2);
+    EXPECT_EQ(run(tools[1] + " --quiet").exit_code, 0);
+    EXPECT_EQ(run(tools[0] + " --quiet").exit_code, 2);
 }
 
 TEST_F(CliTest, StgbatchExitCodesCoverOkViolatedAndError) {
@@ -214,6 +282,77 @@ TEST_F(CliTest, StgbatchCacheAndJobsNeutralReports) {
     ASSERT_FALSE(c.empty());
     EXPECT_EQ(c, canonical_file(in_work("warm.json")));
     EXPECT_EQ(c, canonical_file(in_work("nocache.json")));
+}
+
+TEST_F(CliTest, OneVerdictEntryIsWarmForStgcheckStgbatchAndStgd) {
+    const std::string cache = in_work("cache");
+    const auto check = run(std::string(STGCC_STGCHECK_BIN) + " " +
+                           model("vme.g") + " --cache-dir " + cache);
+    EXPECT_EQ(check.exit_code, 1) << check.output;
+    const auto entries = [&](const std::string& tag) {
+        std::size_t n = 0;
+        for (const auto& e : fs::directory_iterator(cache)) {
+            const std::string name = e.path().filename().string();
+            if (name.rfind(tag + "-", 0) == 0 && e.path().extension() == ".json")
+                ++n;
+        }
+        return n;
+    };
+    EXPECT_EQ(entries("verdict"), 1u);
+    EXPECT_EQ(entries("stgcore"), 1u);
+
+    // stgbatch replays stgcheck's entry: one hit, nothing unfolded.
+    {
+        std::ofstream m(in_work("vme.txt"));
+        m << model("vme.g") << "\n";
+    }
+    const auto batch = run(std::string(STGCC_STGBATCH_BIN) + " " +
+                           in_work("vme.txt") + " --quiet --cache-dir " +
+                           cache + " --json " + in_work("batch.json"));
+    EXPECT_EQ(batch.exit_code, 1) << batch.output;
+    const auto bytes = cache::read_file_bytes(in_work("batch.json"));
+    ASSERT_TRUE(bytes.has_value());
+    const auto report = obs::Json::parse(*bytes);
+    ASSERT_TRUE(report.has_value());
+    const obs::Json& counters =
+        *report->find("body")->find("metrics")->find("counters");
+    const auto counter = [&](const char* name) -> std::uint64_t {
+        const obs::Json* c = counters.find(name);
+        return c ? c->as_uint() : 0;
+    };
+    EXPECT_EQ(counter("cache.result.hits"), 1u);
+    EXPECT_EQ(counter("cache.result.misses"), 0u);
+    EXPECT_EQ(counter("cache.artifacts.built"), 0u);
+
+    // A daemon on the same directory answers from the same entry.
+    svc::ServerConfig cfg;
+    std::string error;
+    cfg.listen.push_back(
+        *svc::parse_endpoint("unix:" + in_work("stgd.sock"), error));
+    cfg.cache_dir = cache;
+    cfg.jobs = 1;
+    svc::Server server(std::move(cfg));
+    ASSERT_TRUE(server.start(error)) << error;
+    std::thread serving([&] { server.run(); });
+    svc::Client client;
+    ASSERT_TRUE(client.connect(server.bound()[0], error)) << error;
+    const auto response = client.call(
+        obs::Json::object()
+            .set("op", "check")
+            .set("id", 1)
+            .set("model", *cache::read_file_bytes(model("vme.g")))
+            .set("options", svc::CheckOptions{}.to_json()),
+        error);
+    server.request_shutdown();
+    serving.join();
+    ASSERT_TRUE(response.has_value()) << error;
+    ASSERT_TRUE(svc::response_ok(*response)) << svc::response_error(*response);
+    EXPECT_EQ(response->find("cached")->as_string(), "disk");
+    EXPECT_EQ(strip_timing(response->find("report")->as_string()),
+              strip_timing(check.output));
+    // Three tools, one model: still one rendered entry and one semantic one.
+    EXPECT_EQ(entries("verdict"), 1u);
+    EXPECT_EQ(entries("stgcore"), 1u);
 }
 
 TEST_F(CliTest, CorruptedCacheEntriesFallBackToCleanRecompute) {

@@ -61,9 +61,8 @@ TEST(ParallelDeterminism, CacheOnAndOffReportsByteIdentical) {
     for (const auto& model : determinism_models()) {
         const std::string reference = report_text(model, 1);
         for (const unsigned jobs : {1u, 8u}) {
-            VerifyOptions opts;
-            opts.jobs = jobs;
-            const auto report = verify_stg_cached(model, opts, rcache);
+            sched::Executor ex(jobs);
+            const auto report = verify_stg_cached(model, {}, rcache, ex);
             EXPECT_EQ(format_report(model, report), reference)
                 << "model " << model.name() << " jobs=" << jobs;
         }

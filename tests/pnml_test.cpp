@@ -75,6 +75,60 @@ TEST(Pnml, HandwrittenMinimalNet) {
     EXPECT_NE(sys.net().find_transition("go"), kNoTransition);
 }
 
+/// A one-place, one-transition net whose consume arc is written as `arc`
+/// (the produce arc is plain).
+std::string loop_net(const std::string& arc) {
+    return "<pnml><net id=\"n\" type=\"ptnet\"><page id=\"pg\">"
+           "<place id=\"p0\"><initialMarking><text>1</text>"
+           "</initialMarking></place>"
+           "<transition id=\"t0\"/>" +
+           arc + "<arc id=\"a1\" source=\"t0\" target=\"p0\"/>"
+                 "</page></net></pnml>";
+}
+
+TEST(Pnml, ArcWeightsOtherThanOneAreRejected) {
+    // t0 consumes 2 tokens from p0, which holds 1: the net is dead at M0.
+    // Dropping the weight would report it deadlock-free.
+    EXPECT_THROW(parse_pnml_string(loop_net(
+                     "<arc id=\"a0\" source=\"p0\" target=\"t0\">"
+                     "<inscription><text>2</text></inscription></arc>")),
+                 ModelError);
+    EXPECT_THROW(parse_pnml_string(loop_net(
+                     "<arc id=\"a0\" source=\"p0\" target=\"t0\">"
+                     "<inscription><text>two</text></inscription></arc>")),
+                 ModelError);
+    // An explicit weight of 1 is the ordinary arc the writer leaves implicit.
+    NetSystem sys = parse_pnml_string(
+        loop_net("<arc id=\"a0\" source=\"p0\" target=\"t0\">"
+                 "<inscription><text> 1 </text></inscription></arc>"));
+    EXPECT_EQ(sys.net().num_arcs(), 2u);
+    EXPECT_TRUE(ReachabilityGraph(sys).deadlocks().empty());
+}
+
+TEST(Pnml, UnrepresentableElementsAreRejectedNotDropped) {
+    const std::string plain = "<arc id=\"a0\" source=\"p0\" target=\"t0\"/>";
+    EXPECT_NO_THROW((void)parse_pnml_string(loop_net(plain)));
+    for (const std::string& bad : {
+             // inhibitor / reset / read arcs, as attribute or child element
+             loop_net("<arc id=\"a0\" source=\"p0\" target=\"t0\" "
+                      "type=\"inhibitor\"/>"),
+             loop_net("<arc id=\"a0\" source=\"p0\" target=\"t0\">"
+                      "<type value=\"reset\"/></arc>"),
+             // a place capacity
+             loop_net(plain + "<place id=\"p1\"><capacity><text>1</text>"
+                              "</capacity></place>"),
+             // high-level (coloured) annotations
+             loop_net(plain + "<place id=\"p1\"><hlinitialMarking>"
+                              "<text>1'a</text></hlinitialMarking></place>"),
+             // reference nodes
+             loop_net(plain + "<referencePlace id=\"r\" ref=\"p0\"/>"),
+             // two nets in one file
+             loop_net(plain) + loop_net(plain),
+         }) {
+        EXPECT_THROW((void)parse_pnml_string(bad), ModelError) << bad;
+    }
+}
+
 TEST(Pnml, Errors) {
     EXPECT_THROW(parse_pnml_string("<pnml><arc id=\"a\" source=\"x\" "
                                    "target=\"y\"/></pnml>"),

@@ -200,12 +200,11 @@ TEST_P(DifferentialCacheTest, CacheOnAndOffAreByteIdentical) {
     opts.jobs = 8;
     agrees(core::verify_stg(model, opts), "jobs=8 cache=off");
     bool hit = true;
-    opts.jobs = 1;
-    agrees(core::verify_stg_cached(model, opts, rcache, &hit),
+    sched::Executor serial(1), wide(8);
+    agrees(core::verify_stg_cached(model, opts, rcache, serial, &hit),
            "jobs=1 cache=cold");
     EXPECT_FALSE(hit) << "seed=" << seed;
-    opts.jobs = 8;
-    agrees(core::verify_stg_cached(model, opts, rcache, &hit),
+    agrees(core::verify_stg_cached(model, opts, rcache, wide, &hit),
            "jobs=8 cache=warm");
     EXPECT_TRUE(hit) << "seed=" << seed;
     fs::remove_all(dir);

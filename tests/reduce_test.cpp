@@ -366,10 +366,11 @@ TEST_F(SemanticCacheTest, StructurallyEquivalentInputsShareEntries) {
     const cache::ResultCache rcache(dir_.string());
     ASSERT_TRUE(rcache.enabled());
     core::VerifyOptions opts;
+    sched::Executor ex(opts.jobs);
     bool hit = true;
-    const auto r1 = core::verify_stg_cached(a, opts, rcache, &hit);
+    const auto r1 = core::verify_stg_cached(a, opts, rcache, ex, &hit);
     EXPECT_FALSE(hit);
-    const auto r2 = core::verify_stg_cached(b, opts, rcache, &hit);
+    const auto r2 = core::verify_stg_cached(b, opts, rcache, ex, &hit);
     EXPECT_TRUE(hit);
     // The replayed report renders faithfully on input B.
     const auto fresh = core::verify_stg(b, opts);
@@ -395,10 +396,11 @@ TEST_F(SemanticCacheTest, ReducedNetsShareEntriesAcrossDummySpellings) {
     const cache::ResultCache rcache(dir_.string());
     core::VerifyOptions opts;
     opts.reduce = Options::parse("contract");
+    sched::Executor ex(opts.jobs);
     bool hit = true;
-    (void)core::verify_stg_cached(a, opts, rcache, &hit);
+    (void)core::verify_stg_cached(a, opts, rcache, ex, &hit);
     EXPECT_FALSE(hit);
-    const auto r2 = core::verify_stg_cached(b, opts, rcache, &hit);
+    const auto r2 = core::verify_stg_cached(b, opts, rcache, ex, &hit);
     EXPECT_TRUE(hit);
     EXPECT_EQ(core::format_report(b, r2),
               core::format_report(b, core::verify_stg(b, opts)));

@@ -25,6 +25,7 @@
 #include "obs/json.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
+#include "stg/builder.hpp"
 #include "svc/client.hpp"
 #include "svc/frame.hpp"
 #include "svc/protocol.hpp"
@@ -397,6 +398,56 @@ TEST_F(SvcServerTest, BatchStreamsRowsAndASummary) {
     EXPECT_EQ(summary->find("ok")->as_uint() +
                   summary->find("violated")->as_uint(),
               2u);
+}
+
+TEST_F(SvcServerTest, BatchRowStatusFrameAndSummaryAgreeOnPersistency) {
+    // The output-persistency fixture of persistency_test.cpp: x+ (output)
+    // and c+ (input) compete for the token a+ leaves, so the net is not
+    // persistent.  Both branches here return to the start through their own
+    // a-, which keeps every state's code distinct: USC and CSC hold, and
+    // persistency is the only violation.  The row must count it
+    // everywhere -- status, all_hold, exit and the done summary.
+    stg::StgBuilder b("race");
+    b.input("a").input("c").output("x");
+    b.place("p", 1);
+    b.place("pick");
+    b.arc("p", "a+").arc("a+", "pick");
+    b.arc("pick", "x+").arc("pick", "c+");
+    b.arc("x+", "a-/1").arc("a-/1", "x-").arc("x-", "p");
+    b.arc("c+", "a-/2").arc("a-/2", "c-").arc("c-", "p");
+    const std::string model_text = stg::write_astg_string(b.build());
+    svc::CheckOptions copts;
+    copts.normalcy = false;
+    copts.persistency = true;
+
+    start();
+    svc::Client client = connect(server_->bound()[0]);
+    std::string error;
+    ASSERT_TRUE(client.send(
+        obs::Json::object()
+            .set("op", "batch")
+            .set("id", 3)
+            .set("models", obs::Json::array().push(obs::Json::object()
+                                                       .set("index", 0)
+                                                       .set("file", "race.g")
+                                                       .set("model", model_text)))
+            .set("options", copts.to_json()),
+        error));
+    auto row = client.recv(error);
+    ASSERT_TRUE(row.has_value()) << error;
+    ASSERT_TRUE(svc::response_ok(*row)) << svc::response_error(*row);
+    ASSERT_EQ(row->find("event")->as_string(), "row");
+    EXPECT_EQ(row->find("verdict")->as_string(),
+              "USC:ok CSC:ok persistency:VIOLATED");
+    EXPECT_FALSE(row->find("all_hold")->as_bool());
+    EXPECT_EQ(row->find("exit")->as_int(), 1);
+    EXPECT_EQ(row->find("row")->find("status")->as_string(), "violated");
+    auto done = client.recv(error);
+    ASSERT_TRUE(done.has_value()) << error;
+    ASSERT_EQ(done->find("event")->as_string(), "done");
+    const obs::Json& summary = *done->find("summary");
+    EXPECT_EQ(summary.find("ok")->as_uint(), 0u);
+    EXPECT_EQ(summary.find("violated")->as_uint(), 1u);
 }
 
 TEST_F(SvcServerTest, DeadlineCancelsALongVerification) {

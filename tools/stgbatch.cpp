@@ -7,39 +7,39 @@
 // model-parallel: each model runs a full serial verify_stg pipeline, and
 // the pool spreads models over workers.  One result line is streamed per
 // model as it finishes; the aggregate JSON report (--json) lists models in
-// manifest order, so verdicts are byte-stable at any --jobs value.
+// manifest order, so verdicts are byte-stable at any --jobs value.  The
+// flags shared with stgcheck are parsed by svc::parse_cli (svc/cli.hpp).
 //
 // Caching (docs/CACHING.md): with a cache directory configured
-// (--cache-dir or $STGCC_CACHE_DIR), each model's verdict line and report
-// row are stored keyed by the model file's content hash and the checker
-// options; a warm corpus run replays hits without re-verifying.
-// --no-cache disables the result caches only (verdicts and search work are
-// unchanged).
+// (--cache-dir or $STGCC_CACHE_DIR), each model goes through
+// core::verdict_cached -- the rendered-verdict entry keyed by the model
+// file's content hash and the checker options, shared with stgcheck and
+// stgd, then the semantic tier -- so a warm corpus run replays hits without
+// re-verifying.  --no-cache disables the result caches only (verdicts and
+// search work are unchanged).
 //
 // Exit codes: 0 = every model satisfies all checked properties,
 //             1 = at least one conflict / violation found,
 //             2 = usage or IO error (including any model failing to load).
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "cache/result_cache.hpp"
-#include "core/verifier.hpp"
+#include "core/verdict.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "sched/parallel.hpp"
 #include "sched/thread_pool.hpp"
-#include "stg/astg.hpp"
+#include "svc/cli.hpp"
 #include "svc/client.hpp"
-#include "svc/protocol.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -47,105 +47,45 @@ namespace {
 using namespace stgcc;
 namespace fs = std::filesystem;
 
-void print_usage(std::ostream& out) {
-    out << "usage: stgbatch <dir | manifest.txt> [options]\n"
-           "\n"
-           "manifest: a directory (all *.g files, sorted) or a text file\n"
-           "with one .g path per line ('#' comments; relative paths are\n"
-           "resolved against the manifest's directory)\n"
-           "\n"
-           "options:\n"
-           "  --jobs N         worker threads (default: hardware concurrency;\n"
-           "                   1 = serial; verdicts are identical at any N)\n"
-           "  --no-normalcy    skip the normalcy check\n"
-           "  --reduce[=LIST]  verdict-preserving net reductions first\n"
-           "                   (docs/REDUCTIONS.md): all passes or a comma\n"
-           "                   list; witnesses stay on the original nets\n"
-           "  --no-reduce      disable reductions (the default)\n"
-           "  --deadlock       also run the deadlock check\n"
-           "  --quiet          suppress per-model result lines\n"
-           "  --json FILE      write the aggregate machine-readable report\n"
-           "  --trace FILE     write a Chrome trace-event JSON\n"
-           "  --cache-dir DIR  on-disk result cache (default: $STGCC_CACHE_DIR;\n"
-           "                   unset = no result cache)\n"
-           "  --no-cache       disable the result caches (verdicts are unchanged)\n"
-           "  --connect EP     verify through a running stgd at EP\n"
-           "                   (unix:/path or host:port); verdicts and the\n"
-           "                   aggregate report match a local run\n"
-           "  --deadline-ms D  per-request deadline (--connect only)\n"
-           "\n"
-           "exit codes: 0 = all properties hold on every model,\n"
-           "            1 = conflict found, 2 = usage/IO error\n";
-}
-
-/// True when every checked property holds on a verified model.
-bool report_all_hold(const core::VerificationReport& r) {
-    return r.consistent && r.usc.holds && r.csc.holds &&
-           (!r.normalcy_checked || r.normalcy.normal) &&
-           (!r.deadlock_checked || r.deadlock_free);
-}
-
-std::string report_verdict_line(const core::VerificationReport& r) {
-    if (!r.consistent)
-        return "inconsistent (" + r.inconsistency_reason + ")";
-    std::string out;
-    out += r.usc.holds ? "USC:ok" : "USC:VIOLATED";
-    out += r.csc.holds ? " CSC:ok" : " CSC:VIOLATED";
-    if (r.normalcy_checked)
-        out += r.normalcy.normal ? " normalcy:ok" : " normalcy:VIOLATED";
-    if (r.deadlock_checked)
-        out += r.deadlock_free ? " deadlock:none" : " deadlock:REACHABLE";
-    return out;
-}
-
-/// Aggregate-report row for a verified model, without the volatile
-/// "seconds" field -- exactly what the result cache stores; the caller
-/// appends "seconds" (kept last in the row for that reason).
-obs::Json report_row(const std::string& file, const std::string& name,
-                     const core::VerificationReport& r) {
-    obs::Json row = obs::Json::object();
-    row.set("file", file);
-    row.set("name", name);
-    row.set("status", report_all_hold(r) ? "ok" : "violated");
-    obs::Json verdicts = obs::Json::object();
-    verdicts.set("consistent", r.consistent);
-    if (r.consistent) {
-        verdicts.set("usc", r.usc.holds);
-        verdicts.set("csc", r.csc.holds);
-        if (r.normalcy_checked) verdicts.set("normalcy", r.normalcy.normal);
-        if (r.deadlock_checked)
-            verdicts.set("deadlock_free", r.deadlock_free);
-    }
-    row.set("verdicts", std::move(verdicts));
-    row.set("prefix", obs::Json::object()
-                          .set("conditions", r.prefix.conditions)
-                          .set("events", r.prefix.events)
-                          .set("cutoffs", r.prefix.cutoffs));
-    if (r.reduction.rounds > 0)
-        row.set("reduction", core::reduction_json(r.reduction));
-    return row;
-}
-
 /// Everything recorded about one model, merged in manifest order.  Holds
 /// only rendered data (verdict line, report row) -- full reports and their
 /// prefix artifacts are dropped as soon as each model finishes, and cache
 /// hits never materialise them at all.
 struct ModelResult {
-    std::string file;       ///< path as listed in the manifest
     bool loaded = false;
     bool all_hold = false;
-    bool from_cache = false;
-    std::string error;      ///< load/verify failure, when !loaded
-    std::string verdict;    ///< streamed verdict line
-    obs::Json row;          ///< aggregate-report row (seconds appended later)
+    std::string verdict;  ///< streamed verdict line, or "ERROR (...)"
+    obs::Json row;        ///< aggregate-report row, "file" first
     double seconds = 0.0;
-    /// Scheduler attribution for this model's task group: the model task
-    /// itself plus every nested task it fanned out (per-signal CSC,
-    /// normalcy orientations).  Volatile -- appended to the row under
-    /// "stats", never cached.
+    /// Scheduler attribution for this model's task group (local runs only):
+    /// the model task itself plus every nested task it fanned out
+    /// (per-signal CSC, normalcy orientations).  Volatile -- appended to
+    /// the row under "stats", never cached.
     std::uint64_t tasks = 0;
     std::uint64_t queue_delay_ns = 0;
+
+    /// A verified model.  Rendered rows are content-addressed and carry no
+    /// path, so the manifest path is restored as the leading member.
+    void verified(const std::string& file, const core::RenderedVerdict& v) {
+        loaded = true;
+        all_hold = v.all_hold;
+        verdict = v.verdict;
+        row = obs::Json::object().set("file", file).merge(v.row);
+    }
+
+    /// A model that failed to load or verify.  Never cached: the message
+    /// may depend on environment state (permissions, limits).
+    void failed(const std::string& file, const std::string& error) {
+        verdict = "ERROR (" + error + ")";
+        row = obs::Json::object()
+                  .set("file", file)
+                  .set("status", "error")
+                  .set("error", error);
+    }
 };
+
+/// Streams one line per finished model, in completion order.
+using Progress = std::function<void(const std::string&, const ModelResult&)>;
 
 /// Reduction totals across the corpus, summed from the (cached or fresh)
 /// report rows so warm and cold runs aggregate identically.
@@ -205,134 +145,92 @@ std::vector<std::string> collect_manifest(const std::string& arg,
 }
 
 /// --connect mode: ship the whole corpus to a running stgd as one batch
-/// request and merge the streamed rows back into manifest order.  Progress
-/// lines appear in completion order (flushed per row); the aggregate
-/// report is canonically identical to a local run (docs/SERVICE.md).
-int run_connected(const char* connect, const char* manifest,
-                  const std::vector<std::string>& files, const char* json_path,
-                  const svc::CheckOptions& copts, bool quiet,
-                  std::uint64_t deadline_ms) {
+/// request; rows stream back in completion order and land in `results` by
+/// manifest index, so the aggregate report is canonically identical to a
+/// local run (docs/SERVICE.md).  False after reporting a connection or
+/// protocol error.
+bool run_connected(const svc::CliOptions& cli, bool quiet,
+                   const std::vector<std::string>& files,
+                   std::vector<ModelResult>& results,
+                   const Progress& progress) {
     svc::Client client;
     std::string error;
-    if (!client.connect(connect, error)) {
+    if (!client.connect(cli.connect, error)) {
         std::cerr << "error: " << error << "\n";
-        return 2;
+        return false;
     }
-
     if (!quiet)
         std::cout << "stgbatch: " << files.size() << " models, connect "
-                  << connect << "\n";
-    std::vector<ModelResult> results(files.size());
-    std::size_t done = 0;
-    const auto progress = [&](std::size_t i) {
-        ++done;
-        if (quiet) return;
-        std::cout << "[" << done << "/" << files.size() << "] "
-                  << fs::path(files[i]).filename().string() << "  "
-                  << results[i].verdict << "  (" << results[i].seconds
-                  << " s)\n";
-        std::cout.flush();  // stream rows promptly (watchable progress)
-    };
-
-    Stopwatch total_timer;
+                  << cli.connect << "\n";
     obs::Json models = obs::Json::array();
-    std::size_t sent = 0;
     for (std::size_t i = 0; i < files.size(); ++i) {
-        ModelResult& r = results[i];
-        r.file = files[i];
         const auto bytes = cache::read_file_bytes(files[i]);
         if (!bytes) {
-            // Same shape a local load failure produces; never sent.
-            r.error = "cannot open " + files[i];
-            r.verdict = "ERROR (" + r.error + ")";
-            r.row = obs::Json::object()
-                        .set("file", files[i])
-                        .set("status", "error")
-                        .set("error", r.error);
-            progress(i);
+            // Same row a local load failure produces; never sent.
+            results[i].failed(files[i], "cannot open ASTG file: " + files[i]);
+            progress(files[i], results[i]);
             continue;
         }
         models.push(obs::Json::object()
                         .set("index", i)
                         .set("file", files[i])
                         .set("model", *bytes));
-        ++sent;
     }
-
-    if (sent > 0) {
-        // One trace id covers the whole batch: every server-side row event
-        // carries it alongside its model index (docs/OBSERVABILITY.md).
-        const std::string trace = obs::generate_trace_id();
-        obs::Json request = obs::Json::object()
-                                .set("op", "batch")
-                                .set("id", 1)
-                                .set("trace", trace)
-                                .set("models", std::move(models))
-                                .set("options", copts.to_json());
-        if (deadline_ms > 0) request.set("deadline_ms", deadline_ms);
-        if (!client.send(request, error)) {
+    if (models.size() == 0) return true;
+    // One trace id covers the whole batch: every server-side row event
+    // carries it alongside its model index (docs/OBSERVABILITY.md).
+    obs::Json request = obs::Json::object()
+                            .set("op", "batch")
+                            .set("id", 1)
+                            .set("trace", obs::generate_trace_id())
+                            .set("models", std::move(models))
+                            .set("options", cli.check.to_json());
+    if (cli.deadline_ms > 0) request.set("deadline_ms", cli.deadline_ms);
+    if (!client.send(request, error)) {
+        std::cerr << "error: " << error << "\n";
+        return false;
+    }
+    while (true) {
+        const auto frame = client.recv(error);
+        if (!frame) {
             std::cerr << "error: " << error << "\n";
-            return 2;
+            return false;
         }
-        while (true) {
-            const auto frame = client.recv(error);
-            if (!frame) {
-                std::cerr << "error: " << error << "\n";
-                return 2;
-            }
-            if (!svc::response_ok(*frame)) {
-                std::cerr << "error: " << svc::response_error(*frame) << "\n";
-                return 2;
-            }
-            const obs::Json* event = frame->find("event");
-            if (event && event->as_string() == "done") break;
-            const obs::Json* index = frame->find("index");
-            if (!event || event->as_string() != "row" || !index) {
-                std::cerr << "error: malformed frame from " << connect << "\n";
-                return 2;
-            }
-            const auto i = static_cast<std::size_t>(index->as_int());
-            if (i >= results.size()) continue;
-            ModelResult& r = results[i];
-            if (const obs::Json* err = frame->find("error")) {
-                const obs::Json* msg = err->find("message");
-                r.error = msg ? msg->as_string() : "server error";
-                r.verdict = "ERROR (" + r.error + ")";
-                r.row = obs::Json::object()
-                            .set("file", files[i])
-                            .set("status", "error")
-                            .set("error", r.error);
-            } else {
-                const obs::Json* verdict = frame->find("verdict");
-                const obs::Json* all_hold = frame->find("all_hold");
-                const obs::Json* row = frame->find("row");
-                if (!verdict || !all_hold || !row) {
-                    std::cerr << "error: malformed row from " << connect
-                              << "\n";
-                    return 2;
-                }
-                r.loaded = true;
-                r.verdict = verdict->as_string();
-                r.all_hold = all_hold->as_bool();
-                const obs::Json* cached = frame->find("cached");
-                r.from_cache =
-                    cached && cached->kind() == obs::Json::Kind::String;
-                if (const obs::Json* s = frame->find("seconds"))
-                    r.seconds = s->as_double();
-                // The server's row is content-addressed (no path); restore
-                // the manifest path as the leading member, like a local run.
-                obs::Json merged = obs::Json::object().set("file", files[i]);
-                for (std::size_t m = 0; m < row->size(); ++m) {
-                    const auto& [key, value] = row->member(m);
-                    merged.set(key, value);
-                }
-                r.row = std::move(merged);
-            }
-            progress(i);
+        if (!svc::response_ok(*frame)) {
+            std::cerr << "error: " << svc::response_error(*frame) << "\n";
+            return false;
         }
+        const obs::Json* event = frame->find("event");
+        if (event && event->as_string() == "done") return true;
+        const obs::Json* index = frame->find("index");
+        if (!event || event->as_string() != "row" || !index) {
+            std::cerr << "error: malformed frame from " << cli.connect << "\n";
+            return false;
+        }
+        const auto i = static_cast<std::size_t>(index->as_int());
+        if (i >= results.size()) continue;
+        ModelResult& r = results[i];
+        if (const obs::Json* err = frame->find("error")) {
+            const obs::Json* msg = err->find("message");
+            r.failed(files[i], msg ? msg->as_string() : "server error");
+        } else if (const auto v = core::RenderedVerdict::from_json(*frame)) {
+            r.verified(files[i], *v);
+            if (const obs::Json* s = frame->find("seconds"))
+                r.seconds = s->as_double();
+        } else {
+            std::cerr << "error: malformed row from " << cli.connect << "\n";
+            return false;
+        }
+        progress(files[i], r);
     }
-    const double total_seconds = total_timer.seconds();
+}
 
+/// The summary line, the --json aggregate report and the --trace file, then
+/// the exit code -- one writer for both modes.  `ex` is the local pool;
+/// null in --connect mode, whose report has no scheduler stats.
+int finish(const svc::CliOptions& cli, bool quiet,
+           const std::vector<ModelResult>& results, double seconds,
+           const sched::Executor* ex) {
     std::size_t ok = 0, violated = 0, errors = 0;
     for (const ModelResult& r : results) {
         if (!r.loaded)
@@ -343,36 +241,72 @@ int run_connected(const char* connect, const char* manifest,
             ++violated;
     }
     std::cout << "stgbatch: " << ok << " ok, " << violated << " violated, "
-              << errors << " errors in " << total_seconds << " s (connect "
-              << connect << ")\n";
+              << errors << " errors in " << seconds << " s (";
+    if (ex)
+        std::cout << "jobs=" << ex->jobs() << ")\n";
+    else
+        std::cout << "connect " << cli.connect << ")\n";
 
-    if (json_path) {
+    if (cli.json) {
         obs::Json rows = obs::Json::array();
         for (const ModelResult& r : results) {
             obs::Json row = r.row;
             if (r.loaded) row.set("seconds", r.seconds);
+            if (r.loaded && ex)
+                row.set("stats", obs::Json::object()
+                                     .set("tasks", r.tasks)
+                                     .set("queue_delay_ns", r.queue_delay_ns));
             rows.push(std::move(row));
         }
         obs::Json body = obs::Json::object();
-        body.set("manifest", manifest);
-        body.set("jobs", 0);  // remote pool; volatile key, stripped anyway
+        body.set("manifest", cli.input);
+        body.set("jobs", ex ? ex->jobs() : 0u);  // 0: the remote pool
         body.set("models", std::move(rows));
         obs::Json summary = obs::Json::object()
                                 .set("total", results.size())
                                 .set("ok", ok)
                                 .set("violated", violated)
                                 .set("errors", errors)
-                                .set("seconds", total_seconds);
+                                .set("seconds", seconds);
         obs::Json red = reduction_summary(results);
         if (red.find("models_reduced")->as_int() > 0)
             summary.set("reduction", std::move(red));
         body.set("summary", std::move(summary));
-        if (!obs::save_json(json_path,
+        if (ex) {
+            obs::Json sched_stats = obs::Json::object();
+            sched_stats.set("workers", ex->jobs());
+            sched_stats.set("wall_ns",
+                            static_cast<std::uint64_t>(seconds * 1e9));
+            if (ex->pool()) {
+                const auto ps = ex->pool()->stats();
+                sched_stats.set("executed", ps.executed)
+                    .set("stolen", ps.stolen)
+                    .set("steal_failures", ps.steal_failures)
+                    .set("busy_ns", ps.busy_ns)
+                    .set("external_busy_ns", ps.external_busy_ns)
+                    .set("queue_delay_ns", ps.queue_delay_ns)
+                    .set("critical_path_ns", ps.critical_path_ns)
+                    .set("parks", ps.parks)
+                    .set("park_ns", ps.park_ns)
+                    .set("injector_contention", ps.injector_contention);
+            }
+            body.set("stats",
+                     obs::Json::object().set("sched", std::move(sched_stats)));
+            body.set("metrics", obs::Registry::instance().to_json());
+        }
+        if (!obs::save_json(cli.json,
                             obs::make_report("stgbatch", std::move(body)))) {
-            std::cerr << "error: cannot write " << json_path << "\n";
+            std::cerr << "error: cannot write " << cli.json << "\n";
             return 2;
         }
-        if (!quiet) std::cout << "report written to " << json_path << "\n";
+        if (!quiet) std::cout << "report written to " << cli.json << "\n";
+    }
+    if (cli.trace) {
+        if (!obs::write_chrome_trace(cli.trace)) {
+            std::cerr << "error: cannot write " << cli.trace << "\n";
+            return 2;
+        }
+        if (!quiet) std::cout << "trace written to " << cli.trace << "\n";
     }
     if (errors > 0) return 2;
     return violated > 0 ? 1 : 0;
@@ -381,124 +315,63 @@ int run_connected(const char* connect, const char* manifest,
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        print_usage(std::cerr);
-        return 2;
-    }
-    const char* manifest = nullptr;
-    const char* json_path = nullptr;
-    const char* trace_path = nullptr;
-    bool normalcy = true;
-    std::string reduce_spec = "none";
-    bool deadlock = false;
+    svc::CliOptions cli;
     bool quiet = false;
-    bool use_cache = true;
-    const char* cache_dir_flag = nullptr;
-    const char* connect = nullptr;
-    std::uint64_t deadline_ms = 0;
-    unsigned jobs = 0;  // 0 = hardware concurrency
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-normalcy"))
-            normalcy = false;
-        else if (!std::strcmp(argv[i], "--reduce"))
-            reduce_spec = "all";
-        else if (!std::strncmp(argv[i], "--reduce=", 9))
-            reduce_spec = argv[i] + 9;
-        else if (!std::strcmp(argv[i], "--no-reduce"))
-            reduce_spec = "none";
-        else if (!std::strcmp(argv[i], "--deadlock"))
-            deadlock = true;
-        else if (!std::strcmp(argv[i], "--quiet"))
-            quiet = true;
-        else if (!std::strcmp(argv[i], "--no-cache"))
-            use_cache = false;
-        else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-            print_usage(std::cout);
-            return 0;
-        } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            char* end = nullptr;
-            const unsigned long v = std::strtoul(argv[++i], &end, 10);
-            if (!end || *end != '\0') {
-                std::cerr << "bad --jobs value: " << argv[i] << "\n";
-                return 2;
-            }
-            jobs = static_cast<unsigned>(v);
-        } else if (!std::strcmp(argv[i], "--cache-dir") && i + 1 < argc)
-            cache_dir_flag = argv[++i];
-        else if (!std::strcmp(argv[i], "--connect") && i + 1 < argc)
-            connect = argv[++i];
-        else if (!std::strcmp(argv[i], "--deadline-ms") && i + 1 < argc) {
-            char* end = nullptr;
-            deadline_ms = std::strtoull(argv[++i], &end, 10);
-            if (!end || *end != '\0') {
-                std::cerr << "bad --deadline-ms value: " << argv[i] << "\n";
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (argv[i][0] != '-')
-            manifest = argv[i];
-        else {
-            std::cerr << "unknown option: " << argv[i] << "\n";
-            print_usage(std::cerr);
-            return 2;
-        }
-    }
-    if (!manifest) {
-        std::cerr << "no manifest\n";
-        return 2;
-    }
-    if (json_path || trace_path) obs::set_enabled(true);
+    const svc::CliTool tool{
+        "usage: stgbatch <dir | manifest.txt> [options]\n"
+        "\n"
+        "manifest: a directory (all *.g files, sorted) or a text file\n"
+        "with one .g path per line ('#' comments; relative paths are\n"
+        "resolved against the manifest's directory)\n",
+        "no manifest",
+        {{"--quiet", "suppress per-model result lines", &quiet}},
+        "exit codes: 0 = all properties hold on every model,\n"
+        "            1 = conflict found, 2 = usage/IO error\n"};
+    if (const auto rc = svc::parse_cli(argc, argv, tool, cli)) return *rc;
+    if (cli.json || cli.trace) obs::set_enabled(true);
 
     std::string manifest_error;
     const std::vector<std::string> files =
-        collect_manifest(manifest, manifest_error);
+        collect_manifest(cli.input, manifest_error);
     if (files.empty()) {
         std::cerr << "error: " << manifest_error << "\n";
         return 2;
     }
-    // One options signature shared with stgcheck and stgd: a verdict cached
-    // by any of them is warm for the others (docs/CACHING.md).
-    svc::CheckOptions copts;
-    copts.normalcy = normalcy;
-    copts.reduce = reduce_spec;
-    copts.deadlock = deadlock;
-    copts.use_cache = use_cache;
-    core::VerifyOptions vopts;
-    vopts.check_normalcy = normalcy;
-    try {
-        vopts.reduce = stg::reduce::Options::parse(reduce_spec);
-    } catch (const std::exception& ex) {
-        std::cerr << "bad --reduce value: " << ex.what() << "\n";
-        return 2;
-    }
-    vopts.check_deadlock = deadlock;
+    std::vector<ModelResult> results(files.size());
+    std::mutex out_mu;
+    std::size_t done = 0;
+    const Progress progress = [&](const std::string& file,
+                                  const ModelResult& r) {
+        std::lock_guard<std::mutex> lock(out_mu);
+        ++done;
+        if (quiet) return;
+        std::cout << "[" << done << "/" << files.size() << "] "
+                  << fs::path(file).filename().string() << "  " << r.verdict
+                  << "  (" << r.seconds << " s";
+        if (r.tasks > 0)
+            std::cout << ", qd "
+                      << static_cast<double>(r.queue_delay_ns) /
+                             static_cast<double>(r.tasks) / 1e6
+                      << " ms";
+        // Flush per row: a redirected stgbatch (CI logs, a pipe into
+        // `tee`) shows each verdict as it lands, not on buffer fill.
+        std::cout << ")\n" << std::flush;
+    };
 
-    if (connect) {
-        if (trace_path) {
+    if (cli.connect) {
+        if (cli.trace) {
             std::cerr << "error: --trace needs local spans and is not "
                          "supported with --connect\n";
             return 2;
         }
-        return run_connected(connect, manifest, files, json_path, copts,
-                             quiet, deadline_ms);
+        Stopwatch timer;
+        if (!run_connected(cli, quiet, files, results, progress)) return 2;
+        return finish(cli, quiet, results, timer.seconds(), nullptr);
     }
 
-    // Tier-3 result cache; keyed by content hash + checker options (not
-    // --jobs: verdicts are jobs-independent by the determinism contract).
-    std::string cache_root;
-    if (use_cache) {
-        if (cache_dir_flag)
-            cache_root = cache_dir_flag;
-        else if (const char* env = std::getenv("STGCC_CACHE_DIR"))
-            cache_root = env;
-    }
-    const cache::ResultCache rcache(cache_root);
-    const std::string options_sig = copts.signature();
-
-    sched::Executor ex(jobs);
+    const core::VerifyOptions opts = cli.check.verify_options();
+    const cache::ResultCache rcache(cli.cache_dir);
+    sched::Executor ex(cli.jobs);
     if (!quiet)
         std::cout << "stgbatch: " << files.size() << " models, jobs="
                   << ex.jobs() << "\n";
@@ -508,10 +381,7 @@ int main(int argc, char** argv) {
     // column reads the tallies back after the model's fan-out drained.
     if (ex.pool()) ex.pool()->configure_groups(files.size());
 
-    Stopwatch total_timer;
-    std::mutex out_mu;
-    std::size_t done = 0;
-    std::vector<ModelResult> results(files.size());
+    Stopwatch timer;
     // Results land in `results` by manifest index (deterministic); only the
     // streamed progress lines appear in completion order.  Model tasks and
     // each model's inner instances (per-signal CSC, normalcy orientations)
@@ -520,56 +390,15 @@ int main(int argc, char** argv) {
     sched::parallel_for(ex, files.size(), [&](std::size_t i) {
         sched::set_current_group(static_cast<std::uint32_t>(i));
         ModelResult& r = results[i];
-        r.file = files[i];
-        Stopwatch timer;
-        std::uint64_t content_hash = 0;
-        bool hashed = false;
-        if (rcache.enabled()) {
-            if (const auto bytes = cache::read_file_bytes(files[i])) {
-                content_hash = cache::fnv1a64(*bytes);
-                hashed = true;
-                if (const auto hit =
-                        rcache.load("stgbatch", content_hash, options_sig)) {
-                    const obs::Json* verdict = hit->find("verdict");
-                    const obs::Json* all_hold = hit->find("all_hold");
-                    const obs::Json* row = hit->find("row");
-                    if (verdict && all_hold && row) {
-                        r.loaded = true;
-                        r.from_cache = true;
-                        r.verdict = verdict->as_string();
-                        r.all_hold = all_hold->as_bool();
-                        r.row = *row;
-                    }
-                }
-            }
+        Stopwatch model_timer;
+        try {
+            const auto text = cache::read_file_bytes(files[i]);
+            if (!text) throw ModelError("cannot open ASTG file: " + files[i]);
+            r.verified(files[i], core::verdict_cached(*text, opts, rcache, ex));
+        } catch (const std::exception& e) {
+            r.failed(files[i], e.what());
         }
-        if (!r.from_cache) {
-            try {
-                stg::Stg model = stg::load_astg_file(files[i]);
-                const std::string name = model.name();
-                auto report = core::verify_stg(model, vopts, ex);
-                r.loaded = true;
-                r.all_hold = report_all_hold(report);
-                r.verdict = report_verdict_line(report);
-                r.row = report_row(files[i], name, report);
-                if (hashed)
-                    rcache.store("stgbatch", content_hash, options_sig,
-                                 obs::Json::object()
-                                     .set("verdict", r.verdict)
-                                     .set("all_hold", r.all_hold)
-                                     .set("row", r.row));
-            } catch (const std::exception& e) {
-                // Load/verify failures are never cached: the message may
-                // depend on environment state (permissions, limits).
-                r.error = e.what();
-                r.verdict = "ERROR (" + r.error + ")";
-                r.row = obs::Json::object()
-                            .set("file", files[i])
-                            .set("status", "error")
-                            .set("error", r.error);
-            }
-        }
-        r.seconds = timer.seconds();
+        r.seconds = model_timer.seconds();
         // Queue-delay attribution: nested tasks are quiescent here (the
         // model's verify drained its groups), but this task's own tallies
         // land in the group only after this lambda returns -- so add its
@@ -581,97 +410,7 @@ int main(int argc, char** argv) {
             r.tasks += gs.tasks;
             r.queue_delay_ns += gs.queue_delay_ns;
         }
-        const double qd_ms = static_cast<double>(r.queue_delay_ns) /
-                             static_cast<double>(r.tasks) / 1e6;
-        std::lock_guard<std::mutex> lock(out_mu);
-        ++done;
-        if (!quiet) {
-            std::cout << "[" << done << "/" << files.size() << "] "
-                      << fs::path(files[i]).filename().string() << "  "
-                      << r.verdict << "  (" << r.seconds << " s, qd "
-                      << qd_ms << " ms)\n";
-            // Flush per row: a redirected stgbatch (CI logs, a pipe into
-            // `tee`) shows each verdict as it lands, not on buffer fill.
-            std::cout.flush();
-        }
+        progress(files[i], r);
     });
-    const double total_seconds = total_timer.seconds();
-
-    std::size_t ok = 0, violated = 0, errors = 0;
-    for (const ModelResult& r : results) {
-        if (!r.loaded)
-            ++errors;
-        else if (r.all_hold)
-            ++ok;
-        else
-            ++violated;
-    }
-    std::cout << "stgbatch: " << ok << " ok, " << violated << " violated, "
-              << errors << " errors in " << total_seconds << " s (jobs="
-              << ex.jobs() << ")\n";
-
-    if (json_path) {
-        obs::Json rows = obs::Json::array();
-        for (const ModelResult& r : results) {
-            obs::Json row = r.row;
-            if (r.loaded) {
-                row.set("seconds", r.seconds);
-                row.set("stats",
-                        obs::Json::object()
-                            .set("tasks", r.tasks)
-                            .set("queue_delay_ns", r.queue_delay_ns));
-            }
-            rows.push(std::move(row));
-        }
-        obs::Json body = obs::Json::object();
-        body.set("manifest", manifest);
-        body.set("jobs", ex.jobs());
-        body.set("models", std::move(rows));
-        obs::Json summary = obs::Json::object()
-                                .set("total", results.size())
-                                .set("ok", ok)
-                                .set("violated", violated)
-                                .set("errors", errors)
-                                .set("seconds", total_seconds);
-        obs::Json red = reduction_summary(results);
-        if (red.find("models_reduced")->as_int() > 0)
-            summary.set("reduction", std::move(red));
-        body.set("summary", std::move(summary));
-        obs::Json sched_stats = obs::Json::object();
-        sched_stats.set("workers", ex.jobs());
-        sched_stats.set("wall_ns",
-                        static_cast<std::uint64_t>(total_seconds * 1e9));
-        if (ex.pool()) {
-            const auto ps = ex.pool()->stats();
-            sched_stats.set("executed", ps.executed)
-                .set("stolen", ps.stolen)
-                .set("steal_failures", ps.steal_failures)
-                .set("busy_ns", ps.busy_ns)
-                .set("external_busy_ns", ps.external_busy_ns)
-                .set("queue_delay_ns", ps.queue_delay_ns)
-                .set("critical_path_ns", ps.critical_path_ns)
-                .set("parks", ps.parks)
-                .set("park_ns", ps.park_ns)
-                .set("injector_contention", ps.injector_contention);
-        }
-        body.set("stats",
-                 obs::Json::object().set("sched", std::move(sched_stats)));
-        body.set("metrics", obs::Registry::instance().to_json());
-        if (!obs::save_json(json_path,
-                            obs::make_report("stgbatch", std::move(body)))) {
-            std::cerr << "error: cannot write " << json_path << "\n";
-            return 2;
-        }
-        if (!quiet) std::cout << "report written to " << json_path << "\n";
-    }
-    if (trace_path) {
-        if (!obs::write_chrome_trace(trace_path)) {
-            std::cerr << "error: cannot write " << trace_path << "\n";
-            return 2;
-        }
-        if (!quiet) std::cout << "trace written to " << trace_path << "\n";
-    }
-
-    if (errors > 0) return 2;
-    return violated > 0 ? 1 : 0;
+    return finish(cli, quiet, results, timer.seconds(), &ex);
 }

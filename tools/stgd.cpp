@@ -13,12 +13,12 @@
 // the process exits 0 after writing a final stats snapshot (--stats FILE,
 // or a summary line to stderr).
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "svc/cli.hpp"
 #include "svc/server.hpp"
 
 namespace {
@@ -74,22 +74,13 @@ int main(int argc, char** argv) {
     svc::ServerConfig cfg;
     const char* stats_path = nullptr;
     bool quiet = false;
-    std::string cache_dir_flag;
-    bool cache_dir_set = false;
+    const char* cache_dir_flag = nullptr;
     for (int i = 1; i < argc; ++i) {
-        const auto uint_arg = [&](const char* name,
-                                  std::uint64_t& out) -> bool {
-            if (i + 1 >= argc) {
-                std::cerr << name << " needs a value\n";
-                return false;
-            }
-            char* end = nullptr;
-            out = std::strtoull(argv[++i], &end, 10);
-            if (!end || *end != '\0') {
-                std::cerr << "bad " << name << " value: " << argv[i] << "\n";
-                return false;
-            }
-            return true;
+        const auto uint_arg = [&](const char* name, std::uint64_t& out) {
+            if (i + 1 < argc)
+                return svc::parse_flag_number(name, argv[++i], out);
+            std::cerr << name << " needs a value\n";
+            return false;
         };
         if (!std::strcmp(argv[i], "--listen") && i + 1 < argc) {
             std::string error;
@@ -134,7 +125,6 @@ int main(int argc, char** argv) {
                 return 2;
         } else if (!std::strcmp(argv[i], "--cache-dir") && i + 1 < argc) {
             cache_dir_flag = argv[++i];
-            cache_dir_set = true;
         } else if (!std::strcmp(argv[i], "--stats") && i + 1 < argc) {
             stats_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--quiet")) {
@@ -154,10 +144,7 @@ int main(int argc, char** argv) {
         print_usage(std::cerr);
         return 2;
     }
-    if (cache_dir_set)
-        cfg.cache_dir = cache_dir_flag;
-    else if (const char* env = std::getenv("STGCC_CACHE_DIR"))
-        cfg.cache_dir = env;
+    cfg.cache_dir = svc::resolve_cache_dir(cache_dir_flag);
 
     // The daemon always runs instrumented: the stats op and the final
     // snapshot expose the registry (sched.*, cache.*, svc.*).
