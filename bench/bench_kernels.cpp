@@ -1,0 +1,112 @@
+// Search-kernel microbenchmark (ROADMAP item 3): the speed of the
+// Unf-compatible search itself, separated from the size of its tree.
+//
+// Per conflict-free counterflow model (models/cf_*_csc.g, the six CF rows
+// of Table 1) and per check (USC, normalcy) at jobs 1 with default options:
+// search nodes, leaves and ns/node.  Node and leaf counts are deterministic
+// and must equal tests/golden/search_counts.json (the nightly job fails when
+// they differ); ns/node is the kernel speed and is reported, not gated -- a
+// shared host is too noisy for a timing gate.  Each solve runs --reps times
+// (default 3) and the fastest run is reported.
+//
+// Usage: bench_kernels [--reps N] [MODELS_DIR].  Writes BENCH_kernels.json.
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "bench_util.hpp"
+#include "core/checkers.hpp"
+#include "stg/astg.hpp"
+#include "util/stopwatch.hpp"
+
+using namespace stgcc;
+
+namespace {
+
+namespace fs = std::filesystem;
+
+struct Solve {
+    stg::CheckStats stats;
+    double seconds = 0.0;  ///< fastest of the repetitions
+};
+
+template <typename Run>
+Solve fastest(int reps, Run run) {
+    Solve best;
+    for (int r = 0; r < reps; ++r) {
+        Stopwatch w;
+        const stg::CheckStats stats = run();
+        const double s = w.seconds();
+        if (r == 0 || s < best.seconds) best = Solve{stats, s};
+    }
+    return best;
+}
+
+double ns_per(double seconds, std::size_t n) {
+    return n == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(n);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    int reps = 3;
+    std::string dir = STGCC_MODELS_DIR;
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--reps" && i + 1 < argc)
+            reps = std::max(1, std::atoi(argv[++i]));
+        else
+            dir = a;
+    }
+    std::vector<fs::path> files;
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(dir, ec)) {
+        const std::string stem = entry.path().stem().string();
+        if (entry.path().extension() == ".g" && stem.rfind("cf_", 0) == 0)
+            files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    if (files.empty()) {
+        std::fprintf(stderr, "bench_kernels: no cf_*.g models under %s\n",
+                     dir.c_str());
+        return 2;
+    }
+
+    benchutil::BenchReport report("kernels");
+    std::printf("Search kernels at jobs 1 (fastest of %d)\n", reps);
+    benchutil::rule(84);
+    std::printf("  %-16s %-9s %10s %10s %10s %12s\n", "model", "check",
+                "nodes", "leaves", "time", "ns/node");
+    for (const fs::path& file : files) {
+        const std::string model = file.stem().string();
+        const stg::Stg stg = stg::load_astg_file(file.string());
+        const auto artifacts = std::make_shared<const cache::PrefixArtifacts>(stg);
+        const core::UnfoldingChecker checker(artifacts);
+
+        const Solve usc = fastest(reps, [&] { return checker.check_usc().stats; });
+        const Solve nrm =
+            fastest(reps, [&] { return checker.check_normalcy().stats; });
+        for (const auto& [check, s] :
+             {std::pair<const char*, const Solve&>{"usc", usc}, {"normalcy", nrm}}) {
+            const double ns = ns_per(s.seconds, s.stats.search_nodes);
+            std::printf("  %-16s %-9s %10zu %10zu %10s %12.0f\n", model.c_str(),
+                        check, s.stats.search_nodes, s.stats.leaves,
+                        benchutil::fmt_time(s.seconds).c_str(), ns);
+            report.add_row(obs::Json::object()
+                               .set("benchmark", "solve")
+                               .set("model", model)
+                               .set("check", check)
+                               .set("search_nodes", s.stats.search_nodes)
+                               .set("leaves", s.stats.leaves)
+                               .set("seconds", s.seconds)
+                               .set("ns_per_node", ns));
+        }
+    }
+    benchutil::rule(84);
+    std::printf("\n");
+    report.write();
+    return 0;
+}

@@ -10,9 +10,13 @@
 //     which verify_stg and the CodingProblem used to compute separately,
 //   * the dense CodingProblem with its per-signal solver template,
 //   * per-dense-event condition pre/post masks plus the Min(ON) mask, which
-//     turn the leaf-predicate marking computation (cut of a configuration)
-//     into three word-parallel bit operations instead of a vector<bool>
-//     sweep over all conditions,
+//     turn the marking computation (cut of a configuration) into
+//     word-parallel bit operations instead of a vector<bool> sweep over all
+//     conditions,
+//   * the leaf-predicate tables: the place flow pre(t) xor post(t) of every
+//     dense event and the preset place mask of every circuit-driven
+//     transition, from which leaf_state() derives a configuration's place
+//     set, Out set and code word-wise,
 //   * the USC=>CSC certificate: set once an exhaustive USC search has
 //     found no conflict, after which CSC holds without searching.
 //
@@ -66,6 +70,15 @@ private:
     std::atomic<bool> usc_holds_{false};
 };
 
+/// What the leaf predicates read of the marking reached by a dense
+/// configuration, word-wise.  The buffers are reused across calls: every
+/// solver instance owns its own (per-signal CSC instances run in parallel).
+struct LeafState {
+    BitVec places;  ///< marked places (1-safe: a marking is a place set)
+    BitVec out;     ///< Out(M): signals of the enabled circuit-driven transitions
+    BitVec code;    ///< Code(M), bit z = value of signal z
+};
+
 class PrefixArtifacts {
 public:
     /// Unfold `stg` and derive all artifacts.  Throws ModelError for
@@ -111,6 +124,19 @@ public:
     /// Only valid when consistent().
     [[nodiscard]] petri::Marking marking_of_dense(const BitVec& dense) const;
 
+    /// Fill `s.places` with the place set of the marking reached by a dense
+    /// configuration (the USC leaf predicate compares these).  The unfolder
+    /// enforces 1-safety, so every place holds M0(p) + produced - consumed
+    /// in {0, 1} tokens, which is the parity of M0(p) + produced + consumed:
+    /// the place set is M0 xor the place flows of the configuration's
+    /// events.  Only valid when consistent().
+    void leaf_places(BitSpan dense, LeafState& s) const;
+
+    /// Fill `s.places`, `s.out` and `s.code` (the CSC and normalcy leaf
+    /// predicates; Nxt_z = out(z) xor code(z)).  Agrees with
+    /// marking_of_dense, Stg::out_signals and CodingProblem::code_of.
+    void leaf_state(BitSpan dense, LeafState& s) const;
+
     /// The USC=>CSC certificate.  Mutable through const artifacts: it
     /// records a proved fact and never changes a verdict.
     [[nodiscard]] ClauseStore& clauses() const noexcept { return clauses_; }
@@ -127,6 +153,10 @@ private:
     std::unique_ptr<core::CodingProblem> problem_;  ///< null when inconsistent
     BitVec min_mask_;                        ///< Min(ON), width num_conditions
     util::BitMatrix pre_masks_, post_masks_;  ///< q x num_conditions, in arena_
+    BitVec initial_places_;                   ///< M0, width |P|
+    util::BitMatrix place_flows_;  ///< q x |P|: pre(t) xor post(t), in arena_
+    std::vector<stg::SignalId> out_signal_;   ///< per circuit-driven transition
+    util::BitMatrix out_presets_;  ///< its preset places, |out_signal_| x |P|
     mutable ClauseStore clauses_;
 };
 

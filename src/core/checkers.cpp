@@ -54,11 +54,13 @@ stg::ConflictWitness UnfoldingChecker::make_witness(const BitVec& ca,
 stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
     obs::Span span("solve.usc");
     CompatSolver solver(*problem_, opts);
+    cache::LeafState la, lb;
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
             // USC separating predicate: the markings must differ.
-            return !(artifacts_->marking_of_dense(ca) ==
-                     artifacts_->marking_of_dense(cb));
+            artifacts_->leaf_places(ca, la);
+            artifacts_->leaf_places(cb, lb);
+            return !(la.places == lb.places);
         });
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
@@ -77,13 +79,14 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts) const {
     obs::Span span("solve.csc");
     if (usc_certified(*artifacts_, span)) return {};
     CompatSolver solver(*problem_, opts);
+    cache::LeafState la, lb;
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
             // CSC separating predicate: enabled-output sets must differ
             // (equal codes with different Out sets imply distinct markings).
-            const petri::Marking ma = artifacts_->marking_of_dense(ca);
-            const petri::Marking mb = artifacts_->marking_of_dense(cb);
-            return !(stg_->out_signals(ma) == stg_->out_signals(mb));
+            artifacts_->leaf_state(ca, la);
+            artifacts_->leaf_state(cb, lb);
+            return !(la.out == lb.out);
         });
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
@@ -122,15 +125,15 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
             local.cancel =
                 sched::CancellationToken::combine(opts.cancel, token);
             CompatSolver solver(*problem_, local);
+            cache::LeafState la, lb;
             auto outcome = solver.solve(
                 CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
                     // Per-signal CSC predicate: z enabled at exactly one of
                     // the two markings (a CSC conflict exists iff some
                     // circuit-driven signal has one).
-                    const petri::Marking ma = artifacts_->marking_of_dense(ca);
-                    const petri::Marking mb = artifacts_->marking_of_dense(cb);
-                    return stg_->signal_enabled(ma, z) !=
-                           stg_->signal_enabled(mb, z);
+                    artifacts_->leaf_state(ca, la);
+                    artifacts_->leaf_state(cb, lb);
+                    return la.out.test(z) != lb.out.test(z);
                 });
             {
                 std::lock_guard<std::mutex> lock(stats_mu);
@@ -188,19 +191,19 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
     // or with Code(x') >= Code(x'') (lo = x'').  Each flag keeps the
     // *first* violating pair in enumeration order, which is deterministic.
     CompatSolver solver(*problem_, opts);
+    cache::LeafState lo, hi;
     auto outcome = solver.solve(rel, [&](const BitVec& ca, const BitVec& cb) {
         const BitVec& lo_cfg = rel == CodeRelation::LessEq ? ca : cb;
         const BitVec& hi_cfg = rel == CodeRelation::LessEq ? cb : ca;
-        const petri::Marking mlo = artifacts_->marking_of_dense(lo_cfg);
-        const petri::Marking mhi = artifacts_->marking_of_dense(hi_cfg);
-        const stg::Code clo = problem_->code_of(lo_cfg);
-        const stg::Code chi = problem_->code_of(hi_cfg);
+        artifacts_->leaf_state(lo_cfg, lo);
+        artifacts_->leaf_state(hi_cfg, hi);
         for (std::size_t i = 0; i < outputs.size(); ++i) {
             stg::SignalNormalcy& sn = pass.per_signal[i];
             const stg::SignalId z = outputs[i];
             if (sn.p_normal || sn.n_normal) {
-                const bool nxt_lo = stg_->nxt(mlo, clo, z);
-                const bool nxt_hi = stg_->nxt(mhi, chi, z);
+                // Nxt_z flips the code bit exactly when z is enabled.
+                const bool nxt_lo = lo.out.test(z) != lo.code.test(z);
+                const bool nxt_hi = hi.out.test(z) != hi.code.test(z);
                 if (sn.p_normal && nxt_lo && !nxt_hi) {
                     sn.p_normal = false;
                     sn.p_violation = make_nw(z, lo_cfg, hi_cfg);

@@ -1,5 +1,7 @@
 #include "core/coding_problem.hpp"
 
+#include <bit>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -43,14 +45,15 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
     preds_ = util::BitMatrix(arena_, q, q);
     succs_ = util::BitMatrix(arena_, q, q);
     confs_ = util::BitMatrix(arena_, q, q);
+    rising_ = util::BitMatrix(arena_, stg.num_signals(), q);
+    falling_ = util::BitMatrix(arena_, stg.num_signals(), q);
     signal_.resize(q);
-    delta_.resize(q);
 
     for (std::size_t i = 0; i < q; ++i) {
         const EventId e = events_[i];
         const stg::Label l = stg.label(prefix.event(e).transition);
         signal_[i] = l.signal;
-        delta_[i] = l.delta();
+        (l.delta() > 0 ? rising_ : falling_).set(l.signal, i);
         prefix.local_config(e).for_each([&](std::size_t f) {
             if (f == e) return;
             // Causal predecessors of a non-cut-off event are non-cut-off
@@ -63,21 +66,6 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
             if (g < dense_of.size() && dense_of[g] != SIZE_MAX)
                 confs_.set(i, dense_of[g]);
         });
-    }
-
-    // Shared solver template: every event contributes one +coefficient and
-    // one -coefficient variable to its signal (delta on side 0, -delta on
-    // side 1), so pos and neg both count the signal's events.
-    initial_slacks_.assign(stg.num_signals(), SignalSlack{});
-    vars_of_signal_.assign(stg.num_signals(), {});
-    for (std::size_t i = 0; i < q; ++i) {
-        SignalSlack& s = initial_slacks_[signal_[i]];
-        ++s.pos;
-        ++s.neg;
-        for (int side = 0; side < 2; ++side)
-            vars_of_signal_[signal_[i]].push_back(
-                VarRef{static_cast<std::uint8_t>(side),
-                       static_cast<std::uint32_t>(i)});
     }
 
     obs::gauge("mem.arena_bytes")
@@ -95,11 +83,22 @@ BitVec CodingProblem::to_event_set(const BitVec& dense) const {
 }
 
 stg::Code CodingProblem::code_of(const BitVec& dense) const {
-    stg::Code code = initial_code_;
-    dense.for_each([&](std::size_t i) {
-        code.assign_bit(signal_[i], !code.test(signal_[i]));
-    });
+    stg::Code code;
+    code_of(dense, code);
     return code;
+}
+
+void CodingProblem::code_of(BitSpan dense, stg::Code& code) const {
+    code = initial_code_;
+    const BitSpan::Word* x = dense.words();
+    for (stg::SignalId z = 0; z < rising_.rows(); ++z) {
+        const BitSpan::Word* r = rising(z).words();
+        const BitSpan::Word* f = falling(z).words();
+        BitSpan::Word parity = 0;
+        for (std::size_t w = 0, nw = dense.num_words(); w < nw; ++w)
+            parity ^= x[w] & (r[w] | f[w]);
+        if (std::popcount(parity) & 1) code.assign_bit(z, !code.test(z));
+    }
 }
 
 }  // namespace stgcc::core

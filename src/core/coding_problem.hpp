@@ -6,7 +6,8 @@
 //   * its strict causal predecessors, successors and conflict set as rows of
 //     three arena-backed bit matrices over dense indices (the Theorem 1
 //     closure rules), exposed as BitSpan row views,
-//   * its signal and code contribution (+1 for z+, -1 for z-).
+//   * its signal, and per signal the rising (code contribution +1) and
+//     falling (-1) events as bit masks.
 // It also records the derived initial code v0 and whether the STG is
 // dynamically conflict-free (enabling the section 7 optimisation).
 #pragma once
@@ -20,22 +21,6 @@
 #include "util/bit_matrix.hpp"
 
 namespace stgcc::core {
-
-/// A variable of the pair search: side 0 = x', side 1 = x'', idx = dense
-/// event index.  Shared by the CompatSolver and the precomputed per-signal
-/// variable lists below.
-struct VarRef {
-    std::uint8_t side;
-    std::uint32_t idx;
-};
-
-/// Initial interval slack of one signal's code-difference constraint:
-/// counts of unassigned variables with coefficient +1 / -1.  Computed once
-/// per problem and copied (not rebuilt) by every solver instance.
-struct SignalSlack {
-    int pos = 0;
-    int neg = 0;
-};
 
 class CodingProblem {
 public:
@@ -73,8 +58,6 @@ public:
     [[nodiscard]] stg::SignalId signal(std::size_t dense) const {
         return signal_[dense];
     }
-    /// +1 for a rising edge, -1 for a falling edge.
-    [[nodiscard]] int delta(std::size_t dense) const { return delta_[dense]; }
 
     [[nodiscard]] const stg::Code& initial_code() const noexcept {
         return initial_code_;
@@ -89,25 +72,19 @@ public:
     /// Expand a dense 0-1 vector (as BitVec) into an event set of the prefix.
     [[nodiscard]] BitVec to_event_set(const BitVec& dense) const;
 
-    /// Code of the marking reached by a dense configuration: v0 + change vector.
+    /// Code of the marking reached by a dense configuration: v0 + change
+    /// vector, i.e. v0 xor the parity of each signal's events in it.
     [[nodiscard]] stg::Code code_of(const BitVec& dense) const;
+    /// Same, into a caller-owned buffer (the solver's leaf predicates).
+    void code_of(BitSpan dense, stg::Code& code) const;
 
-    // --- shared solver template (tier-1 artifact cache) ---------------------
-    // Every CompatSolver instance over this problem starts from the same
-    // per-signal slack accounting and variable grouping; precomputing them
-    // here turns the per-instance setup (one rebuild per per-signal CSC
-    // instance, per normalcy orientation, per verify phase) into a copy of
-    // a num_signals-sized array plus read-only references.
-
-    /// Initial per-signal slacks (indexed by SignalId; fixed = 0).
-    [[nodiscard]] const std::vector<SignalSlack>& initial_slacks() const noexcept {
-        return initial_slacks_;
-    }
-
-    /// Both-side variables of each signal, grouped by SignalId.
-    [[nodiscard]] const std::vector<std::vector<VarRef>>& vars_of_signal()
-        const noexcept {
-        return vars_of_signal_;
+    /// Dense events of signal z with a rising / falling edge, q bits each:
+    /// the +1 / -1 coefficient masks of the code difference D_z, against
+    /// which the solver bounds D_z by popcount.  Shared read-only by every
+    /// solver instance over this problem.
+    [[nodiscard]] BitSpan rising(stg::SignalId z) const { return rising_.row(z); }
+    [[nodiscard]] BitSpan falling(stg::SignalId z) const {
+        return falling_.row(z);
     }
 
 private:
@@ -118,10 +95,8 @@ private:
     std::vector<unf::EventId> events_;
     util::Arena arena_;                       ///< owns the closure slabs
     util::BitMatrix preds_, succs_, confs_;   ///< q x q rows in arena_
+    util::BitMatrix rising_, falling_;        ///< num_signals x q, in arena_
     std::vector<stg::SignalId> signal_;
-    std::vector<int> delta_;
-    std::vector<SignalSlack> initial_slacks_;
-    std::vector<std::vector<VarRef>> vars_of_signal_;
     stg::Code initial_code_;
     bool conflict_free_ = false;
 };

@@ -1,6 +1,7 @@
 #include "core/compat_solver.hpp"
 
-#include <climits>
+#include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,142 +11,189 @@ namespace stgcc::core {
 CompatSolver::CompatSolver(const CodingProblem& problem, SearchOptions opts)
     : problem_(&problem), opts_(opts) {}
 
-bool CompatSolver::signal_feasible(stg::SignalId z) const {
-    const SignalState& s = ws_.signals[z];
-    const int min_sum = s.fixed - s.neg_slack;
-    const int max_sum = s.fixed + s.pos_slack;
-    switch (relation_) {
-        case CodeRelation::Equal:
-            return min_sum <= 0 && max_sum >= 0;
-        case CodeRelation::LessEq:
-            return min_sum <= 0;
-        case CodeRelation::GreaterEq:
-            return max_sum >= 0;
+bool CompatSolver::bound_signal(stg::SignalId z) {
+    // D_z = sum_e delta(e) (x'_e - x''_e): rising events weigh +1 on x' and
+    // -1 on x'', falling events the opposite.  Its bounds over the
+    // unassigned variables come straight from popcounts of the planes.
+    const std::size_t nw = nw_;
+    const Word* r = problem_->rising(z).words();
+    const Word* f = problem_->falling(z).words();
+    const Word* o0 = planes_.data() + plane(0, 1) * nw;
+    const Word* z0 = planes_.data() + plane(0, 0) * nw;
+    const Word* o1 = planes_.data() + plane(1, 1) * nw;
+    const Word* z1 = planes_.data() + plane(1, 0) * nw;
+    int max_sum = 0, min_sum = 0;
+    for (std::size_t w = 0; w < nw; ++w) {
+        if ((r[w] | f[w]) == 0) continue;
+        max_sum += std::popcount(~z0[w] & r[w]) + std::popcount(~z1[w] & f[w]) -
+                   std::popcount(o0[w] & f[w]) - std::popcount(o1[w] & r[w]);
+        min_sum += std::popcount(o0[w] & r[w]) + std::popcount(o1[w] & f[w]) -
+                   std::popcount(~z0[w] & f[w]) - std::popcount(~z1[w] & r[w]);
     }
-    return true;
-}
+    bool feasible = true;
+    switch (relation_) {
+        case CodeRelation::Equal: feasible = min_sum <= 0 && max_sum >= 0; break;
+        case CodeRelation::LessEq: feasible = min_sum <= 0; break;
+        case CodeRelation::GreaterEq: feasible = max_sum >= 0; break;
+    }
+    if (!feasible) {
+        // An interval infeasibility proof: the relation on D_z can no
+        // longer be satisfied, pruning the whole subtree.
+        if (obs::enabled()) obs::counter("compat.signal_prunes").add();
+        return false;
+    }
 
-bool CompatSolver::force_extreme(stg::SignalId z, bool maximum) {
-    // To satisfy the relation, D_z must take its extreme value: every
-    // unassigned variable of z is forced (max: coef>0 -> 1, coef<0 -> 0;
-    // min: the opposite).
-    for (const VarRef& v : problem_->vars_of_signal()[z]) {
-        if (ws_.val[v.side][v.idx] != kUnassigned) continue;
-        const int coef = coefficient(v.side, v.idx);
-        const std::int8_t forced =
-            static_cast<std::int8_t>(maximum == (coef > 0) ? 1 : 0);
-        ws_.pending.emplace_back(v, forced);
+    // Unit-style forcing when the relation pins D_z to an extreme: every
+    // unassigned variable of z takes the value that keeps D_z there (max:
+    // coefficient +1 -> 1, -1 -> 0; min: the opposite).
+    const bool force_max = max_sum == 0 && relation_ != CodeRelation::LessEq;
+    const bool force_min = min_sum == 0 && relation_ != CodeRelation::GreaterEq;
+    if (!force_max && !force_min) return true;
+    const int up = force_max ? 1 : 0;  // value of the +1 variables
+    Word* rise0 = want_.data() + plane(0, up) * nw;
+    Word* fall0 = want_.data() + plane(0, 1 - up) * nw;
+    Word* fall1 = want_.data() + plane(1, up) * nw;
+    Word* rise1 = want_.data() + plane(1, 1 - up) * nw;
+    for (std::size_t w = 0; w < nw; ++w) {
+        const Word free0 = ~(o0[w] | z0[w]);
+        const Word free1 = ~(o1[w] | z1[w]);
+        rise0[w] |= r[w] & free0;
+        fall0[w] |= f[w] & free0;
+        fall1[w] |= f[w] & free1;
+        rise1[w] |= r[w] & free1;
     }
     return true;
 }
 
 bool CompatSolver::assign(int side, std::size_t idx, int value) {
-    ws_.pending.clear();
-    ws_.pending.emplace_back(VarRef{static_cast<std::uint8_t>(side),
-                                    static_cast<std::uint32_t>(idx)},
-                             static_cast<std::int8_t>(value));
-    while (!ws_.pending.empty()) {
-        const auto [v, val] = ws_.pending.back();
-        ws_.pending.pop_back();
-        const std::int8_t cur = ws_.val[v.side][v.idx];
-        if (cur != kUnassigned) {
-            if (cur != val) {
-                // Closure contradiction (Theorem 1 forcing clash).
-                if (obs::enabled()) obs::counter("compat.closure_prunes").add();
-                return false;
-            }
-            continue;
-        }
-        ws_.val[v.side][v.idx] = val;
-        ws_.trail.push_back(v);
-        ++stats_.propagations;
-
-        // Per-signal accounting and interval pruning.
-        const stg::SignalId z = problem_->signal(v.idx);
-        SignalState& s = ws_.signals[z];
-        const int coef = coefficient(v.side, v.idx);
-        if (coef > 0)
-            --s.pos_slack;
-        else
-            --s.neg_slack;
-        if (val == 1) s.fixed += coef;
-        if (!signal_feasible(z)) {
-            // An interval infeasibility proof: the relation on D_z can no
-            // longer be satisfied, pruning the whole subtree.
-            if (obs::enabled()) obs::counter("compat.signal_prunes").add();
-            return false;
-        }
-
-        // Unit-style forcing when the relation pins D_z to an extreme.
-        switch (relation_) {
-            case CodeRelation::Equal:
-                if (s.fixed + s.pos_slack == 0) force_extreme(z, /*maximum=*/true);
-                if (s.fixed - s.neg_slack == 0) force_extreme(z, /*maximum=*/false);
-                break;
-            case CodeRelation::LessEq:
-                if (s.fixed - s.neg_slack == 0) force_extreme(z, /*maximum=*/false);
-                break;
-            case CodeRelation::GreaterEq:
-                if (s.fixed + s.pos_slack == 0) force_extreme(z, /*maximum=*/true);
-                break;
-        }
-
+    // Propagation in rounds over whole words.  A round closes the newly
+    // wanted bits under Theorem 1, checks the result against the planes,
+    // commits what is fresh, and derives the next round's wants from the
+    // fresh bits: the first-difference and section 7 links and the
+    // interval forcing of every touched signal.  Every rule is monotone, so
+    // the rounds reach the same fixpoint (or the same failure) as any
+    // one-variable-at-a-time order would.
+    //
+    // The scratch words are addressed through locals: they are
+    // std::uint64_t like the size fields, so member reads inside the loops
+    // would be reloaded after every store.
+    const std::size_t nw = nw_;
+    const std::size_t q = problem_->size();
+    Word* const planes = planes_.data();
+    Word* const want = want_.data();
+    Word* const fresh = fresh_.data();
+    const Word* const below = below_.data();
+    std::fill(want, want + 4 * nw, Word{0});
+    want[plane(side, value) * nw + idx / kWordBits] |= Word{1} << (idx % kWordBits);
+    while (true) {
         // Theorem 1 closure (MCC): x(e)=1 forces predecessors to 1 and
-        // conflicters to 0; x(e)=0 forces successors to 0.
-        const std::uint8_t side8 = v.side;
-        if (val == 1) {
-            problem_->preds(v.idx).for_each([&](std::size_t f) {
-                ws_.pending.emplace_back(
-                    VarRef{side8, static_cast<std::uint32_t>(f)}, std::int8_t{1});
+        // conflicters to 0; x(e)=0 forces successors to 0.  The rows are
+        // transitively closed and conflict is inherited by successors, so
+        // one OR of the rows of the newly wanted bits closes the round: the
+        // bits a row adds need no rows of their own.
+        for (std::size_t i = 0; i < 4 * nw; ++i) fresh[i] = want[i] & ~planes[i];
+        for (int s = 0; s < 2; ++s) {
+            Word* w1 = want + plane(s, 1) * nw;
+            Word* w0 = want + plane(s, 0) * nw;
+            BitSpan(fresh + plane(s, 1) * nw, q).for_each([&](std::size_t e) {
+                const Word* pred = problem_->preds(e).words();
+                const Word* conf = problem_->conflicts(e).words();
+                for (std::size_t w = 0; w < nw; ++w) {
+                    w1[w] |= pred[w];
+                    w0[w] |= conf[w];
+                }
             });
-            problem_->conflicts(v.idx).for_each([&](std::size_t g) {
-                ws_.pending.emplace_back(
-                    VarRef{side8, static_cast<std::uint32_t>(g)}, std::int8_t{0});
-            });
-        } else {
-            problem_->succs(v.idx).for_each([&](std::size_t g) {
-                ws_.pending.emplace_back(
-                    VarRef{side8, static_cast<std::uint32_t>(g)}, std::int8_t{0});
+            BitSpan(fresh + plane(s, 0) * nw, q).for_each([&](std::size_t e) {
+                const Word* succ = problem_->succs(e).words();
+                for (std::size_t w = 0; w < nw; ++w) w0[w] |= succ[w];
             });
         }
+
+        Word any = 0;
+        for (int s = 0; s < 2; ++s) {
+            const Word* w1 = want + plane(s, 1) * nw;
+            const Word* w0 = want + plane(s, 0) * nw;
+            const Word* ones = planes + plane(s, 1) * nw;
+            const Word* zeros = planes + plane(s, 0) * nw;
+            Word* f1 = fresh + plane(s, 1) * nw;
+            Word* f0 = fresh + plane(s, 0) * nw;
+            for (std::size_t w = 0; w < nw; ++w) {
+                if ((w1[w] & (zeros[w] | w0[w])) | (w0[w] & ones[w])) {
+                    // Closure contradiction (Theorem 1 forcing clash).
+                    if (obs::enabled()) obs::counter("compat.closure_prunes").add();
+                    return false;
+                }
+                f1[w] = w1[w] & ~ones[w];
+                f0[w] = w0[w] & ~zeros[w];
+                any |= f1[w] | f0[w];
+            }
+        }
+        if (any == 0) return true;
+
+        // Commit the fresh bits, recording each overwritten word.
+        std::size_t committed = 0;
+        for (std::size_t i = 0; i < 4 * nw; ++i) {
+            want[i] = 0;
+            if (fresh[i] == 0) continue;
+            trail_.push_back(TrailEntry{i, planes[i]});
+            planes[i] |= fresh[i];
+            committed += static_cast<std::size_t>(std::popcount(fresh[i]));
+        }
+        stats_.propagations += committed;
 
         // First-difference linking: below index d the two vectors are equal.
-        if (v.idx < first_diff_)
-            ws_.pending.emplace_back(
-                VarRef{static_cast<std::uint8_t>(1 - v.side), v.idx}, val);
-
+        for (int s = 0; s < 2; ++s) {
+            const Word* f1 = fresh + plane(s, 1) * nw;
+            const Word* f0 = fresh + plane(s, 0) * nw;
+            Word* o1 = want + plane(1 - s, 1) * nw;
+            Word* o0 = want + plane(1 - s, 0) * nw;
+            for (std::size_t w = 0; w < nw; ++w) {
+                o1[w] |= f1[w] & below[w];
+                o0[w] |= f0[w] & below[w];
+            }
+        }
         // Section 7 optimisation: restrict to C' subset C'' (x'_e <= x''_e).
         if (conflict_free_mode_) {
-            if (v.side == 0 && val == 1)
-                ws_.pending.emplace_back(VarRef{1, v.idx}, std::int8_t{1});
-            if (v.side == 1 && val == 0)
-                ws_.pending.emplace_back(VarRef{0, v.idx}, std::int8_t{0});
+            const Word* ones0 = fresh + plane(0, 1) * nw;
+            const Word* zeros1 = fresh + plane(1, 0) * nw;
+            Word* want_ones1 = want + plane(1, 1) * nw;
+            Word* want_zeros0 = want + plane(0, 0) * nw;
+            for (std::size_t w = 0; w < nw; ++w) {
+                want_ones1[w] |= ones0[w];
+                want_zeros0[w] |= zeros1[w];
+            }
         }
+
+        // Per-signal accounting and interval pruning for every signal with
+        // a freshly assigned variable.
+        for (std::size_t w = 0; w < nw; ++w) {
+            Word bits = fresh[w] | fresh[nw + w] | fresh[2 * nw + w] |
+                        fresh[3 * nw + w];
+            while (bits) {
+                const std::size_t e =
+                    w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+                bits &= bits - 1;
+                const stg::SignalId z = problem_->signal(e);
+                if (touched_mask_.test(z)) continue;
+                touched_mask_.set(z);
+                touched_.push_back(z);
+            }
+        }
+        bool feasible = true;
+        for (const stg::SignalId z : touched_) {
+            touched_mask_.reset(z);
+            if (feasible) feasible = bound_signal(z);
+        }
+        touched_.clear();
+        if (!feasible) return false;
     }
-    return true;
 }
 
 void CompatSolver::undo_to(std::size_t mark) {
-    while (ws_.trail.size() > mark) {
-        const VarRef v = ws_.trail.back();
-        ws_.trail.pop_back();
-        const std::int8_t val = ws_.val[v.side][v.idx];
-        ws_.val[v.side][v.idx] = kUnassigned;
-        SignalState& s = ws_.signals[problem_->signal(v.idx)];
-        const int coef = coefficient(v.side, v.idx);
-        if (coef > 0)
-            ++s.pos_slack;
-        else
-            ++s.neg_slack;
-        if (val == 1) s.fixed -= coef;
+    while (trail_.size() > mark) {
+        planes_[trail_.back().index] = trail_.back().old;
+        trail_.pop_back();
     }
-}
-
-BitVec CompatSolver::extract(int side) const {
-    BitVec out(problem_->size());
-    for (std::size_t i = 0; i < problem_->size(); ++i)
-        if (ws_.val[side][i] == 1) out.set(i);
-    return out;
 }
 
 bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
@@ -165,57 +213,40 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
         cancelled_ = true;
     if (cancelled_) return false;
 
-    // Select the branching variable.
+    // Branch on the first unassigned variable, x' before x'' at equal index:
+    // the lowest index not assigned on both sides.
     const std::size_t q = problem_->size();
-    int side = -1;
-    std::size_t idx = 0;
-    if (opts_.heuristic == BranchHeuristic::ConstrainedSignal) {
-        // Variable of the signal with the fewest unassigned slots (but at
-        // least one); falls back to index order on ties.
-        int best_slack = INT_MAX;
-        for (std::size_t i = 0; i < q && best_slack > 1; ++i) {
-            for (int s = 0; s < 2; ++s) {
-                if (ws_.val[s][i] != kUnassigned) continue;
-                const SignalState& st = ws_.signals[problem_->signal(i)];
-                const int slack = st.pos_slack + st.neg_slack;
-                if (slack < best_slack) {
-                    best_slack = slack;
-                    side = s;
-                    idx = i;
-                }
-            }
-        }
-    } else {
-        // First unassigned variable, x' before x'' at equal index.
-        for (std::size_t i = 0; i < q; ++i) {
-            if (ws_.val[0][i] == kUnassigned) {
-                side = 0;
-                idx = i;
-                break;
-            }
-            if (ws_.val[1][i] == kUnassigned) {
-                side = 1;
-                idx = i;
-                break;
-            }
-        }
+    const Word* o0 = planes_.data() + plane(0, 1) * nw_;
+    const Word* z0 = planes_.data() + plane(0, 0) * nw_;
+    const Word* o1 = planes_.data() + plane(1, 1) * nw_;
+    const Word* z1 = planes_.data() + plane(1, 0) * nw_;
+    std::size_t idx = q;
+    for (std::size_t w = 0; w < nw_; ++w) {
+        const Word open = ~((o0[w] | z0[w]) & (o1[w] | z1[w]));
+        if (open == 0) continue;
+        idx = w * kWordBits + static_cast<std::size_t>(std::countr_zero(open));
+        break;
     }
-    if (side == -1) {
+    if (idx >= q) {
         ++stats_.leaves;
-        BitVec ca = extract(0), cb = extract(1);
-        if (accept(ca, cb)) {
+        for (int s = 0; s < 2; ++s) {
+            leaf_[s].clear();
+            leaf_[s] |= BitSpan(planes_.data() + plane(s, 1) * nw_, q);
+        }
+        if (accept(leaf_[0], leaf_[1])) {
             outcome_.found = true;
-            outcome_.ca = std::move(ca);
-            outcome_.cb = std::move(cb);
+            outcome_.ca = leaf_[0];
+            outcome_.cb = leaf_[1];
             return true;
         }
         return false;
     }
+    const Word bit = Word{1} << (idx % kWordBits);
+    const std::size_t w = idx / kWordBits;
+    const int side = ((o0[w] | z0[w]) & bit) ? 1 : 0;
 
-    const int first = opts_.first_branch_value;
-    for (int k = 0; k < 2; ++k) {
-        const int v = k == 0 ? first : 1 - first;
-        const std::size_t mark = ws_.trail.size();
+    for (int v = 0; v < 2; ++v) {
+        const std::size_t mark = trail_.size();
         if (timed_assign(side, idx, v) && dfs(accept, depth + 1)) return true;
         undo_to(mark);
     }
@@ -255,27 +286,26 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     conflict_free_mode_ = opts_.use_conflict_free_optimisation &&
                           problem_->dynamically_conflict_free();
     const std::size_t q = problem_->size();
-    ws_.val[0].assign(q, kUnassigned);
-    ws_.val[1].assign(q, kUnassigned);
-    ws_.trail.clear();
+    nw_ = (q + kWordBits - 1) / kWordBits;
+    planes_.assign(4 * nw_, Word{0});
+    want_.assign(4 * nw_, Word{0});
+    fresh_.assign(4 * nw_, Word{0});
+    below_.assign(nw_, Word{0});
+    trail_.clear();
+    touched_.clear();
+    touched_mask_ = BitVec(problem_->stg().num_signals());
+    leaf_[0] = leaf_[1] = BitVec(q);
     stats_ = stg::CheckStats{};
     outcome_ = SearchOutcome{};
-
-    // Seed the per-signal interval state from the problem's shared template
-    // (tier-1 artifact: computed once, copied per instance).
-    const auto& slacks = problem_->initial_slacks();
-    ws_.signals.assign(slacks.size(), SignalState{});
-    for (std::size_t z = 0; z < slacks.size(); ++z) {
-        ws_.signals[z].pos_slack = slacks[z].pos;
-        ws_.signals[z].neg_slack = slacks[z].neg;
-    }
     bound_ns_ = 0;
 
     // Outer loop over the first index d where the two vectors differ.
     cancelled_ = false;
     for (std::size_t d = 0; d < q && !outcome_.found && !cancelled_; ++d) {
-        first_diff_ = d;
-        const std::size_t mark = ws_.trail.size();
+        // Dense indices below d are linked equal on both sides.
+        if (d > 0)
+            below_[(d - 1) / kWordBits] |= Word{1} << ((d - 1) % kWordBits);
+        const std::size_t mark = trail_.size();
         if (timed_assign(0, d, 0) && timed_assign(1, d, 1))
             (void)dfs(accept, 0);
         undo_to(mark);

@@ -42,25 +42,11 @@ namespace stgcc::core {
 ///   GreaterEq: Code(x') >= Code(x'')   componentwise (normalcy, R = >=)
 enum class CodeRelation { Equal, LessEq, GreaterEq };
 
-/// Variable-selection strategy for the DFS.
-enum class BranchHeuristic {
-    /// Lowest unassigned index (x' before x'').  Predictable, good for
-    /// conflict-carrying instances where solutions are shallow.
-    IndexOrder,
-    /// Prefer variables of the signal whose code-difference interval is
-    /// tightest (fewest unassigned slots): contradictions surface earlier
-    /// on exhaustive (conflict-free) instances.
-    ConstrainedSignal,
-};
-
 struct SearchOptions {
     /// Apply the conflict-free optimisation when the problem allows it.
     bool use_conflict_free_optimisation = true;
     /// Abort (throw ModelError) after this many search nodes.
     std::size_t max_nodes = 500'000'000;
-    /// Branch value tried first (0 biases towards small configurations).
-    int first_branch_value = 0;
-    BranchHeuristic heuristic = BranchHeuristic::IndexOrder;
     /// Cooperative cancellation, polled every kCancelPollMask+1 search
     /// nodes; a cancelled solve stops early with found == false and
     /// cancelled == true.  Empty token (the default): never cancelled.
@@ -81,12 +67,6 @@ struct SearchOutcome {
 
 class CompatSolver {
 public:
-    struct SignalState {
-        int fixed = 0;      ///< contribution of assigned variables to D_z
-        int pos_slack = 0;  ///< number of unassigned vars with coefficient +1
-        int neg_slack = 0;  ///< number of unassigned vars with coefficient -1
-    };
-
     explicit CompatSolver(const CodingProblem& problem, SearchOptions opts = {});
 
     /// Run the search.  `accept` is consulted at every candidate pair that
@@ -95,41 +75,50 @@ public:
                                       const PairPredicate& accept);
 
 private:
-    static constexpr int kUnassigned = -1;
+    using Word = BitSpan::Word;
+    static constexpr std::size_t kWordBits = BitSpan::kWordBits;
     /// Cancellation poll period: every 1024 search nodes.
     static constexpr std::size_t kCancelPollMask = 1023;
 
-    [[nodiscard]] int coefficient(int side, std::size_t idx) const {
-        return side == 0 ? problem_->delta(idx) : -problem_->delta(idx);
+    /// Plane numbering shared by planes_, want_ and fresh_: value v of side
+    /// s (0 = x', 1 = x'') lives in plane 2*s + (1 - v), i.e. the ones of
+    /// x', the zeros of x', the ones of x'', the zeros of x''.
+    [[nodiscard]] static std::size_t plane(int side, int value) noexcept {
+        return static_cast<std::size_t>(2 * side + 1 - value);
     }
 
     bool assign(int side, std::size_t idx, int value);
     /// assign() with the bound-time stopwatch around it when observability
     /// is enabled (branch-vs-bound attribution in CheckStats).
     bool timed_assign(int side, std::size_t idx, int value);
-    [[nodiscard]] bool signal_feasible(stg::SignalId z) const;
-    bool force_extreme(stg::SignalId z, bool maximum);
+    /// Interval pruning of D_z against the current planes: false when the
+    /// relation can no longer hold, else ORs any forced extreme into want_.
+    bool bound_signal(stg::SignalId z);
     void undo_to(std::size_t mark);
     bool dfs(const PairPredicate& accept, std::size_t depth);
-    [[nodiscard]] BitVec extract(int side) const;
 
     const CodingProblem* problem_;
     SearchOptions opts_;
     CodeRelation relation_ = CodeRelation::Equal;
     bool conflict_free_mode_ = false;
     bool cancelled_ = false;
-    std::size_t first_diff_ = 0;  ///< current outer-loop index d
+    std::size_t nw_ = 0;  ///< words per plane, ceil(q / 64)
 
     // Mutable search state, fully re-initialised at the top of every
-    // solve().  The per-signal interval state is seeded from the problem's
-    // shared template (CodingProblem::initial_slacks); the per-signal
-    // variable lists stay read-only in the problem.
-    struct Workspace {
-        std::vector<std::int8_t> val[2];
-        std::vector<SignalState> signals;
-        std::vector<VarRef> trail;
-        std::vector<std::pair<VarRef, std::int8_t>> pending;
-    } ws_;
+    // solve().  Four bit planes of nw_ words each (see plane()); a bit set
+    // in neither plane of a side is unassigned.  The trail records every
+    // overwritten plane word as (word index, old value).
+    struct TrailEntry {
+        std::size_t index;
+        Word old;
+    };
+    std::vector<Word> planes_;
+    std::vector<Word> want_, fresh_;  ///< per-round scratch, plane layout
+    std::vector<Word> below_;         ///< dense indices < current first_diff
+    std::vector<TrailEntry> trail_;
+    std::vector<stg::SignalId> touched_;
+    BitVec touched_mask_;             ///< over signals, mirrors touched_
+    BitVec leaf_[2];                  ///< ones planes copied out at a leaf
     stg::CheckStats stats_;
     std::uint64_t bound_ns_ = 0;  ///< time inside assign() while obs is on
     SearchOutcome outcome_;

@@ -22,8 +22,10 @@ struct CheckStats {
     std::size_t search_nodes = 0;
     /// Candidate solutions reaching a leaf predicate evaluation.
     std::size_t leaves = 0;
-    /// Closure/interval propagations (variable assignments forced by MCC
-    /// closure and per-signal interval reasoning, IP-based).
+    /// Closure/interval propagations (IP-based): the number of variable
+    /// bits committed by the propagation rounds of the word-parallel
+    /// CompatSolver (MCC closure, linking and per-signal interval forcing),
+    /// summed over every round, the rounds of failed assignments included.
     std::size_t propagations = 0;
     /// Deepest DFS recursion reached.
     std::size_t max_depth = 0;

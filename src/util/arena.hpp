@@ -75,13 +75,16 @@ public:
     ~Arena() { release(); }
 
     /// Zero-initialised array of `n` elements of trivially destructible `T`.
-    /// n == 0 returns nullptr (an empty span is never dereferenced).
+    /// n == 0 returns nullptr (an empty span is never dereferenced).  Throws
+    /// std::bad_array_new_length when n * sizeof(T) does not fit a size_t,
+    /// like new T[n].
     template <typename T>
     [[nodiscard]] T* alloc_array(std::size_t n) {
         static_assert(std::is_trivially_destructible_v<T>,
                       "Arena never runs destructors");
         static_assert(alignof(T) <= kAlignment);
         if (n == 0) return nullptr;
+        if (n > SIZE_MAX / sizeof(T)) throw std::bad_array_new_length();
         void* p = alloc_bytes(n * sizeof(T));
         std::memset(p, 0, n * sizeof(T));
         return static_cast<T*>(p);
@@ -89,6 +92,7 @@ public:
 
     /// Raw aligned storage (not zeroed); prefer alloc_array.
     [[nodiscard]] void* alloc_bytes(std::size_t bytes) {
+        if (bytes > SIZE_MAX - (kAlignment - 1)) throw std::bad_alloc();
         const std::size_t rounded = round_up(bytes);
         if (static_cast<std::size_t>(end_ - cur_) < rounded) new_slab(rounded);
         std::byte* p = cur_;

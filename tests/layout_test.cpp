@@ -5,6 +5,8 @@
 // value.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -155,6 +157,21 @@ TEST(LayoutMetrics, ArenaGaugesAreRegisteredAndPopulated) {
     EXPECT_GT(obs::gauge("mem.arena_peak_bytes").value(), 0);
     EXPECT_GE(util::Arena::process_peak_bytes(),
               util::Arena::process_live_bytes());
+}
+
+TEST(LayoutArena, OversizedArrayThrowsInsteadOfWrapping) {
+    // n * sizeof(T) overflows size_t here; unchecked, it wraps to an 8-byte
+    // block that the caller would index as a huge array.
+    util::Arena arena;
+    const std::size_t n = SIZE_MAX / sizeof(std::uint64_t) + 2;
+    EXPECT_THROW((void)arena.alloc_array<std::uint64_t>(n),
+                 std::bad_array_new_length);
+    EXPECT_THROW((void)arena.alloc_bytes(SIZE_MAX), std::bad_alloc);
+    EXPECT_EQ(arena.bytes_allocated(), 0u);
+    // The arena stays usable after a refused request.
+    const std::uint64_t* ok = arena.alloc_array<std::uint64_t>(4);
+    ASSERT_NE(ok, nullptr);
+    EXPECT_EQ(ok[3], 0u);
 }
 
 }  // namespace
