@@ -20,30 +20,12 @@
 #include "bench_util.hpp"
 #include "core/checkers.hpp"
 #include "stg/astg.hpp"
-#include "util/stopwatch.hpp"
 
 using namespace stgcc;
 
 namespace {
 
 namespace fs = std::filesystem;
-
-struct Solve {
-    stg::CheckStats stats;
-    double seconds = 0.0;  ///< fastest of the repetitions
-};
-
-template <typename Run>
-Solve fastest(int reps, Run run) {
-    Solve best;
-    for (int r = 0; r < reps; ++r) {
-        Stopwatch w;
-        const stg::CheckStats stats = run();
-        const double s = w.seconds();
-        if (r == 0 || s < best.seconds) best = Solve{stats, s};
-    }
-    return best;
-}
 
 double ns_per(double seconds, std::size_t n) {
     return n == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(n);
@@ -52,7 +34,7 @@ double ns_per(double seconds, std::size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    int reps = 3;
+    int reps = benchutil::kReps;
     std::string dir = STGCC_MODELS_DIR;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -86,21 +68,23 @@ int main(int argc, char** argv) {
         const auto artifacts = std::make_shared<const cache::PrefixArtifacts>(stg);
         const core::UnfoldingChecker checker(artifacts);
 
-        const Solve usc = fastest(reps, [&] { return checker.check_usc().stats; });
-        const Solve nrm =
-            fastest(reps, [&] { return checker.check_normalcy().stats; });
+        using Solve = benchutil::Timed<stg::CheckStats>;
+        const Solve usc = benchutil::fastest(
+            reps, [&] { return checker.check_usc().stats; });
+        const Solve nrm = benchutil::fastest(
+            reps, [&] { return checker.check_normalcy().stats; });
         for (const auto& [check, s] :
              {std::pair<const char*, const Solve&>{"usc", usc}, {"normalcy", nrm}}) {
-            const double ns = ns_per(s.seconds, s.stats.search_nodes);
+            const double ns = ns_per(s.seconds, s.value.search_nodes);
             std::printf("  %-16s %-9s %10zu %10zu %10s %12.0f\n", model.c_str(),
-                        check, s.stats.search_nodes, s.stats.leaves,
+                        check, s.value.search_nodes, s.value.leaves,
                         benchutil::fmt_time(s.seconds).c_str(), ns);
             report.add_row(obs::Json::object()
                                .set("benchmark", "solve")
                                .set("model", model)
                                .set("check", check)
-                               .set("search_nodes", s.stats.search_nodes)
-                               .set("leaves", s.stats.leaves)
+                               .set("search_nodes", s.value.search_nodes)
+                               .set("leaves", s.value.leaves)
                                .set("seconds", s.seconds)
                                .set("ns_per_node", ns));
         }

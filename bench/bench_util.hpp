@@ -1,17 +1,49 @@
-// stgcc benches -- shared helpers: fixed-width table printing and guarded
+// stgcc benches -- shared helpers: fixed-width table printing, guarded
 // state-graph construction (large instances report "blow-up" instead of
-// hanging the harness).
+// hanging the harness), best-of-N timing and reproduction assertions.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 
 #include "obs/report.hpp"
 #include "petri/reachability.hpp"
 #include "stg/state_graph.hpp"
+#include "util/stopwatch.hpp"
 
 namespace stgcc::benchutil {
+
+/// Default number of timed repetitions; the fastest one is reported.
+inline constexpr int kReps = 3;
+
+template <typename T>
+struct Timed {
+    T value{};
+    double seconds = 0.0;
+};
+
+/// Runs `run` `reps` times and keeps the result and time of the fastest.
+template <typename Run>
+auto fastest(int reps, Run run) -> Timed<decltype(run())> {
+    Timed<decltype(run())> best;
+    for (int r = 0; r < reps; ++r) {
+        Stopwatch w;
+        auto value = run();
+        const double s = w.seconds();
+        if (r == 0 || s < best.seconds) best = {std::move(value), s};
+    }
+    return best;
+}
+
+/// A reproduction assertion: when it fails, name it and exit 1.
+inline void check(bool cond, const char* what) {
+    if (!cond) {
+        std::fprintf(stderr, "REPRODUCTION FAILURE: %s\n", what);
+        std::exit(1);
+    }
+}
 
 inline void rule(int width = 100) {
     for (int i = 0; i < width; ++i) std::putchar('-');
@@ -39,6 +71,8 @@ public:
 
     /// Add a row; typically an object with at least {"model", "seconds"}.
     void add_row(obs::Json row) { rows_.push(std::move(row)); }
+
+    [[nodiscard]] bool empty() const { return rows_.size() == 0; }
 
     /// Write the report; prints the path (or a warning) and returns it.
     std::string write() {

@@ -5,7 +5,7 @@
 // and nothing else.  It stands in for the off-the-shelf solvers the paper
 // dismisses ("they need too much time even for STGs of moderate size") and
 // is benchmarked against the partial-order-aware CompatSolver in
-// bench_ablation.
+// bench_paper ablation.
 #pragma once
 
 #include <functional>

@@ -7,7 +7,7 @@
 // the cut-off constraints x(e) = 0.  The non-linear separating predicate
 // (markings / Out sets differ) is evaluated at integer leaves.
 //
-// This encoding is the experimental strawman for bench_ablation: it
+// This encoding is the experimental strawman for bench_paper ablation: it
 // enumerates ordered pairs including the diagonal, and its propagation is
 // plain interval reasoning, so on conflict-free instances it explodes in
 // precisely the way the paper says standard solvers do.

@@ -7,7 +7,7 @@ VarId Model::add_var(int lo, int hi, std::string name) {
     const VarId id = static_cast<VarId>(lower_.size());
     lower_.push_back(lo);
     upper_.push_back(hi);
-    if (name.empty()) name = "x" + std::to_string(id);
+    if (name.empty()) name.append("x").append(std::to_string(id));
     names_.push_back(std::move(name));
     by_var_.emplace_back();
     return id;

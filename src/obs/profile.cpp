@@ -311,14 +311,7 @@ struct SchedSnapshot {
     double wall_s = 0.0;
     double busy_s = 0.0;
     double external_busy_s = 0.0;  ///< busy_s portion run by helping callers
-    double queue_delay_s = 0.0;
     double critical_path_s = 0.0;
-    double park_s = 0.0;
-    std::uint64_t executed = 0;
-    std::uint64_t stolen = 0;
-    std::uint64_t steal_failures = 0;
-    std::uint64_t parks = 0;
-    std::uint64_t injector_contention = 0;
 
     /// Worker count plus the fractional capacity non-worker threads added
     /// by helping through waits (a caller that executed tasks for half the
@@ -340,60 +333,11 @@ SchedSnapshot sched_from_batch(const Json& envelope) {
     s.wall_s = num_or(sched->find("wall_ns")) / 1e9;
     s.busy_s = num_or(sched->find("busy_ns")) / 1e9;
     s.external_busy_s = num_or(sched->find("external_busy_ns")) / 1e9;
-    s.queue_delay_s = num_or(sched->find("queue_delay_ns")) / 1e9;
     s.critical_path_s = num_or(sched->find("critical_path_ns")) / 1e9;
-    s.park_s = num_or(sched->find("park_ns")) / 1e9;
-    s.executed = uint_or(sched->find("executed"));
-    s.stolen = uint_or(sched->find("stolen"));
-    s.steal_failures = uint_or(sched->find("steal_failures"));
-    s.parks = uint_or(sched->find("parks"));
-    s.injector_contention = uint_or(sched->find("injector_contention"));
     // Serial runs (no pool) record only workers + wall clock; without busy
     // time there is no work-span decomposition -- fall back to the trace.
     s.valid = s.workers > 0.0 && s.wall_s > 0.0 && s.busy_s > 0.0;
     return s;
-}
-
-/// Makespan-overhead decomposition.  The ideal wall clock is busy/workers
-/// (all work spread perfectly); everything above it is overhead, split --
-/// in priority order, each clamped to what remains -- into:
-///   serialization:   the critical path exceeding the balanced bound (no
-///                    schedule can close this gap),
-///   steal contention: per-worker parked time (idle after failed scans),
-///   queue delay:     the residual -- workers neither executing nor parked
-///                    while tasks queue (scan/dispatch latency).
-/// All three are fractions of the wall clock, so each reads as "removing
-/// this loss entirely would shorten the run by X%".
-struct BottleneckShares {
-    double queue_delay = 0.0;
-    double steal = 0.0;
-    double serialization = 0.0;
-    double overhead = 0.0;  ///< total (wall - busy/workers) / wall
-};
-
-BottleneckShares shares_of(const SchedSnapshot& s) {
-    BottleneckShares b;
-    if (!s.valid) return b;
-    const double ideal_s = s.busy_s / s.effective_workers();
-    double left = std::max(0.0, s.wall_s - ideal_s);
-    b.overhead = left / s.wall_s;
-    b.serialization =
-        std::min(left, std::max(0.0, s.critical_path_s - ideal_s));
-    left -= b.serialization;
-    b.steal = std::min(left, s.park_s / s.workers);
-    left -= b.steal;
-    b.queue_delay = left;
-    b.serialization /= s.wall_s;
-    b.steal /= s.wall_s;
-    b.queue_delay /= s.wall_s;
-    return b;
-}
-
-const char* dominant_of(const BottleneckShares& b) {
-    if (b.serialization >= b.queue_delay && b.serialization >= b.steal)
-        return "serialization";
-    if (b.queue_delay >= b.steal) return "queue delay";
-    return "steal contention";
 }
 
 void append_rule(std::string& out, const char* title) {
@@ -435,51 +379,11 @@ void append_queue_delay(std::string& out, const QueueDelayStats& qd) {
             qd.p99_us / 1e3, qd.max_us / 1e3);
 }
 
-void append_bottlenecks(std::string& out, const SchedSnapshot& s) {
-    const BottleneckShares b = shares_of(s);
-    append_rule(out, "bottlenecks");
-    struct Row {
-        const char* what;
-        double share;
-        std::string detail;
-    };
-    std::string ser_detail, qd_detail, steal_detail;
-    appendf(ser_detail, "critical path %.3f s vs balanced bound %.3f s",
-            s.critical_path_s, s.busy_s / s.effective_workers());
-    appendf(qd_detail, "%.3f s total queued over %llu tasks",
-            s.queue_delay_s, static_cast<unsigned long long>(s.executed));
-    appendf(steal_detail,
-            "%llu parks (%.3f s), %llu failed steal scans, "
-            "%llu contended injector pushes",
-            static_cast<unsigned long long>(s.parks), s.park_s,
-            static_cast<unsigned long long>(s.steal_failures),
-            static_cast<unsigned long long>(s.injector_contention));
-    std::vector<Row> rows = {
-        {"serialization", b.serialization, ser_detail},
-        {"queue delay", b.queue_delay, qd_detail},
-        {"steal contention", b.steal, steal_detail},
-    };
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Row& x, const Row& y) {
-                         return x.share > y.share;
-                     });
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        appendf(out, "  %zu. %-17s %5.1f%%  %s\n", i + 1, rows[i].what,
-                100.0 * rows[i].share, rows[i].detail.c_str());
-    appendf(out, "  (makespan overhead over ideal busy/workers: %.1f%%)\n",
-            100.0 * b.overhead);
-    if (b.overhead < 0.01)
-        out += "\ndominant bottleneck: none (near-ideal parallel "
-               "efficiency)\n";
-    else
-        appendf(out, "\ndominant bottleneck: %s\n", dominant_of(b));
-}
-
 }  // namespace
 
-std::string bottleneck_report(const InputSet& in) {
-    std::string out = "stgprof: execution profile and bottleneck attribution\n"
-                      "=====================================================\n";
+std::string profile_report(const InputSet& in) {
+    std::string out = "stgprof: execution profile\n"
+                      "==========================\n";
     std::optional<TraceProfile> tp;
     if (in.trace) tp = profile_trace(*in.trace);
 
@@ -512,8 +416,8 @@ std::string bottleneck_report(const InputSet& in) {
     if (!in.trace && !in.batch && in.checks.empty() && in.benches.empty())
         out += "  (none)\n";
 
-    // Efficiency + bottleneck attribution: the stgbatch scheduler section
-    // is authoritative; a lone trace falls back to span-derived tallies.
+    // Efficiency: the stgbatch scheduler section is authoritative; a lone
+    // trace falls back to span-derived tallies.
     SchedSnapshot sched;
     if (in.batch) sched = sched_from_batch(*in.batch);
     if (!sched.valid && tp && tp->threads > 0 && tp->wall_us > 0.0) {
@@ -521,10 +425,6 @@ std::string bottleneck_report(const InputSet& in) {
             static_cast<double>(tp->workers > 0 ? tp->workers : tp->threads);
         sched.wall_s = tp->wall_us / 1e6;
         sched.busy_s = tp->busy_us / 1e6;
-        sched.queue_delay_s =
-            tp->queue_delay.mean_us / 1e6 *
-            static_cast<double>(tp->queue_delay.samples);
-        sched.executed = tp->queue_delay.samples;
         sched.valid = true;
     }
     if (sched.valid) append_efficiency(out, sched);
@@ -593,8 +493,6 @@ std::string bottleneck_report(const InputSet& in) {
                     j > 0 ? 100.0 * speedup / j : 0.0);
         }
     }
-
-    if (sched.valid) append_bottlenecks(out, sched);
     return out;
 }
 
@@ -688,33 +586,6 @@ std::string compare_reports(const Json& a, const Json& b, double threshold) {
         appendf(out, "\nefficiency: A %.1f%% -> B %.1f%%\n",
                 100.0 * sa.busy_s / (sa.effective_workers() * sa.wall_s),
                 100.0 * sb.busy_s / (sb.effective_workers() * sb.wall_s));
-        const BottleneckShares ba = shares_of(sa);
-        const BottleneckShares bb = shares_of(sb);
-        out += "\nbottleneck shares (A -> B):\n";
-        struct Delta {
-            const char* what;
-            double a, b;
-        };
-        std::vector<Delta> deltas = {
-            {"queue delay", ba.queue_delay, bb.queue_delay},
-            {"steal contention", ba.steal, bb.steal},
-            {"serialization", ba.serialization, bb.serialization},
-        };
-        const Delta* worst = &deltas[0];
-        for (const Delta& d : deltas) {
-            appendf(out, "  %-17s %5.1f%% -> %5.1f%%  (%+.1f)\n", d.what,
-                    100.0 * d.a, 100.0 * d.b, 100.0 * (d.b - d.a));
-            if (d.b - d.a > worst->b - worst->a) worst = &d;
-        }
-        if (worst->b - worst->a >= 0.01)
-            appendf(out, "\ndominant regression contributor: %s\n",
-                    worst->what);
-        else
-            out += "\ndominant regression contributor: none (no bottleneck "
-                   "share grew materially)\n";
-    } else if (a_wall > 0.0 && b_wall / a_wall >= threshold) {
-        out += "\ndominant regression contributor: wall clock (no scheduler "
-               "stats in one of the reports)\n";
     }
     return out;
 }

@@ -2,10 +2,10 @@
 //
 // Ingests the three artefact kinds the toolchain emits -- Chrome
 // trace-event JSON (`--trace`), `stgcheck --json` / `stgbatch --json`
-// report envelopes and `BENCH_*.json` files -- and computes the bottleneck
-// attribution the profiler prints: parallel-efficiency bounds from the
-// work-span tallies, queue-delay percentiles from the scheduler's flow
-// links and per-span self time (docs/OBSERVABILITY.md has the workflow).
+// report envelopes and `BENCH_*.json` files -- and computes what the
+// profiler prints: parallel-efficiency bounds from the work-span tallies,
+// queue-delay percentiles from the scheduler's flow links and per-span self
+// time (docs/OBSERVABILITY.md has the workflow).
 //
 // The trace model is lossless for everything the Tracer writes: parsing a
 // trace and re-emitting it with `to_chrome_json` reproduces the input byte
@@ -122,15 +122,13 @@ struct InputSet {
 /// `error` on IO / parse / classification failure.
 bool load_input(const std::string& path, InputSet& in, std::string& error);
 
-/// The ranked bottleneck report over whatever inputs are present; the
-/// deterministic text `stgprof` prints.  Always contains a non-empty
-/// "bottlenecks" section when any scheduler data is available.
-[[nodiscard]] std::string bottleneck_report(const InputSet& in);
+/// The execution profile over whatever inputs are present; the
+/// deterministic text `stgprof` prints.
+[[nodiscard]] std::string profile_report(const InputSet& in);
 
 /// Regression triage between two stgbatch report envelopes (`--compare`):
-/// per-model wall-clock ratios against `threshold`, aggregate efficiency
-/// drift, and the dominant regression contributor by bottleneck-share
-/// growth.
+/// per-model wall-clock ratios against `threshold` and aggregate
+/// efficiency drift.
 [[nodiscard]] std::string compare_reports(const Json& a, const Json& b,
                                           double threshold = 1.25);
 

@@ -273,7 +273,11 @@ void muller_chain(StgBuilder& b, const std::vector<std::string>& chain) {
 Stg muller_pipeline(int n) {
     STGCC_REQUIRE(n >= 1);
     StgBuilder b("muller-" + std::to_string(n));
-    auto c = [](int i) { return "c" + std::to_string(i); };
+    auto c = [](int i) {
+        std::string name = "c";
+        name += std::to_string(i);
+        return name;
+    };
     b.input(c(0));
     for (int i = 1; i <= n; ++i) b.output(c(i));
     b.input(c(n + 1));

@@ -184,14 +184,20 @@ Prefix PrefixBuilder::freeze() const {
 
 std::string Prefix::event_name(EventId e) const {
     STGCC_REQUIRE(e < num_events_);
-    return "e" + std::to_string(e + 1) + ":" +
-           sys_->net().transition_name(ev_transition_[e]);
+    std::string name = "e";
+    name += std::to_string(e + 1);
+    name += ':';
+    name += sys_->net().transition_name(ev_transition_[e]);
+    return name;
 }
 
 std::string Prefix::condition_name(ConditionId b) const {
     STGCC_REQUIRE(b < num_conditions_);
-    return "b" + std::to_string(b + 1) + ":" +
-           sys_->net().place_name(cond_place_[b]);
+    std::string name = "b";
+    name += std::to_string(b + 1);
+    name += ':';
+    name += sys_->net().place_name(cond_place_[b]);
+    return name;
 }
 
 std::string Prefix::to_dot() const {

@@ -24,7 +24,7 @@ enum class AdequateOrder {
     ErvTotal,
     /// McMillan's original size order: a cut-off needs a strictly smaller
     /// companion configuration.  Simpler but can produce larger prefixes
-    /// (kept for comparison; see bench_unfolding).
+    /// (kept for comparison; see bench_paper unfolding).
     McMillanSize,
 };
 

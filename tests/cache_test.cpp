@@ -80,9 +80,10 @@ TEST(PrefixArtifacts, ConsistencyMatchesStandaloneAnalysis) {
             unf::analyze_consistency(model, artifacts.prefix());
         EXPECT_EQ(artifacts.consistent(), standalone.consistent);
         EXPECT_EQ(artifacts.consistency().reason, standalone.reason);
-        if (standalone.consistent)
+        if (standalone.consistent) {
             EXPECT_EQ(artifacts.consistency().initial_code.to_string(),
                       standalone.initial_code.to_string());
+        }
     }
 }
 
@@ -98,7 +99,7 @@ TEST(PrefixArtifacts, InconsistentStgDiagnosedOnceProblemThrows) {
     cache::PrefixArtifacts artifacts(model);
     EXPECT_FALSE(artifacts.consistent());
     EXPECT_FALSE(artifacts.consistency().reason.empty());
-    EXPECT_THROW(artifacts.problem(), ModelError);
+    EXPECT_THROW((void)artifacts.problem(), ModelError);
 }
 
 // --- tier 3: on-disk result cache ---------------------------------------

@@ -165,8 +165,9 @@ TEST(CompatSolver, OptimisationPreservesUscVerdict) {
         auto r2 = s2.solve(CodeRelation::Equal, usc_predicate);
         EXPECT_EQ(r1.found, r2.found) << model.name();
         // The optimisation must not explore more nodes.
-        if (!r1.found)
+        if (!r1.found) {
             EXPECT_LE(r1.stats.search_nodes, r2.stats.search_nodes) << model.name();
+        }
     }
 }
 

@@ -50,7 +50,7 @@ TEST(Encodings, CompatibilitySolutionsAreConfigurations) {
     }
     BBSolver solver(m);
     std::size_t solutions = 0;
-    solver.solve([&](const std::vector<int>& v) {
+    (void)solver.solve([&](const std::vector<int>& v) {
         BitVec cfg = prefix.make_event_set();
         for (unf::EventId e = 0; e < prefix.num_events(); ++e)
             if (v[x[e]]) cfg.set(e);

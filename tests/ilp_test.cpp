@@ -100,7 +100,7 @@ TEST(BBSolver, NegativeCoefficientsAndGeneralBounds) {
     m.add_ge({{x, 2}, {y, -3}}, 1);
     BBSolver solver(m);
     int count = 0;
-    solver.solve([&](const std::vector<int>& v) {
+    (void)solver.solve([&](const std::vector<int>& v) {
         EXPECT_GE(2 * v[x] - 3 * v[y], 1);
         ++count;
         return false;
@@ -116,7 +116,7 @@ TEST(BBSolver, TwoSidedConstraint) {
     m.add_constraint({{x, 1}, {y, 1}}, 2, 3, "range");
     BBSolver solver(m);
     int count = 0;
-    solver.solve([&](const std::vector<int>& v) {
+    (void)solver.solve([&](const std::vector<int>& v) {
         const int s = v[x] + v[y];
         EXPECT_GE(s, 2);
         EXPECT_LE(s, 3);

@@ -409,16 +409,16 @@ TEST_F(ObsTest, DisabledInstrumentationOverheadUnderFivePercent) {
     constexpr int kN = 1 << 22;
     volatile std::uint64_t sink = 0;
     const double base =
-        median_seconds([&] { sink += hot_loop<false>(kN, c); });
+        median_seconds([&] { sink = sink + hot_loop<false>(kN, c); });
     const double instr =
-        median_seconds([&] { sink += hot_loop<true>(kN, c); });
+        median_seconds([&] { sink = sink + hot_loop<true>(kN, c); });
     (void)sink;
     EXPECT_EQ(c.value(), 0u) << "disabled guard must not record";
     const double per_guard = std::max(0.0, (instr - base) / kN);
     // A relaxed load + untaken branch is a couple of ns at the very most.
     EXPECT_LT(per_guard, 100e-9);
 
-    // The bench_unfolding LAZYRING case.
+    // The `bench_paper unfolding` LAZYRING case.
     auto model = stg::bench::token_ring(2);
     auto sys = model.system();
     std::size_t events = 0, conditions = 0;

@@ -56,10 +56,12 @@ TEST(OrderKey, TotalityOnRealPrefix) {
             const auto c = keys[i].compare(keys[j]);
             const auto r = keys[j].compare(keys[i]);
             // Antisymmetry of the comparison.
-            if (c == std::strong_ordering::less)
+            if (c == std::strong_ordering::less) {
                 EXPECT_EQ(r, std::strong_ordering::greater);
-            if (c == std::strong_ordering::equal)
+            }
+            if (c == std::strong_ordering::equal) {
                 EXPECT_EQ(r, std::strong_ordering::equal);
+            }
         }
     }
     // Every cut-off's companion has a strictly smaller key (adequate order).

@@ -97,7 +97,9 @@ TEST(PrefixChecks, AgreesWithStateGraphOnSuite) {
         auto pr = analyze_consistency(model, prefix);
         stg::StateGraph sg(model);
         EXPECT_EQ(pr.consistent, sg.consistent()) << model.name();
-        if (pr.consistent) EXPECT_EQ(pr.initial_code, sg.initial_code());
+        if (pr.consistent) {
+            EXPECT_EQ(pr.initial_code, sg.initial_code());
+        }
     }
 }
 
@@ -108,8 +110,9 @@ TEST(PrefixChecks, AgreesWithStateGraphOnRandomStgs) {
         auto pr = analyze_consistency(model, prefix);
         stg::StateGraph sg(model);
         EXPECT_EQ(pr.consistent, sg.consistent()) << "seed=" << seed;
-        if (pr.consistent && sg.consistent())
+        if (pr.consistent && sg.consistent()) {
             EXPECT_EQ(pr.initial_code, sg.initial_code()) << "seed=" << seed;
+        }
     }
 }
 
@@ -134,8 +137,11 @@ TEST(PrefixChecks, ChangeVectorOfConfiguration) {
     // [e1] = {dsr+}: change vector has +1 for dsr only.
     auto v = change_vector_of(model, prefix, prefix.local_config(0));
     EXPECT_EQ(v[model.find_signal("dsr")], 1);
-    for (stg::SignalId z = 0; z < model.num_signals(); ++z)
-        if (z != model.find_signal("dsr")) EXPECT_EQ(v[z], 0);
+    for (stg::SignalId z = 0; z < model.num_signals(); ++z) {
+        if (z != model.find_signal("dsr")) {
+            EXPECT_EQ(v[z], 0);
+        }
+    }
 }
 
 TEST(PrefixChecks, DummiesRejected) {

@@ -18,6 +18,7 @@
 #include "core/report_codec.hpp"
 #include "core/verifier.hpp"
 #include "petri/pnml.hpp"
+#include "stg/astg.hpp"
 #include "stg/builder.hpp"
 #include "stg/reduce/reduce.hpp"
 #include "stg/state_checks.hpp"
@@ -404,6 +405,29 @@ TEST_F(SemanticCacheTest, ReducedNetsShareEntriesAcrossDummySpellings) {
     EXPECT_TRUE(hit);
     EXPECT_EQ(core::format_report(b, r2),
               core::format_report(b, core::verify_stg(b, opts)));
+}
+
+TEST_F(SemanticCacheTest, ReduceSpecToggleHitsTheSemanticTier) {
+    // The tier's measured use: a warm cache and a changed reduce spec.  The
+    // verdict entry is keyed on the options, so it misses; VME has nothing
+    // to reduce, so the reduced net hashes like the unreduced one and the
+    // "stgcore" entry answers.
+    const auto model = stg::load_astg_file(std::string(STGCC_MODELS_DIR) +
+                                           "/vme.g");
+    const cache::ResultCache rcache(dir_.string());
+    ASSERT_TRUE(rcache.enabled());
+    core::VerifyOptions off;
+    off.reduce = Options::parse("none");
+    core::VerifyOptions all = off;
+    all.reduce = Options::parse("all");
+    sched::Executor ex(off.jobs);
+    bool hit = true;
+    (void)core::verify_stg_cached(model, off, rcache, ex, &hit);
+    EXPECT_FALSE(hit);
+    const auto replayed = core::verify_stg_cached(model, all, rcache, ex, &hit);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(core::format_report(model, replayed),
+              core::format_report(model, core::verify_stg(model, all)));
 }
 
 // --- differential fleet: reduce on/off, jobs 1 and 8 ------------------------

@@ -80,7 +80,7 @@ TEST(StateGraph, CodeThrowsWhenInconsistent) {
     StateGraph sg(model);
     ASSERT_FALSE(sg.consistent());
     EXPECT_THROW(sg.code(0), ContractViolation);
-    EXPECT_THROW(sg.initial_code(), ContractViolation);
+    EXPECT_THROW((void)sg.initial_code(), ContractViolation);
 }
 
 TEST(StateGraph, CodesFollowEdges) {

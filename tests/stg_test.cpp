@@ -49,7 +49,7 @@ TEST(Stg, SignalsAndLabels) {
     EXPECT_THROW(s.require_dummy_free(), ModelError);
     EXPECT_EQ(s.label_text(t1), "a+");
     EXPECT_EQ(s.label_text(t2), "tau");
-    EXPECT_THROW(s.label(t2), ContractViolation);
+    EXPECT_THROW((void)s.label(t2), ContractViolation);
 }
 
 TEST(Stg, ChangeVector) {

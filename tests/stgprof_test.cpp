@@ -1,18 +1,17 @@
 // stgprof tests: the trace round trip is byte-stable, profile_trace
 // recovers self times / queue delays from a hand-checked fixture, the
-// bottleneck report and --compare triage match committed goldens, and the
+// profile report and --compare triage match committed goldens, and the
 // stgprof binary honours its exit-code contract.
 //
 // The fixtures live in tests/golden/:
 //   stgprof_trace.json    a 3-thread trace in the Tracer's exact byte
 //                         format (nested spans + two flow links)
-//   stgprof_batch_a.json  a 15-model stgbatch --jobs 2 report whose
-//                         scheduler tallies decompose exactly (ideal 8 s
-//                         of a 10 s wall; serialization 10%, queue delay
-//                         7%, steal 3%) -> dominant: serialization
-//   stgprof_batch_b.json  the same corpus with a queue-delay backlog
-//                         (wall 12 s, vme.g 3x slower) -> --compare names
-//                         queue delay as the regression contributor
+//   stgprof_batch_a.json  a 15-model stgbatch --jobs 2 report: 16 s busy
+//                         over a 10 s wall (80% efficient), critical path
+//                         9 s (speedup bound 1.78x)
+//   stgprof_batch_b.json  the same corpus with a 12 s wall and vme.g 3x
+//                         slower -> --compare lists vme.g and ring.g and
+//                         an efficiency drop to 66.7%
 //   stgprof_report.txt    golden `stgprof stgprof_batch_a.json` output
 //   stgprof_compare.txt   golden `stgprof --compare A B` output
 #include <gtest/gtest.h>
@@ -153,7 +152,7 @@ TEST(ProfileTrace, RecoversSelfTimesBusyAndQueueDelay) {
 
 // ---------------------------------------------------------- golden report
 
-TEST(BottleneckReport, MatchesGoldenOnEngineeredFixture) {
+TEST(ProfileReport, MatchesGoldenOnEngineeredFixture) {
     obs::InputSet in;
     std::string error;
     ASSERT_TRUE(obs::load_input(kGolden + "/stgprof_batch_a.json", in, error))
@@ -161,16 +160,18 @@ TEST(BottleneckReport, MatchesGoldenOnEngineeredFixture) {
     // The report echoes input paths; pin to the basename so the golden is
     // independent of the checkout location.
     in.batch_file = "stgprof_batch_a.json";
-    const std::string report = obs::bottleneck_report(in);
+    const std::string report = obs::profile_report(in);
     EXPECT_EQ(report, read_file(kGolden + "/stgprof_report.txt"));
-    // The load-bearing conclusions, asserted directly so a regenerated
-    // golden cannot silently drop them.
-    EXPECT_NE(report.find("dominant bottleneck: serialization"),
-              std::string::npos);
+    // The load-bearing figures, asserted directly so a regenerated golden
+    // cannot silently drop them.
     EXPECT_NE(report.find("efficiency         80.0%"), std::string::npos);
+    EXPECT_NE(report.find("speedup bound      1.78x"), std::string::npos);
+    EXPECT_NE(report.find("p90 550.000 ms"), std::string::npos);
+    // The profile states facts; it does not classify the makespan.
+    EXPECT_EQ(report.find("bottleneck"), std::string::npos);
 }
 
-TEST(CompareReports, MatchesGoldenAndNamesQueueDelay) {
+TEST(CompareReports, MatchesGoldenWithRatiosAndEfficiencyDrift) {
     const auto a =
         obs::Json::parse(read_file(kGolden + "/stgprof_batch_a.json"));
     const auto b =
@@ -179,9 +180,10 @@ TEST(CompareReports, MatchesGoldenAndNamesQueueDelay) {
     ASSERT_TRUE(b.has_value());
     const std::string triage = obs::compare_reports(*a, *b);
     EXPECT_EQ(triage, read_file(kGolden + "/stgprof_compare.txt"));
-    EXPECT_NE(triage.find("dominant regression contributor: queue delay"),
-              std::string::npos);
     EXPECT_NE(triage.find("3.00x"), std::string::npos);  // vme.g 0.5 -> 1.5
+    EXPECT_NE(triage.find("efficiency: A 80.0% -> B 66.7%"),
+              std::string::npos);
+    EXPECT_EQ(triage.find("dominant"), std::string::npos);
 }
 
 TEST(CompareReports, SelfCompareFindsNothing) {
@@ -190,7 +192,7 @@ TEST(CompareReports, SelfCompareFindsNothing) {
     ASSERT_TRUE(a.has_value());
     const std::string triage = obs::compare_reports(*a, *a);
     EXPECT_NE(triage.find("(none)"), std::string::npos);
-    EXPECT_NE(triage.find("dominant regression contributor: none"),
+    EXPECT_NE(triage.find("efficiency: A 80.0% -> B 80.0%"),
               std::string::npos);
 }
 
@@ -200,9 +202,12 @@ TEST(StgprofBinary, ReportsOnMixedInputsAndExitsZero) {
     const auto r = run(kStgprof + " " + kGolden + "/stgprof_trace.json " +
                        kGolden + "/stgprof_batch_a.json");
     EXPECT_EQ(r.exit_code, 0) << r.output;
-    EXPECT_NE(r.output.find("bottlenecks"), std::string::npos);
-    EXPECT_NE(r.output.find("dominant bottleneck:"), std::string::npos);
+    EXPECT_NE(r.output.find("parallel efficiency"), std::string::npos);
+    EXPECT_NE(r.output.find("critical path"), std::string::npos);
+    EXPECT_NE(r.output.find("queue delay (submit -> start)"),
+              std::string::npos);
     EXPECT_NE(r.output.find("top spans by self time"), std::string::npos);
+    EXPECT_EQ(r.output.find("bottleneck"), std::string::npos);
 }
 
 TEST(StgprofBinary, UsageAndInputErrorsExitTwo) {

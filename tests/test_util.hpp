@@ -122,7 +122,9 @@ inline stg::Stg random_stg(unsigned seed, RandomStgConfig cfg = {}) {
     std::vector<std::vector<std::string>> machine_signals(cfg.machines);
 
     for (int m = 0; m < cfg.machines; ++m) {
-        const std::string mp = "m" + std::to_string(m) + "_";
+        std::string mp = "m";
+        mp += std::to_string(m);
+        mp += '_';
         std::vector<std::string>& signals = machine_signals[m];
         for (int z = 0; z < cfg.signals_per_machine; ++z) {
             const std::string name = mp + "s" + std::to_string(z);

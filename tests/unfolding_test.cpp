@@ -22,10 +22,12 @@ TEST(Unfolding, VmePrefixMatchesPaperFig2) {
     EXPECT_EQ(prefix.num_cutoffs(), 1u);
     EXPECT_EQ(prefix.num_conditions(), 15u);
     // The cut-off is an lds+ event.
-    for (EventId e = 0; e < prefix.num_events(); ++e)
-        if (prefix.event(e).cutoff)
+    for (EventId e = 0; e < prefix.num_events(); ++e) {
+        if (prefix.event(e).cutoff) {
             EXPECT_EQ(model.net().transition_name(prefix.event(e).transition),
                       "lds+");
+        }
+    }
 }
 
 TEST(Unfolding, TinyHandshakePrefix) {
@@ -46,7 +48,9 @@ TEST(Unfolding, LocalConfigsAreCausallyClosed) {
         // Every event's preset producers are in the local config.
         for (ConditionId b : prefix.event(e).preset) {
             const EventId prod = prefix.condition(b).producer;
-            if (prod != kNoEvent) EXPECT_TRUE(cfg.test(prod));
+            if (prod != kNoEvent) {
+                EXPECT_TRUE(cfg.test(prod));
+            }
         }
     }
 }
@@ -89,10 +93,14 @@ TEST(Unfolding, ConflictsComeFromSharedConditions) {
 TEST(Unfolding, FoataLevelsRespectCausality) {
     auto model = stg::bench::handshake_pipeline(3);
     Prefix prefix = unfold(model.system());
-    for (EventId e = 0; e < prefix.num_events(); ++e)
-        for (EventId f = 0; f < prefix.num_events(); ++f)
-            if (prefix.causes(f, e))
-                EXPECT_LT(prefix.event(f).foata_level, prefix.event(e).foata_level);
+    for (EventId e = 0; e < prefix.num_events(); ++e) {
+        for (EventId f = 0; f < prefix.num_events(); ++f) {
+            if (prefix.causes(f, e)) {
+                EXPECT_LT(prefix.event(f).foata_level,
+                          prefix.event(e).foata_level);
+            }
+        }
+    }
 }
 
 TEST(Unfolding, MarkingsOfLocalConfigsAreReachable) {

@@ -1,14 +1,12 @@
-// stgprof: offline profiler and bottleneck attribution over the artefacts
+// stgprof: offline execution profiler over the artefacts
 // the toolchain already emits -- Chrome trace-event JSON (`--trace`),
 // `stgcheck` / `stgbatch --json` report envelopes and `BENCH_*.json`
 // files.  Input kinds are auto-detected; any mix can be passed together
 // (typically a corpus run's trace plus its aggregate report).
 //
-// Default mode prints the ranked bottleneck report: parallel-efficiency
-// and speedup bounds from the scheduler's work-span tallies, queue-delay
-// percentiles, per-span self time, and the wall-clock share each loss
-// source (queue delay, steal contention, serialization) explains.
-// `--compare A B` instead
+// Default mode prints the execution profile: parallel-efficiency and
+// speedup bounds from the scheduler's work-span tallies, the critical path,
+// queue-delay percentiles and per-span self time.  `--compare A B` instead
 // triages a regression between two stgbatch reports.  The analysis lives
 // in src/obs/profile.cpp; docs/OBSERVABILITY.md has the workflow.
 //
@@ -36,7 +34,7 @@ void print_usage(std::ostream& out) {
            "\n"
            "options:\n"
            "  --compare A B    regression triage between two stgbatch\n"
-           "                   reports instead of the bottleneck report\n"
+           "                   reports instead of the profile\n"
            "  --threshold R    per-model regression ratio for --compare\n"
            "                   (default: 1.25)\n"
            "  --reemit FILE    re-emit the parsed trace to FILE (byte-\n"
@@ -130,6 +128,6 @@ int main(int argc, char** argv) {
         }
         out << obs::to_chrome_json(*in.trace);
     }
-    std::cout << obs::bottleneck_report(in);
+    std::cout << obs::profile_report(in);
     return 0;
 }
