@@ -1,6 +1,6 @@
 #include "core/checkers.hpp"
 
-#include <mutex>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -106,11 +106,12 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
     if (outputs.empty()) return result;  // no circuit-driven signal: holds
     if (usc_certified(*artifacts_, span)) return result;
 
-    // Stats are accumulated across all per-signal instances (including
-    // cancelled ones), so totals depend on the schedule -- verdicts and
-    // witnesses do not (see find_first).
-    std::mutex stats_mu;
-    stg::CheckStats total;
+    // Stats are kept per instance and summed over the indices up to the
+    // winner (all of them when nothing is found).  find_first runs exactly
+    // those instances to completion at every jobs value, so the totals
+    // equal the serial run's; cancelled instances above the winner are
+    // schedule-dependent and left out.
+    std::vector<stg::CheckStats> per_signal(outputs.size());
 
     auto hit = sched::find_first<SearchOutcome>(
         ex, outputs.size(),
@@ -135,21 +136,13 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
                     artifacts_->leaf_state(cb, lb);
                     return la.out.test(z) != lb.out.test(z);
                 });
-            {
-                std::lock_guard<std::mutex> lock(stats_mu);
-                total.search_nodes += outcome.stats.search_nodes;
-                total.leaves += outcome.stats.leaves;
-                total.propagations += outcome.stats.propagations;
-                if (outcome.stats.max_depth > total.max_depth)
-                    total.max_depth = outcome.stats.max_depth;
-                total.seconds += outcome.stats.seconds;
-                total.bound_seconds += outcome.stats.bound_seconds;
-            }
+            per_signal[i] = outcome.stats;
             if (!outcome.found) return std::nullopt;
             return outcome;
         });
 
-    result.stats = total;
+    const std::size_t counted = hit ? hit->index + 1 : outputs.size();
+    for (std::size_t i = 0; i < counted; ++i) result.stats.add(per_signal[i]);
     if (hit) {
         result.holds = false;
         result.witness = make_witness(hit->value.ca, hit->value.cb);
@@ -221,12 +214,7 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
         if (!anything_open) pass.all_resolved = true;
         return pass.all_resolved;
     });
-    pass.stats.search_nodes = outcome.stats.search_nodes;
-    pass.stats.leaves = outcome.stats.leaves;
-    pass.stats.propagations = outcome.stats.propagations;
-    pass.stats.max_depth = outcome.stats.max_depth;
-    pass.stats.seconds = outcome.stats.seconds;
-    pass.stats.bound_seconds = outcome.stats.bound_seconds;
+    pass.stats = outcome.stats;
     return pass;
 }
 
@@ -282,15 +270,7 @@ stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts,
         }
     }
     result.stats = less.stats;
-    if (use_greater) {
-        result.stats.search_nodes += greater.stats.search_nodes;
-        result.stats.leaves += greater.stats.leaves;
-        result.stats.propagations += greater.stats.propagations;
-        if (greater.stats.max_depth > result.stats.max_depth)
-            result.stats.max_depth = greater.stats.max_depth;
-        result.stats.seconds += greater.stats.seconds;
-        result.stats.bound_seconds += greater.stats.bound_seconds;
-    }
+    if (use_greater) result.stats.add(greater.stats);
     result.normal = true;
     for (const auto& sn : result.per_signal)
         if (!sn.normal()) result.normal = false;

@@ -39,7 +39,7 @@ bool CompatSolver::bound_signal(stg::SignalId z) {
     if (!feasible) {
         // An interval infeasibility proof: the relation on D_z can no
         // longer be satisfied, pruning the whole subtree.
-        if (obs::enabled()) obs::counter("compat.signal_prunes").add();
+        ++signal_prunes_;
         return false;
     }
 
@@ -120,7 +120,7 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
             for (std::size_t w = 0; w < nw; ++w) {
                 if ((w1[w] & (zeros[w] | w0[w])) | (w0[w] & ones[w])) {
                     // Closure contradiction (Theorem 1 forcing clash).
-                    if (obs::enabled()) obs::counter("compat.closure_prunes").add();
+                    ++closure_prunes_;
                     return false;
                 }
                 f1[w] = w1[w] & ~ones[w];
@@ -201,10 +201,6 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
         throw ModelError("CompatSolver: node limit exceeded (" +
                          std::to_string(opts_.max_nodes) + ")");
     if (depth > stats_.max_depth) stats_.max_depth = depth;
-    if (obs::enabled()) {
-        static obs::Histogram& h = obs::histogram("compat.depth");
-        h.observe(depth);
-    }
     // Cooperative cancellation: poll every kCancelPollMask+1 nodes, then
     // unwind the whole search (returning false never records a witness).
     if (opts_.cancel.cancellable() &&
@@ -256,8 +252,8 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
 bool CompatSolver::timed_assign(int side, std::size_t idx, int value) {
     // Branch-vs-bound attribution: time spent inside assign() (closure +
     // interval propagation) is the "bound" share of a solve; everything
-    // else in dfs() is branching.  Only measured while observability is on
-    // -- two clock reads per search node is too much for the disabled path.
+    // else in dfs() is branching.  Only measured while a trace is recording
+    // -- two clock reads per search node is too much for an untraced run.
     if (!obs::enabled()) return assign(side, idx, value);
     Stopwatch w;
     const bool ok = assign(side, idx, value);
@@ -298,6 +294,7 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     stats_ = stg::CheckStats{};
     outcome_ = SearchOutcome{};
     bound_ns_ = 0;
+    signal_prunes_ = closure_prunes_ = 0;
 
     // Outer loop over the first index d where the two vectors differ.
     cancelled_ = false;
@@ -318,6 +315,8 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     obs::counter("compat.solves").add();
     obs::counter("compat.nodes").add(stats_.search_nodes);
     obs::counter("compat.leaves").add(stats_.leaves);
+    obs::counter("compat.signal_prunes").add(signal_prunes_);
+    obs::counter("compat.closure_prunes").add(closure_prunes_);
     span.attr("vars", 2 * q);
     span.attr("conflict_free_mode", conflict_free_mode_);
     span.attr("nodes", stats_.search_nodes);

@@ -88,8 +88,8 @@ private:
     }
 
     bool assign(int side, std::size_t idx, int value);
-    /// assign() with the bound-time stopwatch around it when observability
-    /// is enabled (branch-vs-bound attribution in CheckStats).
+    /// assign() with the bound-time stopwatch around it while a trace is
+    /// recording (branch-vs-bound attribution in CheckStats).
     bool timed_assign(int side, std::size_t idx, int value);
     /// Interval pruning of D_z against the current planes: false when the
     /// relation can no longer hold, else ORs any forced extreme into want_.
@@ -120,7 +120,10 @@ private:
     BitVec touched_mask_;             ///< over signals, mirrors touched_
     BitVec leaf_[2];                  ///< ones planes copied out at a leaf
     stg::CheckStats stats_;
-    std::uint64_t bound_ns_ = 0;  ///< time inside assign() while obs is on
+    std::uint64_t bound_ns_ = 0;  ///< time inside assign() while tracing
+    // Prune tallies, published to the compat.* counters once per solve.
+    std::uint64_t signal_prunes_ = 0;   ///< interval infeasibility proofs
+    std::uint64_t closure_prunes_ = 0;  ///< Theorem 1 forcing clashes
     SearchOutcome outcome_;
 };
 

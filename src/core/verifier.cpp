@@ -270,14 +270,17 @@ std::string format_normalcy_witness(const stg::Stg& stg,
 namespace {
 
 obs::Json stats_json(const stg::CheckStats& s) {
-    return obs::Json::object()
-        .set("states", s.states)
-        .set("search_nodes", s.search_nodes)
-        .set("leaves", s.leaves)
-        .set("propagations", s.propagations)
-        .set("max_depth", s.max_depth)
-        .set("seconds", s.seconds)
-        .set("bound_seconds", s.bound_seconds);
+    obs::Json j = obs::Json::object()
+                      .set("states", s.states)
+                      .set("search_nodes", s.search_nodes)
+                      .set("leaves", s.leaves)
+                      .set("propagations", s.propagations)
+                      .set("max_depth", s.max_depth)
+                      .set("seconds", s.seconds);
+    // Zero means "not measured": the bound stopwatch runs only while a
+    // trace is recording.
+    if (s.bound_seconds > 0) j.set("bound_seconds", s.bound_seconds);
+    return j;
 }
 
 /// Machine-readable per-pass reduction accounting (rounds, removals,

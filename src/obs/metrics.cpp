@@ -4,51 +4,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 namespace stgcc::obs {
-
-namespace detail {
-namespace {
-std::atomic<unsigned>& shard_count() noexcept {
-    // Default: one shard per hardware thread -- the writer population a
-    // process can sustain without a pool.  Pool construction raises it to
-    // the actual worker count (never past capacity).
-    static std::atomic<unsigned> count{[] {
-        const unsigned hw = std::thread::hardware_concurrency();
-        const unsigned base = hw == 0 ? 1 : hw;
-        return base < kMaxCounterShards ? base : kMaxCounterShards;
-    }()};
-    return count;
-}
-}  // namespace
-
-unsigned counter_shards() noexcept {
-    return shard_count().load(std::memory_order_relaxed);
-}
-
-void raise_counter_shards(unsigned n) noexcept {
-    if (n > kMaxCounterShards) n = kMaxCounterShards;
-    if (n == 0) n = 1;
-    auto& count = shard_count();
-    unsigned cur = count.load(std::memory_order_relaxed);
-    while (n > cur &&
-           !count.compare_exchange_weak(cur, n, std::memory_order_relaxed)) {
-    }
-}
-
-unsigned counter_shard() noexcept {
-    // Dense thread enumeration: each thread claims the next slot on first
-    // use and keeps it for its lifetime, so as many concurrent threads as
-    // the effective shard count write fully contention-free.  The modulo
-    // uses the count at claim time; `Counter::value()` sums the full
-    // capacity, so later raises stay correct for already-claimed slots.
-    static std::atomic<unsigned> next{0};
-    thread_local const unsigned slot =
-        next.fetch_add(1, std::memory_order_relaxed) % counter_shards();
-    return slot;
-}
-}  // namespace detail
 
 std::uint64_t Histogram::count() const noexcept {
     std::uint64_t total = 0;
@@ -128,7 +85,7 @@ constexpr const char* kBuiltinGauges[] = {
     "svc.open_connections", "mem.rss_bytes"};
 constexpr const char* kBuiltinHistograms[] = {
     "unfold.pe_queue_depth", "sched.queue_delay_ns", "sched.task_duration_ns",
-    "sched.steal_latency_ns", "compat.depth"};
+    "sched.steal_latency_ns"};
 }  // namespace
 
 Registry::Impl& Registry::impl() const {

@@ -5,8 +5,9 @@
 // construction time or via a function-local static and keep the reference;
 // registration is idempotent and references stay valid for the process
 // lifetime.  All update operations are lock-free relaxed atomics, safe to
-// call from any thread.  Per-iteration updates in hot loops must be guarded
-// by `if (obs::enabled())` so the disabled cost is a single branch.
+// call from any thread, and none is guarded by `obs::enabled()`: metrics
+// are always on, and are kept out of per-node loops instead (a solver
+// tallies locally and publishes once per solve).
 #pragma once
 
 #include <atomic>
@@ -18,59 +19,24 @@
 
 namespace stgcc::obs {
 
-namespace detail {
-/// Shard-array capacity of a Counter (compile-time storage bound).  The
-/// *effective* shard count is dynamic: it starts at the hardware
-/// concurrency and is raised to the worker count whenever a
-/// sched::WorkStealingPool is constructed (`raise_counter_shards`), so the
-/// writer spread matches the actual thread population instead of a
-/// hardcoded guess -- a 4-worker pool gets 5 shards, not 16, and a
-/// 32-worker pool no longer folds two workers onto every slot.
-inline constexpr unsigned kMaxCounterShards = 32;
-/// Effective shard count in [1, kMaxCounterShards].
-[[nodiscard]] unsigned counter_shards() noexcept;
-/// Raise the effective shard count to `n` (clamped to capacity; never
-/// shrinks -- threads keep the slot they first claimed, and `value()`
-/// always sums the full capacity, so raising is write-path-only).
-void raise_counter_shards(unsigned n) noexcept;
-/// Stable per-thread shard slot (dense thread enumeration mod the
-/// effective shard count at first use).
-[[nodiscard]] unsigned counter_shard() noexcept;
-}  // namespace detail
-
-/// Monotonically increasing event count, sharded per thread: concurrent
-/// writers from the parallel runtime (src/sched/) land on different cache
-/// lines instead of serializing on a single atomic.  `value()` sums the
-/// shards -- reads are racy-by-design snapshots, exact once writers are
-/// quiescent (which is when reports are taken).
+/// Monotonically increasing event count: one relaxed atomic.  Metrics are
+/// updated at coarse grain (once per solve, per task, per request), never
+/// per search node, so writers seldom meet on the line.  `value()` is a
+/// racy-by-design snapshot, exact once writers are quiescent (which is
+/// when reports are taken).
 class Counter {
 public:
     void add(std::uint64_t n = 1) noexcept {
-        shards_[detail::counter_shard()].v.fetch_add(n,
-                                                     std::memory_order_relaxed);
+        v_.fetch_add(n, std::memory_order_relaxed);
     }
     [[nodiscard]] std::uint64_t value() const noexcept {
-        std::uint64_t total = 0;
-        for (const Shard& s : shards_)
-            total += s.v.load(std::memory_order_relaxed);
-        return total;
+        return v_.load(std::memory_order_relaxed);
     }
-    void reset() noexcept {
-        for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
-    }
+    void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
 private:
-    struct alignas(64) Shard {
-        std::atomic<std::uint64_t> v{0};
-    };
-    // No false sharing by construction: each shard owns a full cache line,
-    // so adjacent array entries can never share one.
-    static_assert(alignof(Shard) == 64, "counter shard must be line-aligned");
-    static_assert(sizeof(Shard) == 64, "counter shard must fill its line");
-    Shard shards_[detail::kMaxCounterShards];
+    std::atomic<std::uint64_t> v_{0};
 };
-static_assert(sizeof(Counter) == 64 * detail::kMaxCounterShards,
-              "shard array must be exactly one cache line per shard");
 
 /// Last-write-wins instantaneous value, plus a running-maximum helper.
 class Gauge {

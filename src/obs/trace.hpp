@@ -5,9 +5,10 @@
 //   * Zero dependencies; the whole subsystem is this library.
 //   * Disabled by default.  A disabled Span costs one relaxed atomic load
 //     (the global enable flag) plus one steady_clock read so it can still
-//     serve as the stopwatch behind CheckStats::seconds; per-iteration
-//     instrumentation in hot loops must be guarded by `if (obs::enabled())`
-//     so it costs exactly one branch when off.
+//     serve as the stopwatch behind CheckStats::seconds.  `obs::enabled()`
+//     means "a trace is being recorded" and nothing else: it guards span
+//     recording, flow events, progress ticks and the solver's bound
+//     stopwatch, never a metric (src/obs/metrics.hpp).
 //   * Recording is process-global and thread-safe; span nesting is tracked
 //     per thread.
 //
@@ -35,8 +36,8 @@ namespace detail {
 extern std::atomic<bool> g_enabled;
 }
 
-/// Master switch for the observability subsystem.  Hot paths check this and
-/// nothing else.
+/// True while a trace is being recorded (`--trace` on stgcheck and
+/// stgbatch).  Only trace-only work checks it; metrics never do.
 inline bool enabled() noexcept {
     return detail::g_enabled.load(std::memory_order_relaxed);
 }

@@ -105,9 +105,6 @@ std::uint64_t current_task_queue_delay_ns() noexcept {
 
 WorkStealingPool::WorkStealingPool(unsigned workers) {
     if (workers == 0) workers = 1;
-    // Size the metric shards to the actual writer population: the workers
-    // plus the external caller that helps through TaskGroup::wait.
-    obs::detail::raise_counter_shards(workers + 1);
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
         workers_.push_back(std::make_unique<Worker>());
@@ -115,8 +112,7 @@ WorkStealingPool::WorkStealingPool(unsigned workers) {
     // scan each other's deques).
     for (unsigned i = 0; i < workers; ++i)
         workers_[i]->thread = std::thread([this, i] { worker_main(i); });
-    if (obs::enabled())
-        obs::gauge("sched.workers").record_max(static_cast<std::int64_t>(workers));
+    obs::gauge("sched.workers").record_max(static_cast<std::int64_t>(workers));
 }
 
 WorkStealingPool::~WorkStealingPool() {
@@ -127,10 +123,9 @@ WorkStealingPool::~WorkStealingPool() {
     cv_.notify_all();
     for (auto& w : workers_)
         if (w->thread.joinable()) w->thread.join();
-    if (obs::enabled())
-        obs::gauge("sched.critical_path_ns")
-            .record_max(static_cast<std::int64_t>(
-                critical_path_ns_.load(std::memory_order_relaxed)));
+    obs::gauge("sched.critical_path_ns")
+        .record_max(static_cast<std::int64_t>(
+            critical_path_ns_.load(std::memory_order_relaxed)));
 }
 
 WorkStealingPool* WorkStealingPool::current() noexcept { return t_pool; }
@@ -155,8 +150,7 @@ WorkStealingPool::GroupStats WorkStealingPool::group_stats(
 
 void WorkStealingPool::submit(Task task) {
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    const bool tracing = obs::enabled();
-    if (tracing) c_submitted().add();
+    c_submitted().add();
     PoolTask pt;
     pt.fn = std::move(task);
     pt.meta.submit_ns = epoch_.nanos();
@@ -168,7 +162,7 @@ void WorkStealingPool::submit(Task task) {
         pt.meta.chain_ns = t_exec->chain_base_ns + self_elapsed_ns(*t_exec);
         pt.meta.group = t_exec->group;
     }
-    if (tracing) {
+    if (obs::enabled()) {
         pt.meta.flow_id = obs::Tracer::instance().next_flow_id();
         obs::Tracer::instance().flow(pt.meta.flow_id, /*begin=*/true);
     }
@@ -181,7 +175,7 @@ void WorkStealingPool::submit(Task task) {
             // injector: external submissions are piling up faster than
             // workers drain them.
             injector_contention_.fetch_add(1, std::memory_order_relaxed);
-            if (tracing) c_injector_contention().add();
+            c_injector_contention().add();
         }
     }
     queued_.fetch_add(1, std::memory_order_release);
@@ -230,14 +224,14 @@ bool WorkStealingPool::try_get(PoolTask& out, unsigned self_index,
                                                        std::memory_order_relaxed);
             else
                 external_stolen_.fetch_add(1, std::memory_order_relaxed);
-            if (obs::enabled()) c_stolen().add();
+            c_stolen().add();
             return true;
         }
     }
     if (is_worker) {
         workers_[self_index]->steal_failures.fetch_add(1,
                                                        std::memory_order_relaxed);
-        if (obs::enabled()) c_steal_failures().add();
+        c_steal_failures().add();
     }
     return false;
 }
@@ -247,8 +241,7 @@ void WorkStealingPool::execute(PoolTask& task, unsigned self_index,
     const std::uint64_t start_ns = epoch_.nanos();
     const std::uint64_t queue_delay =
         start_ns > task.meta.submit_ns ? start_ns - task.meta.submit_ns : 0;
-    const bool tracing = obs::enabled();
-    if (tracing && task.meta.flow_id != 0)
+    if (obs::enabled() && task.meta.flow_id != 0)
         obs::Tracer::instance().flow(task.meta.flow_id, /*begin=*/false);
 
     ExecContext ctx;
@@ -299,13 +292,11 @@ void WorkStealingPool::execute(PoolTask& task, unsigned self_index,
                                            std::memory_order_relaxed);
         external_executed_.fetch_add(1, std::memory_order_release);
     }
-    if (tracing) {
-        c_executed().add();
-        c_busy_ns().add(ns);
-        h_queue_delay().observe(queue_delay);
-        h_task_duration().observe(ns);
-        if (stolen) h_steal_latency().observe(queue_delay);
-    }
+    c_executed().add();
+    c_busy_ns().add(ns);
+    h_queue_delay().observe(queue_delay);
+    h_task_duration().observe(ns);
+    if (stolen) h_steal_latency().observe(queue_delay);
 }
 
 void WorkStealingPool::worker_main(unsigned index) {
@@ -332,10 +323,8 @@ void WorkStealingPool::worker_main(unsigned index) {
         const std::uint64_t ns = parked.nanos();
         w.parks.fetch_add(1, std::memory_order_relaxed);
         w.park_ns.fetch_add(ns, std::memory_order_relaxed);
-        if (obs::enabled()) {
-            c_parks().add();
-            c_park_ns().add(ns);
-        }
+        c_parks().add();
+        c_park_ns().add(ns);
     }
     t_pool = nullptr;
     t_worker_index = kNotWorker;

@@ -15,8 +15,9 @@
 // until the group completes.
 //
 // Observability: per-worker tallies (tasks executed/stolen, steal
-// failures, busy nanoseconds) feed the `sched.*` metrics in src/obs/ when
-// observability is enabled, and are always available via `stats()`.
+// failures, busy nanoseconds) feed the `sched.*` metrics in src/obs/ once
+// per task, and are also available via `stats()`.  Only the submit ->
+// execute flow events wait for a trace to be recording.
 // Spans opened inside tasks carry the executing worker's thread id, so
 // Chrome-trace exports show the real parallel schedule (one row per
 // worker).

@@ -32,9 +32,20 @@ struct CheckStats {
     /// Wall-clock seconds.
     double seconds = 0.0;
     /// Seconds inside propagation/bounding (assign + closure); only
-    /// measured while observability is enabled, 0 otherwise.  The branch
-    /// side of the split is seconds - bound_seconds.
+    /// measured while a trace is recording, 0 otherwise.  The branch side
+    /// of the split is seconds - bound_seconds.
     double bound_seconds = 0.0;
+
+    /// Fold in another search's stats: counts and times add, depth maxes.
+    void add(const CheckStats& o) noexcept {
+        states += o.states;
+        search_nodes += o.search_nodes;
+        leaves += o.leaves;
+        propagations += o.propagations;
+        if (o.max_depth > max_depth) max_depth = o.max_depth;
+        seconds += o.seconds;
+        bound_seconds += o.bound_seconds;
+    }
 };
 
 /// A pair of reachable states demonstrating a USC or CSC conflict, together

@@ -627,8 +627,7 @@ bool Server::admit(int fd, std::mutex& write_mu, std::int64_t id,
     ++gate_inflight_;
     lock.unlock();
     gate_waiting_.fetch_sub(1, std::memory_order_relaxed);
-    if (obs::enabled())
-        obs::histogram("svc.admission_wait_ns").observe(queued.nanos());
+    obs::histogram("svc.admission_wait_ns").observe(queued.nanos());
     return true;
 }
 

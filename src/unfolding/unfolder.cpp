@@ -29,17 +29,18 @@ public:
         seed_initial_conditions();
         for (ConditionId b : prefix_.min_conditions()) extensions_from(b);
 
+        // Possible-extension queue depth over time: one sample per popped
+        // candidate (the paper's PE set is the live frontier).
+        obs::Histogram& depth = obs::histogram("unfold.pe_queue_depth");
+        std::size_t peak = 0;
         while (!queue_.empty()) {
-            if (obs::enabled()) {
-                // Possible-extension queue depth over time: one sample per
-                // popped candidate (the paper's PE set is the live frontier).
-                obs::histogram("unfold.pe_queue_depth").observe(queue_.size());
-                obs::gauge("unfold.pe_queue_peak")
-                    .record_max(static_cast<std::int64_t>(queue_.size()));
-            }
+            depth.observe(queue_.size());
+            peak = std::max(peak, queue_.size());
             Candidate cand = std::move(queue_.extract(queue_.begin()).value());
             insert_event(std::move(cand));
         }
+        obs::gauge("unfold.pe_queue_peak")
+            .record_max(static_cast<std::int64_t>(peak));
         finish_instrumentation(span);
         return std::move(prefix_);  // builder; callers freeze as needed
     }
@@ -47,17 +48,16 @@ public:
 private:
     /// End-of-run accounting: prefix sizes as monotonic counters (aggregated
     /// across unfold calls in the JSON report) and final sizes as span
-    /// attributes; the concurrency-relation bit count is only computed when
-    /// tracing is on, since it walks |B| bit vectors.
+    /// attributes.
     void finish_instrumentation(obs::Span& span) {
         obs::counter("unfold.runs").add();
         obs::counter("unfold.events").add(prefix_.num_events());
         obs::counter("unfold.conditions").add(prefix_.num_conditions());
         obs::counter("unfold.cutoffs").add(prefix_.num_cutoffs());
-        if (!span.recording()) return;
         std::size_t co_bits = 0;
         for (const BitVec& row : co_) co_bits += row.count();
         obs::gauge("unfold.co_pairs").set(static_cast<std::int64_t>(co_bits / 2));
+        if (!span.recording()) return;
         span.attr("events", prefix_.num_events());
         span.attr("conditions", prefix_.num_conditions());
         span.attr("cutoffs", prefix_.num_cutoffs());

@@ -256,6 +256,26 @@ TEST_F(CliTest, NoCacheStillAppliesTheUscCscCertificate) {
     const obs::Json& stats = *body->find("stats");
     EXPECT_GT(stats.find("usc")->find("search_nodes")->as_uint(), 0u);
     EXPECT_EQ(stats.find("csc")->find("search_nodes")->as_uint(), 0u);
+    // --json alone records no trace, so the bound stopwatch never ran and
+    // its share is omitted rather than reported as zero.
+    EXPECT_EQ(stats.find("usc")->find("bound_seconds"), nullptr);
+
+    const std::string traced_json = in_work("cf_traced.json");
+    const auto traced =
+        run(std::string(STGCC_STGCHECK_BIN) + " " + model("cf_sym_a_csc.g") +
+            " --jobs 1 --no-normalcy --no-cache --json " + traced_json +
+            " --trace " + in_work("cf.trace.json"));
+    EXPECT_EQ(traced.exit_code, 0) << traced.output;
+    const auto traced_bytes = cache::read_file_bytes(traced_json);
+    ASSERT_TRUE(traced_bytes.has_value());
+    const auto traced_report = obs::Json::parse(*traced_bytes);
+    ASSERT_TRUE(traced_report.has_value());
+    const obs::Json* bound = traced_report->find("body")
+                                 ->find("stats")
+                                 ->find("usc")
+                                 ->find("bound_seconds");
+    ASSERT_NE(bound, nullptr);
+    EXPECT_GT(bound->as_double(), 0.0);
 }
 
 TEST_F(CliTest, StgbatchCacheAndJobsNeutralReports) {

@@ -9,13 +9,16 @@
 #include <fstream>
 #include <regex>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "unfolding/unfolder.hpp"
 #include "util/stopwatch.hpp"
@@ -336,6 +339,34 @@ TEST_F(ObsTest, MetricsConcurrencySmoke) {
     EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
+// The solver's prune counters are published once per solve whether or not
+// a trace is recording, and recording one changes none of them.
+TEST_F(ObsTest, SolverCountersRecordWithoutTracing) {
+    const stg::Stg model = stg::load_astg_file(
+        std::string(STGCC_MODELS_DIR) + "/cf_sym_c_csc.g");
+    core::VerifyOptions opts;
+    opts.jobs = 1;
+    Counter& signal = counter("compat.signal_prunes");
+    Counter& closure = counter("compat.closure_prunes");
+    auto prunes = [&] {
+        const std::uint64_t s0 = signal.value(), c0 = closure.value();
+        (void)core::verify_stg(model, opts);
+        return std::pair{signal.value() - s0, closure.value() - c0};
+    };
+
+    ASSERT_FALSE(enabled());
+    const auto untraced = prunes();
+    EXPECT_EQ(Tracer::instance().num_spans(), 0u);
+    EXPECT_GT(untraced.first, 0u);
+    EXPECT_GT(untraced.second, 0u);
+
+    set_enabled(true);
+    const auto traced = prunes();
+    set_enabled(false);
+    EXPECT_GT(Tracer::instance().num_spans(), 0u);
+    EXPECT_EQ(untraced, traced);
+}
+
 // ------------------------------------------------------------- Reports --
 
 TEST_F(ObsTest, ReportEnvelopeAndReportJsonSchema) {
@@ -427,8 +458,8 @@ TEST_F(ObsTest, DisabledInstrumentationOverheadUnderFivePercent) {
         events = prefix.num_events();
         conditions = prefix.num_conditions();
     });
-    // Guards per unfold: one per queue pop and one per inserted event, both
-    // well below events + conditions; 4x that is a safe overcount.
+    // Guards per unfold: one per inserted event (the progress tick), well
+    // below events + conditions; 4x that is a safe overcount.
     const double guards = 4.0 * static_cast<double>(events + conditions);
     EXPECT_LE(per_guard * guards, 0.05 * unfold_s + 1e-5)
         << "per_guard=" << per_guard << "s guards=" << guards

@@ -12,6 +12,7 @@
 #include "core/checkers.hpp"
 #include "core/verifier.hpp"
 #include "sched/parallel.hpp"
+#include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 
 namespace stgcc::core {
@@ -100,6 +101,33 @@ TEST(ParallelChecker, PerSignalCscAgreesWithSingleInstance) {
                       fan_pool.witness->code.to_string());
             EXPECT_EQ(fan_serial.witness->trace1, fan_pool.witness->trace1);
             EXPECT_EQ(fan_serial.witness->trace2, fan_pool.witness->trace2);
+        }
+    }
+}
+
+TEST(ParallelChecker, PerSignalCscStatsMatchSerialOnEveryRun) {
+    // The per-signal CSC totals count the instances up to the winning
+    // signal and nothing cancelled above it, so they equal the serial run's
+    // on every schedule.  These are the models whose totals once varied.
+    for (const char* name :
+         {"dup_4ph_b", "dup_4ph_mtr_a", "dup_4ph_mtr_b", "dup_mod_a",
+          "dup_mod_b", "dup_mod_c", "envelope2", "lazyring", "ring", "vme"}) {
+        const stg::Stg model = stg::load_astg_file(
+            std::string(STGCC_MODELS_DIR) + "/" + name + ".g");
+        UnfoldingChecker checker(model);
+        sched::Executor serial(1);
+        const stg::CheckStats want = checker.check_csc({}, serial).stats;
+        sched::Executor pool(4);
+        for (int run = 0; run < 20; ++run) {
+            std::string trace = name;
+            trace += " run ";
+            trace += std::to_string(run);
+            SCOPED_TRACE(trace);
+            const stg::CheckStats got = checker.check_csc({}, pool).stats;
+            EXPECT_EQ(got.search_nodes, want.search_nodes);
+            EXPECT_EQ(got.leaves, want.leaves);
+            EXPECT_EQ(got.propagations, want.propagations);
+            EXPECT_EQ(got.max_depth, want.max_depth);
         }
     }
 }

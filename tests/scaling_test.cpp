@@ -3,9 +3,8 @@
 // deadlocks and computes exact results, parallel_for under contention
 // covers every index exactly once, find_first probes the same ascending
 // frontier as the serial loop (the fix for the corpus-scaling regression,
-// see docs/PARALLELISM.md), counter shards track the pool width without
-// false sharing, and a real stgbatch corpus run is byte-identical across
-// `--jobs {1, 2, 4, 8}`.
+// see docs/PARALLELISM.md), and a real stgbatch corpus run is
+// byte-identical across `--jobs {1, 2, 4, 8}`.
 //
 // Suite names start with "Scaling" so CI's ThreadSanitizer job
 // (`ctest -R 'Sched|Parallel|Differential|Scaling'`) picks them up.
@@ -26,7 +25,6 @@
 
 #include "cache/result_cache.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "sched/cancellation.hpp"
 #include "sched/parallel.hpp"
 #include "sched/thread_pool.hpp"
@@ -170,43 +168,6 @@ TEST(ScalingStress, FindFirstDispensesAscendingAndStopsEarly) {
     for (std::size_t i = 0; i <= kHit; ++i)
         EXPECT_TRUE(entered[i].load()) << "serial frontier index " << i
                                        << " was skipped";
-}
-
-// ------------------------------------------------- counter shard sizing
-
-// Counter shards are sized to the thread population (satellite of the
-// scaling fix: a 4-worker pool gets 5 shards, not a hardcoded 16) and
-// each shard owns a full cache line so two workers never false-share.
-TEST(ScalingShards, CounterShardsTrackPoolWidthAndStayLineAligned) {
-    // Layout: one 64-byte line per shard, and the whole Counter is
-    // line-aligned wherever it is placed (compile-time static_asserts in
-    // obs/metrics.hpp pin the same facts; this keeps them exercised at
-    // runtime too).
-    EXPECT_EQ(sizeof(obs::Counter), 64u * obs::detail::kMaxCounterShards);
-    EXPECT_EQ(alignof(obs::Counter), 64u);
-    obs::Counter local;
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&local) % 64u, 0u);
-    local.add(7);
-    local.add(35);
-    EXPECT_EQ(local.value(), 42u);
-
-    // Pool construction raises the effective shard count to workers + 1
-    // (the helping caller is a writer too), clamped to capacity.
-    const unsigned before = obs::detail::counter_shards();
-    EXPECT_GE(before, 1u);
-    EXPECT_LE(before, obs::detail::kMaxCounterShards);
-    {
-        sched::WorkStealingPool pool(6);
-        EXPECT_GE(obs::detail::counter_shards(),
-                  std::min(7u, obs::detail::kMaxCounterShards));
-    }
-
-    // The count never shrinks (threads keep their claimed slots) and a
-    // runaway request clamps to the compile-time capacity.
-    obs::detail::raise_counter_shards(1);
-    EXPECT_GE(obs::detail::counter_shards(), before);
-    obs::detail::raise_counter_shards(1u << 20);
-    EXPECT_EQ(obs::detail::counter_shards(), obs::detail::kMaxCounterShards);
 }
 
 // --------------------------------------- corpus determinism across jobs

@@ -830,6 +830,19 @@ TEST_F(SvcServerTest, MetricsListenerServesScrapeHealthAndBuildInfo) {
     ASSERT_NE(stats->find("rolling"), nullptr);
     ASSERT_NE(stats->find("rolling")->find("requests")->find("rate_60s"),
               nullptr);
+    // The daemon records no trace, yet the registry metrics stgtop and the
+    // service benchmark read are live: one admitted check, busy workers.
+    const obs::Json* metrics_json = stats->find("metrics");
+    ASSERT_NE(metrics_json, nullptr);
+    EXPECT_EQ(metrics_json->find("histograms")
+                  ->find("svc.admission_wait_ns")
+                  ->find("count")
+                  ->as_uint(),
+              1u);
+    EXPECT_GT(metrics_json->find("counters")
+                  ->find("sched.worker_busy_ns")
+                  ->as_uint(),
+              0u);
 }
 
 // ------------------------------------------------------- stgd binary e2e

@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
         "exit codes: 0 = all properties hold on every model,\n"
         "            1 = conflict found, 2 = usage/IO error\n"};
     if (const auto rc = svc::parse_cli(argc, argv, tool, cli)) return *rc;
-    if (cli.json || cli.trace) obs::set_enabled(true);
+    if (cli.trace) obs::set_enabled(true);
 
     std::string manifest_error;
     const std::vector<std::string> files =

@@ -219,9 +219,9 @@ int main(int argc, char** argv) {
         return run_connected(cli);
     }
 
-    // Any observability output turns the instrumentation on; the default
-    // run pays only the disabled-flag branch on the hot paths.
-    if (cli.trace || cli.json || metrics) obs::set_enabled(true);
+    // Only --trace records spans; --json and --metrics read the registry,
+    // whose metrics are always on, so they change nothing about the run.
+    if (cli.trace) obs::set_enabled(true);
 
     core::VerifyOptions opts = cli.check.verify_options();
     opts.jobs = cli.jobs;

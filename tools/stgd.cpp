@@ -17,7 +17,6 @@
 #include <iostream>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "svc/cli.hpp"
 #include "svc/server.hpp"
 
@@ -146,9 +145,10 @@ int main(int argc, char** argv) {
     }
     cfg.cache_dir = svc::resolve_cache_dir(cache_dir_flag);
 
-    // The daemon always runs instrumented: the stats op and the final
-    // snapshot expose the registry (sched.*, cache.*, svc.*).
-    obs::set_enabled(true);
+    // No trace is ever recorded here: nothing would read the spans, and
+    // the buffer would grow with every request.  The stats op and the final
+    // snapshot expose the registry (sched.*, cache.*, svc.*), whose metrics
+    // are always on.
 
     svc::Server server(std::move(cfg));
     std::string error;
