@@ -209,18 +209,24 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
         cancelled_ = true;
     if (cancelled_) return false;
 
-    // Branch on the first unassigned variable, x' before x'' at equal index:
-    // the lowest index not assigned on both sides.
+    // Branch on the highest index not assigned on both sides, x' before x''
+    // at equal index.  Dense indices follow the adequate order, so the
+    // highest open event has the largest local configuration: x(e) = 1
+    // fixes all of [e] and its conflict set in one step (Theorem 1).  Bits
+    // at and above q in the last word are padding, never assigned.
     const std::size_t q = problem_->size();
     const Word* o0 = planes_.data() + plane(0, 1) * nw_;
     const Word* z0 = planes_.data() + plane(0, 0) * nw_;
     const Word* o1 = planes_.data() + plane(1, 1) * nw_;
     const Word* z1 = planes_.data() + plane(1, 0) * nw_;
+    const Word tail = q % kWordBits ? (Word{1} << (q % kWordBits)) - 1 : ~Word{0};
     std::size_t idx = q;
-    for (std::size_t w = 0; w < nw_; ++w) {
-        const Word open = ~((o0[w] | z0[w]) & (o1[w] | z1[w]));
+    for (std::size_t w = nw_; w-- > 0;) {
+        Word open = ~((o0[w] | z0[w]) & (o1[w] | z1[w]));
+        if (w + 1 == nw_) open &= tail;
         if (open == 0) continue;
-        idx = w * kWordBits + static_cast<std::size_t>(std::countr_zero(open));
+        idx = w * kWordBits + kWordBits - 1 -
+              static_cast<std::size_t>(std::countl_zero(open));
         break;
     }
     if (idx >= q) {

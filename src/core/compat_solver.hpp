@@ -21,6 +21,13 @@
 // this realises the paper's "M' <lex M''" separating constraint at the
 // level of Parikh vectors.
 //
+// Inside a first-difference subtree the search branches on the highest
+// dense index still open on either side (x' before x'', value 0 first).
+// Dense indices follow the adequate order, so x(e) = 1 on the highest open
+// event fixes the largest local configuration and its conflict set in one
+// decision.  The leaves of an exhaustive search are the solutions, whatever
+// the order; the number of nodes is what the order decides.
+//
 // When the STG is dynamically conflict-free, the section 7 optimisation
 // restricts the search to set-ordered pairs C' subset C'' via the extra
 // propagation x'_e <= x''_e (Proposition 1).

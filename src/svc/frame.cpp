@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <poll.h>
 #include <unistd.h>
 
 namespace stgcc::svc {
@@ -51,9 +52,21 @@ namespace {
 
 /// Read exactly `n` bytes.  Returns n on success, 0 on immediate EOF,
 /// -1 on error, and the (positive, < n) count read before an EOF mid-way.
-ssize_t read_exact(int fd, char* buf, std::size_t n) {
+/// With `abort_fd` >= 0, every read first polls `fd` together with
+/// `abort_fd`; once `abort_fd` is readable and `fd` has nothing pending,
+/// reading stops as if the stream had ended.
+ssize_t read_exact(int fd, char* buf, std::size_t n, int abort_fd) {
     std::size_t got = 0;
     while (got < n) {
+        if (abort_fd >= 0) {
+            pollfd pfd[2] = {{fd, POLLIN, 0}, {abort_fd, POLLIN, 0}};
+            if (::poll(pfd, 2, -1) < 0) {
+                if (errno == EINTR) continue;
+                return -1;
+            }
+            if (!(pfd[0].revents & (POLLIN | POLLHUP | POLLERR)))
+                return static_cast<ssize_t>(got);  // aborted
+        }
         const ssize_t r = ::read(fd, buf + got, n - got);
         if (r > 0) {
             got += static_cast<std::size_t>(r);
@@ -83,10 +96,10 @@ bool write_frame(int fd, std::string_view payload) {
     return true;
 }
 
-FrameStatus read_frame(int fd, std::string& payload,
-                       std::uint32_t max_payload) {
+FrameStatus read_frame(int fd, std::string& payload, std::uint32_t max_payload,
+                       int abort_fd) {
     char header[kFrameHeaderBytes];
-    const ssize_t h = read_exact(fd, header, kFrameHeaderBytes);
+    const ssize_t h = read_exact(fd, header, kFrameHeaderBytes, abort_fd);
     if (h < 0) return FrameStatus::IoError;
     if (h == 0) return FrameStatus::Eof;
     if (static_cast<std::size_t>(h) < kFrameHeaderBytes)
@@ -99,7 +112,7 @@ FrameStatus read_frame(int fd, std::string& payload,
     if (n > max_payload) return FrameStatus::Oversized;
     payload.resize(n);
     if (n == 0) return FrameStatus::Ok;
-    const ssize_t p = read_exact(fd, payload.data(), n);
+    const ssize_t p = read_exact(fd, payload.data(), n, abort_fd);
     if (p < 0) return FrameStatus::IoError;
     if (static_cast<std::uint32_t>(p) < n) return FrameStatus::Truncated;
     return FrameStatus::Ok;

@@ -11,7 +11,9 @@
 //     byte strings -- the unit tests exercise truncation, oversize and
 //     garbage handling without sockets;
 //   * the fd codec (write_frame / read_frame) moves frames over a socket,
-//     restarting on EINTR and handling short reads/writes.
+//     restarting on EINTR and handling short reads/writes; read_frame can
+//     abandon a partial frame when an abort fd (a server's drain pipe)
+//     becomes readable.
 //
 // A reader enforces a maximum payload size (kDefaultMaxFrame unless the
 // caller says otherwise): an oversized header is a protocol error and the
@@ -65,7 +67,13 @@ FrameStatus decode_frame(std::string_view buffer, std::string& payload,
 bool write_frame(int fd, std::string_view payload);
 
 /// Read one frame from `fd` (blocking), handling short reads and EINTR.
+/// With `abort_fd` >= 0 the wait for each chunk also watches `abort_fd`:
+/// when it becomes readable while `fd` has nothing pending, the frame is
+/// abandoned -- Eof if no byte of it was read, else Truncated.  Bytes
+/// already pending on `fd` are still read, so a frame that arrived whole
+/// is delivered whole.
 FrameStatus read_frame(int fd, std::string& payload,
-                       std::uint32_t max_payload = kDefaultMaxFrame);
+                       std::uint32_t max_payload = kDefaultMaxFrame,
+                       int abort_fd = -1);
 
 }  // namespace stgcc::svc

@@ -171,11 +171,15 @@ void Server::serve_connection(Fd fd) {
             continue;
         }
         // A frame readable before the drain flag was set counts as accepted
-        // and is answered in full even if the drain starts mid-request.
+        // and is answered in full even if the drain starts mid-request.  A
+        // frame still incomplete when the drain starts is dropped as torn:
+        // the wait for its missing bytes watches the shutdown pipe too.
+        // Bytes pending after the last accepted request go through the same
+        // read, so they are answered (one frame at most) or counted as torn.
         const bool accepted_before_drain = !draining();
         std::string payload;
         const FrameStatus status =
-            read_frame(fd.get(), payload, cfg_.max_frame);
+            read_frame(fd.get(), payload, cfg_.max_frame, shutdown_pipe_[0]);
         if (status == FrameStatus::Eof) break;
         if (status == FrameStatus::Oversized) {
             errors_.fetch_add(1, std::memory_order_relaxed);
@@ -191,7 +195,7 @@ void Server::serve_connection(Fd fd) {
         if (!handle_request(fd.get(), write_mu, payload,
                             accepted_before_drain))
             break;
-        if (draining()) break;
+        if (!accepted_before_drain) break;
     }
     const auto remaining =
         connections_active_.fetch_sub(1, std::memory_order_relaxed) - 1;

@@ -32,7 +32,8 @@
 // accept loop stops taking connections, every connection thread finishes
 // the request it is working on, responses are flushed, and run() returns 0
 // after all threads joined -- a drained daemon never abandons an accepted
-// request.
+// request.  A frame still incomplete when the drain starts is dropped as
+// torn, so a stalled client cannot hold the drain.
 #pragma once
 
 #include <atomic>

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "unfolding/configuration.hpp"
 #include "unfolding/unfolder.hpp"
@@ -50,44 +51,80 @@ TEST(CompatSolver, SolutionsAreValidConfigurationPairs) {
     EXPECT_GT(outcome.stats.leaves, 0u);
 }
 
+/// Whether (a, b) is ordered as the first-difference scheme orders it: at
+/// the first dense index where they differ, a has 0 and b has 1.
+bool first_difference_ascends(const BitVec& a, const BitVec& b) {
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a.test(i) != b.test(i)) return b.test(i);
+    return false;  // equal
+}
+
+bool codes_related(const stg::Code& a, const stg::Code& b, CodeRelation r) {
+    switch (r) {
+        case CodeRelation::Equal: return a == b;
+        case CodeRelation::LessEq: return a.subset_of(b);
+        case CodeRelation::GreaterEq: return b.subset_of(a);
+    }
+    return false;
+}
+
 TEST(CompatSolver, EnumeratesEachDistinctPairOnce) {
     // Cross-check the first-difference enumeration against brute force on
-    // small prefixes: every unordered pair of distinct configurations with
-    // equal codes must be visited exactly once.
+    // small prefixes: the solver's leaves must be exactly the ordered pairs
+    // (A, B) of configurations whose first differing index d has
+    // A_d = 0 < B_d = 1 and whose codes satisfy the relation -- plus A being
+    // a subset of B when the section 7 optimisation applies -- each visited
+    // once.  This set does not depend on the branching order, so it pins
+    // what the search finds while leaving the shape of its tree free.
     std::vector<stg::Stg> models;
     models.push_back(test::tiny_handshake());           // no equal-code pairs
     models.push_back(stg::bench::sequential_handshakes(2));  // several
     models.push_back(stg::bench::parallel_handshakes(2));
+    for (const char* name : {"vme", "vme_csc", "dup_4ph_a", "dup_4ph_mtr_a",
+                             "lazyring", "johnson4", "par4", "seq4"})
+        models.push_back(stg::load_astg_file(std::string(STGCC_MODELS_DIR) + "/" +
+                                             name + ".g"));
     for (const auto& model : models) {
         auto prefix = unf::unfold(model.system());
         CodingProblem problem(model, prefix);
         ASSERT_LE(problem.size(), 16u) << model.name();
+        const auto configs = all_dense_configs(problem);
+        std::vector<stg::Code> codes;
+        for (const BitVec& c : configs) codes.push_back(problem.code_of(c));
 
-        // Brute-force expected pairs.
-        auto configs = all_dense_configs(problem);
-        std::set<std::pair<std::string, std::string>> expected;
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            for (std::size_t j = i + 1; j < configs.size(); ++j)
-                if (problem.code_of(configs[i]) == problem.code_of(configs[j])) {
-                    auto a = configs[i].to_string(), b = configs[j].to_string();
-                    expected.insert({std::min(a, b), std::max(a, b)});
-                }
+        for (const CodeRelation relation :
+             {CodeRelation::Equal, CodeRelation::LessEq, CodeRelation::GreaterEq}) {
+            for (const bool optimise : {false, true}) {
+                const bool subsets_only =
+                    optimise && problem.dynamically_conflict_free();
+                std::set<std::pair<std::string, std::string>> expected;
+                for (std::size_t i = 0; i < configs.size(); ++i)
+                    for (std::size_t j = 0; j < configs.size(); ++j)
+                        if (first_difference_ascends(configs[i], configs[j]) &&
+                            codes_related(codes[i], codes[j], relation) &&
+                            (!subsets_only || configs[i].subset_of(configs[j])))
+                            expected.insert({configs[i].to_string(),
+                                             configs[j].to_string()});
 
-        std::set<std::pair<std::string, std::string>> seen;
-        SearchOptions opts;
-        opts.use_conflict_free_optimisation = false;  // full pair enumeration
-        CompatSolver solver(problem, opts);
-        auto outcome = solver.solve(
-            CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
-                auto a = ca.to_string(), b = cb.to_string();
-                auto [it, inserted] =
-                    seen.insert({std::min(a, b), std::max(a, b)});
-                EXPECT_TRUE(inserted)
-                    << "pair enumerated twice: " << a << " / " << b;
-                return false;
-            });
-        EXPECT_FALSE(outcome.found);
-        EXPECT_EQ(seen, expected) << model.name();
+                std::set<std::pair<std::string, std::string>> seen;
+                SearchOptions opts;
+                opts.use_conflict_free_optimisation = optimise;
+                CompatSolver solver(problem, opts);
+                auto outcome = solver.solve(
+                    relation, [&](const BitVec& ca, const BitVec& cb) {
+                        auto [it, inserted] =
+                            seen.insert({ca.to_string(), cb.to_string()});
+                        EXPECT_TRUE(inserted) << "pair enumerated twice: "
+                                              << it->first << " / " << it->second;
+                        return false;
+                    });
+                EXPECT_FALSE(outcome.found);
+                EXPECT_EQ(outcome.stats.leaves, seen.size());
+                EXPECT_EQ(seen, expected)
+                    << model.name() << " relation " << static_cast<int>(relation)
+                    << " optimise " << optimise;
+            }
+        }
     }
 }
 

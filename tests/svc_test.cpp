@@ -23,6 +23,7 @@
 #include "core/verifier.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "stg/builder.hpp"
@@ -575,6 +576,39 @@ TEST_F(SvcServerTest, DrainAnswersInFlightRequestsBeforeExiting) {
     thread_.join();
     EXPECT_EQ(run_result_.load(), 0);
     server_.reset();
+}
+
+TEST_F(SvcServerTest, DrainDropsAHalfSentFrame) {
+    // A client that stalls inside a frame must not hold up the drain: the
+    // incomplete frame is dropped as torn and run() returns promptly.
+    const std::string ping = obs::Json::object().set("op", "ping").dump();
+    const std::string frame = svc::encode_frame(ping);
+    const std::size_t half_payload =
+        svc::kFrameHeaderBytes + (frame.size() - svc::kFrameHeaderBytes) / 2;
+    for (const std::size_t sent : {std::size_t{2}, half_payload}) {
+        start();
+        std::string error;
+        const auto ep = svc::parse_endpoint(server_->bound()[0], error);
+        ASSERT_TRUE(ep.has_value()) << error;
+        svc::Fd conn = svc::connect_endpoint(*ep, error);
+        ASSERT_TRUE(conn.valid()) << error;
+        // One full round trip first: the connection is accepted and its
+        // thread is back waiting for the next frame.
+        ASSERT_TRUE(svc::write_frame(conn.get(), ping));
+        std::string reply;
+        ASSERT_EQ(svc::read_frame(conn.get(), reply), svc::FrameStatus::Ok);
+
+        obs::Counter& torn = obs::counter("svc.torn_connections");
+        const std::uint64_t torn_before = torn.value();
+        ASSERT_EQ(::write(conn.get(), frame.data(), sent),
+                  static_cast<ssize_t>(sent));
+        const auto t0 = std::chrono::steady_clock::now();
+        stop();
+        const auto elapsed = std::chrono::steady_clock::now() - t0;
+        EXPECT_LT(elapsed, std::chrono::seconds(1)) << sent << " bytes sent";
+        EXPECT_EQ(run_result_.load(), 0);
+        EXPECT_EQ(torn.value(), torn_before + 1) << sent << " bytes sent";
+    }
 }
 
 TEST_F(SvcServerTest, ConcurrentClientsOnBothTransportsAgree) {
