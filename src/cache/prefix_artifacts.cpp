@@ -48,18 +48,6 @@ void PrefixArtifacts::build() {
     problem_ = std::make_unique<core::CodingProblem>(*stg_, prefix_, consistency_);
     const std::size_t q = problem_->size();
 
-    // Condition masks for marking_of_dense.
-    const std::size_t nb = prefix_.num_conditions();
-    min_mask_ = BitVec(nb);
-    for (unf::ConditionId b : prefix_.min_conditions()) min_mask_.set(b);
-    pre_masks_ = util::BitMatrix(arena_, q, nb);
-    post_masks_ = util::BitMatrix(arena_, q, nb);
-    for (std::size_t i = 0; i < q; ++i) {
-        const unf::Event& ev = prefix_.event(problem_->event_of(i));
-        for (unf::ConditionId b : ev.preset) pre_masks_.set(i, b);
-        for (unf::ConditionId b : ev.postset) post_masks_.set(i, b);
-    }
-
     // Leaf-predicate tables.
     const petri::Net& net = stg_->net();
     const std::size_t np = net.num_places();
@@ -99,18 +87,6 @@ const core::CodingProblem& PrefixArtifacts::problem() const {
         throw ModelError("STG '" + stg_->name() +
                          "' is inconsistent: " + consistency_.reason);
     return *problem_;
-}
-
-petri::Marking PrefixArtifacts::marking_of_dense(const BitVec& dense) const {
-    STGCC_ASSERT(problem_ != nullptr);
-    BitVec cut = min_mask_;
-    dense.for_each([&](std::size_t i) { cut |= post_masks_.row(i); });
-    dense.for_each([&](std::size_t i) { cut.subtract(pre_masks_.row(i)); });
-    petri::Marking m(prefix_.system().net().num_places());
-    cut.for_each([&](std::size_t b) {
-        m.add(prefix_.condition(static_cast<unf::ConditionId>(b)).place);
-    });
-    return m;
 }
 
 void PrefixArtifacts::leaf_places(BitSpan dense, LeafState& s) const {

@@ -9,10 +9,6 @@
 //   * the consistency analysis itself (and the derived initial code v0),
 //     which verify_stg and the CodingProblem used to compute separately,
 //   * the dense CodingProblem with its per-signal solver template,
-//   * per-dense-event condition pre/post masks plus the Min(ON) mask, which
-//     turn the marking computation (cut of a configuration) into
-//     word-parallel bit operations instead of a vector<bool> sweep over all
-//     conditions,
 //   * the leaf-predicate tables: the place flow pre(t) xor post(t) of every
 //     dense event and the preset place mask of every circuit-driven
 //     transition, from which leaf_state() derives a configuration's place
@@ -117,13 +113,6 @@ public:
         return co_rows_.row(e);
     }
 
-    /// Marking reached by a dense configuration of the coding problem:
-    /// cut = (Min(ON) | union of postsets) \ union of presets, evaluated
-    /// with the precomputed condition masks.  Agrees bit-for-bit with
-    /// unf::marking_of(prefix, problem().to_event_set(dense)).
-    /// Only valid when consistent().
-    [[nodiscard]] petri::Marking marking_of_dense(const BitVec& dense) const;
-
     /// Fill `s.places` with the place set of the marking reached by a dense
     /// configuration (the USC leaf predicate compares these).  The unfolder
     /// enforces 1-safety, so every place holds M0(p) + produced - consumed
@@ -134,7 +123,7 @@ public:
 
     /// Fill `s.places`, `s.out` and `s.code` (the CSC and normalcy leaf
     /// predicates; Nxt_z = out(z) xor code(z)).  Agrees with
-    /// marking_of_dense, Stg::out_signals and CodingProblem::code_of.
+    /// unf::marking_of, Stg::out_signals and CodingProblem::code_of.
     void leaf_state(BitSpan dense, LeafState& s) const;
 
     /// The USC=>CSC certificate.  Mutable through const artifacts: it
@@ -147,12 +136,10 @@ private:
     std::shared_ptr<const stg::Stg> owned_stg_;  ///< may be null (aliasing ctors)
     const stg::Stg* stg_;
     unf::Prefix prefix_;
-    util::Arena arena_;           ///< owns the co matrix and condition masks
+    util::Arena arena_;           ///< owns the co matrix and leaf tables
     util::BitMatrix co_rows_;     ///< n x n, rows in arena_
     unf::PrefixConsistency consistency_;
     std::unique_ptr<core::CodingProblem> problem_;  ///< null when inconsistent
-    BitVec min_mask_;                        ///< Min(ON), width num_conditions
-    util::BitMatrix pre_masks_, post_masks_;  ///< q x num_conditions, in arena_
     BitVec initial_places_;                   ///< M0, width |P|
     util::BitMatrix place_flows_;  ///< q x |P|: pre(t) xor post(t), in arena_
     std::vector<stg::SignalId> out_signal_;   ///< per circuit-driven transition

@@ -42,8 +42,8 @@ stg::ConflictWitness UnfoldingChecker::make_witness(const BitVec& ca,
     const BitVec ea = problem_->to_event_set(ca);
     const BitVec eb = problem_->to_event_set(cb);
     w.code = problem_->code_of(ca);
-    w.m1 = artifacts_->marking_of_dense(ca);
-    w.m2 = artifacts_->marking_of_dense(cb);
+    w.m1 = unf::marking_of(prefix(), ea);
+    w.m2 = unf::marking_of(prefix(), eb);
     w.out1 = stg_->out_signals(w.m1);
     w.out2 = stg_->out_signals(w.m2);
     w.trace1 = unf::firing_sequence_of(prefix(), ea);
@@ -168,8 +168,8 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
         w.signal = z;
         const BitVec el = problem_->to_event_set(lo_cfg);
         const BitVec eh = problem_->to_event_set(hi_cfg);
-        w.m1 = artifacts_->marking_of_dense(lo_cfg);
-        w.m2 = artifacts_->marking_of_dense(hi_cfg);
+        w.m1 = unf::marking_of(prefix(), el);
+        w.m2 = unf::marking_of(prefix(), eh);
         w.code1 = problem_->code_of(lo_cfg);
         w.code2 = problem_->code_of(hi_cfg);
         w.nxt1 = stg_->nxt(w.m1, w.code1, z);

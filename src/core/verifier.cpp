@@ -64,7 +64,7 @@ VerificationReport verify_stg_cached(const stg::Stg& input, VerifyOptions opts,
     span.attr("stg", input.name());
     const stg::reduce::ReduceResult red = reduce_input(input, opts);
     // Tier-1 shared artifacts: the prefix, its consistency analysis, the
-    // coding problem, condition masks and the USC=>CSC certificate are
+    // coding problem, leaf tables and the USC=>CSC certificate are
     // computed exactly once and shared by every checking phase.  The
     // bundle outlives this call inside the report, so the reduced STG it
     // references is shared-owned.

@@ -66,8 +66,7 @@ constexpr const char* kBuiltinCounters[] = {
     "compat.nodes",     "compat.leaves",      "compat.signal_prunes",
     "compat.closure_prunes", "sg.builds",     "sg.states",
     "sg.edges",         "sched.tasks_submitted", "sched.tasks_executed",
-    "sched.tasks_stolen", "sched.steal_failures", "sched.worker_busy_ns",
-    "sched.parks",        "sched.park_ns",        "sched.injector_contention",
+    "sched.tasks_stolen", "sched.worker_busy_ns", "sched.park_ns",
     "cache.artifacts.built",  "cache.certificates.csc_from_usc",
     "cache.result.hits",      "cache.result.misses",
     "cache.result.stores",    "cache.result.evicted",
@@ -84,8 +83,7 @@ constexpr const char* kBuiltinGauges[] = {
     // snapshot and /metrics scrape (docs/SERVICE.md).
     "svc.open_connections", "mem.rss_bytes"};
 constexpr const char* kBuiltinHistograms[] = {
-    "unfold.pe_queue_depth", "sched.queue_delay_ns", "sched.task_duration_ns",
-    "sched.steal_latency_ns"};
+    "unfold.pe_queue_depth", "sched.queue_delay_ns"};
 }  // namespace
 
 Registry::Impl& Registry::impl() const {

@@ -147,18 +147,26 @@ public:
     void cancel() noexcept { flag_->store(true, std::memory_order_release); }
 
     /// Arm the shared deadline timer to cancel this source `d` from now.
-    /// Non-positive durations cancel immediately (synchronously).  The timer
-    /// keeps only a weak reference: destroying every owner disarms the
-    /// deadline.  Arming multiple deadlines is allowed; the earliest wins.
+    /// Non-positive durations cancel immediately (synchronously); a
+    /// deadline past the last time_point steady_clock can represent never
+    /// fires.  The timer keeps only a weak reference: destroying every
+    /// owner disarms the deadline.  Arming multiple deadlines is allowed;
+    /// the earliest wins.
     template <class Rep, class Period>
     void cancel_after(std::chrono::duration<Rep, Period> d) {
+        using Clock = std::chrono::steady_clock;
         if (d <= std::chrono::duration<Rep, Period>::zero()) {
             cancel();
             return;
         }
-        cancel_at(std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      d));
+        // Compare in d's own unit: the headroom converts down without
+        // overflow, where d converted up to nanoseconds could wrap.
+        const Clock::time_point now = Clock::now();
+        const Clock::duration headroom = Clock::time_point::max() - now;
+        if (d >= std::chrono::duration_cast<std::chrono::duration<Rep, Period>>(
+                     headroom))
+            return;
+        cancel_at(now + std::chrono::duration_cast<Clock::duration>(d));
     }
 
     /// Arm the shared deadline timer to cancel this source at `when`.

@@ -27,13 +27,10 @@ using Task = std::function<void()>;
 template <class T>
 class WorkDequeT {
 public:
-    /// Owner end: push a new task (most recently spawned work).  Returns
-    /// the queue size after the push, letting the caller detect contention
-    /// (size > 1 on the shared injector) without a second lock round-trip.
-    std::size_t push_bottom(T task) {
+    /// Owner end: push a new task (most recently spawned work).
+    void push_bottom(T task) {
         std::lock_guard<std::mutex> lock(mu_);
         q_.push_back(std::move(task));
-        return q_.size();
     }
 
     /// Owner end: take the most recently pushed task.  False when empty.

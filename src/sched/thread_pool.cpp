@@ -22,9 +22,7 @@ thread_local unsigned t_worker_index = kNotWorker;
 // task's context and pops back to its own afterwards.
 struct ExecContext {
     std::uint64_t chain_base_ns = 0;  ///< critical path up to this task's start
-    std::uint64_t queue_delay_ns = 0; ///< this task's submit -> start latency
     std::uint64_t nested_ns = 0;      ///< time spent in helped tasks inside this one
-    std::uint32_t group = kNoGroup;   ///< attribution group (inheritable)
     Stopwatch since_start;            ///< wall time inside this task (gross)
 };
 thread_local ExecContext* t_exec = nullptr;
@@ -49,10 +47,6 @@ obs::Counter& c_stolen() {
     static obs::Counter& c = obs::counter("sched.tasks_stolen");
     return c;
 }
-obs::Counter& c_steal_failures() {
-    static obs::Counter& c = obs::counter("sched.steal_failures");
-    return c;
-}
 obs::Counter& c_submitted() {
     static obs::Counter& c = obs::counter("sched.tasks_submitted");
     return c;
@@ -61,28 +55,12 @@ obs::Counter& c_busy_ns() {
     static obs::Counter& c = obs::counter("sched.worker_busy_ns");
     return c;
 }
-obs::Counter& c_parks() {
-    static obs::Counter& c = obs::counter("sched.parks");
-    return c;
-}
 obs::Counter& c_park_ns() {
     static obs::Counter& c = obs::counter("sched.park_ns");
     return c;
 }
-obs::Counter& c_injector_contention() {
-    static obs::Counter& c = obs::counter("sched.injector_contention");
-    return c;
-}
 obs::Histogram& h_queue_delay() {
     static obs::Histogram& h = obs::histogram("sched.queue_delay_ns");
-    return h;
-}
-obs::Histogram& h_task_duration() {
-    static obs::Histogram& h = obs::histogram("sched.task_duration_ns");
-    return h;
-}
-obs::Histogram& h_steal_latency() {
-    static obs::Histogram& h = obs::histogram("sched.steal_latency_ns");
     return h;
 }
 
@@ -94,14 +72,6 @@ void atomic_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) noexcept {
 }
 
 }  // namespace
-
-void set_current_group(std::uint32_t group) noexcept {
-    if (t_exec) t_exec->group = group;
-}
-
-std::uint64_t current_task_queue_delay_ns() noexcept {
-    return t_exec ? t_exec->queue_delay_ns : 0;
-}
 
 WorkStealingPool::WorkStealingPool(unsigned workers) {
     if (workers == 0) workers = 1;
@@ -130,24 +100,6 @@ WorkStealingPool::~WorkStealingPool() {
 
 WorkStealingPool* WorkStealingPool::current() noexcept { return t_pool; }
 
-void WorkStealingPool::configure_groups(std::size_t n) {
-    groups_.clear();
-    groups_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        groups_.push_back(std::make_unique<GroupSlot>());
-}
-
-WorkStealingPool::GroupStats WorkStealingPool::group_stats(
-    std::size_t group) const {
-    GroupStats s;
-    if (group >= groups_.size()) return s;
-    const GroupSlot& g = *groups_[group];
-    s.tasks = g.tasks.load(std::memory_order_relaxed);
-    s.queue_delay_ns = g.queue_delay_ns.load(std::memory_order_relaxed);
-    s.busy_ns = g.busy_ns.load(std::memory_order_relaxed);
-    return s;
-}
-
 void WorkStealingPool::submit(Task task) {
     submitted_.fetch_add(1, std::memory_order_relaxed);
     c_submitted().add();
@@ -160,24 +112,15 @@ void WorkStealingPool::submit(Task task) {
         // time, not gross: time the submitter spent helping unrelated tasks
         // is no dependency of this one.
         pt.meta.chain_ns = t_exec->chain_base_ns + self_elapsed_ns(*t_exec);
-        pt.meta.group = t_exec->group;
     }
     if (obs::enabled()) {
         pt.meta.flow_id = obs::Tracer::instance().next_flow_id();
         obs::Tracer::instance().flow(pt.meta.flow_id, /*begin=*/true);
     }
-    if (t_pool == this && t_worker_index != kNotWorker) {
+    if (t_pool == this && t_worker_index != kNotWorker)
         workers_[t_worker_index]->deque.push_bottom(std::move(pt));
-    } else {
-        const std::size_t depth = injector_.push_bottom(std::move(pt));
-        if (depth > 1) {
-            // Another producer's task was already waiting in the shared
-            // injector: external submissions are piling up faster than
-            // workers drain them.
-            injector_contention_.fetch_add(1, std::memory_order_relaxed);
-            c_injector_contention().add();
-        }
-    }
+    else
+        injector_.push_bottom(std::move(pt));
     queued_.fetch_add(1, std::memory_order_release);
     notify_one_locked();
 }
@@ -199,9 +142,7 @@ void WorkStealingPool::notify_one_locked() {
     cv_.notify_one();
 }
 
-bool WorkStealingPool::try_get(PoolTask& out, unsigned self_index,
-                               bool& stolen) {
-    stolen = false;
+bool WorkStealingPool::try_get(PoolTask& out, unsigned self_index) {
     const bool is_worker = self_index != kNotWorker;
     if (is_worker && workers_[self_index]->deque.pop_bottom(out)) {
         queued_.fetch_sub(1, std::memory_order_relaxed);
@@ -218,26 +159,15 @@ bool WorkStealingPool::try_get(PoolTask& out, unsigned self_index,
         if (is_worker && victim == self_index) continue;
         if (workers_[victim]->deque.steal_top(out)) {
             queued_.fetch_sub(1, std::memory_order_relaxed);
-            stolen = true;
-            if (is_worker)
-                workers_[self_index]->stolen.fetch_add(1,
-                                                       std::memory_order_relaxed);
-            else
-                external_stolen_.fetch_add(1, std::memory_order_relaxed);
+            stolen_.fetch_add(1, std::memory_order_relaxed);
             c_stolen().add();
             return true;
         }
     }
-    if (is_worker) {
-        workers_[self_index]->steal_failures.fetch_add(1,
-                                                       std::memory_order_relaxed);
-        c_steal_failures().add();
-    }
     return false;
 }
 
-void WorkStealingPool::execute(PoolTask& task, unsigned self_index,
-                               bool stolen) {
+void WorkStealingPool::execute(PoolTask& task, unsigned self_index) {
     const std::uint64_t start_ns = epoch_.nanos();
     const std::uint64_t queue_delay =
         start_ns > task.meta.submit_ns ? start_ns - task.meta.submit_ns : 0;
@@ -246,8 +176,6 @@ void WorkStealingPool::execute(PoolTask& task, unsigned self_index,
 
     ExecContext ctx;
     ctx.chain_base_ns = task.meta.chain_ns;
-    ctx.queue_delay_ns = queue_delay;
-    ctx.group = task.meta.group;
     ExecContext* const prev = t_exec;
     t_exec = &ctx;
     task.fn();
@@ -267,36 +195,19 @@ void WorkStealingPool::execute(PoolTask& task, unsigned self_index,
     // waiter resuming after wait() -- are not chained).
     atomic_max(critical_path_ns_, ctx.chain_base_ns + ns);
 
-    // Group attribution uses the group the task *ended* with: a top-level
-    // task claims its group via set_current_group after it starts running.
-    if (ctx.group < groups_.size()) {
-        GroupSlot& g = *groups_[ctx.group];
-        g.tasks.fetch_add(1, std::memory_order_relaxed);
-        g.queue_delay_ns.fetch_add(queue_delay, std::memory_order_relaxed);
-        g.busy_ns.fetch_add(ns, std::memory_order_relaxed);
-    }
-
-    // `executed` is published last, with release: a reader that sees a
-    // task counted there (stats() acquires it first) also sees that task's
-    // group, busy, queue-delay and steal tallies.  TaskGroup::wait() returns
-    // before this point, so polling stats().executed is the quiescence
-    // point for exact reads.
-    if (self_index != kNotWorker) {
-        Worker& w = *workers_[self_index];
-        w.busy_ns.fetch_add(ns, std::memory_order_relaxed);
-        w.queue_delay_ns.fetch_add(queue_delay, std::memory_order_relaxed);
-        w.executed.fetch_add(1, std::memory_order_release);
-    } else {
+    busy_ns_.fetch_add(ns, std::memory_order_relaxed);
+    if (self_index == kNotWorker)
         external_busy_ns_.fetch_add(ns, std::memory_order_relaxed);
-        external_queue_delay_ns_.fetch_add(queue_delay,
-                                           std::memory_order_relaxed);
-        external_executed_.fetch_add(1, std::memory_order_release);
-    }
-    c_executed().add();
+    queue_delay_ns_.fetch_add(queue_delay, std::memory_order_relaxed);
     c_busy_ns().add(ns);
     h_queue_delay().observe(queue_delay);
-    h_task_duration().observe(ns);
-    if (stolen) h_steal_latency().observe(queue_delay);
+    c_executed().add();
+    // `executed` is published last, with release: a reader that sees a
+    // task counted there (stats() acquires it first) also sees that task's
+    // busy, queue-delay, steal and critical-path tallies.  TaskGroup::wait()
+    // returns before this point, so polling stats().executed is the
+    // quiescence point for exact reads.
+    executed_.fetch_add(1, std::memory_order_release);
 }
 
 void WorkStealingPool::worker_main(unsigned index) {
@@ -304,14 +215,12 @@ void WorkStealingPool::worker_main(unsigned index) {
     t_worker_index = index;
     obs::Tracer::instance().set_thread_name("worker-" + std::to_string(index));
     PoolTask task;
-    bool stolen = false;
     for (;;) {
-        if (try_get(task, index, stolen)) {
-            execute(task, index, stolen);
+        if (try_get(task, index)) {
+            execute(task, index);
             continue;
         }
         if (stop_.load(std::memory_order_acquire)) break;
-        Worker& w = *workers_[index];
         Stopwatch parked;
         {
             std::unique_lock<std::mutex> lock(cv_mu_);
@@ -321,9 +230,7 @@ void WorkStealingPool::worker_main(unsigned index) {
             });
         }
         const std::uint64_t ns = parked.nanos();
-        w.parks.fetch_add(1, std::memory_order_relaxed);
-        w.park_ns.fetch_add(ns, std::memory_order_relaxed);
-        c_parks().add();
+        park_ns_.fetch_add(ns, std::memory_order_relaxed);
         c_park_ns().add(ns);
     }
     t_pool = nullptr;
@@ -333,10 +240,9 @@ void WorkStealingPool::worker_main(unsigned index) {
 void WorkStealingPool::help_until(const std::function<bool()>& done) {
     const unsigned self = t_pool == this ? t_worker_index : kNotWorker;
     PoolTask task;
-    bool stolen = false;
     while (!done()) {
-        if (try_get(task, self, stolen)) {
-            execute(task, self, stolen);
+        if (try_get(task, self)) {
+            execute(task, self);
             continue;
         }
         // Nothing stealable: the remaining group tasks are running on other
@@ -350,25 +256,14 @@ void WorkStealingPool::help_until(const std::function<bool()>& done) {
 
 WorkStealingPool::Stats WorkStealingPool::stats() const {
     Stats s;
-    for (const auto& w : workers_) {
-        s.executed += w->executed.load(std::memory_order_acquire);
-        s.stolen += w->stolen.load(std::memory_order_relaxed);
-        s.steal_failures += w->steal_failures.load(std::memory_order_relaxed);
-        s.busy_ns += w->busy_ns.load(std::memory_order_relaxed);
-        s.queue_delay_ns += w->queue_delay_ns.load(std::memory_order_relaxed);
-        s.parks += w->parks.load(std::memory_order_relaxed);
-        s.park_ns += w->park_ns.load(std::memory_order_relaxed);
-    }
-    s.executed += external_executed_.load(std::memory_order_acquire);
-    s.stolen += external_stolen_.load(std::memory_order_relaxed);
-    s.external_busy_ns = external_busy_ns_.load(std::memory_order_relaxed);
-    s.busy_ns += s.external_busy_ns;
-    s.queue_delay_ns +=
-        external_queue_delay_ns_.load(std::memory_order_relaxed);
+    s.executed = executed_.load(std::memory_order_acquire);
+    s.stolen = stolen_.load(std::memory_order_relaxed);
     s.submitted = submitted_.load(std::memory_order_relaxed);
+    s.busy_ns = busy_ns_.load(std::memory_order_relaxed);
+    s.external_busy_ns = external_busy_ns_.load(std::memory_order_relaxed);
+    s.queue_delay_ns = queue_delay_ns_.load(std::memory_order_relaxed);
     s.critical_path_ns = critical_path_ns_.load(std::memory_order_relaxed);
-    s.injector_contention =
-        injector_contention_.load(std::memory_order_relaxed);
+    s.park_ns = park_ns_.load(std::memory_order_relaxed);
     return s;
 }
 

@@ -4,8 +4,8 @@
 // WorkDeque; external submissions land in a shared injector deque.  An idle
 // worker takes from (in order) its own deque bottom, the injector, then the
 // other workers' deque tops, scanning round-robin from its right-hand
-// neighbour.  A full unsuccessful scan counts as a steal failure and parks
-// the worker on a condition variable.
+// neighbour.  A full unsuccessful scan parks the worker on a condition
+// variable.
 //
 // The crucial property for nested parallelism is *helping*: any thread --
 // a worker in the middle of a task, or an external caller -- can execute
@@ -14,9 +14,10 @@
 // deadlocks the pool; it works its own subtasks (or anything stealable)
 // until the group completes.
 //
-// Observability: per-worker tallies (tasks executed/stolen, steal
-// failures, busy nanoseconds) feed the `sched.*` metrics in src/obs/ once
-// per task, and are also available via `stats()`.  Only the submit ->
+// Observability: one pool-wide ledger (tasks submitted/executed/stolen,
+// busy, queue-delay and parked nanoseconds, the critical path) of relaxed
+// atomics, each touched once per task or park, read back via `stats()` and
+// mirrored into the `sched.*` metrics in src/obs/.  Only the submit ->
 // execute flow events wait for a trace to be recording.
 // Spans opened inside tasks carry the executing worker's thread id, so
 // Chrome-trace exports show the real parallel schedule (one row per
@@ -37,17 +38,13 @@
 
 namespace stgcc::sched {
 
-/// "No attribution group" sentinel for TaskMeta::group.
-inline constexpr std::uint32_t kNoGroup = 0xffffffffu;
-
 /// Telemetry stamped onto every queued task at submission.  Travels with
 /// the task through the deques so the executing worker can compute queue
-/// delay (submit -> start), extend the critical-path chain, attribute the
-/// task to a group, and close the Chrome-trace flow link.
+/// delay (submit -> start), extend the critical-path chain and close the
+/// Chrome-trace flow link.
 struct TaskMeta {
     std::uint64_t submit_ns = 0;  ///< pool-epoch stamp taken in submit()
     std::uint64_t chain_ns = 0;   ///< critical-path length up to submission
-    std::uint32_t group = kNoGroup;  ///< attribution group (see set_current_group)
     std::uint64_t flow_id = 0;    ///< Chrome-trace flow link (0 = none)
 };
 
@@ -94,11 +91,10 @@ public:
     /// (used by TaskGroup when its pending count reaches zero).
     void wake_all();
 
-    /// Merged per-worker tallies (plus work executed by helping threads).
+    /// The pool's ledger, including work executed by helping threads.
     struct Stats {
         std::uint64_t executed = 0;        ///< tasks run to completion
         std::uint64_t stolen = 0;          ///< tasks taken from another deque
-        std::uint64_t steal_failures = 0;  ///< full scans that found nothing
         std::uint64_t submitted = 0;       ///< tasks ever submitted
         std::uint64_t busy_ns = 0;  ///< summed task self time (helping-
                                     ///< nested tasks count once, in themselves)
@@ -109,54 +105,20 @@ public:
         std::uint64_t external_busy_ns = 0;
         std::uint64_t queue_delay_ns = 0;  ///< summed submit -> start latency
         std::uint64_t critical_path_ns = 0;  ///< longest submission chain
-        std::uint64_t parks = 0;           ///< worker cv waits (idle episodes)
-        std::uint64_t park_ns = 0;         ///< summed parked time
-        std::uint64_t injector_contention = 0;  ///< injector pushes that queued
+        std::uint64_t park_ns = 0;         ///< summed worker parked time
     };
     [[nodiscard]] Stats stats() const;
 
-    /// Per-group attribution: a corpus driver sizes the table once before
-    /// submitting work (`configure_groups(models)`), each top-level task
-    /// claims its group via `set_current_group(i)`, and nested submissions
-    /// inherit the submitter's group.  `group_stats` reads back the tallies
-    /// (exact once stats().executed counts every task of the group:
-    /// TaskGroup::wait returns before the last task's tallies land).
-    struct GroupStats {
-        std::uint64_t tasks = 0;
-        std::uint64_t queue_delay_ns = 0;
-        std::uint64_t busy_ns = 0;
-    };
-    void configure_groups(std::size_t n);
-    [[nodiscard]] GroupStats group_stats(std::size_t group) const;
-
 private:
-    // Line-aligned so two workers' hot tallies never share a cache line
-    // (each Worker is heap-allocated, but without the alignas the
-    // allocator may pack one worker's tail atomics against the next
-    // worker's deque mutex).
-    struct alignas(64) Worker {
+    struct Worker {
         WorkDequeT<PoolTask> deque;
         std::thread thread;
-        std::atomic<std::uint64_t> executed{0};
-        std::atomic<std::uint64_t> stolen{0};
-        std::atomic<std::uint64_t> steal_failures{0};
-        std::atomic<std::uint64_t> busy_ns{0};
-        std::atomic<std::uint64_t> queue_delay_ns{0};
-        std::atomic<std::uint64_t> parks{0};
-        std::atomic<std::uint64_t> park_ns{0};
-    };
-
-    struct GroupSlot {
-        std::atomic<std::uint64_t> tasks{0};
-        std::atomic<std::uint64_t> queue_delay_ns{0};
-        std::atomic<std::uint64_t> busy_ns{0};
     };
 
     void worker_main(unsigned index);
     /// Take one task: own deque (workers only), injector, then steal scan.
-    /// `stolen` reports whether the task came off another worker's deque.
-    bool try_get(PoolTask& out, unsigned self_index, bool& stolen);
-    void execute(PoolTask& task, unsigned self_index, bool stolen);
+    bool try_get(PoolTask& out, unsigned self_index);
+    void execute(PoolTask& task, unsigned self_index);
     void notify_one_locked();
 
     std::vector<std::unique_ptr<Worker>> workers_;
@@ -166,29 +128,20 @@ private:
     std::condition_variable cv_;
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> queued_{0};     ///< tasks enqueued, not yet taken
-    std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> critical_path_ns_{0};
-    std::atomic<std::uint64_t> injector_contention_{0};
     Stopwatch epoch_;  ///< timebase for TaskMeta stamps
 
-    // Per-group attribution table; sized before work is submitted.
-    std::vector<std::unique_ptr<GroupSlot>> groups_;
-
-    // Tallies for non-worker threads executing tasks via help_until.
-    std::atomic<std::uint64_t> external_executed_{0};
-    std::atomic<std::uint64_t> external_stolen_{0};
-    std::atomic<std::uint64_t> external_busy_ns_{0};
-    std::atomic<std::uint64_t> external_queue_delay_ns_{0};
+    // The ledger behind stats().  Each tally changes once per task or park,
+    // never per search node, so one relaxed atomic each is cheap enough;
+    // executed_ alone is release-published, last, by execute().
+    std::atomic<std::uint64_t> submitted_{0};
+    std::atomic<std::uint64_t> executed_{0};
+    std::atomic<std::uint64_t> stolen_{0};
+    std::atomic<std::uint64_t> busy_ns_{0};
+    std::atomic<std::uint64_t> external_busy_ns_{0};  ///< helpers' share of busy_ns_
+    std::atomic<std::uint64_t> queue_delay_ns_{0};
+    std::atomic<std::uint64_t> critical_path_ns_{0};
+    std::atomic<std::uint64_t> park_ns_{0};
 };
-
-/// Claim attribution group `group` for the pool task the calling thread is
-/// currently executing; tasks it submits from now on inherit the group.
-/// No-op when the caller is not inside a pool task (serial mode).
-void set_current_group(std::uint32_t group) noexcept;
-
-/// Queue delay (submit -> start) of the pool task the calling thread is
-/// currently executing; 0 outside a pool task (serial mode).
-[[nodiscard]] std::uint64_t current_task_queue_delay_ns() noexcept;
 
 /// A set of tasks whose completion can be awaited.  With a null pool the
 /// group degenerates to immediate inline execution -- the `--jobs 1` mode

@@ -600,7 +600,8 @@ sched::CancellationToken Server::arm_deadline(
     std::uint64_t deadline_ms = cfg_.default_deadline_ms;
     if (const obs::Json* d = req.find("deadline_ms")) deadline_ms = d->as_uint();
     if (deadline_ms == 0) return {};
-    source.cancel_after(std::chrono::milliseconds(deadline_ms));
+    source.cancel_after(
+        std::chrono::duration<std::uint64_t, std::milli>(deadline_ms));
     return source.token();
 }
 

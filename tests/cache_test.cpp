@@ -15,7 +15,6 @@
 #include "cache/result_cache.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "unfolding/configuration.hpp"
 #include "test_util.hpp"
 
 namespace stgcc {
@@ -44,30 +43,6 @@ TEST(PrefixArtifacts, CoRowsMatchPairwiseConcurrency) {
             for (unf::EventId f = 0; f < prefix.num_events(); ++f)
                 EXPECT_EQ(row.test(f), prefix.concurrent(e, f))
                     << "seed=" << seed << " e=" << e << " f=" << f;
-        }
-    }
-}
-
-TEST(PrefixArtifacts, MarkingOfDenseAgreesWithConfigurationHelper) {
-    for (unsigned seed : {1001u, 1005u, 1023u}) {
-        auto model = test::random_stg(seed);
-        cache::PrefixArtifacts artifacts(model);
-        ASSERT_TRUE(artifacts.consistent()) << "seed=" << seed;
-        const auto& problem = artifacts.problem();
-        // The empty configuration reaches the initial marking...
-        BitVec empty(std::max<std::size_t>(problem.size(), 1));
-        EXPECT_EQ(artifacts.marking_of_dense(empty),
-                  unf::marking_of(artifacts.prefix(),
-                                  problem.to_event_set(empty)));
-        // ... and every local configuration [e] agrees bit-for-bit with the
-        // sparse helper the masks replace.
-        for (std::size_t i = 0; i < problem.size(); ++i) {
-            BitVec config(problem.preds(i));
-            config.set(i);
-            EXPECT_EQ(artifacts.marking_of_dense(config),
-                      unf::marking_of(artifacts.prefix(),
-                                      problem.to_event_set(config)))
-                << "seed=" << seed << " dense=" << i;
         }
     }
 }

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cache/result_cache.hpp"
 #include "obs/json.hpp"
@@ -302,6 +303,26 @@ TEST_F(CliTest, StgbatchCacheAndJobsNeutralReports) {
     ASSERT_FALSE(c.empty());
     EXPECT_EQ(c, canonical_file(in_work("warm.json")));
     EXPECT_EQ(c, canonical_file(in_work("nocache.json")));
+
+    // The pool's ledger is written once, whole, under body.stats.sched;
+    // rows carry no per-model scheduler stats.
+    const auto bytes = cache::read_file_bytes(in_work("nocache.json"));
+    ASSERT_TRUE(bytes.has_value());
+    const auto report = obs::Json::parse(*bytes);
+    ASSERT_TRUE(report.has_value());
+    const obs::Json& body = *report->find("body");
+    const obs::Json& sched = *body.find("stats")->find("sched");
+    const std::vector<std::string> keys = {
+        "workers",        "wall_ns",          "executed",
+        "stolen",         "busy_ns",          "external_busy_ns",
+        "queue_delay_ns", "critical_path_ns", "park_ns"};
+    ASSERT_EQ(sched.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(sched.member(i).first, keys[i]);
+    const obs::Json& rows = *body.find("models");
+    ASSERT_EQ(rows.size(), 8u);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows.at(i).find("stats"), nullptr) << i;
 }
 
 TEST_F(CliTest, OneVerdictEntryIsWarmForStgcheckStgbatchAndStgd) {

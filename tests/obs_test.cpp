@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +28,19 @@ namespace {
 // Each TEST runs in its own process under gtest_discover_tests, but keep
 // the fixture defensive anyway: tracing off and all global state zeroed on
 // both sides of every test.
+// Replace the number after every `"key":` in `json` with 0.000.
+std::string mask_number(std::string json, const char* key) {
+    std::string tag = "\"";
+    tag.append(key).append("\":");
+    for (std::size_t at = json.find(tag); at != std::string::npos;
+         at = json.find(tag, at)) {
+        at += tag.size();
+        const std::size_t end = json.find_first_not_of("0123456789.", at);
+        json.replace(at, end == std::string::npos ? end : end - at, "0.000");
+    }
+    return json;
+}
+
 class ObsTest : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -147,10 +159,7 @@ TEST_F(ObsTest, ChromeTraceMatchesGoldenFile) {
     set_enabled(false);
     std::string got = Tracer::instance().chrome_trace_json();
     // Timestamps vary run to run; normalise them before diffing.
-    got = std::regex_replace(got, std::regex(R"("ts":[0-9]+\.[0-9]+)"),
-                             "\"ts\":0.000");
-    got = std::regex_replace(got, std::regex(R"("dur":[0-9]+\.[0-9]+)"),
-                             "\"dur\":0.000");
+    got = mask_number(mask_number(got, "ts"), "dur");
 
     const std::string golden_path =
         std::string(STGCC_GOLDEN_DIR) + "/obs_trace.json";

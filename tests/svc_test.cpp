@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -473,6 +474,31 @@ TEST_F(SvcServerTest, DeadlineCancelsALongVerification) {
     // so well under the minutes an uncancelled run would take.
     EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
               30);
+}
+
+TEST_F(SvcServerTest, FarOffDeadlinesNeverFire) {
+    // UINT64_MAX ms does not fit a signed milliseconds count, and
+    // 9223372036853 ms overflows now() + d on steady_clock: both are
+    // deadlines the clock cannot reach, so the check must return its
+    // verdict instead of "deadline_exceeded".
+    start();
+    const std::string model_text =
+        read_model_file(std::string(STGCC_MODELS_DIR) + "/vme.g");
+    svc::CheckOptions copts;
+    copts.use_cache = false;
+    svc::Client client = connect(server_->bound()[0]);
+    std::string error;
+    std::int64_t id = 1;
+    for (const std::uint64_t ms : {std::numeric_limits<std::uint64_t>::max(),
+                                   std::uint64_t{9223372036853}}) {
+        obs::Json request = check_request(id++, model_text, copts);
+        request.set("deadline_ms", ms);
+        auto resp = client.call(request, error);
+        ASSERT_TRUE(resp.has_value()) << error;
+        ASSERT_TRUE(svc::response_ok(*resp))
+            << ms << ": " << svc::response_error(*resp);
+        EXPECT_EQ(resp->find("exit")->as_int(), 1) << ms;
+    }
 }
 
 TEST_F(SvcServerTest, DeadlineUnderLoadCancelsAllRequestsAndCachesNoPartial) {

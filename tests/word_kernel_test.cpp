@@ -7,7 +7,7 @@
 //    agree with the explicit state-graph checkers.
 //  * LeafState: for random dense configurations of every shipped model, the
 //    place set, Out set and code computed by PrefixArtifacts::leaf_state
-//    equal marking_of_dense, Stg::out_signals / signal_enabled and v0 plus
+//    equal unf::marking_of, Stg::out_signals / signal_enabled and v0 plus
 //    the change vector.
 #include <gtest/gtest.h>
 
@@ -139,7 +139,8 @@ TEST(LeafState, AgreesWithMarkingOutAndCodeOnCorpus) {
                                               problem.to_event_set(dense)));
             artifacts.leaf_state(dense, s);
             artifacts.leaf_places(dense, places_only);
-            const petri::Marking m = artifacts.marking_of_dense(dense);
+            const petri::Marking m =
+                unf::marking_of(artifacts.prefix(), problem.to_event_set(dense));
 
             BitVec places(m.num_places());
             for (std::size_t p = 0; p < m.num_places(); ++p) {

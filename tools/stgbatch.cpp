@@ -57,12 +57,6 @@ struct ModelResult {
     std::string verdict;  ///< streamed verdict line, or "ERROR (...)"
     obs::Json row;        ///< aggregate-report row, "file" first
     double seconds = 0.0;
-    /// Scheduler attribution for this model's task group (local runs only):
-    /// the model task itself plus every nested task it fanned out
-    /// (per-signal CSC, normalcy orientations).  Volatile -- appended to
-    /// the row under "stats", never cached.
-    std::uint64_t tasks = 0;
-    std::uint64_t queue_delay_ns = 0;
 
     /// A verified model.  Rendered rows are content-addressed and carry no
     /// path, so the manifest path is restored as the leading member.
@@ -252,10 +246,6 @@ int finish(const svc::CliOptions& cli, bool quiet,
         for (const ModelResult& r : results) {
             obs::Json row = r.row;
             if (r.loaded) row.set("seconds", r.seconds);
-            if (r.loaded && ex)
-                row.set("stats", obs::Json::object()
-                                     .set("tasks", r.tasks)
-                                     .set("queue_delay_ns", r.queue_delay_ns));
             rows.push(std::move(row));
         }
         obs::Json body = obs::Json::object();
@@ -281,14 +271,11 @@ int finish(const svc::CliOptions& cli, bool quiet,
                 const auto ps = ex->pool()->stats();
                 sched_stats.set("executed", ps.executed)
                     .set("stolen", ps.stolen)
-                    .set("steal_failures", ps.steal_failures)
                     .set("busy_ns", ps.busy_ns)
                     .set("external_busy_ns", ps.external_busy_ns)
                     .set("queue_delay_ns", ps.queue_delay_ns)
                     .set("critical_path_ns", ps.critical_path_ns)
-                    .set("parks", ps.parks)
-                    .set("park_ns", ps.park_ns)
-                    .set("injector_contention", ps.injector_contention);
+                    .set("park_ns", ps.park_ns);
             }
             body.set("stats",
                      obs::Json::object().set("sched", std::move(sched_stats)));
@@ -345,17 +332,12 @@ int main(int argc, char** argv) {
         std::lock_guard<std::mutex> lock(out_mu);
         ++done;
         if (quiet) return;
-        std::cout << "[" << done << "/" << files.size() << "] "
-                  << fs::path(file).filename().string() << "  " << r.verdict
-                  << "  (" << r.seconds << " s";
-        if (r.tasks > 0)
-            std::cout << ", qd "
-                      << static_cast<double>(r.queue_delay_ns) /
-                             static_cast<double>(r.tasks) / 1e6
-                      << " ms";
         // Flush per row: a redirected stgbatch (CI logs, a pipe into
         // `tee`) shows each verdict as it lands, not on buffer fill.
-        std::cout << ")\n" << std::flush;
+        std::cout << "[" << done << "/" << files.size() << "] "
+                  << fs::path(file).filename().string() << "  " << r.verdict
+                  << "  (" << r.seconds << " s)\n"
+                  << std::flush;
     };
 
     if (cli.connect) {
@@ -376,11 +358,6 @@ int main(int argc, char** argv) {
         std::cout << "stgbatch: " << files.size() << " models, jobs="
                   << ex.jobs() << "\n";
 
-    // One attribution group per model: the model task claims its manifest
-    // index, nested submissions inherit it, and the per-model queue-delay
-    // column reads the tallies back after the model's fan-out drained.
-    if (ex.pool()) ex.pool()->configure_groups(files.size());
-
     Stopwatch timer;
     // Results land in `results` by manifest index (deterministic); only the
     // streamed progress lines appear in completion order.  Model tasks and
@@ -388,7 +365,6 @@ int main(int argc, char** argv) {
     // share the one pool: small models fill workers the big models' fanout
     // leaves idle, and the corpus isn't serialized on its largest model.
     sched::parallel_for(ex, files.size(), [&](std::size_t i) {
-        sched::set_current_group(static_cast<std::uint32_t>(i));
         ModelResult& r = results[i];
         Stopwatch model_timer;
         try {
@@ -399,17 +375,6 @@ int main(int argc, char** argv) {
             r.failed(files[i], e.what());
         }
         r.seconds = model_timer.seconds();
-        // Queue-delay attribution: nested tasks are quiescent here (the
-        // model's verify drained its groups), but this task's own tallies
-        // land in the group only after this lambda returns -- so add its
-        // queue delay explicitly.
-        r.tasks = 1;
-        r.queue_delay_ns = sched::current_task_queue_delay_ns();
-        if (ex.pool()) {
-            const auto gs = ex.pool()->group_stats(i);
-            r.tasks += gs.tasks;
-            r.queue_delay_ns += gs.queue_delay_ns;
-        }
         progress(files[i], r);
     });
     return finish(cli, quiet, results, timer.seconds(), &ex);
