@@ -25,22 +25,9 @@ PrefixArtifacts::PrefixArtifacts(std::shared_ptr<const stg::Stg> stg,
 
 void PrefixArtifacts::build() {
     obs::Span span("artifacts");
-    const std::size_t n = prefix_.num_events();
-
-    // Co-relation rows: co(e) = E \ ([e] | successors(e) | conflicts(e)).
-    // Both [e] and successors(e) contain e, so the diagonal is clear.
-    co_rows_ = util::BitMatrix(arena_, n, n);
-    for (unf::EventId e = 0; e < n; ++e) {
-        MutBitSpan row = co_rows_.mut_row(e);
-        row.set_all();
-        row.subtract(prefix_.local_config(e));
-        row.subtract(prefix_.successors(e));
-        row.subtract(prefix_.conflicts(e));
-    }
-
     {
         obs::Span cspan("consistency");
-        consistency_ = unf::analyze_consistency(*stg_, prefix_, co_rows_);
+        consistency_ = unf::analyze_consistency(*stg_, prefix_);
     }
     span.attr("consistent", consistency_.consistent);
     if (!consistency_.consistent) return;

@@ -3,10 +3,7 @@
 // Everything the USC / CSC / normalcy checkers derive from one unfolding
 // prefix is computed exactly once here and then shared read-only by every
 // solver instance of the model:
-//   * the co-relation matrix of the prefix (row e = events concurrent with
-//     e), used by the consistency analysis instead of O(k^2) pairwise
-//     queries,
-//   * the consistency analysis itself (and the derived initial code v0),
+//   * the consistency analysis (and the derived initial code v0),
 //     which verify_stg and the CodingProblem used to compute separately,
 //   * the dense CodingProblem with its per-signal solver template,
 //   * the leaf-predicate tables: the place flow pre(t) xor post(t) of every
@@ -105,14 +102,6 @@ public:
     /// the historical CodingProblem diagnosis) when the STG is inconsistent.
     [[nodiscard]] const core::CodingProblem& problem() const;
 
-    /// Events concurrent with `e`, as a bit row over event ids (exactly
-    /// num_events() bits, a row of the arena-backed co matrix -- valid as
-    /// long as the artifacts).
-    [[nodiscard]] BitSpan co_row(unf::EventId e) const {
-        STGCC_REQUIRE(e < co_rows_.rows());
-        return co_rows_.row(e);
-    }
-
     /// Fill `s.places` with the place set of the marking reached by a dense
     /// configuration (the USC leaf predicate compares these).  The unfolder
     /// enforces 1-safety, so every place holds M0(p) + produced - consumed
@@ -136,8 +125,7 @@ private:
     std::shared_ptr<const stg::Stg> owned_stg_;  ///< may be null (aliasing ctors)
     const stg::Stg* stg_;
     unf::Prefix prefix_;
-    util::Arena arena_;           ///< owns the co matrix and leaf tables
-    util::BitMatrix co_rows_;     ///< n x n, rows in arena_
+    util::Arena arena_;           ///< owns the leaf tables
     unf::PrefixConsistency consistency_;
     std::unique_ptr<core::CodingProblem> problem_;  ///< null when inconsistent
     BitVec initial_places_;                   ///< M0, width |P|

@@ -246,8 +246,7 @@ stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts,
 
     // Merge in orientation order, LessEq first: a flag falsified by the
     // LessEq pass keeps that pass's witness; only flags it left open take
-    // the GreaterEq verdict.  This makes the result independent of which
-    // pass finished first.
+    // the GreaterEq verdict.
     stg::NormalcyResult result;
     result.per_signal.resize(outputs.size());
     for (std::size_t i = 0; i < outputs.size(); ++i) {

@@ -82,11 +82,10 @@ public:
     /// as p-normal / n-normal / not normal, with witnesses.
     [[nodiscard]] stg::NormalcyResult check_normalcy(SearchOptions opts = {}) const;
 
-    /// Normalcy with the two code-dominance orientations run as independent
-    /// instances on `ex` (the GreaterEq pass is cancelled early if the
-    /// LessEq pass already falsifies every flag).  Results are merged in
-    /// orientation order (LessEq first), so verdicts and witnesses are
-    /// identical at any `--jobs`, including `Executor(1)`.
+    /// Same result as the one-argument overload: the LessEq orientation runs
+    /// first, and the GreaterEq orientation then runs only for the flags
+    /// LessEq left open, both on the calling thread.  `ex` is not used; the
+    /// overload stays for callers that hold an executor.
     [[nodiscard]] stg::NormalcyResult check_normalcy(SearchOptions opts,
                                                      sched::Executor& ex) const;
 

@@ -19,9 +19,10 @@ namespace stgcc::core {
 struct VerifyOptions {
     unf::UnfoldOptions unfold;
     SearchOptions search;
-    /// Worker threads for the checking phases (src/sched/): USC, the
-    /// per-signal CSC instances and the two normalcy orientations run
-    /// concurrently.  1 = fully serial (no pool is created); 0 = hardware
+    /// Worker threads for the checking phases (src/sched/): the USC-then-CSC
+    /// chain (its per-signal CSC instances fanned out) runs concurrently
+    /// with the normalcy check, whose two orientations run one after the
+    /// other.  1 = fully serial (no pool is created); 0 = hardware
     /// concurrency.  Verdicts and witnesses are identical at any value.
     unsigned jobs = 1;
     bool check_normalcy = true;

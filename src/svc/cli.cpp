@@ -1,5 +1,7 @@
 #include "svc/cli.hpp"
 
+#include <charconv>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <iomanip>
@@ -43,10 +45,12 @@ void print_flag(std::ostream& out, const std::string& flag, const char* help) {
 }  // namespace
 
 bool parse_flag_number(const char* flag, const char* text,
-                       std::uint64_t& value) {
-    char* end = nullptr;
-    value = std::strtoull(text, &end, 10);
-    if (end && *end == '\0') return true;
+                       std::uint64_t& value, std::uint64_t max) {
+    // from_chars takes no sign, space or empty string for an unsigned type
+    // and reports overflow instead of wrapping or saturating.
+    const char* end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc() && ptr == end && value <= max) return true;
     std::cerr << "bad " << flag << " value: " << text << "\n";
     return false;
 }
@@ -106,7 +110,8 @@ std::optional<int> parse_cli(int argc, char** argv, const CliTool& tool,
         } else if (is("--no-cache")) {
             out.check.use_cache = false;
         } else if (value_flag("--jobs")) {
-            if (!parse_flag_number("--jobs", argv[++i], number)) return 2;
+            if (!parse_flag_number("--jobs", argv[++i], number, UINT_MAX))
+                return 2;
             out.jobs = static_cast<unsigned>(number);
         } else if (value_flag("--deadline-ms")) {
             if (!parse_flag_number("--deadline-ms", argv[++i], out.deadline_ms))

@@ -53,10 +53,12 @@ struct CliTool {
 
 void print_usage(std::ostream& out, const CliTool& tool);
 
-/// A whole-argument unsigned decimal flag value; false after reporting
-/// "bad FLAG value: TEXT" on stderr.
+/// A whole-argument unsigned decimal flag value: one or more digits and
+/// nothing else, at most `max`.  False after reporting "bad FLAG value:
+/// TEXT" on stderr.
 [[nodiscard]] bool parse_flag_number(const char* flag, const char* text,
-                                     std::uint64_t& value);
+                                     std::uint64_t& value,
+                                     std::uint64_t max = UINT64_MAX);
 
 /// The result-cache root: `flag` when given, else $STGCC_CACHE_DIR, else
 /// "" (no result cache).

@@ -1,23 +1,13 @@
 // stgcc -- occurrence nets / branching-process prefixes.
 //
-// A branching process (B, E, G, h) of a net system lives in two phases
-// (docs/MEMORY.md):
-//
-//   * PrefixBuilder is the mutable growth representation the Unfolder
-//     appends to: per-entity structs with std::vector adjacency and
-//     power-of-two-capacity BitVec relation rows, cheap to extend one event
-//     at a time.
-//   * Prefix is the immutable frozen representation everything downstream
-//     reads: adjacency (presets, postsets, consumers) in flat CSR arrays,
-//     per-entity scalar columns, and the causality / conflict / successor
-//     relations as row-slices of three contiguous bit-matrix slabs -- all
-//     carved from one util::Arena owned by the Prefix.  Relation rows are
-//     exactly num_events() bits wide.
-//
-// Besides the bipartite structure both phases expose the derived relations
-// the verification algorithms need:
+// A branching process (B, E, G, h) of a net system is one Prefix: the ERV
+// unfolder (the one friend, unf::Unfolder) grows it event by event, and
+// every consumer reads the same object afterwards through the const API
+// below (docs/MEMORY.md).  Besides the bipartite structure it keeps the
+// derived relations the verification algorithms need:
 //   * per event, its local configuration [e] as a bit row over events,
 //   * per event, the set of events it is in (structural) conflict with,
+//   * per event, its causal successors,
 //   * per event, its Foata level (causal depth),
 //   * the cut-off flag and companion event of the ERV algorithm.
 #pragma once
@@ -28,8 +18,6 @@
 #include <vector>
 
 #include "petri/net_system.hpp"
-#include "util/arena.hpp"
-#include "util/bit_matrix.hpp"
 #include "util/bitvec.hpp"
 
 namespace stgcc::unf {
@@ -39,20 +27,16 @@ using EventId = std::uint32_t;
 inline constexpr ConditionId kNoCondition = static_cast<ConditionId>(-1);
 inline constexpr EventId kNoEvent = static_cast<EventId>(-1);
 
-/// Read-only view of one condition of a frozen Prefix.  Returned by value;
-/// binding `const Condition&` to the result is fine (lifetime extension),
-/// and the spans point into the prefix's arena, valid as long as the prefix.
 struct Condition {
     petri::PlaceId place = petri::kNoPlace;  ///< h(b)
     EventId producer = kNoEvent;             ///< unique producing event; kNoEvent for minimal conditions
-    std::span<const EventId> consumers;      ///< events with b in their preset
+    std::vector<EventId> consumers;          ///< events with b in their preset
 };
 
-/// Read-only view of one event of a frozen Prefix (same conventions).
 struct Event {
     petri::TransitionId transition = petri::kNoTransition;  ///< h(e)
-    std::span<const ConditionId> preset;
-    std::span<const ConditionId> postset;
+    std::vector<ConditionId> preset;
+    std::vector<ConditionId> postset;
     bool cutoff = false;
     /// For cut-off events: the event f with Mark([f]) = Mark([e]) that made
     /// this a cut-off, or kNoEvent when the companion is the (virtual) empty
@@ -61,31 +45,20 @@ struct Event {
     std::uint32_t foata_level = 1;  ///< 1 + max level of causal predecessors
 };
 
-class Prefix;
-
-/// Mutable growth phase, used only during unfolding.  Relation rows are
-/// BitVec of the current event *capacity* (power-of-two doubling), with all
-/// bits at or above num_events() clear; freeze() truncates them to the exact
-/// width.  The builder is cheap to append to and expensive to read at scale
-/// -- downstream code always works on the frozen Prefix.
-class PrefixBuilder {
+/// A finite complete prefix.  Read-only to everyone but the unfolder.
+///
+/// Relation rows are stored as BitVecs of the current event *capacity*
+/// (power-of-two doubling), so appending an event never reallocates every
+/// row; every bit at or above num_events() stays clear, so the accessors
+/// hand out exactly num_events()-bit BitSpan views of the same words
+/// without copying.  Move-only; moving keeps every view valid (the rows'
+/// words stay put on the heap).
+class Prefix {
 public:
-    struct Condition {
-        petri::PlaceId place = petri::kNoPlace;
-        EventId producer = kNoEvent;
-        std::vector<EventId> consumers;
-    };
-
-    struct Event {
-        petri::TransitionId transition = petri::kNoTransition;
-        std::vector<ConditionId> preset;
-        std::vector<ConditionId> postset;
-        bool cutoff = false;
-        EventId companion = kNoEvent;
-        std::uint32_t foata_level = 1;
-    };
-
-    explicit PrefixBuilder(const petri::NetSystem& sys) : sys_(&sys) {}
+    Prefix(Prefix&&) noexcept = default;
+    Prefix& operator=(Prefix&&) noexcept = default;
+    Prefix(const Prefix&) = delete;
+    Prefix& operator=(const Prefix&) = delete;
 
     [[nodiscard]] const petri::NetSystem& system() const noexcept { return *sys_; }
 
@@ -103,125 +76,14 @@ public:
     }
 
     /// Local configuration [e] as a bit row over events (includes e).
-    /// Width is the current capacity (>= num_events()); trailing bits clear.
-    [[nodiscard]] const BitVec& local_config(EventId e) const {
-        STGCC_REQUIRE(e < local_config_.size());
-        return local_config_[e];
-    }
-
-    /// Events in structural conflict with e (in either direction).
-    [[nodiscard]] const BitVec& conflicts(EventId e) const {
-        STGCC_REQUIRE(e < conflict_.size());
-        return conflict_[e];
-    }
-
-    /// Causal successor set of e: all events g with e in [g] (includes e).
-    [[nodiscard]] const BitVec& successors(EventId e) const {
-        STGCC_REQUIRE(e < succ_.size());
-        return succ_[e];
-    }
-
-    /// True when f is a causal predecessor of e (f < e, strict).
-    [[nodiscard]] bool causes(EventId f, EventId e) const {
-        return f != e && local_config_[e].test(f);
-    }
-
-    /// True when e and f are concurrent (can occur in one configuration,
-    /// neither causing the other).
-    [[nodiscard]] bool concurrent(EventId e, EventId f) const {
-        return e != f && !local_config_[e].test(f) && !local_config_[f].test(e) &&
-               !conflict_[e].test(f);
-    }
-
-    /// Minimal conditions (Min(ON)), representing the initial marking.
-    [[nodiscard]] const std::vector<ConditionId>& min_conditions() const noexcept {
-        return min_conditions_;
-    }
-
-    // --- construction interface (used by Unfolder) --------------------------
-
-    ConditionId add_condition(petri::PlaceId place, EventId producer);
-    /// Append an event; computes its local configuration, conflicts and
-    /// Foata level from the presets.  Postset conditions are added by the
-    /// caller afterwards via add_condition().
-    EventId add_event(petri::TransitionId transition, std::vector<ConditionId> preset);
-    void mark_cutoff(EventId e, EventId companion);
-    void add_min_condition(ConditionId b) { min_conditions_.push_back(b); }
-    void set_event_postset(EventId e, std::vector<ConditionId> postset) {
-        events_[e].postset = std::move(postset);
-    }
-
-    /// Produce the immutable flat representation.  The builder is left
-    /// untouched and may keep growing (the property tests compare both
-    /// phases); the result owns all its storage.
-    [[nodiscard]] Prefix freeze() const;
-
-private:
-    void ensure_event_capacity(std::size_t n);
-
-    const petri::NetSystem* sys_;
-    std::vector<Condition> conditions_;
-    std::vector<Event> events_;
-    std::vector<BitVec> local_config_;  // width = event capacity
-    std::vector<BitVec> conflict_;      // width = event capacity
-    std::vector<BitVec> succ_;          // width = event capacity
-    std::vector<ConditionId> min_conditions_;
-    std::size_t event_capacity_ = 0;
-    std::size_t num_cutoffs_ = 0;
-};
-
-/// Immutable frozen prefix: CSR adjacency, per-entity scalar columns and
-/// three relation bit-matrix slabs, all allocated from one owned arena.
-/// Move-only; moving keeps every span and row view valid (arena slabs stay
-/// put on the heap).
-class Prefix {
-public:
-    Prefix(Prefix&&) noexcept = default;
-    Prefix& operator=(Prefix&&) noexcept = default;
-    Prefix(const Prefix&) = delete;
-    Prefix& operator=(const Prefix&) = delete;
-
-    [[nodiscard]] const petri::NetSystem& system() const noexcept { return *sys_; }
-
-    [[nodiscard]] std::size_t num_conditions() const noexcept { return num_conditions_; }
-    [[nodiscard]] std::size_t num_events() const noexcept { return num_events_; }
-    [[nodiscard]] std::size_t num_cutoffs() const noexcept { return num_cutoffs_; }
-
-    [[nodiscard]] Condition condition(ConditionId b) const {
-        STGCC_REQUIRE(b < num_conditions_);
-        return Condition{
-            cond_place_[b], cond_producer_[b],
-            cons_dat_.subspan(cons_off_[b], cons_off_[b + 1] - cons_off_[b])};
-    }
-    [[nodiscard]] Event event(EventId e) const {
-        STGCC_REQUIRE(e < num_events_);
-        return Event{
-            ev_transition_[e],
-            pre_dat_.subspan(pre_off_[e], pre_off_[e + 1] - pre_off_[e]),
-            post_dat_.subspan(post_off_[e], post_off_[e + 1] - post_off_[e]),
-            ev_cutoff_[e] != 0,
-            ev_companion_[e],
-            ev_foata_[e]};
-    }
-
-    /// Local configuration [e] as a bit row over events (includes e).
     /// Exactly num_events() bits wide; valid as long as the prefix.
-    [[nodiscard]] BitSpan local_config(EventId e) const {
-        STGCC_REQUIRE(e < num_events_);
-        return local_cfg_.row(e);
-    }
+    [[nodiscard]] BitSpan local_config(EventId e) const { return row(local_config_, e); }
 
     /// Events in structural conflict with e (in either direction).
-    [[nodiscard]] BitSpan conflicts(EventId e) const {
-        STGCC_REQUIRE(e < num_events_);
-        return conflict_.row(e);
-    }
+    [[nodiscard]] BitSpan conflicts(EventId e) const { return row(conflict_, e); }
 
     /// Causal successor set of e: all events g with e in [g] (includes e).
-    [[nodiscard]] BitSpan successors(EventId e) const {
-        STGCC_REQUIRE(e < num_events_);
-        return succ_.row(e);
-    }
+    [[nodiscard]] BitSpan successors(EventId e) const { return row(succ_, e); }
 
     /// True when f is a causal predecessor of e (f < e, strict).
     [[nodiscard]] bool causes(EventId f, EventId e) const {
@@ -243,13 +105,7 @@ public:
     /// An all-zero event set of exactly num_events() bits -- the width of
     /// every relation row; use for building configurations to pass to the
     /// helpers in configuration.hpp.
-    [[nodiscard]] BitVec make_event_set() const { return BitVec(num_events_); }
-
-    /// Arena footprint of the frozen representation (bench_layout's
-    /// bytes-per-event numerator).
-    [[nodiscard]] std::size_t arena_bytes() const noexcept {
-        return arena_.bytes_allocated();
-    }
+    [[nodiscard]] BitVec make_event_set() const { return BitVec(num_events()); }
 
     /// Dot/debug rendering: event label like "e5:dsr+" using original names.
     [[nodiscard]] std::string event_name(EventId e) const;
@@ -259,30 +115,32 @@ public:
     [[nodiscard]] std::string to_dot() const;
 
 private:
-    friend class PrefixBuilder;
-    Prefix() = default;
+    friend class Unfolder;
+    explicit Prefix(const petri::NetSystem& sys) : sys_(&sys) {}
 
-    const petri::NetSystem* sys_ = nullptr;
-    util::Arena arena_;
+    [[nodiscard]] BitSpan row(const std::vector<BitVec>& rows, EventId e) const {
+        STGCC_REQUIRE(e < events_.size());
+        return BitSpan(rows[e].span().words(), events_.size());
+    }
 
-    std::span<const petri::PlaceId> cond_place_;
-    std::span<const EventId> cond_producer_;
-    std::span<const std::uint32_t> cons_off_;  // size num_conditions + 1
-    std::span<const EventId> cons_dat_;
+    /// Append a condition; a producer of kNoEvent makes it minimal,
+    /// otherwise it joins the producer's postset.
+    ConditionId add_condition(petri::PlaceId place, EventId producer);
+    /// Append an event; computes its local configuration, conflicts,
+    /// successors and Foata level from the preset.  Postset conditions are
+    /// added by the caller afterwards via add_condition().
+    EventId add_event(petri::TransitionId transition, std::vector<ConditionId> preset);
+    void mark_cutoff(EventId e, EventId companion);
+    void ensure_event_capacity(std::size_t n);
 
-    std::span<const petri::TransitionId> ev_transition_;
-    std::span<const std::uint32_t> ev_foata_;
-    std::span<const EventId> ev_companion_;
-    std::span<const std::uint8_t> ev_cutoff_;
-    std::span<const std::uint32_t> pre_off_, post_off_;  // size num_events + 1
-    std::span<const ConditionId> pre_dat_, post_dat_;
-
-    std::span<const ConditionId> min_conditions_;
-
-    util::BitMatrix local_cfg_, conflict_, succ_;  // rows in arena_
-
-    std::size_t num_conditions_ = 0;
-    std::size_t num_events_ = 0;
+    const petri::NetSystem* sys_;
+    std::vector<Condition> conditions_;
+    std::vector<Event> events_;
+    std::vector<BitVec> local_config_;  // width = event capacity
+    std::vector<BitVec> conflict_;      // width = event capacity
+    std::vector<BitVec> succ_;          // width = event capacity
+    std::vector<ConditionId> min_conditions_;
+    std::size_t event_capacity_ = 0;
     std::size_t num_cutoffs_ = 0;
 };
 

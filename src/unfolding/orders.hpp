@@ -5,14 +5,8 @@
 // Parikh vectors (as sorted transition-id sequences, lexicographically),
 // then the Foata normal forms level by level.  A total adequate order keeps
 // the complete prefix at most as large as the reachability graph.
-//
-// The key builders are templates over the prefix phase (PrefixBuilder while
-// unfolding, frozen Prefix for analyses/tests) and over the event-set type
-// (BitVec or BitSpan) -- both phases answer event() and local_config() with
-// the same shape.
 #pragma once
 
-#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <vector>
@@ -38,49 +32,14 @@ struct OrderKey {
     }
 };
 
-namespace detail {
-
-template <typename PrefixT, typename EventSet>
-OrderKey key_from_levels(const PrefixT& prefix, const EventSet& events,
-                         petri::TransitionId extra_transition,
-                         std::uint32_t extra_level) {
-    OrderKey key;
-    key.size = static_cast<std::uint32_t>(events.count());
-    events.for_each([&](std::size_t e) {
-        const auto& ev = prefix.event(static_cast<EventId>(e));
-        key.parikh.push_back(ev.transition);
-        if (key.foata.size() < ev.foata_level) key.foata.resize(ev.foata_level);
-        key.foata[ev.foata_level - 1].push_back(ev.transition);
-    });
-    if (extra_transition != petri::kNoTransition) {
-        ++key.size;
-        key.parikh.push_back(extra_transition);
-        if (key.foata.size() < extra_level) key.foata.resize(extra_level);
-        key.foata[extra_level - 1].push_back(extra_transition);
-    }
-    std::sort(key.parikh.begin(), key.parikh.end());
-    for (auto& level : key.foata) std::sort(level.begin(), level.end());
-    return key;
-}
-
-}  // namespace detail
-
 /// Order key of an existing event's local configuration.
-template <typename PrefixT>
-[[nodiscard]] OrderKey order_key_of_local_config(const PrefixT& prefix, EventId e) {
-    return detail::key_from_levels(prefix, prefix.local_config(e),
-                                   petri::kNoTransition, 0);
-}
+[[nodiscard]] OrderKey order_key_of_local_config(const Prefix& prefix, EventId e);
 
 /// Order key of a candidate event (not yet inserted): its configuration is
 /// `causes` (the union of the producers' local configurations) plus a new
 /// event labelled `t` one level above `cause_level`.
-template <typename PrefixT, typename EventSet>
-[[nodiscard]] OrderKey order_key_of_candidate(const PrefixT& prefix,
-                                              const EventSet& causes,
+[[nodiscard]] OrderKey order_key_of_candidate(const Prefix& prefix, BitSpan causes,
                                               petri::TransitionId t,
-                                              std::uint32_t cause_level) {
-    return detail::key_from_levels(prefix, causes, t, cause_level + 1);
-}
+                                              std::uint32_t cause_level);
 
 }  // namespace stgcc::unf

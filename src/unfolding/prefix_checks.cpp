@@ -19,15 +19,7 @@ std::vector<int> change_vector_of(const stg::Stg& stg, const Prefix& prefix,
     return v;
 }
 
-namespace {
-
-/// Shared implementation; `co_rows` (row e = events concurrent with e) is
-/// optional -- without it, rows are derived on the fly from the prefix
-/// relations via word-parallel set subtraction, which is equivalent to (and
-/// replaces) the historical pairwise Prefix::concurrent scan.
-PrefixConsistency analyze_consistency_impl(const stg::Stg& stg,
-                                           const Prefix& prefix,
-                                           const util::BitMatrix* co_rows) {
+PrefixConsistency analyze_consistency(const stg::Stg& stg, const Prefix& prefix) {
     stg.require_dummy_free();
     PrefixConsistency result;
     result.initial_code = stg::Code(stg.num_signals());
@@ -43,9 +35,9 @@ PrefixConsistency analyze_consistency_impl(const stg::Stg& stg,
         const auto& ez = by_signal[z];
         // (1) No two edges of the same signal may be concurrent: otherwise
         // some firing sequence contains z+ z+ or makes the code non-binary.
-        // For each event (ascending), intersect its co-row with the set of
-        // later same-signal events; the lowest hit reproduces the pair the
-        // pairwise (i, j) scan used to report.
+        // For each event e (ascending), the later same-signal events minus
+        // [e], successors(e) and conflicts(e) are those concurrent with e
+        // (word-parallel); the lowest one is the reported pair.
         if (ez.size() > 1) {
             BitVec later = prefix.make_event_set();
             for (EventId f : ez) later.set(f);
@@ -53,13 +45,9 @@ PrefixConsistency analyze_consistency_impl(const stg::Stg& stg,
                 const EventId e = ez[i];
                 later.reset(e);
                 BitVec cand = later;
-                if (co_rows) {
-                    cand &= co_rows->row(e);
-                } else {
-                    cand.subtract(prefix.local_config(e));
-                    cand.subtract(prefix.successors(e));
-                    cand.subtract(prefix.conflicts(e));
-                }
+                cand.subtract(prefix.local_config(e));
+                cand.subtract(prefix.successors(e));
+                cand.subtract(prefix.conflicts(e));
                 if (cand.any()) {
                     const EventId f = static_cast<EventId>(cand.find_first());
                     result.consistent = false;
@@ -141,17 +129,6 @@ PrefixConsistency analyze_consistency_impl(const stg::Stg& stg,
         for (SignalId z = 0; z < stg.num_signals(); ++z)
             if (v0[z] == 1) result.initial_code.set(z);
     return result;
-}
-
-}  // namespace
-
-PrefixConsistency analyze_consistency(const stg::Stg& stg, const Prefix& prefix) {
-    return analyze_consistency_impl(stg, prefix, nullptr);
-}
-
-PrefixConsistency analyze_consistency(const stg::Stg& stg, const Prefix& prefix,
-                                      const util::BitMatrix& co_rows) {
-    return analyze_consistency_impl(stg, prefix, &co_rows);
 }
 
 bool is_dynamically_conflict_free(const Prefix& prefix) {

@@ -8,7 +8,6 @@
 
 #include "stg/stg.hpp"
 #include "unfolding/occurrence_net.hpp"
-#include "util/bit_matrix.hpp"
 
 namespace stgcc::unf {
 
@@ -25,14 +24,6 @@ struct PrefixConsistency {
 /// configuration.  The STG must be dummy-free.
 [[nodiscard]] PrefixConsistency analyze_consistency(const stg::Stg& stg,
                                                     const Prefix& prefix);
-
-/// Same analysis reusing a precomputed co-relation matrix (row e = bit set
-/// of events concurrent with e, num_events() columns), as kept by
-/// cache::PrefixArtifacts.  Produces exactly the same result and diagnosis
-/// strings as the two-argument overload.
-[[nodiscard]] PrefixConsistency analyze_consistency(const stg::Stg& stg,
-                                                    const Prefix& prefix,
-                                                    const util::BitMatrix& co_rows);
 
 /// True when the STG is free from dynamic conflicts, detected on the prefix
 /// as: no condition has more than one consumer event.  For complete

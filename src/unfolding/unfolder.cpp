@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "unfolding/configuration.hpp"
 #include "unfolding/orders.hpp"
 #include "util/hash.hpp"
 
@@ -19,12 +20,16 @@ namespace {
 /// form, used as the cut-off hash key.
 using MarkKey = std::vector<petri::PlaceId>;
 
-class UnfolderImpl {
+}  // namespace
+
+/// The one writer of a Prefix (its friend): grows it in the ERV order and
+/// hands it over when the possible-extensions queue runs dry.
+class Unfolder {
 public:
-    UnfolderImpl(const petri::NetSystem& sys, UnfoldOptions opts)
+    Unfolder(const petri::NetSystem& sys, UnfoldOptions opts)
         : sys_(sys), opts_(opts), prefix_(sys) {}
 
-    PrefixBuilder run() {
+    Prefix run() {
         obs::Span span("unfold");
         seed_initial_conditions();
         for (ConditionId b : prefix_.min_conditions()) extensions_from(b);
@@ -42,7 +47,7 @@ public:
         obs::gauge("unfold.pe_queue_peak")
             .record_max(static_cast<std::int64_t>(peak));
         finish_instrumentation(span);
-        return std::move(prefix_);  // builder; callers freeze as needed
+        return std::move(prefix_);
     }
 
 private:
@@ -84,20 +89,16 @@ private:
 
     void seed_initial_conditions() {
         const petri::Marking& m0 = sys_.initial_marking();
-        std::vector<ConditionId> minimal;
         for (petri::PlaceId p = 0; p < sys_.net().num_places(); ++p) {
             if (m0[p] > 1)
                 throw ModelError(
                     "unfolding requires a 1-safe net system (place " +
                     sys_.net().place_name(p) + " initially holds " +
                     std::to_string(m0[p]) + " tokens)");
-            for (std::uint32_t k = 0; k < m0[p]; ++k) {
-                const ConditionId b = prefix_.add_condition(p, kNoEvent);
-                prefix_.add_min_condition(b);
-                minimal.push_back(b);
-            }
+            if (m0[p] == 1) prefix_.add_condition(p, kNoEvent);
         }
         // All minimal conditions are pairwise concurrent.
+        const std::span<const ConditionId> minimal = prefix_.min_conditions();
         for (ConditionId b : minimal) register_condition(b);
         for (ConditionId b : minimal)
             for (ConditionId c : minimal)
@@ -113,25 +114,11 @@ private:
         return key;
     }
 
-    /// Marking Mark([e]) of the local configuration of event e, computed
-    /// from Cut([e]).
-    MarkKey mark_key_of_local_config(EventId e) {
-        const BitVec& cfg = prefix_.local_config(e);
-        // marked := Min u postsets(cfg) \ presets(cfg)
-        std::vector<ConditionId> marked;
-        for (ConditionId b : prefix_.min_conditions()) marked.push_back(b);
-        cfg.for_each([&](std::size_t f) {
-            for (ConditionId b : prefix_.event(static_cast<EventId>(f)).postset)
-                marked.push_back(b);
-        });
-        std::vector<char> consumed(prefix_.num_conditions(), 0);
-        cfg.for_each([&](std::size_t f) {
-            for (ConditionId b : prefix_.event(static_cast<EventId>(f)).preset)
-                consumed[b] = 1;
-        });
+    /// Marking Mark([e]) of the local configuration of event e.
+    MarkKey mark_key_of_local_config(EventId e) const {
         MarkKey key;
-        for (ConditionId b : marked)
-            if (!consumed[b]) key.push_back(prefix_.condition(b).place);
+        for (ConditionId b : cut_of(prefix_, prefix_.local_config(e)))
+            key.push_back(prefix_.condition(b).place);
         std::sort(key.begin(), key.end());
         return key;
     }
@@ -224,17 +211,12 @@ private:
         if (!seen_.emplace(t, sorted).second) return;
 
         // Causes = union of producers' local configurations.
-        BitVec causes(prefix_.num_events() == 0
-                          ? std::size_t{64}
-                          : prefix_.local_config(0).size());
+        BitVec causes = prefix_.make_event_set();
         std::uint32_t cause_level = 0;
         for (ConditionId b : sorted) {
             const EventId prod = prefix_.condition(b).producer;
             if (prod == kNoEvent) continue;
-            BitVec lc = prefix_.local_config(prod);
-            if (lc.size() > causes.size()) causes.resize(lc.size());
-            lc.resize(causes.size());
-            causes |= lc;
+            causes |= prefix_.local_config(prod);
             cause_level = std::max(cause_level, prefix_.event(prod).foata_level);
         }
         Candidate cand;
@@ -260,10 +242,9 @@ private:
         }
 
         // Add postset conditions (they belong to Cut([e])).
-        std::vector<ConditionId> postset;
         for (petri::PlaceId p : sys_.net().post(cand.transition))
-            postset.push_back(prefix_.add_condition(p, e));
-        prefix_.set_event_postset(e, postset);
+            prefix_.add_condition(p, e);
+        const std::vector<ConditionId>& postset = prefix_.event(e).postset;
         if (prefix_.num_conditions() > opts_.max_conditions)
             throw ModelError("unfolding: condition limit exceeded");
 
@@ -297,7 +278,7 @@ private:
 
     const petri::NetSystem& sys_;
     UnfoldOptions opts_;
-    PrefixBuilder prefix_;
+    Prefix prefix_;
     std::vector<BitVec> co_;  // concurrency relation over conditions
     std::size_t cond_capacity_ = 0;
     std::vector<std::vector<ConditionId>> by_place_;
@@ -305,8 +286,6 @@ private:
     std::set<std::pair<petri::TransitionId, std::vector<ConditionId>>> seen_;
     std::map<MarkKey, EventId> marking_table_;
 };
-
-}  // namespace
 
 namespace {
 
@@ -322,12 +301,7 @@ void validate_presets(const petri::NetSystem& sys) {
 
 Prefix unfold(const petri::NetSystem& sys, UnfoldOptions opts) {
     validate_presets(sys);
-    return UnfolderImpl(sys, opts).run().freeze();
-}
-
-PrefixBuilder unfold_builder(const petri::NetSystem& sys, UnfoldOptions opts) {
-    validate_presets(sys);
-    return UnfolderImpl(sys, opts).run();
+    return Unfolder(sys, opts).run();
 }
 
 }  // namespace stgcc::unf

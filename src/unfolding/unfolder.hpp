@@ -39,19 +39,12 @@ struct UnfoldOptions {
     AdequateOrder order = AdequateOrder::ErvTotal;
 };
 
-/// Build the finite complete prefix of the unfolding of `sys`, frozen into
-/// the immutable flat representation (PrefixBuilder::freeze()).
+/// Build the finite complete prefix of the unfolding of `sys`.
 /// The net system must be 1-safe: the local-configuration cut-off
 /// criterion is complete only for safe nets, so non-safe systems are
 /// rejected with ModelError (detected exactly, either at the initial
 /// marking or as soon as two same-place conditions become concurrent).
 /// Unbounded nets additionally trip the event limit.
 [[nodiscard]] Prefix unfold(const petri::NetSystem& sys, UnfoldOptions opts = {});
-
-/// Same construction, returning the mutable builder phase instead of the
-/// frozen prefix.  Used by the layout property tests to cross-check the two
-/// representations; production code wants unfold().
-[[nodiscard]] PrefixBuilder unfold_builder(const petri::NetSystem& sys,
-                                           UnfoldOptions opts = {});
 
 }  // namespace stgcc::unf

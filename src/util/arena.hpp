@@ -1,8 +1,8 @@
-// stgcc -- bump allocator backing the frozen hot data structures.
+// stgcc -- bump allocator backing the search's hot data structures.
 //
 // An Arena hands out aligned, zero-initialised storage from large slabs and
-// frees everything at once on destruction.  The frozen Prefix, the
-// CodingProblem relation matrices and the PrefixArtifacts masks carve all
+// frees everything at once on destruction.  The CodingProblem relation
+// matrices and the PrefixArtifacts leaf tables carve all
 // their flat arrays out of one arena each, so a whole structure is a handful
 // of contiguous allocations instead of thousands of per-row vectors --
 // and tearing one down is a handful of frees.

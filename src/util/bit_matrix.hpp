@@ -3,9 +3,9 @@
 // One contiguous slab of rows x ceil(cols/64) words; row(i) is a BitSpan
 // row-slice, mut_row(i) the writable view used while populating.  The
 // matrix does not own its storage -- the Arena passed at construction does
-// -- so a BitMatrix handle is trivially movable and the frozen structures
-// (Prefix relations, CodingProblem closure rows, PrefixArtifacts masks)
-// keep one handle per relation next to the owning arena.
+// -- so a BitMatrix handle is trivially movable and the search structures
+// (CodingProblem closure rows, PrefixArtifacts leaf tables) keep one handle
+// per relation next to the owning arena.
 #pragma once
 
 #include <cstddef>

@@ -8,16 +8,16 @@
 // BitSpan / MutBitSpan are non-owning views over word storage held elsewhere
 // (a BitVec, or a row of a util::BitMatrix slab).  Aliasing contract
 // (docs/MEMORY.md): a BitSpan is valid exactly as long as the storage behind
-// it; the frozen structures hand out spans into arena slabs that live as
-// long as the owning object, and a BitVec converts to a BitSpan over its own
-// words.  Binary BitVec operations take BitSpan, so one code path serves
-// both owned vectors and frozen rows.  All producers keep the invariant that
-// bits past size() are zero in the last word.
+// it; the Prefix hands out exact-width spans over its (wider) row vectors,
+// the search structures spans into arena slabs that live as long as the
+// owning object, and a BitVec converts to a BitSpan over its own words.
+// Binary BitVec operations take BitSpan, so one code path serves both owned
+// vectors and stored rows.  All producers keep the invariant that bits past
+// size() are zero in the last word.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -147,7 +147,7 @@ private:
 
 /// Mutable view of `size` bits over externally owned words (a BitMatrix
 /// row during construction).  Writers must keep bits past size() zero;
-/// set_all() and copy_prefix_of() mask the tail accordingly.
+/// set_all() masks the tail accordingly.
 class MutBitSpan {
 public:
     using Word = BitSpan::Word;
@@ -188,21 +188,6 @@ public:
         for (std::size_t wi = 0, nw = num_words(); wi < nw; ++wi)
             words_[wi] = ~Word{0};
         clear_tail();
-    }
-
-    /// Copy the first size() bits of a wider (or equal) source span; used to
-    /// truncate builder rows to the exact frozen width.  Bits of `src` at or
-    /// above size() must be clear -- verified in debug builds.
-    void copy_prefix_of(BitSpan src) {
-        STGCC_ASSERT(src.size() >= size_);
-        const std::size_t nw = num_words();
-        if (nw > 0) std::memcpy(words_, src.words(), nw * sizeof(Word));
-        clear_tail();
-#if !defined(NDEBUG)
-        for (std::size_t i = src.find_next(size_ == 0 ? 0 : size_ - 1);
-             size_ > 0 && i < src.size(); i = src.find_next(i))
-            STGCC_ASSERT(!"copy_prefix_of: source has bits past the new width");
-#endif
     }
 
     MutBitSpan& operator|=(BitSpan o) {
@@ -249,7 +234,7 @@ public:
     explicit BitVec(std::size_t size)
         : size_(size), words_((size + kWordBits - 1) / kWordBits, 0) {}
 
-    /// Owned copy of a view (explicit: copies of frozen rows should be
+    /// Owned copy of a view (explicit: copies of stored rows should be
     /// visible at the call site).
     explicit BitVec(BitSpan s)
         : size_(s.size()), words_(s.words(), s.words() + s.num_words()) {}

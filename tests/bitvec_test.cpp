@@ -220,25 +220,6 @@ TEST(BitSpan, SetOperationsMatchBitVec) {
     EXPECT_FALSE(c.test(50));
 }
 
-TEST(MutBitSpan, CopyPrefixTruncatesWideRows) {
-    // The freeze() path: a capacity-width builder row (no bits past the
-    // logical width) copied into an exact-width frozen row.
-    BitVec wide(256);
-    wide.set(0);
-    wide.set(65);
-    wide.set(99);
-    util::Arena arena;
-    util::BitMatrix m(arena, 2, 100);
-    m.mut_row(0).copy_prefix_of(wide);
-    EXPECT_EQ(m.row(0).count(), 3u);
-    EXPECT_TRUE(m.row(0).test(65));
-    EXPECT_FALSE(m.row(1).any());  // arena zero-initialises
-    m.mut_row(1).set_all();
-    EXPECT_EQ(m.row(1).count(), 100u);  // tail bits masked off
-    m.mut_row(1).subtract(m.row(0));
-    EXPECT_EQ(m.row(1).count(), 97u);
-}
-
 TEST(Arena, AccountsBytesAndAlignment) {
     const std::uint64_t live0 = util::Arena::process_live_bytes();
     {

@@ -1,7 +1,6 @@
 // Unit tests for the caching layer (src/cache/, docs/CACHING.md): the
-// USC=>CSC certificate flag, the shared prefix artifacts (bit-parallel co-relation, consistency and marking helpers must
-// agree exactly with the first-principles implementations they replace),
-// and the on-disk result cache's keying, eviction and atomicity.
+// USC=>CSC certificate flag, the shared prefix artifacts' consistency
+// diagnosis, and the on-disk result cache's keying, eviction and atomicity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,35 +31,6 @@ TEST(ClauseStore, UscCertificate) {
 }
 
 // --- tier 1: shared prefix artifacts ------------------------------------
-
-TEST(PrefixArtifacts, CoRowsMatchPairwiseConcurrency) {
-    for (unsigned seed : {1001u, 1017u}) {
-        auto model = test::random_stg(seed);
-        cache::PrefixArtifacts artifacts(model);
-        const auto& prefix = artifacts.prefix();
-        for (unf::EventId e = 0; e < prefix.num_events(); ++e) {
-            const BitSpan row = artifacts.co_row(e);
-            for (unf::EventId f = 0; f < prefix.num_events(); ++f)
-                EXPECT_EQ(row.test(f), prefix.concurrent(e, f))
-                    << "seed=" << seed << " e=" << e << " f=" << f;
-        }
-    }
-}
-
-TEST(PrefixArtifacts, ConsistencyMatchesStandaloneAnalysis) {
-    for (unsigned seed : {1001u, 1013u}) {
-        auto model = test::random_stg(seed);
-        cache::PrefixArtifacts artifacts(model);
-        const auto standalone =
-            unf::analyze_consistency(model, artifacts.prefix());
-        EXPECT_EQ(artifacts.consistent(), standalone.consistent);
-        EXPECT_EQ(artifacts.consistency().reason, standalone.reason);
-        if (standalone.consistent) {
-            EXPECT_EQ(artifacts.consistency().initial_code.to_string(),
-                      standalone.initial_code.to_string());
-        }
-    }
-}
 
 TEST(PrefixArtifacts, InconsistentStgDiagnosedOnceProblemThrows) {
     // Two consecutive rising edges of one signal: inconsistent by strict

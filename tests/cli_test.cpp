@@ -18,6 +18,7 @@
 
 #include "cache/result_cache.hpp"
 #include "obs/json.hpp"
+#include "svc/cli.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "test_util.hpp"
@@ -136,6 +137,42 @@ TEST_F(CliTest, StgcheckExitCodes) {
     EXPECT_EQ(weighted.exit_code, 2) << weighted.output;
     EXPECT_NE(weighted.output.find("weight 2"), std::string::npos)
         << weighted.output;
+}
+
+TEST_F(CliTest, BadJobsValuesExitTwoAtTheParser) {
+    // Parser level only: a binary given one of these values at a parser that
+    // wrapped or saturated would start a pool of billions of workers.
+    const svc::CliTool tool{"usage: t FILE", "missing input", {}, ""};
+    const auto parse = [&](const char* jobs, svc::CliOptions& out) {
+        std::string name = "t", input = "m.g", flag = "--jobs", value = jobs;
+        char* argv[] = {name.data(), input.data(), flag.data(), value.data()};
+        ::testing::internal::CaptureStderr();
+        const auto rc = svc::parse_cli(4, argv, tool, out);
+        return std::make_pair(rc, ::testing::internal::GetCapturedStderr());
+    };
+    for (const char* bad : {"-1", "", " 3", "+2", "4294967296",
+                            "18446744073709551616", "3x"}) {
+        svc::CliOptions out;
+        const auto [rc, err] = parse(bad, out);
+        EXPECT_EQ(rc, std::optional<int>(2)) << "'" << bad << "'";
+        EXPECT_NE(err.find("bad --jobs value"), std::string::npos) << err;
+    }
+    for (const auto& [text, jobs] :
+         {std::pair<const char*, unsigned>{"0", 0u}, {"8", 8u},
+          {"4294967295", 4294967295u}}) {
+        svc::CliOptions out;
+        EXPECT_EQ(parse(text, out).first, std::nullopt) << text;
+        EXPECT_EQ(out.jobs, jobs);
+    }
+    std::uint64_t v = 0;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(svc::parse_flag_number("--deadline-ms", "-5", v));
+    EXPECT_FALSE(svc::parse_flag_number("--deadline-ms", "", v));
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "bad --deadline-ms value: -5"),
+              std::string::npos);
+    ASSERT_TRUE(svc::parse_flag_number("--deadline-ms", "18446744073709551615", v));
+    EXPECT_EQ(v, UINT64_MAX);
 }
 
 TEST_F(CliTest, StgcheckAndStgbatchShareOneFlagParser) {

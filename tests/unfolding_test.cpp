@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "petri/reachability.hpp"
 #include "stg/benchmarks.hpp"
@@ -38,69 +43,104 @@ TEST(Unfolding, TinyHandshakePrefix) {
     EXPECT_EQ(prefix.num_cutoffs(), 1u);
 }
 
-TEST(Unfolding, LocalConfigsAreCausallyClosed) {
-    auto model = stg::bench::vme_bus();
-    Prefix prefix = unfold(model.system());
-    for (EventId e = 0; e < prefix.num_events(); ++e) {
-        const BitSpan cfg = prefix.local_config(e);
-        EXPECT_TRUE(cfg.test(e));
-        EXPECT_TRUE(is_configuration(prefix, cfg));
-        // Every event's preset producers are in the local config.
-        for (ConditionId b : prefix.event(e).preset) {
-            const EventId prod = prefix.condition(b).producer;
-            if (prod != kNoEvent) {
-                EXPECT_TRUE(cfg.test(prod));
-            }
+/// Run `check` on the prefix of `fixed` and on those of 24 random nets: the
+/// generator's plain choice, heavy choice, non-free-choice sync and
+/// dummy-spliced knobs, six seeds each.
+void for_each_prefix(const stg::Stg& fixed,
+                     const std::function<void(const stg::Stg&, const Prefix&)>& check) {
+    {
+        SCOPED_TRACE(fixed.name());
+        check(fixed, unfold(fixed.system()));
+    }
+    std::vector<test::RandomStgConfig> knobs(4);
+    knobs[1].branch_probability = 0.6;
+    knobs[2].machines = 3;
+    knobs[2].sync_transitions = 2;
+    knobs[3].dummy_probability = 0.3;
+    for (std::size_t k = 0; k < knobs.size(); ++k) {
+        for (unsigned seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE("knob " + std::to_string(k) + " seed " + std::to_string(seed));
+            const stg::Stg model = test::random_stg(seed * 17 + 3, knobs[k]);
+            check(model, unfold(model.system()));
         }
     }
+}
+
+TEST(Unfolding, LocalConfigsAreCausallyClosed) {
+    for_each_prefix(stg::bench::vme_bus(), [](const stg::Stg&, const Prefix& prefix) {
+        for (EventId e = 0; e < prefix.num_events(); ++e) {
+            const BitSpan cfg = prefix.local_config(e);
+            EXPECT_TRUE(cfg.test(e));
+            EXPECT_TRUE(is_configuration(prefix, cfg));
+            // Every event's preset producers are in the local config.
+            for (ConditionId b : prefix.event(e).preset) {
+                const EventId prod = prefix.condition(b).producer;
+                if (prod != kNoEvent) {
+                    EXPECT_TRUE(cfg.test(prod));
+                }
+            }
+        }
+    });
 }
 
 TEST(Unfolding, RelationsArePartition) {
     // For any two distinct events, exactly one of: causal (either way),
     // conflict, concurrent.
-    auto model = stg::bench::vme_bus();
-    Prefix prefix = unfold(model.system());
-    for (EventId e = 0; e < prefix.num_events(); ++e) {
-        for (EventId f = 0; f < prefix.num_events(); ++f) {
-            if (e == f) continue;
-            const int causal = prefix.causes(e, f) || prefix.causes(f, e);
-            const int conf = prefix.conflicts(e).test(f);
-            const int conc = prefix.concurrent(e, f);
-            EXPECT_EQ(causal + conf + conc, 1)
-                << prefix.event_name(e) << " vs " << prefix.event_name(f);
-            // Symmetry of conflict.
-            EXPECT_EQ(prefix.conflicts(e).test(f), prefix.conflicts(f).test(e));
+    for_each_prefix(stg::bench::vme_bus(), [](const stg::Stg&, const Prefix& prefix) {
+        const std::size_t n = prefix.num_events();
+        EXPECT_EQ(prefix.make_event_set().size(), n);
+        for (EventId e = 0; e < n; ++e) {
+            // Every relation row is exactly num_events() bits wide.
+            ASSERT_EQ(prefix.local_config(e).size(), n);
+            ASSERT_EQ(prefix.conflicts(e).size(), n);
+            ASSERT_EQ(prefix.successors(e).size(), n);
+            for (EventId f = 0; f < n; ++f) {
+                // successors(e) = {g : e in [g]}.
+                EXPECT_EQ(prefix.successors(e).test(f),
+                          prefix.local_config(f).test(e));
+                if (e == f) continue;
+                const int causal = prefix.causes(e, f) || prefix.causes(f, e);
+                const int conf = prefix.conflicts(e).test(f);
+                const int conc = prefix.concurrent(e, f);
+                EXPECT_EQ(causal + conf + conc, 1)
+                    << prefix.event_name(e) << " vs " << prefix.event_name(f);
+                // Symmetry of conflict.
+                EXPECT_EQ(prefix.conflicts(e).test(f), prefix.conflicts(f).test(e));
+            }
         }
-    }
+    });
 }
 
 TEST(Unfolding, ConflictsComeFromSharedConditions) {
-    auto model = stg::bench::token_ring(2);
-    Prefix prefix = unfold(model.system());
+    const auto ring = stg::bench::token_ring(2);
+    const Prefix ring_prefix = unfold(ring.system());
     bool found_conflict = false;
-    for (EventId e = 0; e < prefix.num_events(); ++e)
-        if (prefix.conflicts(e).any()) found_conflict = true;
+    for (EventId e = 0; e < ring_prefix.num_events(); ++e)
+        if (ring_prefix.conflicts(e).any()) found_conflict = true;
     EXPECT_TRUE(found_conflict);  // the ring has choice places
     // Direct conflicts: events sharing a precondition conflict.
-    for (ConditionId b = 0; b < prefix.num_conditions(); ++b) {
-        const auto& consumers = prefix.condition(b).consumers;
-        for (std::size_t i = 0; i < consumers.size(); ++i)
-            for (std::size_t j = i + 1; j < consumers.size(); ++j)
-                EXPECT_TRUE(prefix.conflicts(consumers[i]).test(consumers[j]));
-    }
+    for_each_prefix(ring, [](const stg::Stg&, const Prefix& prefix) {
+        for (ConditionId b = 0; b < prefix.num_conditions(); ++b) {
+            const auto& consumers = prefix.condition(b).consumers;
+            for (std::size_t i = 0; i < consumers.size(); ++i)
+                for (std::size_t j = i + 1; j < consumers.size(); ++j)
+                    EXPECT_TRUE(prefix.conflicts(consumers[i]).test(consumers[j]));
+        }
+    });
 }
 
 TEST(Unfolding, FoataLevelsRespectCausality) {
-    auto model = stg::bench::handshake_pipeline(3);
-    Prefix prefix = unfold(model.system());
-    for (EventId e = 0; e < prefix.num_events(); ++e) {
-        for (EventId f = 0; f < prefix.num_events(); ++f) {
-            if (prefix.causes(f, e)) {
-                EXPECT_LT(prefix.event(f).foata_level,
-                          prefix.event(e).foata_level);
+    for_each_prefix(stg::bench::handshake_pipeline(3),
+                    [](const stg::Stg&, const Prefix& prefix) {
+        for (EventId e = 0; e < prefix.num_events(); ++e) {
+            for (EventId f = 0; f < prefix.num_events(); ++f) {
+                if (prefix.causes(f, e)) {
+                    EXPECT_LT(prefix.event(f).foata_level,
+                              prefix.event(e).foata_level);
+                }
             }
         }
-    }
+    });
 }
 
 TEST(Unfolding, MarkingsOfLocalConfigsAreReachable) {
@@ -188,20 +228,21 @@ TEST(Unfolding, RejectsEmptyPresets) {
 }
 
 TEST(Unfolding, CutoffCompanionsShareMarkings) {
-    auto model = stg::bench::token_ring(3);
-    Prefix prefix = unfold(model.system());
-    for (EventId e = 0; e < prefix.num_events(); ++e) {
-        const Event& ev = prefix.event(e);
-        if (!ev.cutoff) continue;
-        auto me = marking_of(prefix, prefix.local_config(e));
-        if (ev.companion == kNoEvent) {
-            EXPECT_EQ(me, model.system().initial_marking());
-        } else {
-            auto mf = marking_of(prefix, prefix.local_config(ev.companion));
-            EXPECT_EQ(me, mf);
-            EXPECT_FALSE(prefix.event(ev.companion).cutoff);
+    for_each_prefix(stg::bench::token_ring(3), [](const stg::Stg& model,
+                                                  const Prefix& prefix) {
+        for (EventId e = 0; e < prefix.num_events(); ++e) {
+            const Event& ev = prefix.event(e);
+            if (!ev.cutoff) continue;
+            auto me = marking_of(prefix, prefix.local_config(e));
+            if (ev.companion == kNoEvent) {
+                EXPECT_EQ(me, model.system().initial_marking());
+            } else {
+                auto mf = marking_of(prefix, prefix.local_config(ev.companion));
+                EXPECT_EQ(me, mf);
+                EXPECT_FALSE(prefix.event(ev.companion).cutoff);
+            }
         }
-    }
+    });
 }
 
 TEST(Unfolding, McMillanOrderIsCompleteButNoSmaller) {
@@ -293,6 +334,27 @@ TEST(Unfolding, DotOutputContainsEvents) {
     EXPECT_NE(dot.find("digraph"), std::string::npos);
     EXPECT_NE(dot.find("a+"), std::string::npos);
     EXPECT_NE(dot.find("peripheries=2"), std::string::npos);  // cut-off styling
+}
+
+TEST(Unfolding, VmePrefixDotMatchesGolden) {
+    // Byte-for-byte pin of the dot rendering (names, cut-off styling, arc
+    // order).  Regenerate after an intentional change by running this test
+    // with STGCC_UPDATE_GOLDEN=1.
+    auto model = stg::bench::vme_bus();
+    const std::string dot = unfold(model.system()).to_dot();
+    const std::string golden = std::string(STGCC_GOLDEN_DIR) + "/vme_prefix.dot";
+    const char* update = std::getenv("STGCC_UPDATE_GOLDEN");
+    if (update && *update && std::string(update) != "0") {
+        std::ofstream out(golden, std::ios::binary | std::ios::trunc);
+        out << dot;
+        ASSERT_TRUE(out.good()) << "cannot write " << golden;
+        return;
+    }
+    std::ifstream in(golden, std::ios::binary);
+    ASSERT_TRUE(in.good()) << golden << " missing";
+    const std::string want((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(dot, want);
 }
 
 }  // namespace

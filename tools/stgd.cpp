@@ -12,6 +12,7 @@
 // drain -- the listeners close, every accepted request is answered, then
 // the process exits 0 after writing a final stats snapshot (--stats FILE,
 // or a summary line to stderr).
+#include <climits>
 #include <csignal>
 #include <cstring>
 #include <iostream>
@@ -75,9 +76,10 @@ int main(int argc, char** argv) {
     bool quiet = false;
     const char* cache_dir_flag = nullptr;
     for (int i = 1; i < argc; ++i) {
-        const auto uint_arg = [&](const char* name, std::uint64_t& out) {
+        const auto uint_arg = [&](const char* name, std::uint64_t& out,
+                                  std::uint64_t max = UINT64_MAX) {
             if (i + 1 < argc)
-                return svc::parse_flag_number(name, argv[++i], out);
+                return svc::parse_flag_number(name, argv[++i], out, max);
             std::cerr << name << " needs a value\n";
             return false;
         };
@@ -91,7 +93,7 @@ int main(int argc, char** argv) {
             cfg.listen.push_back(*ep);
         } else if (!std::strcmp(argv[i], "--jobs")) {
             std::uint64_t v = 0;
-            if (!uint_arg("--jobs", v)) return 2;
+            if (!uint_arg("--jobs", v, UINT_MAX)) return 2;
             cfg.jobs = static_cast<unsigned>(v);
         } else if (!std::strcmp(argv[i], "--max-inflight")) {
             std::uint64_t v = 0;
