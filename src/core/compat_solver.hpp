@@ -49,14 +49,22 @@ namespace stgcc::core {
 ///   GreaterEq: Code(x') >= Code(x'')   componentwise (normalcy, R = >=)
 enum class CodeRelation { Equal, LessEq, GreaterEq };
 
+/// Cancellation poll period of both prefix solvers: every 1024 search nodes.
+inline constexpr std::size_t kCancelPollMask = 1023;
+
+/// Options of every prefix search: the pair search (CompatSolver) and the
+/// section 5 single-configuration search (ReachSolver).
 struct SearchOptions {
-    /// Apply the conflict-free optimisation when the problem allows it.
+    /// Apply the conflict-free optimisation when the problem allows it
+    /// (pair search only).
     bool use_conflict_free_optimisation = true;
     /// Abort (throw ModelError) after this many search nodes.
     std::size_t max_nodes = 500'000'000;
     /// Cooperative cancellation, polled every kCancelPollMask+1 search
-    /// nodes; a cancelled solve stops early with found == false and
-    /// cancelled == true.  Empty token (the default): never cancelled.
+    /// nodes by CompatSolver and ReachSolver alike; a cancelled solve stops
+    /// early with found == false and cancelled == true, so a deadline
+    /// armed on the token's source cuts either search.  Empty token (the
+    /// default): never cancelled.
     sched::CancellationToken cancel;
 };
 
@@ -84,8 +92,6 @@ public:
 private:
     using Word = BitSpan::Word;
     static constexpr std::size_t kWordBits = BitSpan::kWordBits;
-    /// Cancellation poll period: every 1024 search nodes.
-    static constexpr std::size_t kCancelPollMask = 1023;
 
     /// Plane numbering shared by planes_, want_ and fresh_: value v of side
     /// s (0 = x', 1 = x'') lives in plane 2*s + (1 - v), i.e. the ones of

@@ -57,6 +57,7 @@ void require_safe(const CodingProblem& problem) {
 ReachabilityResult run(const CodingProblem& problem, ReachSolver& solver) {
     ReachabilityResult result;
     auto outcome = solver.solve([](const BitVec&) { return true; });
+    result.cancelled = outcome.cancelled;
     result.stats = outcome.stats;
     if (outcome.found) {
         result.found = true;
@@ -72,10 +73,10 @@ ReachabilityResult run(const CodingProblem& problem, ReachSolver& solver) {
 }  // namespace
 
 ReachabilityResult check_deadlock(const CodingProblem& problem,
-                                  ExtendedCheckOptions opts) {
+                                  SearchOptions opts) {
     require_safe(problem);
     MarkingExpressions exprs(problem);
-    ReachSolver solver(problem, ReachSolver::Options{opts.max_nodes, 1});
+    ReachSolver solver(problem, std::move(opts));
     const petri::Net& net = problem.prefix().system().net();
     for (petri::TransitionId t = 0; t < net.num_transitions(); ++t) {
         std::vector<petri::PlaceId> preset(net.pre(t).begin(), net.pre(t).end());
@@ -88,12 +89,12 @@ ReachabilityResult check_deadlock(const CodingProblem& problem,
 
 ReachabilityResult check_reachable(const CodingProblem& problem,
                                    const petri::Marking& target,
-                                   ExtendedCheckOptions opts) {
+                                   SearchOptions opts) {
     require_safe(problem);
     const petri::Net& net = problem.prefix().system().net();
     STGCC_REQUIRE(target.num_places() == net.num_places());
     MarkingExpressions exprs(problem);
-    ReachSolver solver(problem, ReachSolver::Options{opts.max_nodes, 1});
+    ReachSolver solver(problem, std::move(opts));
     for (petri::PlaceId s = 0; s < net.num_places(); ++s) {
         const int m = static_cast<int>(target[s]);
         solver.add_constraint(exprs.place(s), m, m);
@@ -103,12 +104,12 @@ ReachabilityResult check_reachable(const CodingProblem& problem,
 
 ReachabilityResult check_coverable(const CodingProblem& problem,
                                    const petri::Marking& target,
-                                   ExtendedCheckOptions opts) {
+                                   SearchOptions opts) {
     require_safe(problem);
     const petri::Net& net = problem.prefix().system().net();
     STGCC_REQUIRE(target.num_places() == net.num_places());
     MarkingExpressions exprs(problem);
-    ReachSolver solver(problem, ReachSolver::Options{opts.max_nodes, 1});
+    ReachSolver solver(problem, std::move(opts));
     for (petri::PlaceId s = 0; s < net.num_places(); ++s) {
         if (target[s] == 0) continue;
         solver.add_constraint(exprs.place(s), static_cast<int>(target[s]),

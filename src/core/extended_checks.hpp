@@ -4,19 +4,18 @@
 // All checks run on the unfolding prefix with the ReachSolver; none builds
 // the state graph.  They require a SAFE net (checked exactly on the prefix
 // via unf-level analysis; the deadlock constraints sum preset token counts,
-// which characterises enabledness only for safe nets).
+// which characterises enabledness only for safe nets).  They take the
+// SearchOptions of every prefix search: `max_nodes` bounds the solve and
+// `cancel` stops it early with found == false and cancelled == true.
 #pragma once
 
 #include <optional>
 
 #include "core/coding_problem.hpp"
+#include "core/compat_solver.hpp"
 #include "stg/results.hpp"
 
 namespace stgcc::core {
-
-struct ExtendedCheckOptions {
-    std::size_t max_nodes = 500'000'000;
-};
 
 /// Result of a single-configuration search: the witness marking and an
 /// execution path leading to it.
@@ -27,6 +26,7 @@ struct ReachabilityWitness {
 
 struct ReachabilityResult {
     bool found = false;
+    bool cancelled = false;  ///< search stopped by SearchOptions::cancel
     std::optional<ReachabilityWitness> witness;
     stg::CheckStats stats;
 };
@@ -35,17 +35,17 @@ struct ReachabilityResult {
 /// Rendered as one linear constraint per transition t:
 ///   sum_{s in *t} M(s) <= |*t| - 1.
 [[nodiscard]] ReachabilityResult check_deadlock(const CodingProblem& problem,
-                                                ExtendedCheckOptions opts = {});
+                                                SearchOptions opts = {});
 
 /// Is the given marking reachable?  Rendered as M(s) = m(s) for every s.
 [[nodiscard]] ReachabilityResult check_reachable(const CodingProblem& problem,
                                                  const petri::Marking& target,
-                                                 ExtendedCheckOptions opts = {});
+                                                 SearchOptions opts = {});
 
 /// Is some marking with M(s) >= target(s) for all s reachable (coverability)?
 [[nodiscard]] ReachabilityResult check_coverable(const CodingProblem& problem,
                                                  const petri::Marking& target,
-                                                 ExtendedCheckOptions opts = {});
+                                                 SearchOptions opts = {});
 
 }  // namespace stgcc::core
 

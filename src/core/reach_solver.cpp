@@ -4,8 +4,8 @@
 
 namespace stgcc::core {
 
-ReachSolver::ReachSolver(const CodingProblem& problem, Options opts)
-    : problem_(&problem), opts_(opts) {
+ReachSolver::ReachSolver(const CodingProblem& problem, SearchOptions opts)
+    : problem_(&problem), opts_(std::move(opts)) {
     constraints_of_var_.resize(problem.size());
 }
 
@@ -126,6 +126,13 @@ void ReachSolver::undo_to(std::size_t mark) {
 bool ReachSolver::dfs(const ConfigPredicate& accept) {
     if (++stats_.search_nodes > opts_.max_nodes)
         throw ModelError("ReachSolver: node limit exceeded");
+    // Cooperative cancellation, polled like CompatSolver::dfs; unwinding
+    // with false records no witness.
+    if (opts_.cancel.cancellable() &&
+        (stats_.search_nodes & kCancelPollMask) == 0 &&
+        opts_.cancel.cancelled())
+        cancelled_ = true;
+    if (cancelled_) return false;
     std::size_t idx = problem_->size();
     for (std::size_t i = 0; i < problem_->size(); ++i)
         if (val_[i] == kUnassigned) {
@@ -137,15 +144,6 @@ bool ReachSolver::dfs(const ConfigPredicate& accept) {
         BitVec config(problem_->size());
         for (std::size_t i = 0; i < problem_->size(); ++i)
             if (val_[i] == 1) config.set(i);
-#ifdef STGCC_REACH_PARANOID
-        for (std::size_t ci = 0; ci < constraints_.size(); ++ci) {
-            const auto& c = constraints_[ci];
-            if (c.pos_slack != 0 || c.neg_slack != 0)
-                std::fprintf(stderr,
-                             "leaf anomaly c%zu: fixed=%d pos=%d neg=%d\n", ci,
-                             c.fixed, c.pos_slack, c.neg_slack);
-        }
-#endif
         if (accept(config)) {
             outcome_.found = true;
             outcome_.config = std::move(config);
@@ -153,9 +151,7 @@ bool ReachSolver::dfs(const ConfigPredicate& accept) {
         }
         return false;
     }
-    const int first = opts_.first_branch_value;
-    for (int k = 0; k < 2; ++k) {
-        const int v = k == 0 ? first : 1 - first;
+    for (int v = 1; v >= 0; --v) {
         const std::size_t mark = trail_.size();
         if (assign(idx, v) && dfs(accept)) return true;
         undo_to(mark);
@@ -169,11 +165,14 @@ ReachSolver::Outcome ReachSolver::solve(const ConfigPredicate& accept) {
     trail_.clear();
     stats_ = stg::CheckStats{};
     outcome_ = Outcome{};
+    // A token cancelled before the solve visits no node at all.
+    cancelled_ = opts_.cancel.cancelled();
     // Initial feasibility of all constraints on the empty assignment.
     bool feasible = true;
     for (const auto& c : constraints_)
         if (!constraint_feasible(c)) feasible = false;
-    if (feasible) dfs(accept);
+    if (feasible && !cancelled_) dfs(accept);
+    outcome_.cancelled = cancelled_;
     outcome_.stats = stats_;
     outcome_.stats.seconds = span.seconds();
     return outcome_;

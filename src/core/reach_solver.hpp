@@ -11,12 +11,19 @@
 // checked on the prefix without building the state graph.  The deadlock,
 // reachability and coverability checkers in extended_checks.hpp are thin
 // wrappers around it.
+//
+// It takes the pair search's SearchOptions: `max_nodes` bounds it and
+// `cancel` is polled every kCancelPollMask+1 nodes, so a service deadline
+// cuts a deadlock check like any coding check.  Branching tries x(e) = 1
+// before x(e) = 0 on the lowest open dense index; the first witness found,
+// and so every rendered deadlock trace, depends on that order.
 #pragma once
 
 #include <functional>
 #include <limits>
 
 #include "core/coding_problem.hpp"
+#include "core/compat_solver.hpp"
 #include "core/marking_expr.hpp"
 #include "stg/results.hpp"
 
@@ -24,16 +31,9 @@ namespace stgcc::core {
 
 inline constexpr int kNoBoundRs = std::numeric_limits<int>::min();
 
-struct ReachSolverOptions {
-    std::size_t max_nodes = 500'000'000;
-    int first_branch_value = 1;
-};
-
 class ReachSolver {
 public:
-    using Options = ReachSolverOptions;
-
-    explicit ReachSolver(const CodingProblem& problem, Options opts = {});
+    explicit ReachSolver(const CodingProblem& problem, SearchOptions opts = {});
 
     /// Require lo <= expr(x) <= hi for every visited configuration; pass
     /// kNoBoundRs to drop a side.
@@ -45,7 +45,8 @@ public:
 
     struct Outcome {
         bool found = false;
-        BitVec config;  ///< dense configuration when found
+        bool cancelled = false;  ///< search stopped by SearchOptions::cancel
+        BitVec config;           ///< dense configuration when found
         stg::CheckStats stats;
     };
 
@@ -69,13 +70,14 @@ private:
     bool dfs(const ConfigPredicate& accept);
 
     const CodingProblem* problem_;
-    Options opts_;
+    SearchOptions opts_;
     std::vector<ConstraintState> constraints_;
     std::vector<std::vector<std::uint32_t>> constraints_of_var_;
     std::vector<std::int8_t> val_;
     std::vector<std::uint32_t> trail_;
     std::vector<std::pair<std::uint32_t, std::int8_t>> pending_;
     stg::CheckStats stats_;
+    bool cancelled_ = false;
     Outcome outcome_;
 };
 

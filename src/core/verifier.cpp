@@ -204,7 +204,7 @@ void run_checks(VerificationReport& report, const VerifyOptions& opts,
     if (opts.check_deadlock) {
         obs::Span phase("solve.deadlock");
         report.deadlock_checked = true;
-        auto deadlock = check_deadlock(checker.problem());
+        auto deadlock = check_deadlock(checker.problem(), opts.search);
         report.deadlock_free = !deadlock.found;
         if (deadlock.found) report.deadlock_trace = deadlock.witness->trace;
     }

@@ -1,18 +1,22 @@
 // stgcc -- cooperative cancellation for the parallel execution runtime.
 //
-// A CancellationSource owns a shared flag; CancellationTokens are cheap
-// copyable handles that long-running tasks poll.  Cancellation is purely
-// cooperative: setting the flag never interrupts anything, it only makes
-// subsequent `cancelled()` polls return true.  A default-constructed token
-// is "empty" and can never be cancelled, so APIs can take a token
+// A CancellationSource owns a shared flag and deadline; CancellationTokens
+// are cheap copyable handles that long-running tasks poll.  Cancellation is
+// purely cooperative: setting the flag never interrupts anything, it only
+// makes subsequent `cancelled()` polls return true.  A default-constructed
+// token is "empty" and can never be cancelled, so APIs can take a token
 // unconditionally and callers that do not need early stop pass `{}`.
 //
-// Deadlines: `cancel_after(duration)` / `cancel_at(time_point)` arm the
-// source on a process-wide timer thread, so callers no longer hand-roll
-// polling loops against a clock.  The timer holds weak references only; a
-// source whose last owner goes away before its deadline simply never
-// fires.  The service layer (src/svc/) uses this for per-request
-// deadlines: arm once at admission, hand the token to every solve.
+// Deadlines: `cancel_after(duration)` stores a steady_clock deadline in the
+// shared state, and every poll after it has passed reads as cancelled.
+// Nothing fires a deadline, so arming one costs a compare-and-swap and a
+// finished request leaves nothing behind.  Polls read the clock only when
+// a deadline is armed.  Every consumer polls (CompatSolver and ReachSolver
+// every 1024 search nodes, the service's admission gate every 5 ms, the
+// service between phases), so a deadline is observed within one poll
+// period of passing.  The service layer (src/svc/) uses this for
+// per-request deadlines: arm once at admission, hand the token to every
+// solve.
 //
 // Composition: `CancellationToken::combine(a, b)` yields a token that is
 // cancelled as soon as either input is.  The parallel algorithms use it to
@@ -25,32 +29,50 @@
 // their cancellation.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <limits>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace stgcc::sched {
 
+namespace detail {
+
+/// What a source shares with its tokens: the flag `cancel()` sets and the
+/// earliest armed deadline, in steady_clock ticks (kNever: none armed).
+struct CancelState {
+    using Clock = std::chrono::steady_clock;
+    static constexpr Clock::rep kNever = std::numeric_limits<Clock::rep>::max();
+
+    std::atomic<bool> flag{false};
+    std::atomic<Clock::rep> deadline{kNever};
+
+    [[nodiscard]] bool cancelled() const noexcept {
+        if (flag.load(std::memory_order_acquire)) return true;
+        const Clock::rep d = deadline.load();
+        return d != kNever && Clock::now().time_since_epoch().count() >= d;
+    }
+};
+
+}  // namespace detail
+
 class CancellationSource;
 
 /// Polling handle.  Copyable, cheap (usually one shared_ptr); empty by
-/// default.  A combined token carries one flag per live input.
+/// default.  A combined token carries one state per live input.
 class CancellationToken {
 public:
     CancellationToken() = default;
 
     /// True when the token is connected to a source (empty tokens are not).
-    [[nodiscard]] bool cancellable() const noexcept { return !flags_.empty(); }
+    [[nodiscard]] bool cancellable() const noexcept { return !states_.empty(); }
 
-    /// True once any connected source was cancelled; empty tokens never are.
+    /// True once any connected source was cancelled or its deadline has
+    /// passed; empty tokens never are.
     [[nodiscard]] bool cancelled() const noexcept {
-        for (const auto& f : flags_)
-            if (f->load(std::memory_order_acquire)) return true;
+        for (const auto& s : states_)
+            if (s->cancelled()) return true;
         return false;
     }
 
@@ -59,102 +81,35 @@ public:
     [[nodiscard]] static CancellationToken combine(const CancellationToken& a,
                                                    const CancellationToken& b) {
         CancellationToken out;
-        out.flags_.reserve(a.flags_.size() + b.flags_.size());
-        out.flags_.insert(out.flags_.end(), a.flags_.begin(), a.flags_.end());
-        out.flags_.insert(out.flags_.end(), b.flags_.begin(), b.flags_.end());
+        out.states_.reserve(a.states_.size() + b.states_.size());
+        out.states_.insert(out.states_.end(), a.states_.begin(), a.states_.end());
+        out.states_.insert(out.states_.end(), b.states_.begin(), b.states_.end());
         return out;
     }
 
 private:
     friend class CancellationSource;
-    using Flag = std::shared_ptr<const std::atomic<bool>>;
-    explicit CancellationToken(Flag flag) { flags_.push_back(std::move(flag)); }
+    using State = std::shared_ptr<const detail::CancelState>;
+    explicit CancellationToken(State state) { states_.push_back(std::move(state)); }
 
-    std::vector<Flag> flags_;
+    std::vector<State> states_;
 };
 
-namespace detail {
-
-/// Process-wide deadline timer: one thread, a deadline-ordered list of weak
-/// flag references.  Leaky singleton with a detached thread so it is safe
-/// to touch during static destruction (tests, CLI exit paths).
-class DeadlineTimer {
-public:
-    static DeadlineTimer& instance() {
-        static DeadlineTimer* timer = new DeadlineTimer();  // leaked on purpose
-        return *timer;
-    }
-
-    void arm(std::weak_ptr<std::atomic<bool>> flag,
-             std::chrono::steady_clock::time_point when) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            entries_.push_back({when, std::move(flag)});
-            std::push_heap(entries_.begin(), entries_.end(), later);
-            if (!running_) {
-                running_ = true;
-                std::thread([this] { run(); }).detach();
-            }
-        }
-        cv_.notify_one();
-    }
-
-private:
-    struct Entry {
-        std::chrono::steady_clock::time_point when;
-        std::weak_ptr<std::atomic<bool>> flag;
-    };
-    static bool later(const Entry& a, const Entry& b) { return a.when > b.when; }
-
-    void run() {
-        std::unique_lock<std::mutex> lock(mu_);
-        while (true) {
-            if (entries_.empty()) {
-                // Park until the next arm(); the thread stays up for the
-                // process lifetime once started (deadlines are rare and
-                // cheap, thread churn is not).
-                cv_.wait(lock, [this] { return !entries_.empty(); });
-                continue;
-            }
-            const auto next = entries_.front().when;
-            if (cv_.wait_until(lock, next) == std::cv_status::timeout ||
-                std::chrono::steady_clock::now() >= next) {
-                const auto now = std::chrono::steady_clock::now();
-                while (!entries_.empty() && entries_.front().when <= now) {
-                    std::pop_heap(entries_.begin(), entries_.end(), later);
-                    if (auto flag = entries_.back().flag.lock())
-                        flag->store(true, std::memory_order_release);
-                    entries_.pop_back();
-                }
-            }
-        }
-    }
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::vector<Entry> entries_;  // min-heap by deadline
-    bool running_ = false;
-};
-
-}  // namespace detail
-
-/// Owner side.  Copies share the same flag (copying a source does not fork
-/// a new cancellation scope).
+/// Owner side.  Copies share the same state (copying a source does not
+/// fork a new cancellation scope).
 class CancellationSource {
 public:
-    CancellationSource() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
+    CancellationSource() : state_(std::make_shared<detail::CancelState>()) {}
 
-    void cancel() noexcept { flag_->store(true, std::memory_order_release); }
+    void cancel() noexcept { state_->flag.store(true, std::memory_order_release); }
 
-    /// Arm the shared deadline timer to cancel this source `d` from now.
-    /// Non-positive durations cancel immediately (synchronously); a
-    /// deadline past the last time_point steady_clock can represent never
-    /// fires.  The timer keeps only a weak reference: destroying every
-    /// owner disarms the deadline.  Arming multiple deadlines is allowed;
-    /// the earliest wins.
+    /// Cancel this source `d` from now.  Non-positive durations cancel
+    /// immediately (synchronously); a deadline past the last time_point
+    /// steady_clock can represent never fires.  Arming multiple deadlines
+    /// is allowed; the earliest wins.
     template <class Rep, class Period>
     void cancel_after(std::chrono::duration<Rep, Period> d) {
-        using Clock = std::chrono::steady_clock;
+        using Clock = detail::CancelState::Clock;
         if (d <= std::chrono::duration<Rep, Period>::zero()) {
             cancel();
             return;
@@ -166,24 +121,23 @@ public:
         if (d >= std::chrono::duration_cast<std::chrono::duration<Rep, Period>>(
                      headroom))
             return;
-        cancel_at(now + std::chrono::duration_cast<Clock::duration>(d));
+        const Clock::rep when =
+            (now + std::chrono::duration_cast<Clock::duration>(d))
+                .time_since_epoch()
+                .count();
+        Clock::rep cur = state_->deadline.load();
+        while (when < cur && !state_->deadline.compare_exchange_weak(cur, when)) {
+        }
     }
 
-    /// Arm the shared deadline timer to cancel this source at `when`.
-    void cancel_at(std::chrono::steady_clock::time_point when) {
-        detail::DeadlineTimer::instance().arm(flag_, when);
-    }
-
-    [[nodiscard]] bool cancelled() const noexcept {
-        return flag_->load(std::memory_order_acquire);
-    }
+    [[nodiscard]] bool cancelled() const noexcept { return state_->cancelled(); }
 
     [[nodiscard]] CancellationToken token() const {
-        return CancellationToken(flag_);
+        return CancellationToken(state_);
     }
 
 private:
-    std::shared_ptr<std::atomic<bool>> flag_;
+    std::shared_ptr<detail::CancelState> state_;
 };
 
 }  // namespace stgcc::sched

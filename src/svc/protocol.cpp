@@ -1,7 +1,5 @@
 #include "svc/protocol.hpp"
 
-#include "core/verdict.hpp"
-
 namespace stgcc::svc {
 
 obs::Json CheckOptions::to_json() const {
@@ -35,10 +33,6 @@ core::VerifyOptions CheckOptions::verify_options() const {
     v.check_deadlock = deadlock;
     v.check_persistency = persistency;
     return v;
-}
-
-std::string CheckOptions::signature() const {
-    return core::options_signature(verify_options());
 }
 
 obs::Json make_ok(std::int64_t id) {

@@ -24,8 +24,9 @@
 //
 // Error codes: bad_request, model_error, deadline_exceeded, shutting_down,
 // internal.  The check options mirror the stgcheck flags that change
-// verdicts; `signature()` renders the result-cache key fragment, so the
-// daemon, stgcheck, stgbatch and the tests agree on one spelling.
+// verdicts; the daemon keys its result caches by
+// core::options_signature(verify_options()), the one spelling stgcheck and
+// stgbatch use too.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +58,6 @@ struct CheckOptions {
     /// search settings stay at their defaults).  Throws ModelError on an
     /// unparsable reduce spec.
     [[nodiscard]] core::VerifyOptions verify_options() const;
-
-    /// Options fragment of the result-cache key
-    /// (core::options_signature of verify_options()).  stgcheck, stgbatch
-    /// and stgd key their shared rendered-verdict entries by exactly this
-    /// string.  Throws ModelError on an unparsable reduce spec.
-    [[nodiscard]] std::string signature() const;
 };
 
 /// {"id":…,"ok":true} skeleton echoing the request id (0 when absent).

@@ -22,6 +22,8 @@ namespace {
 
 constexpr const char* kDeadlineQueued = "deadline expired while queued";
 constexpr const char* kDeadlineVerify = "deadline expired during verification";
+/// Rendered-verdict entries kept in memory before the map is flushed.
+constexpr std::size_t kResultSlots = 4096;
 
 }  // namespace
 
@@ -485,7 +487,7 @@ Server::Outcome Server::run_check(const std::string& model_text,
         const std::string key = std::to_string(hash) + '|' + sig;
         const auto remember = [&](const core::RenderedVerdict& r) {
             std::lock_guard<std::mutex> lock(results_mu_);
-            if (results_.size() >= cfg_.result_slots) results_.clear();
+            if (results_.size() >= kResultSlots) results_.clear();
             results_.emplace(key, r);
         };
         if (copts.use_cache) {

@@ -20,13 +20,17 @@
 //     requests (`max_inflight`); requests beyond it queue on a condition
 //     variable, still subject to their deadline.
 //
-// Deadlines: a per-request `deadline_ms` (or the server default) arms a
-// CancellationSource via the shared deadline timer; the token is threaded
-// through SearchOptions::cancel into every solver of the request.  A
-// request whose deadline fires is answered with a `deadline_exceeded`
-// error; partial results from a cancelled solve are never served.  Parsing
-// and unfolding are not cancellable -- the deadline is checked between
-// phases (documented limitation, docs/SERVICE.md).
+// Deadlines: a per-request `deadline_ms` (or the server default) stores a
+// deadline in a CancellationSource; the token is threaded through
+// SearchOptions::cancel into every solver of the request -- the USC, CSC
+// and normalcy pair searches and the section 5 deadlock search -- which
+// poll it every 1024 search nodes, and the admission gate polls it while
+// queued.  No thread fires a deadline: a poll after it has passed reads as
+// cancelled.  A request whose deadline passes is answered with a
+// `deadline_exceeded` error; partial results from a cancelled solve are
+// never served.  Parsing, unfolding and the persistency check do not poll
+// -- the deadline is checked between phases (documented limitation,
+// docs/SERVICE.md).
 //
 // Shutdown: request_shutdown() is async-signal-safe (SIGTERM handler).  The
 // accept loop stops taking connections, every connection thread finishes
@@ -80,8 +84,6 @@ struct ServerConfig {
     /// In-memory prefix-artifact bundles kept (LRU).  Bundles hold the
     /// unfolding prefix -- the dominant memory cost -- so this is small.
     std::size_t bundle_slots = 8;
-    /// Rendered-verdict entries kept in memory before the map is flushed.
-    std::size_t result_slots = 4096;
     /// HTTP scrape endpoint serving /metrics, /healthz and /buildinfo
     /// (docs/OBSERVABILITY.md); nullopt = no metrics listener.
     std::optional<Endpoint> metrics_listen;
@@ -191,7 +193,7 @@ private:
     /// default; empty when neither is set), armed on `source`.
     [[nodiscard]] sched::CancellationToken arm_deadline(
         const obs::Json& req, sched::CancellationSource& source) const;
-    /// Wait for an inflight slot.  When the deadline fires first, answer
+    /// Wait for an inflight slot.  When the deadline passes first, answer
     /// the request `deadline_exceeded` (queued for `queued`) and return
     /// false.
     bool admit(int fd, std::mutex& write_mu, std::int64_t id,

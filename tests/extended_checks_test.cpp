@@ -116,6 +116,26 @@ TEST(Deadlock, OneShotDeadlockFoundWithTrace) {
     EXPECT_TRUE(model.system().enabled_transitions(*m).empty());
 }
 
+TEST(ExtendedChecks, DeadlockSearchHonoursCancellation) {
+    // The section 5 search takes SearchOptions like the pair search: a
+    // token cancelled before the solve stops it without a witness, even on
+    // a model whose deadlock the search would otherwise find.
+    auto model = one_shot();
+    auto prefix = unf::unfold(model.system());
+    CodingProblem problem(model, prefix);
+    sched::CancellationSource source;
+    source.cancel();
+    SearchOptions opts;
+    opts.cancel = source.token();
+    auto r = check_deadlock(problem, opts);
+    EXPECT_FALSE(r.found);
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_FALSE(r.witness.has_value());
+    EXPECT_LE(r.stats.search_nodes, kCancelPollMask + 1);
+    // The same search uncancelled finds the deadlock.
+    EXPECT_TRUE(check_deadlock(problem).found);
+}
+
 TEST(Deadlock, LargerMullerPipelinesAreLive) {
     // Regression: a partial constraint-update bug once made the solver
     // accept configurations violating the preset-sum constraints, reporting

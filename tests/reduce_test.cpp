@@ -16,6 +16,7 @@
 
 #include "cache/result_cache.hpp"
 #include "core/report_codec.hpp"
+#include "core/verdict.hpp"
 #include "core/verifier.hpp"
 #include "petri/pnml.hpp"
 #include "stg/astg.hpp"
@@ -309,9 +310,11 @@ TEST(ReportCodec, RejectsPayloadFromDifferentNet) {
 // --- centralized options signature (satellite: one spelling) ----------------
 
 TEST(OptionsSignature, OneSpellingSharedByAllCaches) {
+    const auto sig = [](const svc::CheckOptions& c) {
+        return core::options_signature(c.verify_options());
+    };
     svc::CheckOptions copts;
-    EXPECT_EQ(copts.signature(),
-              "v2;normalcy=1;reduce=none;deadlock=0;persistency=0");
+    EXPECT_EQ(sig(copts), "v2;normalcy=1;reduce=none;deadlock=0;persistency=0");
 
     // The reduce spec is canonicalized, so "all" and the expanded list key
     // the same entries.
@@ -319,13 +322,12 @@ TEST(OptionsSignature, OneSpellingSharedByAllCaches) {
     alias.reduce = "all";
     svc::CheckOptions listed = copts;
     listed.reduce = "contract,series,dup-place,const-place";
-    EXPECT_EQ(alias.signature(), listed.signature());
-    EXPECT_NE(alias.signature(), copts.signature());
+    EXPECT_EQ(sig(alias), sig(listed));
+    EXPECT_NE(sig(alias), sig(copts));
 
     // to_json/from_json round-trips the signature.
     const obs::Json j = listed.to_json();
-    EXPECT_EQ(svc::CheckOptions::from_json(&j).signature(),
-              listed.signature());
+    EXPECT_EQ(sig(svc::CheckOptions::from_json(&j)), sig(listed));
 }
 
 // --- shared semantic cache tier ---------------------------------------------

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -303,8 +305,9 @@ TEST(SchedCancellation, CancelAfterZeroOrNegativeCancelsImmediately) {
 TEST(SchedCancellation, DeadlinesPastTheClockRangeNeverFire) {
     // milliseconds::max() and a UINT64_MAX-ms duration both overflow once
     // converted to steady_clock's nanoseconds; they must mean "never", not
-    // wrap into the past.  The timer fires deadlines in order, so once the
-    // 1 ms canary has fired, any wrapped deadline would have fired too.
+    // wrap into the past.  A wrapped deadline would be stored in the past
+    // and read as cancelled at the first poll; waiting for the 1 ms canary
+    // to pass checks both sources at a time a real deadline has passed.
     CancellationSource max_ms;
     max_ms.cancel_after(std::chrono::milliseconds::max());
     CancellationSource max_u64_ms;
@@ -322,9 +325,9 @@ TEST(SchedCancellation, DeadlinesPastTheClockRangeNeverFire) {
 }
 
 TEST(SchedCancellation, DeadlineOrderingAndAbandonedSourcesAreSafe) {
-    // An abandoned source disarms its deadline (the timer holds a weak
-    // reference); a later deadline armed on a live source still fires even
-    // though an earlier-armed entry died.
+    // Destroying a source with an armed deadline leaves nothing behind that
+    // could touch it later; a deadline armed on a live source afterwards
+    // still passes.
     CancellationSource live;
     CancellationToken token = live.token();
     {
@@ -350,6 +353,25 @@ TEST(SchedCancellation, EarliestOfMultipleDeadlinesWins) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_TRUE(source.cancelled());
     EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::hours(1));
+}
+
+TEST(SchedCancellation, ArmingADeadlineStartsNoThread) {
+    // A deadline is a stored time that polls compare against the clock: no
+    // thread fires it, so arming thousands leaves the thread count as is.
+    const auto threads = []() -> long {
+        std::error_code ec;
+        long n = 0;
+        for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+             !ec && it != end; it.increment(ec))
+            ++n;
+        return ec ? -1 : n;
+    };
+    const long before = threads();
+    if (before <= 0) GTEST_SKIP() << "/proc/self/task is not readable";
+    std::vector<CancellationSource> sources(1000);
+    for (CancellationSource& s : sources) s.cancel_after(std::chrono::hours(1));
+    EXPECT_EQ(threads(), before);
+    for (const CancellationSource& s : sources) EXPECT_FALSE(s.cancelled());
 }
 
 TEST(SchedCancellation, DeadlineUnderSaturationCancelsRunningAndQueuedProbes) {
