@@ -10,11 +10,14 @@
 // (default 3) and the fastest run is reported.
 //
 // Usage: bench_kernels [--reps N] [MODELS_DIR].  Writes BENCH_kernels.json.
+// N is a whole positive decimal; --help prints the usage and exits 0, and
+// any other option, a bad N or a second directory exits 2.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -27,8 +30,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
+constexpr const char* kUsage = "usage: bench_kernels [--reps N] [MODELS_DIR]\n";
+
 double ns_per(double seconds, std::size_t n) {
     return n == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(n);
+}
+
+/// A whole positive decimal spanning all of `s`, else 0.
+int parse_reps(std::string_view s) {
+    int n = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+    return ec == std::errc{} && end == s.data() + s.size() && n > 0 ? n : 0;
 }
 
 }  // namespace
@@ -36,12 +48,23 @@ double ns_per(double seconds, std::size_t n) {
 int main(int argc, char** argv) {
     int reps = benchutil::kReps;
     std::string dir = STGCC_MODELS_DIR;
+    bool dir_given = false;
     for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--reps" && i + 1 < argc)
-            reps = std::max(1, std::atoi(argv[++i]));
-        else
+        const std::string_view a = argv[i];
+        if (a == "--help" || a == "-h") {
+            std::fputs(kUsage, stdout);
+            return 0;
+        }
+        if (a == "--reps") {
+            reps = i + 1 < argc ? parse_reps(argv[++i]) : 0;
+            if (reps > 0) continue;
+        } else if (!a.starts_with("-") && !dir_given) {
             dir = a;
+            dir_given = true;
+            continue;
+        }
+        std::fputs(kUsage, stderr);
+        return 2;
     }
     std::vector<fs::path> files;
     std::error_code ec;

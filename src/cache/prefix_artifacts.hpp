@@ -5,11 +5,9 @@
 // solver instance of the model:
 //   * the consistency analysis (and the derived initial code v0),
 //     which verify_stg and the CodingProblem used to compute separately,
-//   * the dense CodingProblem with its per-signal solver template,
-//   * the leaf-predicate tables: the place flow pre(t) xor post(t) of every
-//     dense event and the preset place mask of every circuit-driven
-//     transition, from which leaf_state() derives a configuration's place
-//     set, Out set and code word-wise,
+//   * the dense CodingProblem, the solver's only input: closure rows,
+//     per-signal masks and leaf tables (place flows, M0, circuit-driven
+//     preset masks), held by the problem itself,
 //   * the USC=>CSC certificate: set once an exhaustive USC search has
 //     found no conflict, after which CSC holds without searching.
 //
@@ -27,13 +25,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/coding_problem.hpp"
 #include "unfolding/prefix_checks.hpp"
 #include "unfolding/unfolder.hpp"
-#include "util/arena.hpp"
-#include "util/bit_matrix.hpp"
 
 namespace stgcc::cache {
 
@@ -61,15 +56,6 @@ public:
 
 private:
     std::atomic<bool> usc_holds_{false};
-};
-
-/// What the leaf predicates read of the marking reached by a dense
-/// configuration, word-wise.  The buffers are reused across calls: every
-/// solver instance owns its own (per-signal CSC instances run in parallel).
-struct LeafState {
-    BitVec places;  ///< marked places (1-safe: a marking is a place set)
-    BitVec out;     ///< Out(M): signals of the enabled circuit-driven transitions
-    BitVec code;    ///< Code(M), bit z = value of signal z
 };
 
 class PrefixArtifacts {
@@ -102,19 +88,6 @@ public:
     /// the historical CodingProblem diagnosis) when the STG is inconsistent.
     [[nodiscard]] const core::CodingProblem& problem() const;
 
-    /// Fill `s.places` with the place set of the marking reached by a dense
-    /// configuration (the USC leaf predicate compares these).  The unfolder
-    /// enforces 1-safety, so every place holds M0(p) + produced - consumed
-    /// in {0, 1} tokens, which is the parity of M0(p) + produced + consumed:
-    /// the place set is M0 xor the place flows of the configuration's
-    /// events.  Only valid when consistent().
-    void leaf_places(BitSpan dense, LeafState& s) const;
-
-    /// Fill `s.places`, `s.out` and `s.code` (the CSC and normalcy leaf
-    /// predicates; Nxt_z = out(z) xor code(z)).  Agrees with
-    /// unf::marking_of, Stg::out_signals and CodingProblem::code_of.
-    void leaf_state(BitSpan dense, LeafState& s) const;
-
     /// The USC=>CSC certificate.  Mutable through const artifacts: it
     /// records a proved fact and never changes a verdict.
     [[nodiscard]] ClauseStore& clauses() const noexcept { return clauses_; }
@@ -125,13 +98,8 @@ private:
     std::shared_ptr<const stg::Stg> owned_stg_;  ///< may be null (aliasing ctors)
     const stg::Stg* stg_;
     unf::Prefix prefix_;
-    util::Arena arena_;           ///< owns the leaf tables
     unf::PrefixConsistency consistency_;
     std::unique_ptr<core::CodingProblem> problem_;  ///< null when inconsistent
-    BitVec initial_places_;                   ///< M0, width |P|
-    util::BitMatrix place_flows_;  ///< q x |P|: pre(t) xor post(t), in arena_
-    std::vector<stg::SignalId> out_signal_;   ///< per circuit-driven transition
-    util::BitMatrix out_presets_;  ///< its preset places, |out_signal_| x |P|
     mutable ClauseStore clauses_;
 };
 

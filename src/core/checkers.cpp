@@ -54,13 +54,10 @@ stg::ConflictWitness UnfoldingChecker::make_witness(const BitVec& ca,
 stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
     obs::Span span("solve.usc");
     CompatSolver solver(*problem_, opts);
-    cache::LeafState la, lb;
     auto outcome = solver.solve(
-        CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
+        CodeRelation::Equal, [](const LeafView& a, const LeafView& b) {
             // USC separating predicate: the markings must differ.
-            artifacts_->leaf_places(ca, la);
-            artifacts_->leaf_places(cb, lb);
-            return !(la.places == lb.places);
+            return !(a.places == b.places);
         });
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
@@ -79,14 +76,15 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts) const {
     obs::Span span("solve.csc");
     if (usc_certified(*artifacts_, span)) return {};
     CompatSolver solver(*problem_, opts);
-    cache::LeafState la, lb;
+    const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
     auto outcome = solver.solve(
-        CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
+        CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
             // CSC separating predicate: enabled-output sets must differ
             // (equal codes with different Out sets imply distinct markings).
-            artifacts_->leaf_state(ca, la);
-            artifacts_->leaf_state(cb, lb);
-            return !(la.out == lb.out);
+            for (const stg::SignalId z : outputs)
+                if (problem_->enabled(a.places, z) != problem_->enabled(b.places, z))
+                    return true;
+            return false;
         });
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
@@ -126,15 +124,13 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
             local.cancel =
                 sched::CancellationToken::combine(opts.cancel, token);
             CompatSolver solver(*problem_, local);
-            cache::LeafState la, lb;
             auto outcome = solver.solve(
-                CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
+                CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
                     // Per-signal CSC predicate: z enabled at exactly one of
                     // the two markings (a CSC conflict exists iff some
                     // circuit-driven signal has one).
-                    artifacts_->leaf_state(ca, la);
-                    artifacts_->leaf_state(cb, lb);
-                    return la.out.test(z) != lb.out.test(z);
+                    return problem_->enabled(a.places, z) !=
+                           problem_->enabled(b.places, z);
                 });
             per_signal[i] = outcome.stats;
             if (!outcome.found) return std::nullopt;
@@ -162,8 +158,7 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
     for (std::size_t i = 0; i < outputs.size(); ++i)
         pass.per_signal[i].signal = outputs[i];
 
-    auto make_nw = [&](stg::SignalId z, const BitVec& lo_cfg,
-                       const BitVec& hi_cfg) {
+    auto make_nw = [&](stg::SignalId z, BitSpan lo_cfg, BitSpan hi_cfg) {
         stg::NormalcyWitness w;
         w.signal = z;
         const BitVec el = problem_->to_event_set(lo_cfg);
@@ -184,26 +179,23 @@ UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
     // or with Code(x') >= Code(x'') (lo = x'').  Each flag keeps the
     // *first* violating pair in enumeration order, which is deterministic.
     CompatSolver solver(*problem_, opts);
-    cache::LeafState lo, hi;
-    auto outcome = solver.solve(rel, [&](const BitVec& ca, const BitVec& cb) {
-        const BitVec& lo_cfg = rel == CodeRelation::LessEq ? ca : cb;
-        const BitVec& hi_cfg = rel == CodeRelation::LessEq ? cb : ca;
-        artifacts_->leaf_state(lo_cfg, lo);
-        artifacts_->leaf_state(hi_cfg, hi);
+    auto outcome = solver.solve(rel, [&](const LeafView& a, const LeafView& b) {
+        const LeafView& lo = rel == CodeRelation::LessEq ? a : b;
+        const LeafView& hi = rel == CodeRelation::LessEq ? b : a;
         for (std::size_t i = 0; i < outputs.size(); ++i) {
             stg::SignalNormalcy& sn = pass.per_signal[i];
             const stg::SignalId z = outputs[i];
             if (sn.p_normal || sn.n_normal) {
                 // Nxt_z flips the code bit exactly when z is enabled.
-                const bool nxt_lo = lo.out.test(z) != lo.code.test(z);
-                const bool nxt_hi = hi.out.test(z) != hi.code.test(z);
+                const bool nxt_lo = problem_->enabled(lo.places, z) != lo.code.test(z);
+                const bool nxt_hi = problem_->enabled(hi.places, z) != hi.code.test(z);
                 if (sn.p_normal && nxt_lo && !nxt_hi) {
                     sn.p_normal = false;
-                    sn.p_violation = make_nw(z, lo_cfg, hi_cfg);
+                    sn.p_violation = make_nw(z, lo.config, hi.config);
                 }
                 if (sn.n_normal && !nxt_lo && nxt_hi) {
                     sn.n_normal = false;
-                    sn.n_violation = make_nw(z, lo_cfg, hi_cfg);
+                    sn.n_violation = make_nw(z, lo.config, hi.config);
                 }
             }
         }

@@ -47,6 +47,7 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
     confs_ = util::BitMatrix(arena_, q, q);
     rising_ = util::BitMatrix(arena_, stg.num_signals(), q);
     falling_ = util::BitMatrix(arena_, stg.num_signals(), q);
+    rising_events_ = BitVec(q);
     signal_.resize(q);
 
     for (std::size_t i = 0; i < q; ++i) {
@@ -54,6 +55,7 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
         const stg::Label l = stg.label(prefix.event(e).transition);
         signal_[i] = l.signal;
         (l.delta() > 0 ? rising_ : falling_).set(l.signal, i);
+        if (l.delta() > 0) rising_events_.set(i);
         prefix.local_config(e).for_each([&](std::size_t f) {
             if (f == e) return;
             // Causal predecessors of a non-cut-off event are non-cut-off
@@ -68,6 +70,35 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
         });
     }
 
+    // Leaf tables: M0, the place flow of every dense event and the preset
+    // masks of the circuit-driven transitions, grouped by signal.
+    const petri::Net& net = stg.net();
+    const std::size_t np = net.num_places();
+    initial_places_ = BitVec(np);
+    const petri::Marking& m0 = prefix.system().initial_marking();
+    for (petri::PlaceId p = 0; p < np; ++p)
+        if (m0[p] != 0) initial_places_.set(p);
+    place_flows_ = util::BitMatrix(arena_, q, np);
+    for (std::size_t i = 0; i < q; ++i) {
+        const petri::TransitionId t = prefix.event(events_[i]).transition;
+        MutBitSpan row = place_flows_.mut_row(i);
+        for (petri::PlaceId p : net.pre(t)) row.set(p);
+        for (petri::PlaceId p : net.post(t))
+            row.test(p) ? row.reset(p) : row.set(p);  // self-loops cancel
+    }
+    std::vector<std::vector<petri::TransitionId>> outs(stg.num_signals());
+    for (petri::TransitionId t = 0; t < net.num_transitions(); ++t) {
+        const stg::SignalId z = stg.label(t).signal;
+        if (stg::is_circuit_driven(stg.signal_kind(z))) outs[z].push_back(t);
+    }
+    out_begin_.assign(1, 0);
+    for (const auto& ts : outs) out_begin_.push_back(out_begin_.back() + ts.size());
+    out_presets_ = util::BitMatrix(arena_, out_begin_.back(), np);
+    for (stg::SignalId z = 0; z < outs.size(); ++z)
+        for (std::size_t k = 0; k < outs[z].size(); ++k)
+            for (petri::PlaceId p : net.pre(outs[z][k]))
+                out_presets_.set(out_begin_[z] + k, p);
+
     obs::gauge("mem.arena_bytes")
         .set(static_cast<std::int64_t>(util::Arena::process_live_bytes()));
     obs::gauge("mem.arena_peak_bytes")
@@ -76,20 +107,14 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
     span.attr("conflict_free", conflict_free_);
 }
 
-BitVec CodingProblem::to_event_set(const BitVec& dense) const {
+BitVec CodingProblem::to_event_set(BitSpan dense) const {
     BitVec out = prefix_->make_event_set();
     dense.for_each([&](std::size_t i) { out.set(events_[i]); });
     return out;
 }
 
-stg::Code CodingProblem::code_of(const BitVec& dense) const {
-    stg::Code code;
-    code_of(dense, code);
-    return code;
-}
-
-void CodingProblem::code_of(BitSpan dense, stg::Code& code) const {
-    code = initial_code_;
+stg::Code CodingProblem::code_of(BitSpan dense) const {
+    stg::Code code = initial_code_;
     const BitSpan::Word* x = dense.words();
     for (stg::SignalId z = 0; z < rising_.rows(); ++z) {
         const BitSpan::Word* r = rising(z).words();
@@ -99,6 +124,13 @@ void CodingProblem::code_of(BitSpan dense, stg::Code& code) const {
             parity ^= x[w] & (r[w] | f[w]);
         if (std::popcount(parity) & 1) code.assign_bit(z, !code.test(z));
     }
+    return code;
+}
+
+bool CodingProblem::enabled(BitSpan places, stg::SignalId z) const {
+    for (std::size_t k = out_begin_[z]; k < out_begin_[z + 1]; ++k)
+        if (out_presets_.row(k).subset_of(places)) return true;
+    return false;
 }
 
 }  // namespace stgcc::core

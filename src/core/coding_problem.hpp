@@ -7,9 +7,15 @@
 //     three arena-backed bit matrices over dense indices (the Theorem 1
 //     closure rules), exposed as BitSpan row views,
 //   * its signal, and per signal the rising (code contribution +1) and
-//     falling (-1) events as bit masks.
-// It also records the derived initial code v0 and whether the STG is
-// dynamically conflict-free (enabling the section 7 optimisation).
+//     falling (-1) events as bit masks,
+//   * its place flow pre(t) xor post(t), from which the solver keeps the
+//     marked-place set of each side of the pair on its trail.
+// It also records the derived initial code v0, the initial place set M0,
+// the preset place mask of every circuit-driven transition (Out of a place
+// set, read by the leaf predicates) and whether the STG is dynamically
+// conflict-free (enabling the section 7 optimisation).  The per-event and
+// per-transition tables live in one arena owned by the problem, and the
+// problem is the solver's only input.
 #pragma once
 
 #include <vector>
@@ -69,23 +75,42 @@ public:
         return conflict_free_;
     }
 
-    /// Expand a dense 0-1 vector (as BitVec) into an event set of the prefix.
-    [[nodiscard]] BitVec to_event_set(const BitVec& dense) const;
+    /// Expand a dense 0-1 vector into an event set of the prefix.
+    [[nodiscard]] BitVec to_event_set(BitSpan dense) const;
 
     /// Code of the marking reached by a dense configuration: v0 + change
     /// vector, i.e. v0 xor the parity of each signal's events in it.
-    [[nodiscard]] stg::Code code_of(const BitVec& dense) const;
-    /// Same, into a caller-owned buffer (the solver's leaf predicates).
-    void code_of(BitSpan dense, stg::Code& code) const;
+    [[nodiscard]] stg::Code code_of(BitSpan dense) const;
 
     /// Dense events of signal z with a rising / falling edge, q bits each:
-    /// the +1 / -1 coefficient masks of the code difference D_z, against
-    /// which the solver bounds D_z by popcount.  Shared read-only by every
-    /// solver instance over this problem.
+    /// the +1 / -1 coefficient masks of the code difference D_z, through
+    /// which the solver forces the free variables of z once D_z is pinned
+    /// at an extreme.  Shared read-only by every solver instance over this
+    /// problem.
     [[nodiscard]] BitSpan rising(stg::SignalId z) const { return rising_.row(z); }
     [[nodiscard]] BitSpan falling(stg::SignalId z) const {
         return falling_.row(z);
     }
+    /// All rising dense events (the union of the rising rows), q bits: the
+    /// sign of each event's coefficient in D_z, read word-wise by the
+    /// solver when it moves the D_z intervals.
+    [[nodiscard]] BitSpan rising_events() const { return rising_events_; }
+
+    /// Place flow pre(t) xor post(t) of a dense event's transition, |P|
+    /// bits (self-loops cancel).  The unfolder enforces 1-safety, so a
+    /// place holds M0(p) + produced - consumed in {0, 1} tokens, which is
+    /// the parity of M0(p) + produced + consumed: the place set reached by
+    /// a configuration is initial_places() xor the flows of its events.
+    [[nodiscard]] BitSpan place_flow(std::size_t dense) const {
+        return place_flows_.row(dense);
+    }
+    /// M0 as a place set, |P| bits.
+    [[nodiscard]] BitSpan initial_places() const { return initial_places_; }
+
+    /// Whether a circuit-driven transition of z has its whole preset in
+    /// `places`, i.e. whether z is in Out of that marking (agrees with
+    /// Stg::out_signals; always false for an input signal).
+    [[nodiscard]] bool enabled(BitSpan places, stg::SignalId z) const;
 
 private:
     void build(const unf::PrefixConsistency& consistency);
@@ -93,11 +118,18 @@ private:
     const stg::Stg* stg_;
     const unf::Prefix* prefix_;
     std::vector<unf::EventId> events_;
-    util::Arena arena_;                       ///< owns the closure slabs
+    util::Arena arena_;                       ///< owns every table below
     util::BitMatrix preds_, succs_, confs_;   ///< q x q rows in arena_
     util::BitMatrix rising_, falling_;        ///< num_signals x q, in arena_
+    BitVec rising_events_;                    ///< q bits
+    util::BitMatrix place_flows_;             ///< q x |P|, in arena_
+    /// Preset place masks of the circuit-driven transitions grouped by
+    /// signal: the rows of z are [out_begin_[z], out_begin_[z + 1]).
+    util::BitMatrix out_presets_;
+    std::vector<std::size_t> out_begin_;      ///< num_signals + 1 offsets
     std::vector<stg::SignalId> signal_;
     stg::Code initial_code_;
+    BitVec initial_places_;
     bool conflict_free_ = false;
 };
 

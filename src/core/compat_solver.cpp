@@ -14,22 +14,12 @@ CompatSolver::CompatSolver(const CodingProblem& problem, SearchOptions opts)
 bool CompatSolver::bound_signal(stg::SignalId z) {
     // D_z = sum_e delta(e) (x'_e - x''_e): rising events weigh +1 on x' and
     // -1 on x'', falling events the opposite.  Its bounds over the
-    // unassigned variables come straight from popcounts of the planes.
+    // unassigned variables are carried in state_ (carry_fresh()).
     const std::size_t nw = nw_;
-    const Word* r = problem_->rising(z).words();
-    const Word* f = problem_->falling(z).words();
-    const Word* o0 = planes_.data() + plane(0, 1) * nw;
-    const Word* z0 = planes_.data() + plane(0, 0) * nw;
-    const Word* o1 = planes_.data() + plane(1, 1) * nw;
-    const Word* z1 = planes_.data() + plane(1, 0) * nw;
-    int max_sum = 0, min_sum = 0;
-    for (std::size_t w = 0; w < nw; ++w) {
-        if ((r[w] | f[w]) == 0) continue;
-        max_sum += std::popcount(~z0[w] & r[w]) + std::popcount(~z1[w] & f[w]) -
-                   std::popcount(o0[w] & f[w]) - std::popcount(o1[w] & r[w]);
-        min_sum += std::popcount(o0[w] & r[w]) + std::popcount(o1[w] & f[w]) -
-                   std::popcount(~z0[w] & f[w]) - std::popcount(~z1[w] & r[w]);
-    }
+    const Word packed = state_[bounds_at_ + z];
+    const std::int64_t min_sum =
+        static_cast<std::int64_t>(packed & 0xffffffffu) - kBias;
+    const std::int64_t max_sum = static_cast<std::int64_t>(packed >> 32) - kBias;
     bool feasible = true;
     switch (relation_) {
         case CodeRelation::Equal: feasible = min_sum <= 0 && max_sum >= 0; break;
@@ -49,6 +39,12 @@ bool CompatSolver::bound_signal(stg::SignalId z) {
     const bool force_max = max_sum == 0 && relation_ != CodeRelation::LessEq;
     const bool force_min = min_sum == 0 && relation_ != CodeRelation::GreaterEq;
     if (!force_max && !force_min) return true;
+    const Word* r = problem_->rising(z).words();
+    const Word* f = problem_->falling(z).words();
+    const Word* o0 = state_.data() + plane(0, 1) * nw;
+    const Word* z0 = state_.data() + plane(0, 0) * nw;
+    const Word* o1 = state_.data() + plane(1, 1) * nw;
+    const Word* z1 = state_.data() + plane(1, 0) * nw;
     const int up = force_max ? 1 : 0;  // value of the +1 variables
     Word* rise0 = want_.data() + plane(0, up) * nw;
     Word* fall0 = want_.data() + plane(0, 1 - up) * nw;
@@ -65,6 +61,70 @@ bool CompatSolver::bound_signal(stg::SignalId z) {
     return true;
 }
 
+std::size_t CompatSolver::carry_fresh() {
+    // Each fresh variable shrinks the interval of its signal's D_z by one
+    // at one end: min rises when its coefficient is +1 and its value 1, or
+    // -1 and 0; otherwise max falls.  The coefficient is +1 for a rising
+    // event on x' or a falling one on x''.  Each fresh 1-bit of a side also
+    // XORs its event's place flow into that side's place set and flips its
+    // signal in that side's code.  Every overwritten word goes on the
+    // trail: an interval once per signal and round (touched_ dedups), a
+    // side's place set and code once per round with a fresh 1-bit there.
+    const std::size_t nw = nw_;
+    const std::size_t npw = npw_;
+    Word* const state = state_.data();
+    const Word* const fresh = fresh_.data();
+    const Word* const rise = problem_->rising_events().words();
+    Word* const bounds = state + bounds_at_;
+    bool saved[2] = {false, false};
+    std::size_t committed = 0;
+    for (std::size_t w = 0; w < nw; ++w) {
+        const Word f0 = fresh[plane(0, 1) * nw + w];
+        const Word f1 = fresh[plane(0, 0) * nw + w];
+        const Word f2 = fresh[plane(1, 1) * nw + w];
+        const Word f3 = fresh[plane(1, 0) * nw + w];
+        Word bits = f0 | f1 | f2 | f3;
+        if (bits == 0) continue;
+        const Word r = rise[w];
+        // Per side: the fresh bits that raise min; the rest lower max.
+        const Word min_up0 = (f0 & r) | (f1 & ~r);
+        const Word min_up1 = (f2 & ~r) | (f3 & r);
+        const Word any0 = f0 | f1;
+        const Word any1 = f2 | f3;
+        while (bits) {
+            const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+            bits &= bits - 1;
+            const std::size_t e = w * kWordBits + b;
+            const stg::SignalId z = problem_->signal(e);
+            if (!touched_mask_.test(z)) {
+                touched_mask_.set(z);
+                touched_.push_back(z);
+                trail_.push_back(TrailEntry{bounds_at_ + z, bounds[z]});
+            }
+            const Word n = ((any0 >> b) & 1) + ((any1 >> b) & 1);
+            const Word up = ((min_up0 >> b) & 1) + ((min_up1 >> b) & 1);
+            bounds[z] += up - ((n - up) << 32);
+            committed += n;
+            for (int s = 0; s < 2; ++s) {
+                if (!(((s == 0 ? f0 : f2) >> b) & 1)) continue;
+                Word* places = state + places_at_ + s * npw;
+                Word* code = state + code_at_ + s * ncw_;
+                if (!saved[s]) {
+                    saved[s] = true;
+                    for (std::size_t i = 0; i < npw; ++i)
+                        trail_.push_back(TrailEntry{places_at_ + s * npw + i, places[i]});
+                    for (std::size_t i = 0; i < ncw_; ++i)
+                        trail_.push_back(TrailEntry{code_at_ + s * ncw_ + i, code[i]});
+                }
+                const Word* flow = problem_->place_flow(e).words();
+                for (std::size_t i = 0; i < npw; ++i) places[i] ^= flow[i];
+                code[z / kWordBits] ^= Word{1} << (z % kWordBits);
+            }
+        }
+    }
+    return committed;
+}
+
 bool CompatSolver::assign(int side, std::size_t idx, int value) {
     // Propagation in rounds over whole words.  A round closes the newly
     // wanted bits under Theorem 1, checks the result against the planes,
@@ -79,7 +139,7 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
     // would be reloaded after every store.
     const std::size_t nw = nw_;
     const std::size_t q = problem_->size();
-    Word* const planes = planes_.data();
+    Word* const planes = state_.data();
     Word* const want = want_.data();
     Word* const fresh = fresh_.data();
     const Word* const below = below_.data();
@@ -130,16 +190,15 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
         }
         if (any == 0) return true;
 
-        // Commit the fresh bits, recording each overwritten word.
-        std::size_t committed = 0;
+        // Commit the fresh bits, recording each overwritten word, and carry
+        // the intervals, place sets and codes along.
         for (std::size_t i = 0; i < 4 * nw; ++i) {
             want[i] = 0;
             if (fresh[i] == 0) continue;
             trail_.push_back(TrailEntry{i, planes[i]});
             planes[i] |= fresh[i];
-            committed += static_cast<std::size_t>(std::popcount(fresh[i]));
         }
-        stats_.propagations += committed;
+        stats_.propagations += carry_fresh();
 
         // First-difference linking: below index d the two vectors are equal.
         for (int s = 0; s < 2; ++s) {
@@ -164,21 +223,8 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
             }
         }
 
-        // Per-signal accounting and interval pruning for every signal with
-        // a freshly assigned variable.
-        for (std::size_t w = 0; w < nw; ++w) {
-            Word bits = fresh[w] | fresh[nw + w] | fresh[2 * nw + w] |
-                        fresh[3 * nw + w];
-            while (bits) {
-                const std::size_t e =
-                    w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
-                bits &= bits - 1;
-                const stg::SignalId z = problem_->signal(e);
-                if (touched_mask_.test(z)) continue;
-                touched_mask_.set(z);
-                touched_.push_back(z);
-            }
-        }
+        // Interval pruning for every signal with a freshly assigned
+        // variable (collected by carry_fresh()).
         bool feasible = true;
         for (const stg::SignalId z : touched_) {
             touched_mask_.reset(z);
@@ -191,7 +237,7 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
 
 void CompatSolver::undo_to(std::size_t mark) {
     while (trail_.size() > mark) {
-        planes_[trail_.back().index] = trail_.back().old;
+        state_[trail_.back().index] = trail_.back().old;
         trail_.pop_back();
     }
 }
@@ -215,10 +261,10 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
     // fixes all of [e] and its conflict set in one step (Theorem 1).  Bits
     // at and above q in the last word are padding, never assigned.
     const std::size_t q = problem_->size();
-    const Word* o0 = planes_.data() + plane(0, 1) * nw_;
-    const Word* z0 = planes_.data() + plane(0, 0) * nw_;
-    const Word* o1 = planes_.data() + plane(1, 1) * nw_;
-    const Word* z1 = planes_.data() + plane(1, 0) * nw_;
+    const Word* o0 = state_.data() + plane(0, 1) * nw_;
+    const Word* z0 = state_.data() + plane(0, 0) * nw_;
+    const Word* o1 = state_.data() + plane(1, 1) * nw_;
+    const Word* z1 = state_.data() + plane(1, 0) * nw_;
     const Word tail = q % kWordBits ? (Word{1} << (q % kWordBits)) - 1 : ~Word{0};
     std::size_t idx = q;
     for (std::size_t w = nw_; w-- > 0;) {
@@ -231,17 +277,18 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
     }
     if (idx >= q) {
         ++stats_.leaves;
-        for (int s = 0; s < 2; ++s) {
-            leaf_[s].clear();
-            leaf_[s] |= BitSpan(planes_.data() + plane(s, 1) * nw_, q);
-        }
-        if (accept(leaf_[0], leaf_[1])) {
-            outcome_.found = true;
-            outcome_.ca = leaf_[0];
-            outcome_.cb = leaf_[1];
-            return true;
-        }
-        return false;
+        const std::size_t np = problem_->initial_places().size();
+        const std::size_t nz = problem_->initial_code().size();
+        LeafView side[2];
+        for (int s = 0; s < 2; ++s)
+            side[s] = LeafView{BitSpan(state_.data() + plane(s, 1) * nw_, q),
+                               BitSpan(state_.data() + places_at_ + s * npw_, np),
+                               BitSpan(state_.data() + code_at_ + s * ncw_, nz)};
+        if (!accept(side[0], side[1])) return false;
+        outcome_.found = true;
+        outcome_.ca = BitVec(side[0].config);
+        outcome_.cb = BitVec(side[1].config);
+        return true;
     }
     const Word bit = Word{1} << (idx % kWordBits);
     const std::size_t w = idx / kWordBits;
@@ -288,15 +335,34 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     conflict_free_mode_ = opts_.use_conflict_free_optimisation &&
                           problem_->dynamically_conflict_free();
     const std::size_t q = problem_->size();
+    const BitSpan m0 = problem_->initial_places();
+    const BitSpan v0 = problem_->initial_code();
+    const std::size_t nz = v0.size();
     nw_ = (q + kWordBits - 1) / kWordBits;
-    planes_.assign(4 * nw_, Word{0});
+    npw_ = m0.num_words();
+    ncw_ = v0.num_words();
+    places_at_ = 4 * nw_;
+    code_at_ = places_at_ + 2 * npw_;
+    bounds_at_ = code_at_ + 2 * ncw_;
+    state_.assign(bounds_at_ + nz, Word{0});
+    for (int s = 0; s < 2; ++s) {
+        std::copy_n(m0.words(), npw_, state_.begin() + places_at_ + s * npw_);
+        std::copy_n(v0.words(), ncw_, state_.begin() + code_at_ + s * ncw_);
+    }
+    // D_z has |R_z| + |F_z| variables with coefficient +1 (rising on x',
+    // falling on x'') and as many with -1, so with nothing assigned it
+    // ranges over +-(|R_z| + |F_z|).
+    for (stg::SignalId z = 0; z < nz; ++z) {
+        const auto n = static_cast<std::int64_t>(problem_->rising(z).count() +
+                                                 problem_->falling(z).count());
+        state_[bounds_at_ + z] = pack(-n, n);
+    }
     want_.assign(4 * nw_, Word{0});
     fresh_.assign(4 * nw_, Word{0});
     below_.assign(nw_, Word{0});
     trail_.clear();
     touched_.clear();
-    touched_mask_ = BitVec(problem_->stg().num_signals());
-    leaf_[0] = leaf_[1] = BitVec(q);
+    touched_mask_ = BitVec(nz);
     stats_ = stg::CheckStats{};
     outcome_ = SearchOutcome{};
     bound_ns_ = 0;

@@ -31,8 +31,16 @@
 // When the STG is dynamically conflict-free, the section 7 optimisation
 // restricts the search to set-ordered pairs C' subset C'' via the extra
 // propagation x'_e <= x''_e (Proposition 1).
+//
+// Next to its bit planes the solver carries, in the same trail-restored
+// word array, what the bounds and the leaves read: per side the marked
+// place set and the code of the configuration's committed 1-bits, and per
+// signal the interval [min D_z, max D_z] over the unassigned variables.
+// All three move with each committed bit, so a bound is a read and a leaf
+// hands the predicate ready views (docs/ALGORITHMS.md, section 4).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -68,10 +76,18 @@ struct SearchOptions {
     sched::CancellationToken cancel;
 };
 
-/// Leaf predicate: given the two dense configurations, decide whether they
-/// constitute the sought conflict.  Returning true stops the search;
-/// returning false continues enumeration.
-using PairPredicate = std::function<bool(const BitVec& ca, const BitVec& cb)>;
+/// One side of a candidate pair at a leaf, as views into the solver's state
+/// (valid only during the predicate call).
+struct LeafView {
+    BitSpan config;  ///< dense configuration, q bits
+    BitSpan places;  ///< marked places of the marking it reaches, |P| bits
+    BitSpan code;    ///< Code of that marking, one bit per signal
+};
+
+/// Leaf predicate: given the two sides, decide whether they constitute the
+/// sought conflict.  Returning true stops the search; returning false
+/// continues enumeration.
+using PairPredicate = std::function<bool(const LeafView& a, const LeafView& b)>;
 
 struct SearchOutcome {
     bool found = false;
@@ -93,20 +109,32 @@ private:
     using Word = BitSpan::Word;
     static constexpr std::size_t kWordBits = BitSpan::kWordBits;
 
-    /// Plane numbering shared by planes_, want_ and fresh_: value v of side
+    /// Plane numbering shared by state_, want_ and fresh_: value v of side
     /// s (0 = x', 1 = x'') lives in plane 2*s + (1 - v), i.e. the ones of
     /// x', the zeros of x', the ones of x'', the zeros of x''.
     [[nodiscard]] static std::size_t plane(int side, int value) noexcept {
         return static_cast<std::size_t>(2 * side + 1 - value);
     }
 
+    /// An interval [lo, hi] of D_z packed in one word: lo + kBias in the
+    /// low half, hi + kBias in the high half.  |D_z| <= q < kBias, so
+    /// neither half leaves [0, 2^32) and one word add moves both.
+    static constexpr std::int64_t kBias = std::int64_t{1} << 31;
+    [[nodiscard]] static Word pack(std::int64_t lo, std::int64_t hi) noexcept {
+        return (static_cast<Word>(hi + kBias) << 32) | static_cast<Word>(lo + kBias);
+    }
+
     bool assign(int side, std::size_t idx, int value);
     /// assign() with the bound-time stopwatch around it while a trace is
     /// recording (branch-vs-bound attribution in CheckStats).
     bool timed_assign(int side, std::size_t idx, int value);
-    /// Interval pruning of D_z against the current planes: false when the
+    /// Interval pruning of D_z with its stored interval: false when the
     /// relation can no longer hold, else ORs any forced extreme into want_.
     bool bound_signal(stg::SignalId z);
+    /// Account the fresh bits of a committed round: move the interval of
+    /// their signals, and the place set and code of each side by its fresh
+    /// 1-bits; collects the touched signals.  Returns the number of bits.
+    std::size_t carry_fresh();
     void undo_to(std::size_t mark);
     bool dfs(const PairPredicate& accept, std::size_t depth);
 
@@ -115,23 +143,28 @@ private:
     CodeRelation relation_ = CodeRelation::Equal;
     bool conflict_free_mode_ = false;
     bool cancelled_ = false;
-    std::size_t nw_ = 0;  ///< words per plane, ceil(q / 64)
+    std::size_t nw_ = 0;   ///< words per plane, ceil(q / 64)
+    std::size_t npw_ = 0;  ///< words per place set, ceil(|P| / 64)
+    std::size_t ncw_ = 0;  ///< words per code, ceil(|Z| / 64)
+    std::size_t places_at_ = 0, code_at_ = 0, bounds_at_ = 0;  ///< in state_
 
     // Mutable search state, fully re-initialised at the top of every
-    // solve().  Four bit planes of nw_ words each (see plane()); a bit set
-    // in neither plane of a side is unassigned.  The trail records every
-    // overwritten plane word as (word index, old value).
+    // solve().  state_ holds, in order: four bit planes of nw_ words each
+    // (see plane()), where a bit set in neither plane of a side is
+    // unassigned; the place set of each side (npw_ words each); the code
+    // of each side (ncw_ words each); one packed interval per signal.  The
+    // trail records every overwritten state word as (word index, old
+    // value), so undo restores all of it.
     struct TrailEntry {
         std::size_t index;
         Word old;
     };
-    std::vector<Word> planes_;
+    std::vector<Word> state_;
     std::vector<Word> want_, fresh_;  ///< per-round scratch, plane layout
     std::vector<Word> below_;         ///< dense indices < current first_diff
     std::vector<TrailEntry> trail_;
     std::vector<stg::SignalId> touched_;
     BitVec touched_mask_;             ///< over signals, mirrors touched_
-    BitVec leaf_[2];                  ///< ones planes copied out at a leaf
     stg::CheckStats stats_;
     std::uint64_t bound_ns_ = 0;  ///< time inside assign() while tracing
     // Prune tallies, published to the compat.* counters once per solve.

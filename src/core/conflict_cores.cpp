@@ -17,9 +17,9 @@ ConflictCoreReport collect_conflict_cores(const CodingProblem& problem,
 
     CompatSolver solver(problem, opts);
     auto outcome = solver.solve(
-        CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
-            const BitVec ea = problem.to_event_set(ca);
-            const BitVec eb = problem.to_event_set(cb);
+        CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
+            const BitVec ea = problem.to_event_set(a.config);
+            const BitVec eb = problem.to_event_set(b.config);
             const petri::Marking ma = unf::marking_of(prefix, ea);
             const petri::Marking mb = unf::marking_of(prefix, eb);
             if (ma == mb) return false;  // not a USC conflict

@@ -1,11 +1,10 @@
 // stgcc -- bump allocator backing the search's hot data structures.
 //
 // An Arena hands out aligned, zero-initialised storage from large slabs and
-// frees everything at once on destruction.  The CodingProblem relation
-// matrices and the PrefixArtifacts leaf tables carve all
-// their flat arrays out of one arena each, so a whole structure is a handful
-// of contiguous allocations instead of thousands of per-row vectors --
-// and tearing one down is a handful of frees.
+// frees everything at once on destruction.  The CodingProblem carves its
+// relation matrices and leaf tables out of one arena, so the whole
+// structure is a handful of contiguous allocations instead of thousands of
+// per-row vectors -- and tearing it down is a handful of frees.
 //
 // Ownership rules (docs/MEMORY.md):
 //   * The arena owns every byte it hands out; callers receive raw pointers

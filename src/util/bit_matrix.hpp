@@ -4,8 +4,8 @@
 // row-slice, mut_row(i) the writable view used while populating.  The
 // matrix does not own its storage -- the Arena passed at construction does
 // -- so a BitMatrix handle is trivially movable and the search structures
-// (CodingProblem closure rows, PrefixArtifacts leaf tables) keep one handle
-// per relation next to the owning arena.
+// (CodingProblem closure rows and leaf tables) keep one handle per relation
+// next to the owning arena.
 #pragma once
 
 #include <cstddef>

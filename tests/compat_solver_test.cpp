@@ -40,11 +40,11 @@ TEST(CompatSolver, SolutionsAreValidConfigurationPairs) {
     CodingProblem problem(model, prefix);
     CompatSolver solver(problem);
     auto outcome = solver.solve(
-        CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
-            EXPECT_TRUE(unf::is_configuration(prefix, problem.to_event_set(ca)));
-            EXPECT_TRUE(unf::is_configuration(prefix, problem.to_event_set(cb)));
-            EXPECT_FALSE(ca == cb);
-            EXPECT_EQ(problem.code_of(ca), problem.code_of(cb));
+        CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
+            EXPECT_TRUE(unf::is_configuration(prefix, problem.to_event_set(a.config)));
+            EXPECT_TRUE(unf::is_configuration(prefix, problem.to_event_set(b.config)));
+            EXPECT_FALSE(a.config == b.config);
+            EXPECT_EQ(problem.code_of(a.config), problem.code_of(b.config));
             return false;  // enumerate everything
         });
     EXPECT_FALSE(outcome.found);
@@ -111,9 +111,9 @@ TEST(CompatSolver, EnumeratesEachDistinctPairOnce) {
                 opts.use_conflict_free_optimisation = optimise;
                 CompatSolver solver(problem, opts);
                 auto outcome = solver.solve(
-                    relation, [&](const BitVec& ca, const BitVec& cb) {
+                    relation, [&](const LeafView& a, const LeafView& b) {
                         auto [it, inserted] =
-                            seen.insert({ca.to_string(), cb.to_string()});
+                            seen.insert({a.config.to_string(), b.config.to_string()});
                         EXPECT_TRUE(inserted) << "pair enumerated twice: "
                                               << it->first << " / " << it->second;
                         return false;
@@ -134,9 +134,9 @@ TEST(CompatSolver, FindsConflictAndStops) {
     CodingProblem problem(model, prefix);
     CompatSolver solver(problem);
     auto outcome = solver.solve(
-        CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
-            return !(unf::marking_of(prefix, problem.to_event_set(ca)) ==
-                     unf::marking_of(prefix, problem.to_event_set(cb)));
+        CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
+            return !(unf::marking_of(prefix, problem.to_event_set(a.config)) ==
+                     unf::marking_of(prefix, problem.to_event_set(b.config)));
         });
     EXPECT_TRUE(outcome.found);
     EXPECT_FALSE(outcome.ca == outcome.cb);
@@ -148,8 +148,8 @@ TEST(CompatSolver, LessEqRelationEnforced) {
     CodingProblem problem(model, prefix);
     CompatSolver solver(problem);
     auto outcome = solver.solve(
-        CodeRelation::LessEq, [&](const BitVec& ca, const BitVec& cb) {
-            EXPECT_TRUE(problem.code_of(ca).subset_of(problem.code_of(cb)));
+        CodeRelation::LessEq, [&](const LeafView& a, const LeafView& b) {
+            EXPECT_TRUE(problem.code_of(a.config).subset_of(problem.code_of(b.config)));
             return false;
         });
     EXPECT_FALSE(outcome.found);
@@ -162,8 +162,8 @@ TEST(CompatSolver, GreaterEqRelationEnforced) {
     CodingProblem problem(model, prefix);
     CompatSolver solver(problem);
     auto outcome = solver.solve(
-        CodeRelation::GreaterEq, [&](const BitVec& ca, const BitVec& cb) {
-            EXPECT_TRUE(problem.code_of(cb).subset_of(problem.code_of(ca)));
+        CodeRelation::GreaterEq, [&](const LeafView& a, const LeafView& b) {
+            EXPECT_TRUE(problem.code_of(b.config).subset_of(problem.code_of(a.config)));
             return false;
         });
     EXPECT_FALSE(outcome.found);
@@ -176,8 +176,8 @@ TEST(CompatSolver, ConflictFreeOptimisationRestrictsToSubsets) {
     ASSERT_TRUE(problem.dynamically_conflict_free());
     CompatSolver solver(problem);
     auto outcome =
-        solver.solve(CodeRelation::Equal, [&](const BitVec& ca, const BitVec& cb) {
-            EXPECT_TRUE(ca.subset_of(cb));
+        solver.solve(CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
+            EXPECT_TRUE(a.config.subset_of(b.config));
             return false;
         });
     EXPECT_FALSE(outcome.found);
@@ -191,9 +191,9 @@ TEST(CompatSolver, OptimisationPreservesUscVerdict) {
         auto model = make();
         auto prefix = unf::unfold(model.system());
         CodingProblem problem(model, prefix);
-        auto usc_predicate = [&](const BitVec& ca, const BitVec& cb) {
-            return !(unf::marking_of(prefix, problem.to_event_set(ca)) ==
-                     unf::marking_of(prefix, problem.to_event_set(cb)));
+        auto usc_predicate = [&](const LeafView& a, const LeafView& b) {
+            return !(unf::marking_of(prefix, problem.to_event_set(a.config)) ==
+                     unf::marking_of(prefix, problem.to_event_set(b.config)));
         };
         SearchOptions with, without;
         without.use_conflict_free_optimisation = false;
@@ -219,7 +219,7 @@ TEST(CompatSolver, NodeLimitThrows) {
     CompatSolver solver(problem, opts);
     EXPECT_THROW(
         (void)solver.solve(CodeRelation::Equal,
-                           [](const BitVec&, const BitVec&) { return false; }),
+                           [](const LeafView&, const LeafView&) { return false; }),
         ModelError);
 }
 
@@ -232,7 +232,7 @@ TEST(CompatSolver, ParallelHandshakesDecidedByPropagationAlone) {
     CompatSolver solver(problem);
     auto outcome = solver.solve(
         CodeRelation::Equal,
-        [](const BitVec&, const BitVec&) { return true; });
+        [](const LeafView&, const LeafView&) { return true; });
     EXPECT_FALSE(outcome.found);
     EXPECT_EQ(outcome.stats.search_nodes, 0u);
 }

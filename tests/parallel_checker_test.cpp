@@ -181,7 +181,7 @@ TEST(ParallelChecker, PreCancelledSolveStopsEarly) {
     // the early stop is attributable to the token alone.
     auto outcome = solver.solve(
         CodeRelation::Equal,
-        [](const BitVec&, const BitVec&) { return false; });
+        [](const LeafView&, const LeafView&) { return false; });
     EXPECT_TRUE(outcome.cancelled);
     EXPECT_FALSE(outcome.found);
     EXPECT_LT(outcome.stats.search_nodes, full.stats.search_nodes);

@@ -5,27 +5,31 @@
 //    just above 64 and 128 (one and two plane words; no shipped model goes
 //    past q = 105).  USC, CSC (both overloads) and per-signal normalcy must
 //    agree with the explicit state-graph checkers.
-//  * LeafState: for random dense configurations of every shipped model, the
-//    place set, Out set and code computed by PrefixArtifacts::leaf_state
-//    equal unf::marking_of, Stg::out_signals / signal_enabled and v0 plus
-//    the change vector.
+//  * SolverLeafView: at every leaf of exhaustive solves under each code
+//    relation, the place set and code the solver carries on its trail for
+//    each side equal unf::marking_of and CodingProblem::code_of of that
+//    side's configuration, and Out of the place set equals
+//    Stg::out_signals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <ostream>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "core/checkers.hpp"
+#include "core/compat_solver.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
+#include "stg/reduce/reduce.hpp"
 #include "stg/state_checks.hpp"
 #include "stg/state_graph.hpp"
+#include "test_util.hpp"
 #include "unfolding/configuration.hpp"
-#include "unfolding/prefix_checks.hpp"
+#include "unfolding/unfolder.hpp"
 
 namespace stgcc {
 namespace {
@@ -91,27 +95,10 @@ INSTANTIATE_TEST_SUITE_P(
     Generators, WordEdgeTest, ::testing::ValuesIn(edge_cases()),
     [](const ::testing::TestParamInfo<EdgeCase>& info) { return info.param.name; });
 
-/// A random configuration: local configurations [e] of random events,
-/// added while they keep the set conflict-free.
-BitVec random_configuration(const core::CodingProblem& problem, std::mt19937& rng) {
-    const std::size_t q = problem.size();
-    BitVec config(q);
-    std::vector<std::size_t> order(q);
-    for (std::size_t i = 0; i < q; ++i) order[i] = i;
-    std::shuffle(order.begin(), order.end(), rng);
-    const std::size_t tries = q == 0 ? 0 : rng() % (q + 1);
-    for (std::size_t k = 0; k < tries; ++k) {
-        BitVec grown(problem.preds(order[k]));
-        grown.set(order[k]);
-        grown |= config;
-        bool ok = true;
-        grown.for_each([&](std::size_t e) {
-            if (problem.conflicts(e).intersects(grown)) ok = false;
-        });
-        if (ok) config = grown;
-    }
-    return config;
-}
+/// Corpus models whose prefix has at most this many events get the leaf
+/// view check: 18 of the 22, all but the four largest counterflow rows,
+/// whose exhaustive normalcy relations have 0.5-15 M leaves each.
+constexpr std::size_t kCorpusEventLimit = 50;
 
 std::vector<fs::path> model_files() {
     std::vector<fs::path> files;
@@ -122,47 +109,79 @@ std::vector<fs::path> model_files() {
     return files;
 }
 
-TEST(LeafState, AgreesWithMarkingOutAndCodeOnCorpus) {
+/// Run one exhaustive solve per code relation whose predicate rejects every
+/// leaf, checking both sides' views at each leaf against first principles.
+/// Returns the number of leaves checked.
+std::size_t check_leaf_views(const stg::Stg& model) {
+    const unf::Prefix prefix = unf::unfold(model.system());
+    const core::CodingProblem problem(model, prefix);
+    std::size_t leaves = 0;
+    for (const core::CodeRelation relation :
+         {core::CodeRelation::Equal, core::CodeRelation::LessEq,
+          core::CodeRelation::GreaterEq}) {
+        core::CompatSolver solver(problem);
+        const auto outcome = solver.solve(
+            relation, [&](const core::LeafView& a, const core::LeafView& b) {
+                for (const core::LeafView* side : {&a, &b}) {
+                    const petri::Marking m =
+                        unf::marking_of(prefix, problem.to_event_set(side->config));
+                    BitVec places(m.num_places());
+                    for (std::size_t p = 0; p < m.num_places(); ++p) {
+                        EXPECT_LE(m[p], 1u) << model.name() << ": not 1-safe";
+                        if (m[p] != 0) places.set(p);
+                    }
+                    EXPECT_EQ(side->places, places) << side->config;
+                    EXPECT_EQ(side->code, problem.code_of(side->config))
+                        << side->config;
+                    const BitVec out = model.out_signals(m);
+                    for (stg::SignalId z = 0; z < model.num_signals(); ++z)
+                        EXPECT_EQ(problem.enabled(side->places, z), out.test(z))
+                            << side->config << " signal " << model.signal_name(z);
+                }
+                return false;
+            });
+        EXPECT_FALSE(outcome.found);
+        leaves += outcome.stats.leaves;
+    }
+    return leaves;
+}
+
+TEST(SolverLeafView, AgreesWithMarkingOutAndCodeOnCorpus) {
     const auto files = model_files();
     ASSERT_FALSE(files.empty()) << "no .g files under " STGCC_MODELS_DIR;
-    std::mt19937 rng(20021);
+    std::size_t checked = 0, leaves = 0;
     for (const fs::path& file : files) {
         const stg::Stg model = stg::load_astg_file(file.string());
-        const cache::PrefixArtifacts artifacts(model);
-        ASSERT_TRUE(artifacts.consistent()) << file;
-        const core::CodingProblem& problem = artifacts.problem();
-        const std::vector<stg::SignalId> outputs = model.circuit_driven_signals();
-        cache::LeafState s, places_only;
-        for (int round = 0; round < 64; ++round) {
-            const BitVec dense = random_configuration(problem, rng);
-            ASSERT_TRUE(unf::is_configuration(artifacts.prefix(),
-                                              problem.to_event_set(dense)));
-            artifacts.leaf_state(dense, s);
-            artifacts.leaf_places(dense, places_only);
-            const petri::Marking m =
-                unf::marking_of(artifacts.prefix(), problem.to_event_set(dense));
+        if (unf::unfold(model.system()).num_events() > kCorpusEventLimit) continue;
+        SCOPED_TRACE(file.filename().string());
+        leaves += check_leaf_views(model);
+        ++checked;
+    }
+    EXPECT_GE(checked, 18u);
+    EXPECT_GT(leaves, 0u);
+}
 
-            BitVec places(m.num_places());
-            for (std::size_t p = 0; p < m.num_places(); ++p) {
-                ASSERT_LE(m[p], 1u) << file << ": not 1-safe";
-                if (m[p] != 0) places.set(p);
-            }
-            EXPECT_EQ(s.places, places) << file << " round " << round;
-            EXPECT_EQ(places_only.places, places) << file << " round " << round;
-            EXPECT_EQ(s.out, model.out_signals(m)) << file << " round " << round;
-            for (const stg::SignalId z : outputs)
-                EXPECT_EQ(s.out.test(z), model.signal_enabled(m, z))
-                    << file << " signal " << model.signal_name(z);
-            // The code from first principles: v0 flipped by every signal
-            // with a non-zero change vector.
-            const auto change = unf::change_vector_of(
-                model, artifacts.prefix(), problem.to_event_set(dense));
-            for (stg::SignalId z = 0; z < model.num_signals(); ++z)
-                EXPECT_EQ(s.code.test(z),
-                          problem.initial_code().test(z) != (change[z] != 0))
-                    << file << " signal " << model.signal_name(z);
+TEST(SolverLeafView, AgreesWithMarkingOutAndCodeOnRandomStgs) {
+    // The random-STG sweep of the unfolding tests: plain choice, heavy
+    // choice, non-free-choice sync and dummy-spliced knobs (contracted
+    // first: the solver runs on dummy-free nets), six seeds each.
+    std::vector<test::RandomStgConfig> knobs(4);
+    knobs[1].branch_probability = 0.6;
+    knobs[2].machines = 3;
+    knobs[2].sync_transitions = 2;
+    knobs[3].dummy_probability = 0.3;
+    std::size_t leaves = 0;
+    for (std::size_t k = 0; k < knobs.size(); ++k) {
+        for (unsigned seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE("knob " + std::to_string(k) + " seed " + std::to_string(seed));
+            const auto model = std::make_shared<const stg::Stg>(
+                test::random_stg(seed * 17 + 3, knobs[k]));
+            const auto reduced = stg::reduce::run_passes(
+                model, stg::reduce::Options::parse("contract"));
+            leaves += check_leaf_views(*reduced.stg);
         }
     }
+    EXPECT_GT(leaves, 0u);
 }
 
 }  // namespace
