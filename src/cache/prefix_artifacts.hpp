@@ -34,8 +34,9 @@ namespace stgcc::cache {
 
 /// The USC=>CSC certificate of one prefix (docs/ALGORITHMS.md): recorded by
 /// UnfoldingChecker::check_usc after an exhaustive, uncancelled search that
-/// found no conflict, and consulted by both check_csc overloads.  The old
-/// name, PrefixArtifacts::clauses() and the always-zero efficacy() stay only
+/// found no conflict, and consulted by the one CSC search (the per-signal
+/// decomposition behind both check_csc overloads).  The old name,
+/// PrefixArtifacts::clauses() and the always-zero efficacy() stay only
 /// because perfbench/stgbench.cpp compiles against them; they go with the
 /// next change to the benchmark.
 class ClauseStore {

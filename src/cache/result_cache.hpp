@@ -48,7 +48,7 @@ namespace stgcc::cache {
 class ResultCache {
 public:
     /// Bump when the meaning of cached payloads changes.
-    static constexpr std::int64_t kFormatVersion = 2;
+    static constexpr std::int64_t kFormatVersion = 3;
 
     /// `dir` is the cache root; created on first store.  An empty dir
     /// disables the cache (load always misses, store is a no-op), so

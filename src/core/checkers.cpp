@@ -1,5 +1,6 @@
 #include "core/checkers.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -20,6 +21,41 @@ bool usc_certified(const cache::PrefixArtifacts& artifacts, obs::Span& span) {
     return true;
 }
 
+/// The marking a dense configuration reaches and a firing sequence from M0
+/// to it, both read off the configuration's event set.
+void reach(const CodingProblem& problem, BitSpan config,
+           petri::Marking& marking, std::vector<petri::TransitionId>& trace) {
+    const BitVec events = problem.to_event_set(config);
+    marking = unf::marking_of(problem.prefix(), events);
+    trace = unf::firing_sequence_of(problem.prefix(), events);
+}
+
+stg::ConflictWitness make_witness(const CodingProblem& problem, BitSpan ca,
+                                  BitSpan cb) {
+    obs::Span span("witness");
+    stg::ConflictWitness w;
+    w.code = problem.code_of(ca);
+    reach(problem, ca, w.m1, w.trace1);
+    reach(problem, cb, w.m2, w.trace2);
+    w.out1 = problem.stg().out_signals(w.m1);
+    w.out2 = problem.stg().out_signals(w.m2);
+    return w;
+}
+
+stg::NormalcyWitness make_normalcy_witness(const CodingProblem& problem,
+                                           stg::SignalId z, BitSpan lo_cfg,
+                                           BitSpan hi_cfg) {
+    stg::NormalcyWitness w;
+    w.signal = z;
+    reach(problem, lo_cfg, w.m1, w.trace1);
+    reach(problem, hi_cfg, w.m2, w.trace2);
+    w.code1 = problem.code_of(lo_cfg);
+    w.code2 = problem.code_of(hi_cfg);
+    w.nxt1 = problem.stg().nxt(w.m1, w.code1, z);
+    w.nxt2 = problem.stg().nxt(w.m2, w.code2, z);
+    return w;
+}
+
 }  // namespace
 
 UnfoldingChecker::UnfoldingChecker(const stg::Stg& stg, unf::UnfoldOptions opts)
@@ -35,22 +71,6 @@ UnfoldingChecker::UnfoldingChecker(cache::PrefixArtifactsPtr artifacts)
       stg_(&artifacts_->stg()),
       problem_(&artifacts_->problem()) {}  // throws when inconsistent
 
-stg::ConflictWitness UnfoldingChecker::make_witness(const BitVec& ca,
-                                                    const BitVec& cb) const {
-    obs::Span span("witness");
-    stg::ConflictWitness w;
-    const BitVec ea = problem_->to_event_set(ca);
-    const BitVec eb = problem_->to_event_set(cb);
-    w.code = problem_->code_of(ca);
-    w.m1 = unf::marking_of(prefix(), ea);
-    w.m2 = unf::marking_of(prefix(), eb);
-    w.out1 = stg_->out_signals(w.m1);
-    w.out2 = stg_->out_signals(w.m2);
-    w.trace1 = unf::firing_sequence_of(prefix(), ea);
-    w.trace2 = unf::firing_sequence_of(prefix(), eb);
-    return w;
-}
-
 stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
     obs::Span span("solve.usc");
     CompatSolver solver(*problem_, opts);
@@ -63,7 +83,7 @@ stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
     result.stats = outcome.stats;
     if (outcome.found) {
         result.holds = false;
-        result.witness = make_witness(outcome.ca, outcome.cb);
+        result.witness = make_witness(*problem_, outcome.ca, outcome.cb);
     } else if (!outcome.cancelled) {
         // Exhaustive no-conflict proof: every equal-code pair has equal
         // markings, hence equal enabled-output sets -- CSC holds too.
@@ -73,32 +93,13 @@ stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
 }
 
 stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts) const {
-    obs::Span span("solve.csc");
-    if (usc_certified(*artifacts_, span)) return {};
-    CompatSolver solver(*problem_, opts);
-    const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
-    auto outcome = solver.solve(
-        CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
-            // CSC separating predicate: enabled-output sets must differ
-            // (equal codes with different Out sets imply distinct markings).
-            for (const stg::SignalId z : outputs)
-                if (problem_->enabled(a.places, z) != problem_->enabled(b.places, z))
-                    return true;
-            return false;
-        });
-    stg::CodingCheckResult result;
-    result.stats = outcome.stats;
-    if (outcome.found) {
-        result.holds = false;
-        result.witness = make_witness(outcome.ca, outcome.cb);
-    }
-    return result;
+    sched::Executor serial(1);  // starts no pool
+    return check_csc(opts, serial);
 }
 
 stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
                                                    sched::Executor& ex) const {
     obs::Span span("solve.csc");
-    span.attr("decomposition", "per_signal");
     const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
     stg::CodingCheckResult result;
     if (outputs.empty()) return result;  // no circuit-driven signal: holds
@@ -141,131 +142,74 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
     for (std::size_t i = 0; i < counted; ++i) result.stats.add(per_signal[i]);
     if (hit) {
         result.holds = false;
-        result.witness = make_witness(hit->value.ca, hit->value.cb);
+        result.witness = make_witness(*problem_, hit->value.ca, hit->value.cb);
     }
     span.attr("signals", outputs.size());
     span.attr("holds", result.holds);
     return result;
 }
 
-UnfoldingChecker::NormalcyPass UnfoldingChecker::run_normalcy_pass(
-    CodeRelation rel, SearchOptions opts,
-    const std::vector<stg::SignalId>& outputs) const {
-    obs::Span span("solve.normalcy.pass");
-    span.attr("relation", rel == CodeRelation::LessEq ? "less_eq" : "greater_eq");
-    NormalcyPass pass;
-    pass.per_signal.resize(outputs.size());
-    for (std::size_t i = 0; i < outputs.size(); ++i)
-        pass.per_signal[i].signal = outputs[i];
-
-    auto make_nw = [&](stg::SignalId z, BitSpan lo_cfg, BitSpan hi_cfg) {
-        stg::NormalcyWitness w;
-        w.signal = z;
-        const BitVec el = problem_->to_event_set(lo_cfg);
-        const BitVec eh = problem_->to_event_set(hi_cfg);
-        w.m1 = unf::marking_of(prefix(), el);
-        w.m2 = unf::marking_of(prefix(), eh);
-        w.code1 = problem_->code_of(lo_cfg);
-        w.code2 = problem_->code_of(hi_cfg);
-        w.nxt1 = stg_->nxt(w.m1, w.code1, z);
-        w.nxt2 = stg_->nxt(w.m2, w.code2, z);
-        w.trace1 = unf::firing_sequence_of(prefix(), el);
-        w.trace2 = unf::firing_sequence_of(prefix(), eh);
-        return w;
+stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts) const {
+    obs::Span span("solve.normalcy");
+    // One record through both orientations: every flag starts open, the
+    // LessEq pass falsifies flags in place, and the GreaterEq pass runs only
+    // while a flag is still open, on the same record -- a flag LessEq
+    // closed stays closed with its LessEq witness.  The enumeration covers
+    // each unordered pair once, so a violating ordered pair is found either
+    // with Code(x') <= Code(x'') (lo = x') or with Code(x') >= Code(x'')
+    // (lo = x'').  Each flag keeps the *first* violating pair in enumeration
+    // order, which is deterministic.
+    stg::NormalcyResult result;
+    for (const stg::SignalId z : stg_->circuit_driven_signals())
+        result.per_signal.emplace_back().signal = z;
+    const auto open = [&] {
+        return std::ranges::any_of(result.per_signal,
+                                   &stg::SignalNormalcy::normal);
     };
 
-    // The enumeration covers each unordered pair once, so a violating
-    // ordered pair is found either with Code(x') <= Code(x'') (lo = x')
-    // or with Code(x') >= Code(x'') (lo = x'').  Each flag keeps the
-    // *first* violating pair in enumeration order, which is deterministic.
-    CompatSolver solver(*problem_, opts);
-    auto outcome = solver.solve(rel, [&](const LeafView& a, const LeafView& b) {
-        const LeafView& lo = rel == CodeRelation::LessEq ? a : b;
-        const LeafView& hi = rel == CodeRelation::LessEq ? b : a;
-        for (std::size_t i = 0; i < outputs.size(); ++i) {
-            stg::SignalNormalcy& sn = pass.per_signal[i];
-            const stg::SignalId z = outputs[i];
-            if (sn.p_normal || sn.n_normal) {
+    for (const CodeRelation rel :
+         {CodeRelation::LessEq, CodeRelation::GreaterEq}) {
+        if (!open()) break;
+        const bool less_eq = rel == CodeRelation::LessEq;
+        obs::Span pass("solve.normalcy.pass");
+        pass.attr("relation", less_eq ? "less_eq" : "greater_eq");
+        CompatSolver solver(*problem_, opts);
+        auto outcome = solver.solve(rel, [&](const LeafView& a,
+                                             const LeafView& b) {
+            const LeafView& lo = less_eq ? a : b;
+            const LeafView& hi = less_eq ? b : a;
+            for (stg::SignalNormalcy& sn : result.per_signal) {
+                if (!sn.normal()) continue;
+                const stg::SignalId z = sn.signal;
                 // Nxt_z flips the code bit exactly when z is enabled.
-                const bool nxt_lo = problem_->enabled(lo.places, z) != lo.code.test(z);
-                const bool nxt_hi = problem_->enabled(hi.places, z) != hi.code.test(z);
+                const bool nxt_lo =
+                    problem_->enabled(lo.places, z) != lo.code.test(z);
+                const bool nxt_hi =
+                    problem_->enabled(hi.places, z) != hi.code.test(z);
                 if (sn.p_normal && nxt_lo && !nxt_hi) {
                     sn.p_normal = false;
-                    sn.p_violation = make_nw(z, lo.config, hi.config);
+                    sn.p_violation = make_normalcy_witness(
+                        *problem_, z, lo.config, hi.config);
                 }
                 if (sn.n_normal && !nxt_lo && nxt_hi) {
                     sn.n_normal = false;
-                    sn.n_violation = make_nw(z, lo.config, hi.config);
+                    sn.n_violation = make_normalcy_witness(
+                        *problem_, z, lo.config, hi.config);
                 }
             }
-        }
-        // Stop early only when no signal can still be classified normal.
-        bool anything_open = false;
-        for (const auto& sn : pass.per_signal)
-            if (sn.p_normal || sn.n_normal) anything_open = true;
-        if (!anything_open) pass.all_resolved = true;
-        return pass.all_resolved;
-    });
-    pass.stats = outcome.stats;
-    return pass;
-}
-
-stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts) const {
-    sched::Executor serial(1);
-    return check_normalcy(opts, serial);
+            // Stop early only when no signal can still be classified normal.
+            return !open();
+        });
+        result.stats.add(outcome.stats);
+    }
+    result.normal =
+        std::ranges::all_of(result.per_signal, &stg::SignalNormalcy::normal);
+    return result;
 }
 
 stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts,
-                                                     sched::Executor& ex) const {
-    obs::Span span("solve.normalcy");
-    const std::vector<stg::SignalId> outputs = stg_->circuit_driven_signals();
-
-    // One work-preserving plan at every jobs value: the LessEq pass first,
-    // the GreaterEq pass only for flags it left open.  Running both
-    // orientations speculatively (as the parallel path once did) doubles
-    // the exhaustive-search work whenever LessEq resolves everything --
-    // on a loaded pool that speculation costs real throughput, while the
-    // pool's other runnable work (sibling models, per-signal CSC) keeps
-    // the workers busy without it (docs/PARALLELISM.md, "scaling study").
-    (void)ex;
-    NormalcyPass less, greater;
-    bool use_greater = false;
-    less = run_normalcy_pass(CodeRelation::LessEq, opts, outputs);
-    if (!less.all_resolved) {
-        greater = run_normalcy_pass(CodeRelation::GreaterEq, opts, outputs);
-        use_greater = true;
-    }
-
-    // Merge in orientation order, LessEq first: a flag falsified by the
-    // LessEq pass keeps that pass's witness; only flags it left open take
-    // the GreaterEq verdict.
-    stg::NormalcyResult result;
-    result.per_signal.resize(outputs.size());
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-        stg::SignalNormalcy& sn = result.per_signal[i];
-        sn.signal = outputs[i];
-        const stg::SignalNormalcy& l = less.per_signal[i];
-        if (!l.p_normal) {
-            sn.p_normal = false;
-            sn.p_violation = l.p_violation;
-        } else if (use_greater && !greater.per_signal[i].p_normal) {
-            sn.p_normal = false;
-            sn.p_violation = greater.per_signal[i].p_violation;
-        }
-        if (!l.n_normal) {
-            sn.n_normal = false;
-            sn.n_violation = l.n_violation;
-        } else if (use_greater && !greater.per_signal[i].n_normal) {
-            sn.n_normal = false;
-            sn.n_violation = greater.per_signal[i].n_violation;
-        }
-    }
-    result.stats = less.stats;
-    if (use_greater) result.stats.add(greater.stats);
-    result.normal = true;
-    for (const auto& sn : result.per_signal)
-        if (!sn.normal()) result.normal = false;
-    return result;
+                                                     sched::Executor&) const {
+    return check_normalcy(opts);
 }
 
 }  // namespace stgcc::core

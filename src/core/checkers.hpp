@@ -1,10 +1,10 @@
 // stgcc -- high-level USC / CSC / normalcy checkers based on the unfolding
 // prefix and the partial-order integer-programming search (the paper's
 // method).  Construction unfolds the STG (or adopts an existing prefix /
-// shared artifact bundle); each check runs the CompatSolver with the
-// appropriate code relation and separating predicate, and converts a
-// satisfying pair of configurations into a ConflictWitness with execution
-// paths.
+// shared artifact bundle).  Each property has one search: USC is one
+// CompatSolver run, CSC one per-signal decomposition, normalcy one record
+// through both code-dominance orientations.  A satisfying pair of
+// configurations becomes a witness with execution paths.
 //
 // All derived per-prefix data (consistency, coding problem, condition
 // masks, the USC=>CSC certificate) lives in a shared cache::PrefixArtifacts;
@@ -58,51 +58,36 @@ public:
     /// none records the USC=>CSC certificate on the artifacts.
     [[nodiscard]] stg::CodingCheckResult check_usc(SearchOptions opts = {}) const;
 
-    /// Complete State Coding: search for two configurations with equal codes
-    /// and different enabled-output sets (the paper's staged USC-then-CSC
-    /// approach collapses to filtering USC solutions by the Out predicate).
-    /// Both overloads answer "holds" without searching once the USC=>CSC
-    /// certificate is recorded.
+    /// Complete State Coding: two configurations with equal codes and
+    /// different enabled-output sets.  The paper's staged USC-then-CSC
+    /// search with the Out-set leaf filter, decomposed into one instance
+    /// per circuit-driven signal z (predicate "z enabled at exactly one of
+    /// the two markings"), run serially.  Answers "holds" without searching
+    /// once the USC=>CSC certificate is recorded.
     [[nodiscard]] stg::CodingCheckResult check_csc(SearchOptions opts = {}) const;
 
-    /// CSC decomposed into independent per-signal instances (one solve per
-    /// circuit-driven signal z, predicate "z enabled at exactly one of the
-    /// two markings") fanned out on `ex` with first-witness early stop:
-    /// once a conflict for some signal is found, instances for later
-    /// signals are cancelled.  Deterministic at any `--jobs`: the reported
-    /// witness is the one of the *lowest-id* conflicting signal, and an
-    /// `Executor(1)` runs the identical decomposition serially.  Note the
-    /// witness may legitimately differ from the single-instance
-    /// check_csc(), which reports the globally first conflicting pair.
+    /// The same search with the per-signal instances fanned out on `ex`
+    /// with first-witness early stop: once a conflict for some signal is
+    /// found, instances for later signals are cancelled.  Deterministic at
+    /// any `--jobs`: the reported witness is the one of the *lowest-id*
+    /// conflicting signal, and an `Executor(1)` runs the identical
+    /// decomposition serially.
     [[nodiscard]] stg::CodingCheckResult check_csc(SearchOptions opts,
                                                   sched::Executor& ex) const;
 
-    /// Normalcy of every circuit-driven signal (paper, section 6): solve the
-    /// code-dominance system in both orientations, classifying each signal
-    /// as p-normal / n-normal / not normal, with witnesses.
+    /// Normalcy of every circuit-driven signal (paper, section 6): one
+    /// record of p-/n-normal flags, all open at the start.  The LessEq
+    /// orientation of the code-dominance system falsifies flags in place;
+    /// the GreaterEq orientation runs only while a flag is still open and
+    /// starts from the same record.  Each falsified flag carries a witness.
     [[nodiscard]] stg::NormalcyResult check_normalcy(SearchOptions opts = {}) const;
 
-    /// Same result as the one-argument overload: the LessEq orientation runs
-    /// first, and the GreaterEq orientation then runs only for the flags
-    /// LessEq left open, both on the calling thread.  `ex` is not used; the
-    /// overload stays for callers that hold an executor.
+    /// Forwards to the one-argument overload (`ex` is not used); kept only
+    /// because perfbench/stgbench.cpp calls it.
     [[nodiscard]] stg::NormalcyResult check_normalcy(SearchOptions opts,
                                                      sched::Executor& ex) const;
 
 private:
-    [[nodiscard]] stg::ConflictWitness make_witness(const BitVec& ca,
-                                                    const BitVec& cb) const;
-
-    /// One normalcy orientation solved against fresh per-signal state.
-    struct NormalcyPass {
-        std::vector<stg::SignalNormalcy> per_signal;
-        stg::CheckStats stats;
-        bool all_resolved = false;  ///< every flag of every signal falsified
-    };
-    [[nodiscard]] NormalcyPass run_normalcy_pass(
-        CodeRelation rel, SearchOptions opts,
-        const std::vector<stg::SignalId>& outputs) const;
-
     cache::PrefixArtifactsPtr artifacts_;
     const stg::Stg* stg_;
     const CodingProblem* problem_;

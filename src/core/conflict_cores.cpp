@@ -1,9 +1,8 @@
 #include "core/conflict_cores.hpp"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
-
-#include "unfolding/configuration.hpp"
 
 namespace stgcc::core {
 
@@ -12,23 +11,26 @@ ConflictCoreReport collect_conflict_cores(const CodingProblem& problem,
                                           SearchOptions opts) {
     ConflictCoreReport report;
     const unf::Prefix& prefix = problem.prefix();
-    const stg::Stg& stg = problem.stg();
+    const std::vector<stg::SignalId> outputs =
+        problem.stg().circuit_driven_signals();
     std::set<std::string> seen;
 
     CompatSolver solver(problem, opts);
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
-            const BitVec ea = problem.to_event_set(a.config);
-            const BitVec eb = problem.to_event_set(b.config);
-            const petri::Marking ma = unf::marking_of(prefix, ea);
-            const petri::Marking mb = unf::marking_of(prefix, eb);
-            if (ma == mb) return false;  // not a USC conflict
-            BitVec core = ea;
-            core ^= eb;
+            if (a.places == b.places) return false;  // not a USC conflict
+            BitVec core = problem.to_event_set(a.config);
+            core ^= problem.to_event_set(b.config);
             if (seen.insert(core.to_string()).second) {
                 ConflictCore c;
-                c.events = core;
-                c.is_csc = !(stg.out_signals(ma) == stg.out_signals(mb));
+                c.events = std::move(core);
+                // The Out sets differ iff some circuit-driven signal is
+                // enabled at exactly one of the two markings.
+                c.is_csc = std::any_of(
+                    outputs.begin(), outputs.end(), [&](stg::SignalId z) {
+                        return problem.enabled(a.places, z) !=
+                               problem.enabled(b.places, z);
+                    });
                 report.cores.push_back(std::move(c));
             }
             // Stop only when the core budget is exhausted.

@@ -34,7 +34,7 @@ inline constexpr std::int64_t kReportCodecVersion = 1;
 /// Rebuild a report from `payload` against this input's own reduced net.
 /// nullopt on any version/name/shape mismatch (treated as a cache miss).
 /// artifacts is null and stats are zero in the result; reduction
-/// bookkeeping (reduced_stg, summary, dummies_contracted) is the caller's.
+/// bookkeeping (reduced_stg, summary) is the caller's.
 [[nodiscard]] std::optional<VerificationReport> decode_report(
     const obs::Json& payload, const stg::Stg& checked);
 

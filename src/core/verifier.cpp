@@ -106,10 +106,7 @@ VerificationReport verify_reduced(
             rcache->store("stgcore", key, entry,
                           encode_report(report, checked));
     }
-    // Every removed transition is a dummy, so the legacy `dummies
-    // contracted` count is the summary's transition total.
     report.reduction = red.summary;
-    report.dummies_contracted = red.summary.transitions_removed();
     if (red.summary.any()) report.reduced_stg = checked;
     translate_report(report, input, red.chain);
     return report;
@@ -120,9 +117,8 @@ namespace {
 /// Rewrite every witness in `r` -- conflict/normalcy traces and markings,
 /// the deadlock trace, the persistency violation -- from the reduced net the
 /// checks ran on back to `input`, via the composed witness chain of the
-/// reduction that produced that net, and render the persistency note on
-/// `input` (a decoded cache entry carries none).  Throws ModelError if a
-/// trace fails to replay on `input` (a reduction soundness bug).
+/// reduction that produced that net.  Throws ModelError if a trace fails to
+/// replay on `input` (a reduction soundness bug).
 void translate_report(VerificationReport& r, const stg::Stg& input,
                       const stg::reduce::WitnessChain& chain) {
     const auto lift = [&](std::vector<petri::TransitionId>& trace,
@@ -157,7 +153,6 @@ void translate_report(VerificationReport& r, const stg::Stg& input,
         v.output = chain.translate_transition(v.output);
         v.disabler = chain.translate_transition(v.disabler);
         lift(v.trace, nullptr);
-        r.persistency_note = persistency_note_text(input, v);
     }
 }
 
@@ -168,7 +163,6 @@ void translate_report(VerificationReport& r, const stg::Stg& input,
 void run_checks(VerificationReport& report, const VerifyOptions& opts,
                 sched::Executor& ex) {
     const cache::PrefixArtifacts& artifacts = *report.artifacts;
-    const stg::Stg& stg = artifacts.stg();
     report.prefix.conditions = artifacts.prefix().num_conditions();
     report.prefix.events = artifacts.prefix().num_events();
     report.prefix.cutoffs = artifacts.prefix().num_cutoffs();
@@ -198,7 +192,7 @@ void run_checks(VerificationReport& report, const VerifyOptions& opts,
     if (opts.check_normalcy) {
         report.normalcy_checked = true;
         phases.emplace_back(
-            [&] { report.normalcy = checker.check_normalcy(opts.search, ex); });
+            [&] { report.normalcy = checker.check_normalcy(opts.search); });
     }
     sched::parallel_invoke(ex, std::move(phases));
     if (opts.check_deadlock) {
@@ -218,10 +212,6 @@ void run_checks(VerificationReport& report, const VerifyOptions& opts,
             report.persistency_violation =
                 VerificationReport::PersistencyViolation{v.output, v.disabler,
                                                          v.trace};
-            // On the checked net; translate_report re-renders on the input
-            // when a reduction ran.
-            report.persistency_note =
-                persistency_note_text(stg, *report.persistency_violation);
         }
     }
 }
@@ -347,8 +337,6 @@ obs::Json report_json(const stg::Stg& input, const VerificationReport& r) {
 
     obs::Json out = obs::Json::object();
     out.set("model", std::move(model));
-    if (r.dummies_contracted > 0)
-        out.set("dummies_contracted", r.dummies_contracted);
     if (r.reduction.rounds > 0) out.set("reduction", reduction_json(r.reduction));
     out.set("prefix", std::move(prefix));
     out.set("results", std::move(results));
@@ -366,8 +354,6 @@ std::string format_report(const stg::Stg& input, const VerificationReport& r) {
     out << "STG '" << stg.name() << "': |S|=" << net.num_places()
         << " |T|=" << net.num_transitions() << " |Z|=" << stg.num_signals()
         << "\n";
-    if (r.dummies_contracted > 0)
-        out << "dummies contracted: " << r.dummies_contracted << "\n";
     if (r.reduction.any()) {
         out << "reduction: -" << r.reduction.transitions_removed() << "t -"
             << r.reduction.places_removed() << "p (rounds="
@@ -393,7 +379,9 @@ std::string format_report(const stg::Stg& input, const VerificationReport& r) {
     if (r.persistency_checked) {
         out << "output persistency: " << (r.persistent ? "holds" : "VIOLATED")
             << "\n";
-        if (!r.persistent) out << "  " << r.persistency_note << "\n";
+        if (r.persistency_violation)
+            out << "  " << persistency_note_text(stg, *r.persistency_violation)
+                << "\n";
     }
     if (r.normalcy_checked) {
         out << "normalcy: " << (r.normalcy.normal ? "holds" : "VIOLATED") << "\n";

@@ -61,7 +61,6 @@ struct VerificationReport {
     stg::CodingCheckResult csc;
     stg::NormalcyResult normalcy;
     bool normalcy_checked = false;
-    std::size_t dummies_contracted = 0;
     /// Per-pass accounting of the reduction pipeline (empty when it did not
     /// run or changed nothing).
     stg::reduce::Summary reduction;
@@ -76,10 +75,9 @@ struct VerificationReport {
     std::vector<petri::TransitionId> deadlock_trace;
     bool persistency_checked = false;
     bool persistent = true;
-    std::string persistency_note;  ///< which output / disabler, when violated
-    /// Structured form of the persistency violation (ids w.r.t. the same
-    /// net as every other witness), so the note can be re-rendered after
-    /// witness translation.
+    /// The persistency violation (ids w.r.t. the same net as every other
+    /// witness); format_report renders the "output X disabled by Y" note
+    /// from it.
     struct PersistencyViolation {
         petri::TransitionId output = petri::kNoTransition;
         petri::TransitionId disabler = petri::kNoTransition;

@@ -1,5 +1,5 @@
 // Determinism and correctness of the parallel checking paths: the
-// per-signal CSC fan-out, the orientation-parallel normalcy check and the
+// per-signal CSC fan-out, the executor overload of the normalcy check and the
 // phase-parallel verify_stg must produce byte-identical verdicts and
 // witnesses at every --jobs value.  Suites are named Parallel* so the tsan
 // CI job can select them with `ctest -R 'Sched|Parallel'`.
@@ -14,6 +14,8 @@
 #include "sched/parallel.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
+#include "stg/state_checks.hpp"
+#include "stg/state_graph.hpp"
 
 namespace stgcc::core {
 namespace {
@@ -85,16 +87,18 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAreStable) {
 }
 
 TEST(ParallelChecker, PerSignalCscAgreesWithSingleInstance) {
+    // The serial and pooled per-signal searches against an independent
+    // oracle: the explicit state graph's CSC verdict.
     for (const auto& model : determinism_models()) {
         UnfoldingChecker checker(model);
-        const auto single = checker.check_csc();
+        const bool oracle = stg::check_csc_sg(stg::StateGraph(model)).holds;
         sched::Executor serial(1);
         sched::Executor pool(8);
         const auto fan_serial = checker.check_csc({}, serial);
         const auto fan_pool = checker.check_csc({}, pool);
-        EXPECT_EQ(single.holds, fan_serial.holds) << model.name();
-        EXPECT_EQ(single.holds, fan_pool.holds) << model.name();
-        // The decomposed paths agree with each other exactly (same witness).
+        EXPECT_EQ(oracle, fan_serial.holds) << model.name();
+        EXPECT_EQ(oracle, fan_pool.holds) << model.name();
+        // The serial and pooled runs agree exactly (same witness).
         ASSERT_EQ(fan_serial.witness.has_value(), fan_pool.witness.has_value());
         if (fan_serial.witness) {
             EXPECT_EQ(fan_serial.witness->code.to_string(),

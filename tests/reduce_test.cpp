@@ -335,7 +335,12 @@ TEST(OptionsSignature, OneSpellingSharedByAllCaches) {
 class SemanticCacheTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::path(::testing::TempDir()) / "stgcc_semantic_cache";
+        // One directory per test: ctest -j runs the cases concurrently.
+        dir_ = fs::path(::testing::TempDir()) /
+               ("stgcc_semantic_cache_" +
+                std::string(::testing::UnitTest::GetInstance()
+                                ->current_test_info()
+                                ->name()));
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
@@ -618,8 +623,8 @@ TEST_F(ReduceCliTest, ReduceFlagSupersedesContract) {
                       " --contract")
                   .exit_code,
               2);
-    EXPECT_NE(reduced.output.find("dummies contracted: 1"), std::string::npos);
-    EXPECT_NE(reduced.output.find("reduction:"), std::string::npos);
+    EXPECT_NE(reduced.output.find("reduction: -1t "), std::string::npos);
+    EXPECT_EQ(reduced.output.find("dummies contracted"), std::string::npos);
 
     const auto bad = run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path +
                              " --reduce=bogus");
@@ -642,6 +647,7 @@ TEST_F(ReduceCliTest, JsonCarriesReductionAccounting) {
     ASSERT_NE(reduction, nullptr) << *bytes;
     EXPECT_EQ(reduction->find("transitions_removed")->as_int(), 1);
     EXPECT_EQ(reduction->find("remaining_dummies")->size(), 0u);
+    EXPECT_EQ(body->find("dummies_contracted"), nullptr);
     const obs::Json* passes = reduction->find("passes");
     ASSERT_NE(passes, nullptr);
     EXPECT_GE(passes->size(), 1u);

@@ -214,6 +214,16 @@ TEST(StgprofBinary, UsageAndInputErrorsExitTwo) {
     EXPECT_EQ(run(kStgprof).exit_code, 2);
     EXPECT_EQ(run(kStgprof + " /nonexistent.json").exit_code, 2);
     EXPECT_EQ(run(kStgprof + " --bogus-flag x").exit_code, 2);
+    // A NaN threshold would make --compare flag no regression at all.
+    for (const char* bad : {"nan", "inf"}) {
+        SCOPED_TRACE(bad);
+        const auto r = run(kStgprof + " --compare " + kGolden +
+                           "/stgprof_batch_a.json " + kGolden +
+                           "/stgprof_batch_b.json --threshold " + bad);
+        EXPECT_EQ(r.exit_code, 2);
+        EXPECT_NE(r.output.find("bad --threshold value"), std::string::npos)
+            << r.output;
+    }
 }
 
 TEST(StgprofBinary, ReemitWritesByteStableTrace) {

@@ -11,6 +11,7 @@
 // in src/obs/profile.cpp; docs/OBSERVABILITY.md has the workflow.
 //
 // Exit codes: 0 = report printed, 2 = usage or input error.
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -80,7 +81,9 @@ int main(int argc, char** argv) {
         } else if (!std::strcmp(argv[i], "--threshold") && i + 1 < argc) {
             char* end = nullptr;
             threshold = std::strtod(argv[++i], &end);
-            if (!end || *end != '\0' || threshold <= 0.0) {
+            // NaN would slip past `<= 0.0` and make --compare flag nothing.
+            if (!end || *end != '\0' || !std::isfinite(threshold) ||
+                threshold <= 0.0) {
                 std::cerr << "bad --threshold value\n";
                 return 2;
             }

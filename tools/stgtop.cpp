@@ -13,7 +13,6 @@
 // Exit codes: 0 = clean exit, 2 = usage or connection error.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -21,6 +20,7 @@
 
 #include "obs/eventlog.hpp"
 #include "obs/json.hpp"
+#include "svc/cli.hpp"
 #include "svc/client.hpp"
 #include "svc/protocol.hpp"
 
@@ -155,9 +155,14 @@ int main(int argc, char** argv) {
         if (!std::strcmp(argv[i], "--connect") && i + 1 < argc)
             connect = argv[++i];
         else if (!std::strcmp(argv[i], "--interval") && i + 1 < argc) {
-            char* end = nullptr;
-            interval_ms = std::strtoull(argv[++i], &end, 10);
-            if (!end || *end != '\0' || interval_ms == 0) {
+            // Capped at what std::chrono::milliseconds holds, so the sleep
+            // can never wrap negative and busy-poll the daemon.
+            if (!svc::parse_flag_number(
+                    "--interval", argv[++i], interval_ms,
+                    static_cast<std::uint64_t>(
+                        std::chrono::milliseconds::max().count())))
+                return 2;
+            if (interval_ms == 0) {
                 std::cerr << "bad --interval value: " << argv[i] << "\n";
                 return 2;
             }
