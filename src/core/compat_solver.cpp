@@ -11,12 +11,32 @@ namespace stgcc::core {
 CompatSolver::CompatSolver(const CodingProblem& problem, SearchOptions opts)
     : problem_(&problem), opts_(opts) {}
 
+/// The widths of one kernel instantiation and the state_ offsets they give:
+/// compile-time constants when NW is nonzero, so the word loops of the
+/// kernel unroll and the offsets fold.
+template <std::size_t NW>
+struct CompatSolver::Widths {
+    std::size_t nw, npw, ncw;                   ///< words per plane, place set, code
+    std::size_t places_at, code_at, bounds_at;  ///< in state_
+    explicit Widths(const CompatSolver& s)
+        : nw(NW ? NW : s.nw_),
+          npw(NW ? 1 : s.npw_),
+          ncw(NW ? 1 : s.ncw_),
+          places_at(4 * nw),
+          code_at(places_at + 2 * npw),
+          bounds_at(code_at + 2 * ncw) {
+        STGCC_ASSERT(nw == s.nw_ && npw == s.npw_ && ncw == s.ncw_);
+    }
+};
+
+template <std::size_t NW>
 bool CompatSolver::bound_signal(stg::SignalId z) {
     // D_z = sum_e delta(e) (x'_e - x''_e): rising events weigh +1 on x' and
     // -1 on x'', falling events the opposite.  Its bounds over the
     // unassigned variables are carried in state_ (carry_fresh()).
-    const std::size_t nw = nw_;
-    const Word packed = state_[bounds_at_ + z];
+    const Widths<NW> width(*this);
+    const std::size_t nw = width.nw;
+    const Word packed = state_[width.bounds_at + z];
     const std::int64_t min_sum =
         static_cast<std::int64_t>(packed & 0xffffffffu) - kBias;
     const std::int64_t max_sum = static_cast<std::int64_t>(packed >> 32) - kBias;
@@ -61,6 +81,7 @@ bool CompatSolver::bound_signal(stg::SignalId z) {
     return true;
 }
 
+template <std::size_t NW>
 std::size_t CompatSolver::carry_fresh() {
     // Each fresh variable shrinks the interval of its signal's D_z by one
     // at one end: min rises when its coefficient is +1 and its value 1, or
@@ -70,12 +91,14 @@ std::size_t CompatSolver::carry_fresh() {
     // signal in that side's code.  Every overwritten word goes on the
     // trail: an interval once per signal and round (touched_ dedups), a
     // side's place set and code once per round with a fresh 1-bit there.
-    const std::size_t nw = nw_;
-    const std::size_t npw = npw_;
+    const Widths<NW> width(*this);
+    const std::size_t nw = width.nw;
+    const std::size_t npw = width.npw;
+    const std::size_t ncw = width.ncw;
     Word* const state = state_.data();
     const Word* const fresh = fresh_.data();
     const Word* const rise = problem_->rising_events().words();
-    Word* const bounds = state + bounds_at_;
+    Word* const bounds = state + width.bounds_at;
     bool saved[2] = {false, false};
     std::size_t committed = 0;
     for (std::size_t w = 0; w < nw; ++w) {
@@ -99,7 +122,7 @@ std::size_t CompatSolver::carry_fresh() {
             if (!touched_mask_.test(z)) {
                 touched_mask_.set(z);
                 touched_.push_back(z);
-                trail_.push_back(TrailEntry{bounds_at_ + z, bounds[z]});
+                trail_.push_back(TrailEntry{width.bounds_at + z, bounds[z]});
             }
             const Word n = ((any0 >> b) & 1) + ((any1 >> b) & 1);
             const Word up = ((min_up0 >> b) & 1) + ((min_up1 >> b) & 1);
@@ -107,14 +130,16 @@ std::size_t CompatSolver::carry_fresh() {
             committed += n;
             for (int s = 0; s < 2; ++s) {
                 if (!(((s == 0 ? f0 : f2) >> b) & 1)) continue;
-                Word* places = state + places_at_ + s * npw;
-                Word* code = state + code_at_ + s * ncw_;
+                const std::size_t places_at = width.places_at + s * npw;
+                const std::size_t code_at = width.code_at + s * ncw;
+                Word* places = state + places_at;
+                Word* code = state + code_at;
                 if (!saved[s]) {
                     saved[s] = true;
                     for (std::size_t i = 0; i < npw; ++i)
-                        trail_.push_back(TrailEntry{places_at_ + s * npw + i, places[i]});
-                    for (std::size_t i = 0; i < ncw_; ++i)
-                        trail_.push_back(TrailEntry{code_at_ + s * ncw_ + i, code[i]});
+                        trail_.push_back(TrailEntry{places_at + i, places[i]});
+                    for (std::size_t i = 0; i < ncw; ++i)
+                        trail_.push_back(TrailEntry{code_at + i, code[i]});
                 }
                 const Word* flow = problem_->place_flow(e).words();
                 for (std::size_t i = 0; i < npw; ++i) places[i] ^= flow[i];
@@ -125,6 +150,7 @@ std::size_t CompatSolver::carry_fresh() {
     return committed;
 }
 
+template <std::size_t NW>
 bool CompatSolver::assign(int side, std::size_t idx, int value) {
     // Propagation in rounds over whole words.  A round closes the newly
     // wanted bits under Theorem 1, checks the result against the planes,
@@ -137,8 +163,7 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
     // The scratch words are addressed through locals: they are
     // std::uint64_t like the size fields, so member reads inside the loops
     // would be reloaded after every store.
-    const std::size_t nw = nw_;
-    const std::size_t q = problem_->size();
+    const std::size_t nw = Widths<NW>(*this).nw;
     Word* const planes = state_.data();
     Word* const want = want_.data();
     Word* const fresh = fresh_.data();
@@ -155,18 +180,26 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
         for (int s = 0; s < 2; ++s) {
             Word* w1 = want + plane(s, 1) * nw;
             Word* w0 = want + plane(s, 0) * nw;
-            BitSpan(fresh + plane(s, 1) * nw, q).for_each([&](std::size_t e) {
-                const Word* pred = problem_->preds(e).words();
-                const Word* conf = problem_->conflicts(e).words();
-                for (std::size_t w = 0; w < nw; ++w) {
-                    w1[w] |= pred[w];
-                    w0[w] |= conf[w];
+            const Word* f1 = fresh + plane(s, 1) * nw;
+            const Word* f0 = fresh + plane(s, 0) * nw;
+            for (std::size_t fw = 0; fw < nw; ++fw) {
+                for (Word bits = f1[fw]; bits; bits &= bits - 1) {
+                    const std::size_t e =
+                        fw * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+                    const Word* pred = problem_->preds(e).words();
+                    const Word* conf = problem_->conflicts(e).words();
+                    for (std::size_t w = 0; w < nw; ++w) {
+                        w1[w] |= pred[w];
+                        w0[w] |= conf[w];
+                    }
                 }
-            });
-            BitSpan(fresh + plane(s, 0) * nw, q).for_each([&](std::size_t e) {
-                const Word* succ = problem_->succs(e).words();
-                for (std::size_t w = 0; w < nw; ++w) w0[w] |= succ[w];
-            });
+                for (Word bits = f0[fw]; bits; bits &= bits - 1) {
+                    const std::size_t e =
+                        fw * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+                    const Word* succ = problem_->succs(e).words();
+                    for (std::size_t w = 0; w < nw; ++w) w0[w] |= succ[w];
+                }
+            }
         }
 
         Word any = 0;
@@ -198,7 +231,7 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
             trail_.push_back(TrailEntry{i, planes[i]});
             planes[i] |= fresh[i];
         }
-        stats_.propagations += carry_fresh();
+        stats_.propagations += carry_fresh<NW>();
 
         // First-difference linking: below index d the two vectors are equal.
         for (int s = 0; s < 2; ++s) {
@@ -228,7 +261,7 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
         bool feasible = true;
         for (const stg::SignalId z : touched_) {
             touched_mask_.reset(z);
-            if (feasible) feasible = bound_signal(z);
+            if (feasible) feasible = bound_signal<NW>(z);
         }
         touched_.clear();
         if (!feasible) return false;
@@ -242,6 +275,7 @@ void CompatSolver::undo_to(std::size_t mark) {
     }
 }
 
+template <std::size_t NW>
 bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
     if (++stats_.search_nodes > opts_.max_nodes)
         throw ModelError("CompatSolver: node limit exceeded (" +
@@ -260,16 +294,18 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
     // highest open event has the largest local configuration: x(e) = 1
     // fixes all of [e] and its conflict set in one step (Theorem 1).  Bits
     // at and above q in the last word are padding, never assigned.
+    const Widths<NW> width(*this);
+    const std::size_t nw = width.nw;
     const std::size_t q = problem_->size();
-    const Word* o0 = state_.data() + plane(0, 1) * nw_;
-    const Word* z0 = state_.data() + plane(0, 0) * nw_;
-    const Word* o1 = state_.data() + plane(1, 1) * nw_;
-    const Word* z1 = state_.data() + plane(1, 0) * nw_;
+    const Word* o0 = state_.data() + plane(0, 1) * nw;
+    const Word* z0 = state_.data() + plane(0, 0) * nw;
+    const Word* o1 = state_.data() + plane(1, 1) * nw;
+    const Word* z1 = state_.data() + plane(1, 0) * nw;
     const Word tail = q % kWordBits ? (Word{1} << (q % kWordBits)) - 1 : ~Word{0};
     std::size_t idx = q;
-    for (std::size_t w = nw_; w-- > 0;) {
+    for (std::size_t w = nw; w-- > 0;) {
         Word open = ~((o0[w] | z0[w]) & (o1[w] | z1[w]));
-        if (w + 1 == nw_) open &= tail;
+        if (w + 1 == nw) open &= tail;
         if (open == 0) continue;
         idx = w * kWordBits + kWordBits - 1 -
               static_cast<std::size_t>(std::countl_zero(open));
@@ -281,9 +317,10 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
         const std::size_t nz = problem_->initial_code().size();
         LeafView side[2];
         for (int s = 0; s < 2; ++s)
-            side[s] = LeafView{BitSpan(state_.data() + plane(s, 1) * nw_, q),
-                               BitSpan(state_.data() + places_at_ + s * npw_, np),
-                               BitSpan(state_.data() + code_at_ + s * ncw_, nz)};
+            side[s] = LeafView{
+                BitSpan(state_.data() + plane(s, 1) * nw, q),
+                BitSpan(state_.data() + width.places_at + s * width.npw, np),
+                BitSpan(state_.data() + width.code_at + s * width.ncw, nz)};
         if (!accept(side[0], side[1])) return false;
         outcome_.found = true;
         outcome_.ca = BitVec(side[0].config);
@@ -296,22 +333,39 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
 
     for (int v = 0; v < 2; ++v) {
         const std::size_t mark = trail_.size();
-        if (timed_assign(side, idx, v) && dfs(accept, depth + 1)) return true;
+        if (timed_assign<NW>(side, idx, v) && dfs<NW>(accept, depth + 1))
+            return true;
         undo_to(mark);
     }
     return false;
 }
 
+template <std::size_t NW>
 bool CompatSolver::timed_assign(int side, std::size_t idx, int value) {
     // Branch-vs-bound attribution: time spent inside assign() (closure +
     // interval propagation) is the "bound" share of a solve; everything
     // else in dfs() is branching.  Only measured while a trace is recording
     // -- two clock reads per search node is too much for an untraced run.
-    if (!obs::enabled()) return assign(side, idx, value);
+    if (!obs::enabled()) return assign<NW>(side, idx, value);
     Stopwatch w;
-    const bool ok = assign(side, idx, value);
+    const bool ok = assign<NW>(side, idx, value);
     bound_ns_ += w.nanos();
     return ok;
+}
+
+template <std::size_t NW>
+void CompatSolver::search(const PairPredicate& accept) {
+    // Outer loop over the first index d where the two vectors differ.
+    const std::size_t q = problem_->size();
+    for (std::size_t d = 0; d < q && !outcome_.found && !cancelled_; ++d) {
+        // Dense indices below d are linked equal on both sides.
+        if (d > 0)
+            below_[(d - 1) / kWordBits] |= Word{1} << ((d - 1) % kWordBits);
+        const std::size_t mark = trail_.size();
+        if (timed_assign<NW>(0, d, 0) && timed_assign<NW>(1, d, 1))
+            (void)dfs<NW>(accept, 0);
+        undo_to(mark);
+    }
 }
 
 namespace {
@@ -341,13 +395,11 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     nw_ = (q + kWordBits - 1) / kWordBits;
     npw_ = m0.num_words();
     ncw_ = v0.num_words();
-    places_at_ = 4 * nw_;
-    code_at_ = places_at_ + 2 * npw_;
-    bounds_at_ = code_at_ + 2 * ncw_;
-    state_.assign(bounds_at_ + nz, Word{0});
+    const Widths<0> width(*this);
+    state_.assign(width.bounds_at + nz, Word{0});
     for (int s = 0; s < 2; ++s) {
-        std::copy_n(m0.words(), npw_, state_.begin() + places_at_ + s * npw_);
-        std::copy_n(v0.words(), ncw_, state_.begin() + code_at_ + s * ncw_);
+        std::copy_n(m0.words(), npw_, state_.begin() + width.places_at + s * npw_);
+        std::copy_n(v0.words(), ncw_, state_.begin() + width.code_at + s * ncw_);
     }
     // D_z has |R_z| + |F_z| variables with coefficient +1 (rising on x',
     // falling on x'') and as many with -1, so with nothing assigned it
@@ -355,7 +407,7 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     for (stg::SignalId z = 0; z < nz; ++z) {
         const auto n = static_cast<std::int64_t>(problem_->rising(z).count() +
                                                  problem_->falling(z).count());
-        state_[bounds_at_ + z] = pack(-n, n);
+        state_[width.bounds_at + z] = pack(-n, n);
     }
     want_.assign(4 * nw_, Word{0});
     fresh_.assign(4 * nw_, Word{0});
@@ -368,17 +420,13 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     bound_ns_ = 0;
     signal_prunes_ = closure_prunes_ = 0;
 
-    // Outer loop over the first index d where the two vectors differ.
     cancelled_ = false;
-    for (std::size_t d = 0; d < q && !outcome_.found && !cancelled_; ++d) {
-        // Dense indices below d are linked equal on both sides.
-        if (d > 0)
-            below_[(d - 1) / kWordBits] |= Word{1} << ((d - 1) % kWordBits);
-        const std::size_t mark = trail_.size();
-        if (timed_assign(0, d, 0) && timed_assign(1, d, 1))
-            (void)dfs(accept, 0);
-        undo_to(mark);
-    }
+    if (npw_ == 1 && ncw_ == 1 && nw_ == 1)
+        search<1>(accept);
+    else if (npw_ == 1 && ncw_ == 1 && nw_ == 2)
+        search<2>(accept);
+    else
+        search<0>(accept);
     outcome_.cancelled = cancelled_;
     outcome_.stats = stats_;
     outcome_.stats.seconds = span.seconds();

@@ -38,6 +38,15 @@
 // signal the interval [min D_z, max D_z] over the unassigned variables.
 // All three move with each committed bit, so a bound is a read and a leaf
 // hands the predicate ready views (docs/ALGORITHMS.md, section 4).
+//
+// The kernel (closure rounds, carry, bounds, branching and the
+// first-difference loop) is one source compiled per word width.  When the
+// prefix fits one or two words per bit plane and one word per place set and
+// per code (q <= 128, |P| <= 64, |Z| <= 64: every shipped model), solve()
+// runs an instantiation whose word loops unroll and whose state offsets are
+// constants; anything larger runs the instantiation that reads the widths
+// at run time.  The choice is made once per solve from the problem, and
+// every instantiation grows the same tree.
 #pragma once
 
 #include <cstdint>
@@ -124,18 +133,32 @@ private:
         return (static_cast<Word>(hi + kBias) << 32) | static_cast<Word>(lo + kBias);
     }
 
+    // The kernel is templated on its word width: NW words per bit plane
+    // and one word per place set and per code, or, for NW = 0, the widths
+    // solve() read from the problem (nw_, npw_, ncw_).
+    template <std::size_t NW>
+    struct Widths;
+
+    /// The first-difference loop: one dfs per first differing index d.
+    template <std::size_t NW>
+    void search(const PairPredicate& accept);
+    template <std::size_t NW>
     bool assign(int side, std::size_t idx, int value);
     /// assign() with the bound-time stopwatch around it while a trace is
     /// recording (branch-vs-bound attribution in CheckStats).
+    template <std::size_t NW>
     bool timed_assign(int side, std::size_t idx, int value);
     /// Interval pruning of D_z with its stored interval: false when the
     /// relation can no longer hold, else ORs any forced extreme into want_.
+    template <std::size_t NW>
     bool bound_signal(stg::SignalId z);
     /// Account the fresh bits of a committed round: move the interval of
     /// their signals, and the place set and code of each side by its fresh
     /// 1-bits; collects the touched signals.  Returns the number of bits.
+    template <std::size_t NW>
     std::size_t carry_fresh();
     void undo_to(std::size_t mark);
+    template <std::size_t NW>
     bool dfs(const PairPredicate& accept, std::size_t depth);
 
     const CodingProblem* problem_;
@@ -146,7 +169,6 @@ private:
     std::size_t nw_ = 0;   ///< words per plane, ceil(q / 64)
     std::size_t npw_ = 0;  ///< words per place set, ceil(|P| / 64)
     std::size_t ncw_ = 0;  ///< words per code, ceil(|Z| / 64)
-    std::size_t places_at_ = 0, code_at_ = 0, bounds_at_ = 0;  ///< in state_
 
     // Mutable search state, fully re-initialised at the top of every
     // solve().  state_ holds, in order: four bit planes of nw_ words each

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/decimal.hpp"
+
 namespace stgcc::petri {
 
 namespace {
@@ -121,12 +123,8 @@ std::string trim(const std::string& s) {
 }
 
 std::uint32_t parse_count(const std::string& value, const char* what) {
-    try {
-        std::size_t used = 0;
-        const unsigned long n = std::stoul(value, &used);
-        if (used == value.size()) return static_cast<std::uint32_t>(n);
-    } catch (const std::exception&) {
-    }
+    if (const auto n = util::parse_decimal(value, UINT32_MAX))
+        return static_cast<std::uint32_t>(*n);
     throw ModelError(std::string("pnml: bad ") + what + " '" + value + "'");
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "stg/builder.hpp"
+#include "util/decimal.hpp"
 
 namespace stgcc::stg {
 
@@ -14,6 +15,14 @@ namespace {
 
 [[noreturn]] void parse_fail(std::size_t line, const std::string& msg) {
     throw ModelError("astg parse error at line " + std::to_string(line) + ": " + msg);
+}
+
+/// A token or capacity count: a whole unsigned decimal that fits 32 bits.
+std::uint32_t parse_count(const std::string& text, std::size_t line,
+                          const char* what) {
+    if (const auto n = util::parse_decimal(text, UINT32_MAX))
+        return static_cast<std::uint32_t>(*n);
+    parse_fail(line, std::string("bad ") + what + " '" + text + "'");
 }
 
 /// Split a line into whitespace-separated tokens, keeping `<a,b>` groups
@@ -142,9 +151,9 @@ Stg parse_astg(std::istream& in) {
                     const auto eq = tokens[i].find('=');
                     if (eq == std::string::npos)
                         parse_fail(lineno, ".capacity entries must be place=k");
-                    capacities.emplace_back(tokens[i].substr(0, eq),
-                                            static_cast<std::uint32_t>(std::stoul(
-                                                tokens[i].substr(eq + 1))));
+                    capacities.emplace_back(
+                        tokens[i].substr(0, eq),
+                        parse_count(tokens[i].substr(eq + 1), lineno, "capacity"));
                 }
             } else if (head == ".end") {
                 saw_end = true;
@@ -210,18 +219,19 @@ Stg parse_astg(std::istream& in) {
         std::uint32_t count = 1;
         const auto eq = name.find('=');
         if (eq != std::string::npos && name.front() != '<') {
-            count = static_cast<std::uint32_t>(std::stoul(name.substr(eq + 1)));
+            count = parse_count(name.substr(eq + 1), marking_lineno, "token count");
             name = name.substr(0, eq);
         } else if (name.front() == '<') {
             const auto eq2 = name.find(">=");
             if (eq2 != std::string::npos) {
-                count = static_cast<std::uint32_t>(std::stoul(name.substr(eq2 + 2)));
+                count = parse_count(name.substr(eq2 + 2), marking_lineno,
+                                    "token count");
                 name = name.substr(0, eq2 + 1);
             }
         }
         if (name.front() == '<') {
             auto [from, to] = split_implicit(name, marking_lineno);
-            for (std::uint32_t k = 0; k < count; ++k) b.token_between(from, to);
+            b.token_between(from, to, count);
         } else {
             b.tokens(name, count);
         }

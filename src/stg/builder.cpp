@@ -121,11 +121,14 @@ StgBuilder& StgBuilder::chain(const std::vector<std::string>& nodes) {
     return *this;
 }
 
-StgBuilder& StgBuilder::token_between(const std::string& from, const std::string& to) {
+StgBuilder& StgBuilder::token_between(const std::string& from, const std::string& to,
+                                      std::uint32_t count) {
     STGCC_REQUIRE(!built_);
     const petri::PlaceId p = implicit_place(from, to, /*create=*/false);
     init_tokens_.resize(std::max<std::size_t>(init_tokens_.size(), p + 1), 0);
-    ++init_tokens_[p];
+    if (count > UINT32_MAX - init_tokens_[p])
+        throw ModelError("too many tokens on <" + from + "," + to + ">");
+    init_tokens_[p] += count;
     return *this;
 }
 

@@ -44,9 +44,11 @@ public:
     /// Chain of arcs: arc(n0,n1), arc(n1,n2), ...
     StgBuilder& chain(const std::vector<std::string>& nodes);
 
-    /// Put a token on the implicit place between two transitions (the
-    /// `<t1,t2>` entries of a .g .marking line).  The place must exist.
-    StgBuilder& token_between(const std::string& from, const std::string& to);
+    /// Put `count` more tokens on the implicit place between two
+    /// transitions (the `<t1,t2>` entries of a .g .marking line).  The place
+    /// must exist; a total above 2^32 - 1 tokens is a ModelError.
+    StgBuilder& token_between(const std::string& from, const std::string& to,
+                              std::uint32_t count = 1);
 
     /// Set the token count of a declared place.
     StgBuilder& tokens(const std::string& place_name, std::uint32_t count);

@@ -1,11 +1,12 @@
 #include "svc/cli.hpp"
 
-#include <charconv>
 #include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
+
+#include "util/decimal.hpp"
 
 namespace stgcc::svc {
 
@@ -46,11 +47,10 @@ void print_flag(std::ostream& out, const std::string& flag, const char* help) {
 
 bool parse_flag_number(const char* flag, const char* text,
                        std::uint64_t& value, std::uint64_t max) {
-    // from_chars takes no sign, space or empty string for an unsigned type
-    // and reports overflow instead of wrapping or saturating.
-    const char* end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec == std::errc() && ptr == end && value <= max) return true;
+    if (const auto parsed = util::parse_decimal(text, max)) {
+        value = *parsed;
+        return true;
+    }
     std::cerr << "bad " << flag << " value: " << text << "\n";
     return false;
 }

@@ -183,6 +183,45 @@ TEST(Astg, ParseErrors) {
                  ModelError);  // node line outside .graph
 }
 
+TEST(Astg, CountsAreWholeUnsignedDecimalsThatFit) {
+    // kVmeText with its .marking line (line 17) replaced.
+    const auto vme_marked = [](const std::string& marking) {
+        const std::string text = kVmeText;
+        return text.substr(0, text.find(".marking")) + ".marking { " + marking +
+               " <ldtack-,lds+> }\n.end\n";
+    };
+    EXPECT_EQ(parse_astg_string(vme_marked("<dtack-,dsr+>=2"))
+                  .system()
+                  .initial_marking()
+                  .max_tokens(),
+              2u);
+    for (const char* bad :
+         {"<dtack-,dsr+>=4294967297", "<dtack-,dsr+>=18446744073709551617",
+          "<dtack-,dsr+>=1x", "<dtack-,dsr+>=x", "<dtack-,dsr+>=",
+          "<dtack-,dsr+>=+1"}) {
+        try {
+            (void)parse_astg_string(vme_marked(bad));
+            ADD_FAILURE() << bad << " accepted";
+        } catch (const ModelError& e) {
+            EXPECT_NE(std::string(e.what()).find("line 17"), std::string::npos)
+                << e.what();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << bad << ": " << e.what();
+        }
+    }
+    // Counts on explicit places and capacities are read the same way.
+    const auto place_net = [](const std::string& capacity, const std::string& marking) {
+        return ".inputs a\n" + capacity + "\n.graph\np a+\na+ a-\na- p\n.marking { " +
+               marking + " }\n.end\n";
+    };
+    for (const char* bad : {"p=-1", "p=4294967296", "p=0x1", "p=1.0"})
+        EXPECT_THROW((void)parse_astg_string(place_net("", bad)), ModelError) << bad;
+    for (const std::string bad : {"p=abc", "p=-2", "p=99999999999"})
+        EXPECT_THROW((void)parse_astg_string(place_net(".capacity " + bad, "p")),
+                     ModelError)
+            << bad;
+}
+
 TEST(Astg, UndeclaredSignalInGraph) {
     const char* text = ".inputs a\n.graph\na+ b+\nb+ a-\na- a+\n.marking {}\n.end\n";
     EXPECT_THROW(parse_astg_string(text), ModelError);

@@ -105,6 +105,31 @@ TEST(Pnml, ArcWeightsOtherThanOneAreRejected) {
     EXPECT_TRUE(ReachabilityGraph(sys).deadlocks().empty());
 }
 
+TEST(Pnml, CountsThatDoNotFitAreRejectedNotWrapped) {
+    // 2^32 + 1 and -(2^32 - 1) would both read as weight 1 if wrapped.
+    for (const char* weight : {"4294967297", "-4294967295", "-1", "1x", "+1"}) {
+        EXPECT_THROW(parse_pnml_string(loop_net(
+                         std::string("<arc id=\"a0\" source=\"p0\" target=\"t0\">"
+                                     "<inscription><text>") +
+                         weight + "</text></inscription></arc>")),
+                     ModelError)
+            << weight;
+    }
+    for (const char* tokens : {"4294967297", "-1", "2 tokens"}) {
+        EXPECT_THROW(parse_pnml_string(std::string("<pnml><net><page><place id=\"p\">"
+                                                   "<initialMarking><text>") +
+                                       tokens +
+                                       "</text></initialMarking></place>"
+                                       "</page></net></pnml>"),
+                     ModelError)
+            << tokens;
+    }
+    const NetSystem big = parse_pnml_string(
+        "<pnml><net><page><place id=\"p\"><initialMarking><text>4294967295</text>"
+        "</initialMarking></place></page></net></pnml>");
+    EXPECT_EQ(big.initial_marking().max_tokens(), 4294967295u);
+}
+
 TEST(Pnml, UnrepresentableElementsAreRejectedNotDropped) {
     const std::string plain = "<arc id=\"a0\" source=\"p0\" target=\"t0\"/>";
     EXPECT_NO_THROW((void)parse_pnml_string(loop_net(plain)));

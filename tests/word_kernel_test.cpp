@@ -4,7 +4,11 @@
 //  * WordEdge: generated STGs whose dense size q sits just below, on and
 //    just above 64 and 128 (one and two plane words; no shipped model goes
 //    past q = 105).  USC, CSC (both overloads) and per-signal normalcy must
-//    agree with the explicit state-graph checkers.
+//    agree with the explicit state-graph checkers, and their search nodes
+//    and leaves must equal the pinned counts.  The cases run every kernel
+//    width: one plane word (q <= 64 with |P|, |Z| <= 64), two plane words
+//    (counterflow4) and the runtime widths (|P| > 64, |Z| > 64 or
+//    q > 128), so the pins hold each instantiation to one search tree.
 //  * SolverLeafView: at every leaf of exhaustive solves under each code
 //    relation, the place set and code the solver carries on its trail for
 //    each side equal unf::marking_of and CodingProblem::code_of of that
@@ -36,26 +40,43 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Search nodes and leaves of one check.
+struct TreeSize {
+    std::size_t nodes, leaves;
+};
+
 struct EdgeCase {
     std::string name;
     std::size_t q;  ///< dense size the generator is expected to produce
     std::function<stg::Stg()> make;
+    TreeSize usc, csc, normalcy;  ///< pinned search trees (CSC: fresh checker)
 };
 
 std::vector<EdgeCase> edge_cases() {
     using namespace stg::bench;
     return {
-        {"johnson32_q63", 63, [] { return johnson_counter(32); }},
-        {"seq16_q63", 63, [] { return sequential_handshakes(16); }},
-        {"duplex7_q64", 64, [] { return duplex_channel(7, false, true); }},
-        {"envelope8_q65", 65, [] { return phase_envelope(8); }},
-        {"johnson33_q65", 65, [] { return johnson_counter(33); }},
-        {"counterflow4_q66", 66, [] { return counterflow(4, true); }},
-        {"johnson64_q127", 127, [] { return johnson_counter(64); }},
-        {"seq32_q127", 127, [] { return sequential_handshakes(32); }},
-        {"duplex15_q128", 128, [] { return duplex_channel(15, false, true); }},
-        {"envelope16_q129", 129, [] { return phase_envelope(16); }},
-        {"johnson65_q129", 129, [] { return johnson_counter(65); }},
+        {"johnson32_q63", 63, [] { return johnson_counter(32); },
+         {0, 0}, {0, 0}, {2047, 1055}},
+        {"seq16_q63", 63, [] { return sequential_handshakes(16); },
+         {15, 1}, {3600, 1920}, {1987, 1040}},
+        {"duplex7_q64", 64, [] { return duplex_channel(7, false, true); },
+         {3, 1}, {16, 9}, {4267, 2181}},
+        {"envelope8_q65", 65, [] { return phase_envelope(8); },
+         {29, 1}, {29, 1}, {4529, 1785}},
+        {"johnson33_q65", 65, [] { return johnson_counter(33); },
+         {0, 0}, {0, 0}, {2177, 1121}},
+        {"counterflow4_q66", 66, [] { return counterflow(4, true); },
+         {5125, 2224}, {41000, 17792}, {15998, 7967}},
+        {"johnson64_q127", 127, [] { return johnson_counter(64); },
+         {0, 0}, {0, 0}, {8191, 4159}},
+        {"seq32_q127", 127, [] { return sequential_handshakes(32); },
+         {31, 1}, {30752, 15872}, {8067, 4128}},
+        {"duplex15_q128", 128, [] { return duplex_channel(15, false, true); },
+         {3, 1}, {16, 9}, {13739, 6965}},
+        {"envelope16_q129", 129, [] { return phase_envelope(16); },
+         {61, 1}, {61, 1}, {18633, 7025}},
+        {"johnson65_q129", 129, [] { return johnson_counter(65); },
+         {0, 0}, {0, 0}, {8449, 4289}},
     };
 }
 
@@ -71,18 +92,30 @@ TEST_P(WordEdgeTest, ChecksAgreeWithStateGraph) {
     const stg::StateGraph sg(model);
     ASSERT_TRUE(sg.consistent());
 
-    EXPECT_EQ(checker.check_usc().holds, stg::check_usc_sg(sg).holds);
+    const auto expect_tree = [](const stg::CheckStats& stats, TreeSize pinned,
+                                const char* check) {
+        EXPECT_EQ(stats.search_nodes, pinned.nodes) << check << " nodes";
+        EXPECT_EQ(stats.leaves, pinned.leaves) << check << " leaves";
+    };
+    const auto usc = checker.check_usc();
+    EXPECT_EQ(usc.holds, stg::check_usc_sg(sg).holds);
+    expect_tree(usc.stats, c.usc, "USC");
     const bool csc = stg::check_csc_sg(sg).holds;
     // Run CSC before any USC certificate could answer it: a fresh checker.
     const core::UnfoldingChecker fresh(model);
-    EXPECT_EQ(fresh.check_csc().holds, csc);
+    const auto csc_ip = fresh.check_csc();
+    EXPECT_EQ(csc_ip.holds, csc);
+    expect_tree(csc_ip.stats, c.csc, "CSC");
     const core::UnfoldingChecker fresh_split(model);
     sched::Executor serial(1);
-    EXPECT_EQ(fresh_split.check_csc({}, serial).holds, csc);
+    const auto csc_split = fresh_split.check_csc({}, serial);
+    EXPECT_EQ(csc_split.holds, csc);
+    expect_tree(csc_split.stats, c.csc, "CSC on an executor");
 
     const auto ip = checker.check_normalcy();
     const auto ref = stg::check_normalcy_sg(sg);
     EXPECT_EQ(ip.normal, ref.normal);
+    expect_tree(ip.stats, c.normalcy, "normalcy");
     for (const auto& a : ref.per_signal) {
         const auto* b = ip.find(a.signal);
         ASSERT_NE(b, nullptr);
