@@ -7,7 +7,10 @@
 // and must equal tests/golden/search_counts.json (the nightly job fails when
 // they differ); ns/node is the kernel speed and is reported, not gated -- a
 // shared host is too noisy for a timing gate.  Each solve runs --reps times
-// (default 3) and the fastest run is reported.
+// (default 3); the fastest run is reported, and next to it the median and
+// the interquartile range of all runs, so the spread of one invocation is
+// visible.  A claim about kernel speed is taken from alternating perfbench
+// `exhaustive` pairs (EXPERIMENTS.md), not from these figures.
 //
 // Usage: bench_kernels [--reps N] [MODELS_DIR].  Writes BENCH_kernels.json.
 // N is a whole positive decimal; --help prints the usage and exits 0, and
@@ -34,6 +37,38 @@ constexpr const char* kUsage = "usage: bench_kernels [--reps N] [MODELS_DIR]\n";
 
 double ns_per(double seconds, std::size_t n) {
     return n == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(n);
+}
+
+/// One solve timed over its reps: the stats of the last run (every run
+/// grows the same tree) and the fastest, median and quartile times.
+struct Reps {
+    stg::CheckStats stats;
+    double fastest = 0, median = 0, q1 = 0, q3 = 0;
+};
+
+/// The p-quantile of sorted times, interpolating between neighbours.
+double quantile(const std::vector<double>& sorted, double p) {
+    const double at = p * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(at);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (at - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+template <typename Run>
+Reps time_reps(int reps, Run run) {
+    Reps out;
+    std::vector<double> times;
+    for (int r = 0; r < reps; ++r) {
+        Stopwatch w;
+        out.stats = run();
+        times.push_back(w.seconds());
+    }
+    std::sort(times.begin(), times.end());
+    out.fastest = times.front();
+    out.median = quantile(times, 0.5);
+    out.q1 = quantile(times, 0.25);
+    out.q3 = quantile(times, 0.75);
+    return out;
 }
 
 /// A whole positive decimal spanning all of `s`, else 0.
@@ -81,38 +116,42 @@ int main(int argc, char** argv) {
     }
 
     benchutil::BenchReport report("kernels");
-    std::printf("Search kernels at jobs 1 (fastest of %d)\n", reps);
-    benchutil::rule(84);
-    std::printf("  %-16s %-9s %10s %10s %10s %12s\n", "model", "check",
-                "nodes", "leaves", "time", "ns/node");
+    std::printf("Search kernels at jobs 1 (fastest, median and IQR of %d)\n",
+                reps);
+    benchutil::rule(96);
+    std::printf("  %-16s %-9s %10s %10s %10s %10s %10s %8s\n", "model",
+                "check", "nodes", "leaves", "time", "ns/node", "median", "IQR");
     for (const fs::path& file : files) {
         const std::string model = file.stem().string();
         const stg::Stg stg = stg::load_astg_file(file.string());
         const auto artifacts = std::make_shared<const cache::PrefixArtifacts>(stg);
         const core::UnfoldingChecker checker(artifacts);
 
-        using Solve = benchutil::Timed<stg::CheckStats>;
-        const Solve usc = benchutil::fastest(
-            reps, [&] { return checker.check_usc().stats; });
-        const Solve nrm = benchutil::fastest(
-            reps, [&] { return checker.check_normalcy().stats; });
+        const Reps usc = time_reps(reps, [&] { return checker.check_usc().stats; });
+        const Reps nrm =
+            time_reps(reps, [&] { return checker.check_normalcy().stats; });
         for (const auto& [check, s] :
-             {std::pair<const char*, const Solve&>{"usc", usc}, {"normalcy", nrm}}) {
-            const double ns = ns_per(s.seconds, s.value.search_nodes);
-            std::printf("  %-16s %-9s %10zu %10zu %10s %12.0f\n", model.c_str(),
-                        check, s.value.search_nodes, s.value.leaves,
-                        benchutil::fmt_time(s.seconds).c_str(), ns);
+             {std::pair<const char*, const Reps&>{"usc", usc}, {"normalcy", nrm}}) {
+            const std::size_t nodes = s.stats.search_nodes;
+            const double ns = ns_per(s.fastest, nodes);
+            const double median = ns_per(s.median, nodes);
+            const double iqr = ns_per(s.q3, nodes) - ns_per(s.q1, nodes);
+            std::printf("  %-16s %-9s %10zu %10zu %10s %10.0f %10.0f %8.0f\n",
+                        model.c_str(), check, nodes, s.stats.leaves,
+                        benchutil::fmt_time(s.fastest).c_str(), ns, median, iqr);
             report.add_row(obs::Json::object()
                                .set("benchmark", "solve")
                                .set("model", model)
                                .set("check", check)
-                               .set("search_nodes", s.value.search_nodes)
-                               .set("leaves", s.value.leaves)
-                               .set("seconds", s.seconds)
-                               .set("ns_per_node", ns));
+                               .set("search_nodes", nodes)
+                               .set("leaves", s.stats.leaves)
+                               .set("seconds", s.fastest)
+                               .set("ns_per_node", ns)
+                               .set("ns_per_node_median", median)
+                               .set("ns_per_node_iqr", iqr));
         }
     }
-    benchutil::rule(84);
+    benchutil::rule(96);
     std::printf("\n");
     report.write();
     return 0;

@@ -34,7 +34,7 @@ void PrefixArtifacts::build() {
 
     problem_ = std::make_unique<core::CodingProblem>(*stg_, prefix_, consistency_);
     obs::counter("cache.artifacts.built").add();
-    span.attr("dense_events", problem_->size());
+    span.attr("events", problem_->size());
 }
 
 const core::CodingProblem& PrefixArtifacts::problem() const {

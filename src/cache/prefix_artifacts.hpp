@@ -5,9 +5,10 @@
 // solver instance of the model:
 //   * the consistency analysis (and the derived initial code v0),
 //     which verify_stg and the CodingProblem used to compute separately,
-//   * the dense CodingProblem, the solver's only input: closure rows,
-//     per-signal masks and leaf tables (place flows, M0, circuit-driven
-//     preset masks), held by the problem itself,
+//   * the CodingProblem, which with the prefix is the solver's only input:
+//     the cut-off mask, per-signal masks and leaf tables (place flows, M0,
+//     circuit-driven preset masks), held by the problem itself; the
+//     closure rows are the prefix's own,
 //   * the USC=>CSC certificate: set once an exhaustive USC search has
 //     found no conflict, after which CSC holds without searching.
 //

@@ -21,13 +21,11 @@ bool usc_certified(const cache::PrefixArtifacts& artifacts, obs::Span& span) {
     return true;
 }
 
-/// The marking a dense configuration reaches and a firing sequence from M0
-/// to it, both read off the configuration's event set.
+/// The marking a configuration reaches and a firing sequence from M0 to it.
 void reach(const CodingProblem& problem, BitSpan config,
            petri::Marking& marking, std::vector<petri::TransitionId>& trace) {
-    const BitVec events = problem.to_event_set(config);
-    marking = unf::marking_of(problem.prefix(), events);
-    trace = unf::firing_sequence_of(problem.prefix(), events);
+    marking = unf::marking_of(problem.prefix(), config);
+    trace = unf::firing_sequence_of(problem.prefix(), config);
 }
 
 stg::ConflictWitness make_witness(const CodingProblem& problem, BitSpan ca,

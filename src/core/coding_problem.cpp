@@ -33,44 +33,26 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
     initial_code_ = consistency.initial_code;
     conflict_free_ = unf::is_dynamically_conflict_free(prefix);
 
-    // Dense index over non-cut-off events.
-    std::vector<std::size_t> dense_of(prefix.num_events(), SIZE_MAX);
-    for (EventId e = 0; e < prefix.num_events(); ++e) {
-        if (prefix.event(e).cutoff) continue;
-        dense_of[e] = events_.size();
-        events_.push_back(e);
-    }
-
-    const std::size_t q = events_.size();
-    preds_ = util::BitMatrix(arena_, q, q);
-    succs_ = util::BitMatrix(arena_, q, q);
-    confs_ = util::BitMatrix(arena_, q, q);
-    rising_ = util::BitMatrix(arena_, stg.num_signals(), q);
-    falling_ = util::BitMatrix(arena_, stg.num_signals(), q);
-    rising_events_ = BitVec(q);
-    signal_.resize(q);
-
-    for (std::size_t i = 0; i < q; ++i) {
-        const EventId e = events_[i];
+    // Signal tables over every event; a cut-off event is pinned to 0, so
+    // it has no bit in them and never moves an interval.
+    const std::size_t n = prefix.num_events();
+    cutoffs_ = BitVec(n);
+    rising_ = util::BitMatrix(arena_, stg.num_signals(), n);
+    falling_ = util::BitMatrix(arena_, stg.num_signals(), n);
+    rising_events_ = BitVec(n);
+    signal_.resize(n);
+    for (EventId e = 0; e < n; ++e) {
         const stg::Label l = stg.label(prefix.event(e).transition);
-        signal_[i] = l.signal;
-        (l.delta() > 0 ? rising_ : falling_).set(l.signal, i);
-        if (l.delta() > 0) rising_events_.set(i);
-        prefix.local_config(e).for_each([&](std::size_t f) {
-            if (f == e) return;
-            // Causal predecessors of a non-cut-off event are non-cut-off
-            // (cut-off events have no successors in the prefix).
-            STGCC_ASSERT(dense_of[f] != SIZE_MAX);
-            preds_.set(i, dense_of[f]);
-            succs_.set(dense_of[f], i);
-        });
-        prefix.conflicts(e).for_each([&](std::size_t g) {
-            if (g < dense_of.size() && dense_of[g] != SIZE_MAX)
-                confs_.set(i, dense_of[g]);
-        });
+        signal_[e] = l.signal;
+        if (prefix.event(e).cutoff) {
+            cutoffs_.set(e);
+            continue;
+        }
+        (l.delta() > 0 ? rising_ : falling_).set(l.signal, e);
+        if (l.delta() > 0) rising_events_.set(e);
     }
 
-    // Leaf tables: M0, the place flow of every dense event and the preset
+    // Leaf tables: M0, the place flow of every event and the preset
     // masks of the circuit-driven transitions, grouped by signal.
     const petri::Net& net = stg.net();
     const std::size_t np = net.num_places();
@@ -78,10 +60,10 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
     const petri::Marking& m0 = prefix.system().initial_marking();
     for (petri::PlaceId p = 0; p < np; ++p)
         if (m0[p] != 0) initial_places_.set(p);
-    place_flows_ = util::BitMatrix(arena_, q, np);
-    for (std::size_t i = 0; i < q; ++i) {
-        const petri::TransitionId t = prefix.event(events_[i]).transition;
-        MutBitSpan row = place_flows_.mut_row(i);
+    place_flows_ = util::BitMatrix(arena_, n, np);
+    for (EventId e = 0; e < n; ++e) {
+        const petri::TransitionId t = prefix.event(e).transition;
+        MutBitSpan row = place_flows_.mut_row(e);
         for (petri::PlaceId p : net.pre(t)) row.set(p);
         for (petri::PlaceId p : net.post(t))
             row.test(p) ? row.reset(p) : row.set(p);  // self-loops cancel
@@ -103,24 +85,18 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
         .set(static_cast<std::int64_t>(util::Arena::process_live_bytes()));
     obs::gauge("mem.arena_peak_bytes")
         .set(static_cast<std::int64_t>(util::Arena::process_peak_bytes()));
-    span.attr("dense_events", q);
+    span.attr("events", n);
     span.attr("conflict_free", conflict_free_);
 }
 
-BitVec CodingProblem::to_event_set(BitSpan dense) const {
-    BitVec out = prefix_->make_event_set();
-    dense.for_each([&](std::size_t i) { out.set(events_[i]); });
-    return out;
-}
-
-stg::Code CodingProblem::code_of(BitSpan dense) const {
+stg::Code CodingProblem::code_of(BitSpan config) const {
     stg::Code code = initial_code_;
-    const BitSpan::Word* x = dense.words();
+    const BitSpan::Word* x = config.words();
     for (stg::SignalId z = 0; z < rising_.rows(); ++z) {
         const BitSpan::Word* r = rising(z).words();
         const BitSpan::Word* f = falling(z).words();
         BitSpan::Word parity = 0;
-        for (std::size_t w = 0, nw = dense.num_words(); w < nw; ++w)
+        for (std::size_t w = 0, nw = config.num_words(); w < nw; ++w)
             parity ^= x[w] & (r[w] | f[w]);
         if (std::popcount(parity) & 1) code.assign_bit(z, !code.test(z));
     }

@@ -1,21 +1,21 @@
 // stgcc -- precomputed data for the partial-order-aware conflict search.
 //
-// A CodingProblem densifies the non-cut-off events of a prefix (cut-off
-// variables are pinned to 0, which "effectively removes some of the
-// variables" -- paper, section 3) and caches, per dense event index:
-//   * its strict causal predecessors, successors and conflict set as rows of
-//     three arena-backed bit matrices over dense indices (the Theorem 1
-//     closure rules), exposed as BitSpan row views,
+// The search has one 0-1 variable per prefix event and pins the cut-off
+// variables to 0, which "effectively removes some of the variables" (paper,
+// section 3, eq. 3).  The Theorem 1 closure rules read the prefix's own
+// relation rows -- local configuration, causal successors and conflicts --
+// and a CodingProblem adds, per event:
+//   * the cut-off mask the solvers pin to 0,
 //   * its signal, and per signal the rising (code contribution +1) and
-//     falling (-1) events as bit masks,
+//     falling (-1) events as bit masks, cut-off bits clear,
 //   * its place flow pre(t) xor post(t), from which the solver keeps the
 //     marked-place set of each side of the pair on its trail.
 // It also records the derived initial code v0, the initial place set M0,
 // the preset place mask of every circuit-driven transition (Out of a place
 // set, read by the leaf predicates) and whether the STG is dynamically
 // conflict-free (enabling the section 7 optimisation).  The per-event and
-// per-transition tables live in one arena owned by the problem, and the
-// problem is the solver's only input.
+// per-transition tables live in one arena owned by the problem; the problem
+// and its prefix are the solver's only input.
 #pragma once
 
 #include <vector>
@@ -43,26 +43,17 @@ public:
     [[nodiscard]] const stg::Stg& stg() const noexcept { return *stg_; }
     [[nodiscard]] const unf::Prefix& prefix() const noexcept { return *prefix_; }
 
-    /// Number of dense (non-cut-off) events q; the solver searches over
-    /// pairs of 0-1 vectors of this length.
-    [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-
-    [[nodiscard]] unf::EventId event_of(std::size_t dense) const {
-        return events_[dense];
+    /// Number of variables |E|, one per prefix event; the solvers search
+    /// over 0-1 vectors of this length, i.e. event sets of the prefix.
+    [[nodiscard]] std::size_t size() const noexcept {
+        return prefix_->num_events();
     }
 
-    [[nodiscard]] BitSpan preds(std::size_t dense) const {
-        return preds_.row(dense);
-    }
-    [[nodiscard]] BitSpan succs(std::size_t dense) const {
-        return succs_.row(dense);
-    }
-    [[nodiscard]] BitSpan conflicts(std::size_t dense) const {
-        return confs_.row(dense);
-    }
+    /// The cut-off events, |E| bits: their variables are pinned to 0.
+    [[nodiscard]] BitSpan cutoffs() const noexcept { return cutoffs_; }
 
-    [[nodiscard]] stg::SignalId signal(std::size_t dense) const {
-        return signal_[dense];
+    [[nodiscard]] stg::SignalId signal(unf::EventId e) const {
+        return signal_[e];
     }
 
     [[nodiscard]] const stg::Code& initial_code() const noexcept {
@@ -75,34 +66,31 @@ public:
         return conflict_free_;
     }
 
-    /// Expand a dense 0-1 vector into an event set of the prefix.
-    [[nodiscard]] BitVec to_event_set(BitSpan dense) const;
+    /// Code of the marking reached by a configuration: v0 + change vector,
+    /// i.e. v0 xor the parity of each signal's events in it.
+    [[nodiscard]] stg::Code code_of(BitSpan config) const;
 
-    /// Code of the marking reached by a dense configuration: v0 + change
-    /// vector, i.e. v0 xor the parity of each signal's events in it.
-    [[nodiscard]] stg::Code code_of(BitSpan dense) const;
-
-    /// Dense events of signal z with a rising / falling edge, q bits each:
-    /// the +1 / -1 coefficient masks of the code difference D_z, through
-    /// which the solver forces the free variables of z once D_z is pinned
-    /// at an extreme.  Shared read-only by every solver instance over this
-    /// problem.
+    /// Non-cut-off events of signal z with a rising / falling edge, |E|
+    /// bits each: the +1 / -1 coefficient masks of the code difference
+    /// D_z, through which the solver forces the free variables of z once
+    /// D_z is pinned at an extreme.  Shared read-only by every solver
+    /// instance over this problem.
     [[nodiscard]] BitSpan rising(stg::SignalId z) const { return rising_.row(z); }
     [[nodiscard]] BitSpan falling(stg::SignalId z) const {
         return falling_.row(z);
     }
-    /// All rising dense events (the union of the rising rows), q bits: the
+    /// All rising events (the union of the rising rows), |E| bits: the
     /// sign of each event's coefficient in D_z, read word-wise by the
     /// solver when it moves the D_z intervals.
     [[nodiscard]] BitSpan rising_events() const { return rising_events_; }
 
-    /// Place flow pre(t) xor post(t) of a dense event's transition, |P|
+    /// Place flow pre(t) xor post(t) of an event's transition, |P|
     /// bits (self-loops cancel).  The unfolder enforces 1-safety, so a
     /// place holds M0(p) + produced - consumed in {0, 1} tokens, which is
     /// the parity of M0(p) + produced + consumed: the place set reached by
     /// a configuration is initial_places() xor the flows of its events.
-    [[nodiscard]] BitSpan place_flow(std::size_t dense) const {
-        return place_flows_.row(dense);
+    [[nodiscard]] BitSpan place_flow(unf::EventId e) const {
+        return place_flows_.row(e);
     }
     /// M0 as a place set, |P| bits.
     [[nodiscard]] BitSpan initial_places() const { return initial_places_; }
@@ -117,12 +105,11 @@ private:
 
     const stg::Stg* stg_;
     const unf::Prefix* prefix_;
-    std::vector<unf::EventId> events_;
-    util::Arena arena_;                       ///< owns every table below
-    util::BitMatrix preds_, succs_, confs_;   ///< q x q rows in arena_
-    util::BitMatrix rising_, falling_;        ///< num_signals x q, in arena_
-    BitVec rising_events_;                    ///< q bits
-    util::BitMatrix place_flows_;             ///< q x |P|, in arena_
+    util::Arena arena_;                       ///< owns every matrix below
+    BitVec cutoffs_;                          ///< |E| bits
+    util::BitMatrix rising_, falling_;        ///< num_signals x |E|, in arena_
+    BitVec rising_events_;                    ///< |E| bits
+    util::BitMatrix place_flows_;             ///< |E| x |P|, in arena_
     /// Preset place masks of the circuit-driven transitions grouped by
     /// signal: the rows of z are [out_begin_[z], out_begin_[z + 1]).
     util::BitMatrix out_presets_;

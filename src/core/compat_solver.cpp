@@ -164,6 +164,7 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
     // std::uint64_t like the size fields, so member reads inside the loops
     // would be reloaded after every store.
     const std::size_t nw = Widths<NW>(*this).nw;
+    const unf::Prefix& prefix = problem_->prefix();
     Word* const planes = state_.data();
     Word* const want = want_.data();
     Word* const fresh = fresh_.data();
@@ -172,10 +173,12 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
     want[plane(side, value) * nw + idx / kWordBits] |= Word{1} << (idx % kWordBits);
     while (true) {
         // Theorem 1 closure (MCC): x(e)=1 forces predecessors to 1 and
-        // conflicters to 0; x(e)=0 forces successors to 0.  The rows are
-        // transitively closed and conflict is inherited by successors, so
-        // one OR of the rows of the newly wanted bits closes the round: the
-        // bits a row adds need no rows of their own.
+        // conflicters to 0; x(e)=0 forces successors to 0.  The prefix rows
+        // are transitively closed and conflict is inherited by successors,
+        // so one OR of the rows of the newly wanted bits closes the round:
+        // the bits a row adds need no rows of their own.  [e] and the
+        // successor row also hold e itself, already wanted at that value;
+        // the cut-offs a conflict or successor row holds are pinned to 0.
         for (std::size_t i = 0; i < 4 * nw; ++i) fresh[i] = want[i] & ~planes[i];
         for (int s = 0; s < 2; ++s) {
             Word* w1 = want + plane(s, 1) * nw;
@@ -186,8 +189,8 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
                 for (Word bits = f1[fw]; bits; bits &= bits - 1) {
                     const std::size_t e =
                         fw * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
-                    const Word* pred = problem_->preds(e).words();
-                    const Word* conf = problem_->conflicts(e).words();
+                    const Word* pred = prefix.local_config(e).words();
+                    const Word* conf = prefix.conflicts(e).words();
                     for (std::size_t w = 0; w < nw; ++w) {
                         w1[w] |= pred[w];
                         w0[w] |= conf[w];
@@ -196,7 +199,7 @@ bool CompatSolver::assign(int side, std::size_t idx, int value) {
                 for (Word bits = f0[fw]; bits; bits &= bits - 1) {
                     const std::size_t e =
                         fw * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
-                    const Word* succ = problem_->succs(e).words();
+                    const Word* succ = prefix.successors(e).words();
                     for (std::size_t w = 0; w < nw; ++w) w0[w] |= succ[w];
                 }
             }
@@ -290,10 +293,11 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t depth) {
     if (cancelled_) return false;
 
     // Branch on the highest index not assigned on both sides, x' before x''
-    // at equal index.  Dense indices follow the adequate order, so the
+    // at equal index.  Events are numbered in the adequate order, so the
     // highest open event has the largest local configuration: x(e) = 1
-    // fixes all of [e] and its conflict set in one step (Theorem 1).  Bits
-    // at and above q in the last word are padding, never assigned.
+    // fixes all of [e] and its conflict set in one step (Theorem 1).
+    // Cut-offs are assigned from the start, never open.  Bits at and above
+    // q in the last word are padding, never assigned.
     const Widths<NW> width(*this);
     const std::size_t nw = width.nw;
     const std::size_t q = problem_->size();
@@ -355,12 +359,15 @@ bool CompatSolver::timed_assign(int side, std::size_t idx, int value) {
 
 template <std::size_t NW>
 void CompatSolver::search(const PairPredicate& accept) {
-    // Outer loop over the first index d where the two vectors differ.
+    // Outer loop over the first index d where the two vectors differ; a
+    // cut-off is 0 on both sides, so it is never the first difference.
     const std::size_t q = problem_->size();
+    const BitSpan cutoffs = problem_->cutoffs();
     for (std::size_t d = 0; d < q && !outcome_.found && !cancelled_; ++d) {
-        // Dense indices below d are linked equal on both sides.
+        // Indices below d are linked equal on both sides.
         if (d > 0)
             below_[(d - 1) / kWordBits] |= Word{1} << ((d - 1) % kWordBits);
+        if (cutoffs.test(d)) continue;
         const std::size_t mark = trail_.size();
         if (timed_assign<NW>(0, d, 0) && timed_assign<NW>(1, d, 1))
             (void)dfs<NW>(accept, 0);
@@ -397,6 +404,10 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     ncw_ = v0.num_words();
     const Widths<0> width(*this);
     state_.assign(width.bounds_at + nz, Word{0});
+    // Eq. 3: the cut-off variables of both sides are 0 from the start.
+    for (int s = 0; s < 2; ++s)
+        std::copy_n(problem_->cutoffs().words(), nw_,
+                    state_.begin() + plane(s, 0) * nw_);
     for (int s = 0; s < 2; ++s) {
         std::copy_n(m0.words(), npw_, state_.begin() + width.places_at + s * npw_);
         std::copy_n(v0.words(), ncw_, state_.begin() + width.code_at + s * ncw_);

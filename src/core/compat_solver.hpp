@@ -1,10 +1,12 @@
 // stgcc -- the paper's verification algorithm (sections 3-5 and 7).
 //
 // Searches for a pair of configurations (C', C'') of the prefix whose Parikh
-// vectors x', x'' in {0,1}^q satisfy
+// vectors x', x'' in {0,1}^q, one variable per prefix event (q = |E|),
+// satisfy
 //   * a per-signal linear relation on the code difference
 //     D_z = sum_e delta(e) (x'_e - x''_e)   (=, <= or >= 0),
-//   * x'(e) = x''(e) = 0 for cut-off events (built into the dense index),
+//   * x'(e) = x''(e) = 0 for cut-off events (eq. 3: written into both
+//     sides' zero planes before the search starts),
 //   * a caller-supplied non-linear separating predicate evaluated at leaves
 //     (markings differ / Out sets differ / Nxt comparison).
 //
@@ -12,18 +14,20 @@
 // ever visits Unf-compatible vectors (Theorem 1): assigning x(e)=1 forces
 // its causal predecessors to 1 and its conflict set to 0; assigning x(e)=0
 // forces its causal successors to 0 (the minimal compatible closure, MCC).
+// The closure ORs the prefix's own relation rows.
 // Per-signal interval reasoning on D_z prunes and forces assignments.
 //
 // Distinct pairs are enumerated exactly once via a first-difference scheme:
-// the outer loop fixes the first dense index d where the vectors differ
-// (x'_d = 0 < x''_d = 1, with x'_j = x''_j linked for j < d), which both
+// the outer loop fixes the first event d where the vectors differ
+// (x'_d = 0 < x''_d = 1, with x'_j = x''_j linked for j < d; d skips the
+// cut-offs, which are 0 on both sides), which both
 // removes the C' = C'' diagonal and halves the symmetric search space --
 // this realises the paper's "M' <lex M''" separating constraint at the
 // level of Parikh vectors.
 //
 // Inside a first-difference subtree the search branches on the highest
-// dense index still open on either side (x' before x'', value 0 first).
-// Dense indices follow the adequate order, so x(e) = 1 on the highest open
+// event still open on either side (x' before x'', value 0 first).  Events
+// are numbered in the adequate order, so x(e) = 1 on the highest open
 // event fixes the largest local configuration and its conflict set in one
 // decision.  The leaves of an exhaustive search are the solutions, whatever
 // the order; the number of nodes is what the order decides.
@@ -42,7 +46,7 @@
 // The kernel (closure rounds, carry, bounds, branching and the
 // first-difference loop) is one source compiled per word width.  When the
 // prefix fits one or two words per bit plane and one word per place set and
-// per code (q <= 128, |P| <= 64, |Z| <= 64: every shipped model), solve()
+// per code (|E| <= 128, |P| <= 64, |Z| <= 64: every shipped model), solve()
 // runs an instantiation whose word loops unroll and whose state offsets are
 // constants; anything larger runs the instantiation that reads the widths
 // at run time.  The choice is made once per solve from the problem, and
@@ -88,7 +92,7 @@ struct SearchOptions {
 /// One side of a candidate pair at a leaf, as views into the solver's state
 /// (valid only during the predicate call).
 struct LeafView {
-    BitSpan config;  ///< dense configuration, q bits
+    BitSpan config;  ///< the configuration as an event set, |E| bits
     BitSpan places;  ///< marked places of the marking it reaches, |P| bits
     BitSpan code;    ///< Code of that marking, one bit per signal
 };
@@ -101,7 +105,7 @@ using PairPredicate = std::function<bool(const LeafView& a, const LeafView& b)>;
 struct SearchOutcome {
     bool found = false;
     bool cancelled = false;  ///< search stopped by SearchOptions::cancel
-    BitVec ca, cb;           ///< dense configurations when found
+    BitVec ca, cb;           ///< configurations (event sets) when found
     stg::CheckStats stats;
 };
 
@@ -166,7 +170,7 @@ private:
     CodeRelation relation_ = CodeRelation::Equal;
     bool conflict_free_mode_ = false;
     bool cancelled_ = false;
-    std::size_t nw_ = 0;   ///< words per plane, ceil(q / 64)
+    std::size_t nw_ = 0;   ///< words per plane, ceil(|E| / 64)
     std::size_t npw_ = 0;  ///< words per place set, ceil(|P| / 64)
     std::size_t ncw_ = 0;  ///< words per code, ceil(|Z| / 64)
 
@@ -183,7 +187,7 @@ private:
     };
     std::vector<Word> state_;
     std::vector<Word> want_, fresh_;  ///< per-round scratch, plane layout
-    std::vector<Word> below_;         ///< dense indices < current first_diff
+    std::vector<Word> below_;         ///< events < current first difference
     std::vector<TrailEntry> trail_;
     std::vector<stg::SignalId> touched_;
     BitVec touched_mask_;             ///< over signals, mirrors touched_

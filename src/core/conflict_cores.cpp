@@ -19,8 +19,8 @@ ConflictCoreReport collect_conflict_cores(const CodingProblem& problem,
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
             if (a.places == b.places) return false;  // not a USC conflict
-            BitVec core = problem.to_event_set(a.config);
-            core ^= problem.to_event_set(b.config);
+            BitVec core(a.config);
+            core ^= b.config;
             if (seen.insert(core.to_string()).second) {
                 ConflictCore c;
                 c.events = std::move(core);

@@ -61,10 +61,9 @@ ReachabilityResult run(const CodingProblem& problem, ReachSolver& solver) {
     result.stats = outcome.stats;
     if (outcome.found) {
         result.found = true;
-        const BitVec events = problem.to_event_set(outcome.config);
         ReachabilityWitness w;
-        w.marking = unf::marking_of(problem.prefix(), events);
-        w.trace = unf::firing_sequence_of(problem.prefix(), events);
+        w.marking = unf::marking_of(problem.prefix(), outcome.config);
+        w.trace = unf::firing_sequence_of(problem.prefix(), outcome.config);
         result.witness = std::move(w);
     }
     return result;

@@ -10,27 +10,22 @@ MarkingExpressions::MarkingExpressions(const CodingProblem& problem) {
     const petri::Net& net = prefix.system().net();
     exprs_.resize(net.num_places());
 
-    // Dense index per prefix event (cut-off events are pinned to zero, so
-    // they contribute nothing and are skipped).
-    std::vector<std::uint32_t> dense_of(prefix.num_events(), UINT32_MAX);
-    for (std::size_t i = 0; i < problem.size(); ++i)
-        dense_of[problem.event_of(i)] = static_cast<std::uint32_t>(i);
-
-    // Accumulate coefficients per (place, dense event).
+    // Accumulate coefficients per (place, event).  Cut-off events are
+    // pinned to zero, so they contribute nothing and are skipped.
     std::vector<std::map<std::uint32_t, int>> coefs(net.num_places());
     for (unf::ConditionId b = 0; b < prefix.num_conditions(); ++b) {
         const unf::Condition& cond = prefix.condition(b);
         const petri::PlaceId s = cond.place;
         if (cond.producer == unf::kNoEvent) {
             exprs_[s].constant += 1;
-        } else if (dense_of[cond.producer] != UINT32_MAX) {
-            coefs[s][dense_of[cond.producer]] += 1;
+        } else if (!prefix.event(cond.producer).cutoff) {
+            coefs[s][cond.producer] += 1;
         } else {
             // Produced by a cut-off event: never marked in the search space.
             continue;
         }
         for (unf::EventId f : cond.consumers)
-            if (dense_of[f] != UINT32_MAX) coefs[s][dense_of[f]] -= 1;
+            if (!prefix.event(f).cutoff) coefs[s][f] -= 1;
     }
     for (petri::PlaceId s = 0; s < net.num_places(); ++s)
         for (auto [var, coef] : coefs[s])
@@ -50,10 +45,10 @@ MarkingExpr MarkingExpressions::sum(const std::vector<petri::PlaceId>& places) c
     return out;
 }
 
-int MarkingExpressions::evaluate(const MarkingExpr& expr, const BitVec& dense) {
+int MarkingExpressions::evaluate(const MarkingExpr& expr, const BitVec& config) {
     int value = expr.constant;
     for (const LinearTerm& t : expr.terms)
-        if (t.var < dense.size() && dense.test(t.var)) value += t.coef;
+        if (t.var < config.size() && config.test(t.var)) value += t.coef;
     return value;
 }
 

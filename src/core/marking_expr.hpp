@@ -5,8 +5,9 @@
 // x, the token count is
 //   M(s) = sum_{b in h^-1(s)} ( Min(b) + x(producer(b)) - sum_{f in b*} x(f) )
 // which is linear in x.  MarkingExpressions precomputes these per-place
-// expressions over the dense (non-cut-off) event index of a CodingProblem,
-// so that any linear predicate P(M) becomes a linear predicate over x.
+// expressions over the prefix events, the variables of a CodingProblem's
+// solvers; a cut-off event is pinned to 0 and has no term.  Any linear
+// predicate P(M) becomes a linear predicate over x.
 #pragma once
 
 #include <vector>
@@ -16,11 +17,11 @@
 namespace stgcc::core {
 
 struct LinearTerm {
-    std::uint32_t var;  ///< dense event index
+    std::uint32_t var;  ///< prefix event
     int coef;
 };
 
-/// A linear expression  constant + sum coef_i * x_i  over dense events.
+/// A linear expression  constant + sum coef_i * x_i  over prefix events.
 struct MarkingExpr {
     int constant = 0;
     std::vector<LinearTerm> terms;
@@ -42,8 +43,8 @@ public:
     /// are merged.
     [[nodiscard]] MarkingExpr sum(const std::vector<petri::PlaceId>& places) const;
 
-    /// Evaluate an expression on a dense configuration (for assertions).
-    [[nodiscard]] static int evaluate(const MarkingExpr& expr, const BitVec& dense);
+    /// Evaluate an expression on a configuration (for assertions).
+    [[nodiscard]] static int evaluate(const MarkingExpr& expr, const BitVec& config);
 
 private:
     std::vector<MarkingExpr> exprs_;

@@ -83,18 +83,21 @@ bool ReachSolver::assign(std::size_t idx, int value) {
                 force_extreme(c, /*maximum=*/false);
         }
 
-        // Theorem 1 closure.
+        // Theorem 1 closure over the prefix rows.  [v] and the successor
+        // row hold v itself, and the cut-offs a conflict or successor row
+        // holds are already 0: those entries pop as no-ops.
+        const unf::Prefix& prefix = problem_->prefix();
         if (val == 1) {
-            problem_->preds(v).for_each([&](std::size_t f) {
+            prefix.local_config(v).for_each([&](std::size_t f) {
                 pending_.emplace_back(static_cast<std::uint32_t>(f),
                                       std::int8_t{1});
             });
-            problem_->conflicts(v).for_each([&](std::size_t g) {
+            prefix.conflicts(v).for_each([&](std::size_t g) {
                 pending_.emplace_back(static_cast<std::uint32_t>(g),
                                       std::int8_t{0});
             });
         } else {
-            problem_->succs(v).for_each([&](std::size_t g) {
+            prefix.successors(v).for_each([&](std::size_t g) {
                 pending_.emplace_back(static_cast<std::uint32_t>(g),
                                       std::int8_t{0});
             });
@@ -162,6 +165,8 @@ bool ReachSolver::dfs(const ConfigPredicate& accept) {
 ReachSolver::Outcome ReachSolver::solve(const ConfigPredicate& accept) {
     obs::Span span("reach.solve");
     val_.assign(problem_->size(), kUnassigned);
+    // Eq. 3: cut-off variables are 0 (no constraint mentions them).
+    problem_->cutoffs().for_each([&](std::size_t e) { val_[e] = 0; });
     trail_.clear();
     stats_ = stg::CheckStats{};
     outcome_ = Outcome{};

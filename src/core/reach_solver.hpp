@@ -2,9 +2,11 @@
 //
 // Searches for ONE configuration of the prefix whose final marking
 // satisfies a system of linear constraints (built from MarkingExpressions)
-// and a non-linear leaf predicate.  The search only visits Unf-compatible
-// vectors -- the same Theorem 1 closure propagation as the pair solver --
-// with interval pruning and extreme-value forcing on every constraint.
+// and a non-linear leaf predicate.  Its variables are the prefix events,
+// cut-offs pinned to 0 from the start, as in the pair solver.  The search
+// only visits Unf-compatible vectors -- the same Theorem 1 closure
+// propagation over the prefix rows as the pair solver -- with interval
+// pruning and extreme-value forcing on every constraint.
 //
 // This realises the paper's "extended reachability analysis": any property
 // P(M) expressible with linear constraints plus a decidable residue can be
@@ -15,7 +17,7 @@
 // It takes the pair search's SearchOptions: `max_nodes` bounds it and
 // `cancel` is polled every kCancelPollMask+1 nodes, so a service deadline
 // cuts a deadlock check like any coding check.  Branching tries x(e) = 1
-// before x(e) = 0 on the lowest open dense index; the first witness found,
+// before x(e) = 0 on the lowest open event; the first witness found,
 // and so every rendered deadlock trace, depends on that order.
 #pragma once
 
@@ -39,14 +41,14 @@ public:
     /// kNoBoundRs to drop a side.
     void add_constraint(const MarkingExpr& expr, int lo, int hi);
 
-    /// Leaf predicate on a dense configuration satisfying all constraints;
+    /// Leaf predicate on a configuration (event set) satisfying all constraints;
     /// return true to accept and stop.
     using ConfigPredicate = std::function<bool(const BitVec&)>;
 
     struct Outcome {
         bool found = false;
         bool cancelled = false;  ///< search stopped by SearchOptions::cancel
-        BitVec config;           ///< dense configuration when found
+        BitVec config;           ///< configuration (event set) when found
         stg::CheckStats stats;
     };
 

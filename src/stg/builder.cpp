@@ -124,11 +124,7 @@ StgBuilder& StgBuilder::chain(const std::vector<std::string>& nodes) {
 StgBuilder& StgBuilder::token_between(const std::string& from, const std::string& to,
                                       std::uint32_t count) {
     STGCC_REQUIRE(!built_);
-    const petri::PlaceId p = implicit_place(from, to, /*create=*/false);
-    init_tokens_.resize(std::max<std::size_t>(init_tokens_.size(), p + 1), 0);
-    if (count > UINT32_MAX - init_tokens_[p])
-        throw ModelError("too many tokens on <" + from + "," + to + ">");
-    init_tokens_[p] += count;
+    mark(implicit_place(from, to, /*create=*/false), count);
     return *this;
 }
 
@@ -136,9 +132,18 @@ StgBuilder& StgBuilder::tokens(const std::string& place_name, std::uint32_t coun
     STGCC_REQUIRE(!built_);
     auto it = places_.find(place_name);
     if (it == places_.end()) throw ModelError("unknown place: " + place_name);
-    init_tokens_.resize(std::max<std::size_t>(init_tokens_.size(), it->second + 1), 0);
-    init_tokens_[it->second] = count;
+    mark(it->second, count);
     return *this;
+}
+
+void StgBuilder::mark(petri::PlaceId p, std::uint32_t count) {
+    // place() and implicit_place() size init_tokens_ to every place.
+    marked_.resize(init_tokens_.size(), false);
+    if (marked_[p])
+        throw ModelError("place " + stg_.net().place_name(p) +
+                         " is given initial tokens twice");
+    marked_[p] = true;
+    init_tokens_[p] = count;
 }
 
 Stg StgBuilder::build() {

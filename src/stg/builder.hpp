@@ -44,13 +44,14 @@ public:
     /// Chain of arcs: arc(n0,n1), arc(n1,n2), ...
     StgBuilder& chain(const std::vector<std::string>& nodes);
 
-    /// Put `count` more tokens on the implicit place between two
-    /// transitions (the `<t1,t2>` entries of a .g .marking line).  The place
-    /// must exist; a total above 2^32 - 1 tokens is a ModelError.
+    /// Put `count` tokens on the implicit place between two transitions
+    /// (the `<t1,t2>` entries of a .g .marking line).  The place must exist.
     StgBuilder& token_between(const std::string& from, const std::string& to,
                               std::uint32_t count = 1);
 
-    /// Set the token count of a declared place.
+    /// Set the token count of a declared place.  Like token_between, at
+    /// most once per place: a second call for the same place, through
+    /// either, is a ModelError naming it.
     StgBuilder& tokens(const std::string& place_name, std::uint32_t count);
 
     /// Finish; validates that every referenced transition's signal exists and
@@ -68,12 +69,14 @@ private:
     petri::TransitionId transition_for(const std::string& text);
     petri::PlaceId implicit_place(const std::string& from, const std::string& to,
                                   bool create);
+    void mark(petri::PlaceId p, std::uint32_t count);
 
     Stg stg_;
     std::unordered_map<std::string, petri::PlaceId> places_;
     std::unordered_map<std::string, petri::TransitionId> transitions_;
     std::unordered_map<std::string, bool> dummies_;
     std::vector<std::uint32_t> init_tokens_;  // per place
+    std::vector<bool> marked_;                // per place: tokens()/token_between() done
     bool built_ = false;
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "petri/reachability.hpp"
 #include "stg/benchmarks.hpp"
 #include "stg/state_graph.hpp"
@@ -220,6 +224,33 @@ TEST(Astg, CountsAreWholeUnsignedDecimalsThatFit) {
         EXPECT_THROW((void)parse_astg_string(place_net(".capacity " + bad, "p")),
                      ModelError)
             << bad;
+}
+
+TEST(Astg, PlaceMarkedTwiceIsAnError) {
+    // A second .marking entry for one place, in either spelling, is
+    // rejected like a duplicate place or arc, naming the place: neither
+    // overwriting (p=2 p=3 -> 3, p p -> 1) nor adding (<b-,a+>=2
+    // <b-,a+>=3 -> 5) is what the file says.
+    const auto net = [](const std::string& marking) {
+        return ".inputs a b\n.graph\np a+\na+ b+\nb+ a-\na- b-\nb- p\n"
+               "b- a+\n.marking { " +
+               marking + " }\n.end\n";
+    };
+    for (const auto& [marking, place] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"p=2 p=3", "p"}, {"p p", "p"}, {"<b-,a+>=2 <b-,a+>=3", "<b-,a+>"}}) {
+        try {
+            (void)parse_astg_string(net(marking));
+            ADD_FAILURE() << marking << " accepted";
+        } catch (const ModelError& e) {
+            EXPECT_NE(std::string(e.what()).find("place " + place + " "),
+                      std::string::npos)
+                << marking << ": " << e.what();
+        }
+    }
+    // Each place once is fine.
+    EXPECT_EQ(parse_astg_string(net("p <b-,a+>=2")).system().initial_marking().total_tokens(),
+              3u);
 }
 
 TEST(Astg, UndeclaredSignalInGraph) {

@@ -13,23 +13,30 @@
 namespace stgcc::core {
 namespace {
 
-/// Enumerate all cut-off-free configurations of a prefix by brute force.
-std::vector<BitVec> all_dense_configs(const CodingProblem& problem) {
-    const std::size_t q = problem.size();
+/// Enumerate all configurations of a prefix by brute force, with every
+/// cut-off event pinned to 0 as eq. 3 pins its variable.
+std::vector<BitVec> all_configs(const unf::Prefix& prefix) {
+    const std::size_t n = prefix.num_events();
+    std::size_t cutoffs = 0;
+    for (unf::EventId e = 0; e < n; ++e)
+        if (prefix.event(e).cutoff) cutoffs |= std::size_t{1} << e;
     std::vector<BitVec> out;
-    // 2^q subsets; only call on tiny problems.
-    for (std::size_t mask = 0; mask < (std::size_t{1} << q); ++mask) {
-        BitVec dense(q);
-        for (std::size_t i = 0; i < q; ++i)
-            if ((mask >> i) & 1) dense.set(i);
+    // 2^|E| subsets; only call on tiny prefixes.
+    for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
+        if (mask & cutoffs) continue;
+        BitVec config = prefix.make_event_set();
+        for (std::size_t i = 0; i < n; ++i)
+            if ((mask >> i) & 1) config.set(i);
         // Validity: causally closed and conflict-free.
         bool ok = true;
-        for (std::size_t i = 0; i < q && ok; ++i) {
-            if (!dense.test(i)) continue;
-            if (!problem.preds(i).subset_of(dense)) ok = false;
-            if (problem.conflicts(i).intersects(dense)) ok = false;
+        for (std::size_t i = 0; i < n && ok; ++i) {
+            if (!config.test(i)) continue;
+            if (!prefix.local_config(static_cast<unf::EventId>(i)).subset_of(config))
+                ok = false;
+            if (prefix.conflicts(static_cast<unf::EventId>(i)).intersects(config))
+                ok = false;
         }
-        if (ok) out.push_back(dense);
+        if (ok) out.push_back(config);
     }
     return out;
 }
@@ -41,8 +48,8 @@ TEST(CompatSolver, SolutionsAreValidConfigurationPairs) {
     CompatSolver solver(problem);
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
-            EXPECT_TRUE(unf::is_configuration(prefix, problem.to_event_set(a.config)));
-            EXPECT_TRUE(unf::is_configuration(prefix, problem.to_event_set(b.config)));
+            EXPECT_TRUE(unf::is_configuration(prefix, a.config));
+            EXPECT_TRUE(unf::is_configuration(prefix, b.config));
             EXPECT_FALSE(a.config == b.config);
             EXPECT_EQ(problem.code_of(a.config), problem.code_of(b.config));
             return false;  // enumerate everything
@@ -52,7 +59,7 @@ TEST(CompatSolver, SolutionsAreValidConfigurationPairs) {
 }
 
 /// Whether (a, b) is ordered as the first-difference scheme orders it: at
-/// the first dense index where they differ, a has 0 and b has 1.
+/// the first event where they differ, a has 0 and b has 1.
 bool first_difference_ascends(const BitVec& a, const BitVec& b) {
     for (std::size_t i = 0; i < a.size(); ++i)
         if (a.test(i) != b.test(i)) return b.test(i);
@@ -87,8 +94,8 @@ TEST(CompatSolver, EnumeratesEachDistinctPairOnce) {
     for (const auto& model : models) {
         auto prefix = unf::unfold(model.system());
         CodingProblem problem(model, prefix);
-        ASSERT_LE(problem.size(), 16u) << model.name();
-        const auto configs = all_dense_configs(problem);
+        ASSERT_LE(prefix.num_events(), 20u) << model.name();
+        const auto configs = all_configs(prefix);
         std::vector<stg::Code> codes;
         for (const BitVec& c : configs) codes.push_back(problem.code_of(c));
 
@@ -135,8 +142,8 @@ TEST(CompatSolver, FindsConflictAndStops) {
     CompatSolver solver(problem);
     auto outcome = solver.solve(
         CodeRelation::Equal, [&](const LeafView& a, const LeafView& b) {
-            return !(unf::marking_of(prefix, problem.to_event_set(a.config)) ==
-                     unf::marking_of(prefix, problem.to_event_set(b.config)));
+            return !(unf::marking_of(prefix, a.config) ==
+                     unf::marking_of(prefix, b.config));
         });
     EXPECT_TRUE(outcome.found);
     EXPECT_FALSE(outcome.ca == outcome.cb);
@@ -192,8 +199,8 @@ TEST(CompatSolver, OptimisationPreservesUscVerdict) {
         auto prefix = unf::unfold(model.system());
         CodingProblem problem(model, prefix);
         auto usc_predicate = [&](const LeafView& a, const LeafView& b) {
-            return !(unf::marking_of(prefix, problem.to_event_set(a.config)) ==
-                     unf::marking_of(prefix, problem.to_event_set(b.config)));
+            return !(unf::marking_of(prefix, a.config) ==
+                     unf::marking_of(prefix, b.config));
         };
         SearchOptions with, without;
         without.use_conflict_free_optimisation = false;
@@ -238,25 +245,31 @@ TEST(CompatSolver, ParallelHandshakesDecidedByPropagationAlone) {
 }
 
 TEST(CodingProblem, DensifiesCutoffs) {
+    // The cut-off variables are pinned to 0 (paper, section 3): the cut-off
+    // mask holds exactly the prefix's cut-offs, and no signal's rising or
+    // falling coefficient mask carries a cut-off bit.
     auto model = stg::bench::vme_bus();
     auto prefix = unf::unfold(model.system());
     CodingProblem problem(model, prefix);
-    EXPECT_EQ(problem.size(), prefix.num_events() - prefix.num_cutoffs());
-    for (std::size_t i = 0; i < problem.size(); ++i)
-        EXPECT_FALSE(prefix.event(problem.event_of(i)).cutoff);
+    ASSERT_EQ(problem.size(), prefix.num_events());
+    ASSERT_GT(prefix.num_cutoffs(), 0u);
+    EXPECT_EQ(problem.cutoffs().count(), prefix.num_cutoffs());
+    for (unf::EventId e = 0; e < prefix.num_events(); ++e)
+        EXPECT_EQ(problem.cutoffs().test(e), prefix.event(e).cutoff);
+    for (stg::SignalId z = 0; z < model.num_signals(); ++z) {
+        EXPECT_FALSE(problem.rising(z).intersects(problem.cutoffs()));
+        EXPECT_FALSE(problem.falling(z).intersects(problem.cutoffs()));
+    }
+    EXPECT_FALSE(problem.rising_events().intersects(problem.cutoffs()));
 }
 
 TEST(CodingProblem, CodeOfMatchesChangeVector) {
     auto model = stg::bench::vme_bus();
     auto prefix = unf::unfold(model.system());
     CodingProblem problem(model, prefix);
-    for (std::size_t i = 0; i < problem.size(); ++i) {
-        BitVec dense(problem.size());
-        // Local configuration of the dense event, densified.
-        const unf::EventId e = problem.event_of(i);
-        dense.set(i);
-        problem.preds(i).for_each([&](std::size_t j) { dense.set(j); });
-        stg::Code code = problem.code_of(dense);
+    for (unf::EventId e = 0; e < prefix.num_events(); ++e) {
+        if (prefix.event(e).cutoff) continue;
+        stg::Code code = problem.code_of(prefix.local_config(e));
         auto v = unf::change_vector_of(model, prefix, prefix.local_config(e));
         for (stg::SignalId z = 0; z < model.num_signals(); ++z) {
             const bool expected = (v[z] != 0);

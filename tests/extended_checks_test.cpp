@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/marking_expr.hpp"
 #include "core/reach_solver.hpp"
 #include "petri/reachability.hpp"
@@ -66,13 +68,12 @@ TEST(MarkingExpressions, EvaluateMatchesMarkingOf) {
     MarkingExpressions exprs(problem);
     // For every local configuration of a non-cut-off event, the per-place
     // expressions evaluate to the real marking.
-    for (std::size_t i = 0; i < problem.size(); ++i) {
-        BitVec dense(problem.size());
-        dense.set(i);
-        problem.preds(i).for_each([&](std::size_t j) { dense.set(j); });
-        auto marking = unf::marking_of(prefix, problem.to_event_set(dense));
+    for (unf::EventId e = 0; e < prefix.num_events(); ++e) {
+        if (prefix.event(e).cutoff) continue;
+        const BitVec config(prefix.local_config(e));
+        auto marking = unf::marking_of(prefix, config);
         for (petri::PlaceId s = 0; s < model.net().num_places(); ++s)
-            EXPECT_EQ(MarkingExpressions::evaluate(exprs.place(s), dense),
+            EXPECT_EQ(MarkingExpressions::evaluate(exprs.place(s), config),
                       static_cast<int>(marking[s]));
     }
 }
@@ -161,6 +162,75 @@ TEST(Deadlock, AgreesWithReachabilityGraphOnRandomStgs) {
             ASSERT_TRUE(m.has_value());
             EXPECT_TRUE(model.system().enabled_transitions(*m).empty());
         }
+    }
+}
+
+/// Renders a witness trace as its transition names, "-" when none.
+std::string trace_names(const stg::Stg& model, const ReachabilityResult& r) {
+    if (!r.found) return "-";
+    std::string out;
+    for (petri::TransitionId t : r.witness->trace) {
+        if (!out.empty()) out += ' ';
+        out += model.net().transition_name(t);
+    }
+    return out;
+}
+
+TEST(Deadlock, SearchMatchesPinnedTable) {
+    // The section 5 search tree and its first witness: nodes, leaves and
+    // trace of check_deadlock on the one-shot model and on each seed of
+    // AgreesWithReachabilityGraphOnRandomStgs.  The branching order and the
+    // closure decide all three, so a change to either shows here even when
+    // every verdict survives.
+    struct Pin {
+        unsigned seed;
+        std::size_t nodes, leaves;
+        const char* trace;
+    };
+    const auto expect_pin = [](const stg::Stg& model, const Pin& pin) {
+        auto prefix = unf::unfold(model.system());
+        CodingProblem problem(model, prefix);
+        const auto r = check_deadlock(problem);
+        EXPECT_EQ(r.stats.search_nodes, pin.nodes) << model.name();
+        EXPECT_EQ(r.stats.leaves, pin.leaves) << model.name();
+        EXPECT_EQ(trace_names(model, r), pin.trace) << model.name();
+    };
+    expect_pin(one_shot(), {0, 2, 1, "a+ b+ a- b-"});
+    const Pin table[] = {
+        {700, 1, 0, "-"},
+        {701, 1, 0, "-"},
+        {702, 4, 0, "-"},
+        {703, 2, 0, "-"},
+        {704, 2, 0, "-"},
+        {705, 3, 0, "-"},
+        {706, 1, 0, "-"},
+        {707, 3, 0, "-"},
+        {708, 1, 0, "-"},
+        {709, 3, 0, "-"},
+        {710, 1, 0, "-"},
+        {711, 1, 0, "-"},
+        {712, 1, 0, "-"},
+        {713, 1, 0, "-"},
+        {714, 2, 0, "-"},
+        {715, 2, 0, "-"},
+        {716, 3, 0, "-"},
+        {717, 2, 0, "-"},
+        {718, 2, 0, "-"},
+        {719, 2, 0, "-"},
+        {720, 1, 0, "-"},
+        {721, 2, 0, "-"},
+        {722, 2, 0, "-"},
+        {723, 4, 0, "-"},
+        {724, 3, 0, "-"},
+        {725, 1, 0, "-"},
+        {726, 2, 0, "-"},
+        {727, 1, 0, "-"},
+        {728, 2, 0, "-"},
+        {729, 3, 0, "-"},
+    };
+    for (const Pin& pin : table) {
+        SCOPED_TRACE("seed " + std::to_string(pin.seed));
+        expect_pin(test::random_stg(pin.seed), pin);
     }
 }
 

@@ -1,19 +1,24 @@
 // The word-parallel search kernel at its word boundaries, and the word-wise
 // leaf state against the first-principles helpers it replaces.
 //
-//  * WordEdge: generated STGs whose dense size q sits just below, on and
-//    just above 64 and 128 (one and two plane words; no shipped model goes
-//    past q = 105).  USC, CSC (both overloads) and per-signal normalcy must
-//    agree with the explicit state-graph checkers, and their search nodes
-//    and leaves must equal the pinned counts.  The cases run every kernel
-//    width: one plane word (q <= 64 with |P|, |Z| <= 64), two plane words
-//    (counterflow4) and the runtime widths (|P| > 64, |Z| > 64 or
-//    q > 128), so the pins hold each instantiation to one search tree.
+//  * WordEdge: generated STGs whose variable count q = |E| (one variable
+//    per prefix event) sits on and just above 64 and 128, plus the largest
+//    shipped model, CF-ASYM-B (q = 106).  USC, CSC (both overloads) and
+//    per-signal normalcy must agree with the explicit state-graph
+//    checkers, and their search nodes and leaves must equal the pinned
+//    counts.  The cases run every kernel width: one plane word (q <= 64
+//    with |P|, |Z| <= 64: johnson32, seq16), two plane words (counterflow4,
+//    whose second word holds 3 events, and CF-ASYM-B, whose second word
+//    holds 42) and the runtime widths (|P| > 64, |Z| > 64 or q > 128), so
+//    the pins hold each instantiation to one search tree.  A case's name
+//    gives the count of non-cut-off events it was chosen at; each of the
+//    generated prefixes has one cut-off.
 //  * SolverLeafView: at every leaf of exhaustive solves under each code
-//    relation, the place set and code the solver carries on its trail for
-//    each side equal unf::marking_of and CodingProblem::code_of of that
-//    side's configuration, and Out of the place set equals
-//    Stg::out_signals.
+//    relation, each side's event set is a configuration of the prefix with
+//    no cut-off in it (eq. 3), the place set and code the solver carries on
+//    its trail for each side equal unf::marking_of and
+//    CodingProblem::code_of of that side's configuration, and Out of the
+//    place set equals Stg::out_signals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,7 +52,7 @@ struct TreeSize {
 
 struct EdgeCase {
     std::string name;
-    std::size_t q;  ///< dense size the generator is expected to produce
+    std::size_t q;  ///< variable count |E| the generator is expected to produce
     std::function<stg::Stg()> make;
     TreeSize usc, csc, normalcy;  ///< pinned search trees (CSC: fresh checker)
 };
@@ -55,28 +60,36 @@ struct EdgeCase {
 std::vector<EdgeCase> edge_cases() {
     using namespace stg::bench;
     return {
-        {"johnson32_q63", 63, [] { return johnson_counter(32); },
+        {"johnson32_q63", 64, [] { return johnson_counter(32); },
          {0, 0}, {0, 0}, {2047, 1055}},
-        {"seq16_q63", 63, [] { return sequential_handshakes(16); },
+        {"seq16_q63", 64, [] { return sequential_handshakes(16); },
          {15, 1}, {3600, 1920}, {1987, 1040}},
-        {"duplex7_q64", 64, [] { return duplex_channel(7, false, true); },
+        {"duplex7_q64", 65, [] { return duplex_channel(7, false, true); },
          {3, 1}, {16, 9}, {4267, 2181}},
-        {"envelope8_q65", 65, [] { return phase_envelope(8); },
+        {"envelope8_q65", 66, [] { return phase_envelope(8); },
          {29, 1}, {29, 1}, {4529, 1785}},
-        {"johnson33_q65", 65, [] { return johnson_counter(33); },
+        {"johnson33_q65", 66, [] { return johnson_counter(33); },
          {0, 0}, {0, 0}, {2177, 1121}},
-        {"counterflow4_q66", 66, [] { return counterflow(4, true); },
+        {"counterflow4_q66", 67, [] { return counterflow(4, true); },
          {5125, 2224}, {41000, 17792}, {15998, 7967}},
-        {"johnson64_q127", 127, [] { return johnson_counter(64); },
+        {"johnson64_q127", 128, [] { return johnson_counter(64); },
          {0, 0}, {0, 0}, {8191, 4159}},
-        {"seq32_q127", 127, [] { return sequential_handshakes(32); },
+        {"seq32_q127", 128, [] { return sequential_handshakes(32); },
          {31, 1}, {30752, 15872}, {8067, 4128}},
-        {"duplex15_q128", 128, [] { return duplex_channel(15, false, true); },
+        {"duplex15_q128", 129, [] { return duplex_channel(15, false, true); },
          {3, 1}, {16, 9}, {13739, 6965}},
-        {"envelope16_q129", 129, [] { return phase_envelope(16); },
+        {"envelope16_q129", 130, [] { return phase_envelope(16); },
          {61, 1}, {61, 1}, {18633, 7025}},
-        {"johnson65_q129", 129, [] { return johnson_counter(65); },
+        {"johnson65_q129", 130, [] { return johnson_counter(65); },
          {0, 0}, {0, 0}, {8449, 4289}},
+        // USC and normalcy as in tests/golden/search_counts.json; CSC on a
+        // fresh checker, which no USC certificate answers.
+        {"cf_asym_b_q105", 106,
+         [] {
+             return stg::load_astg_file(std::string(STGCC_MODELS_DIR) +
+                                        "/cf_asym_b_csc.g");
+         },
+         {59038, 23570}, {649418, 259270}, {148570, 74239}},
     };
 }
 
@@ -148,6 +161,9 @@ std::vector<fs::path> model_files() {
 std::size_t check_leaf_views(const stg::Stg& model) {
     const unf::Prefix prefix = unf::unfold(model.system());
     const core::CodingProblem problem(model, prefix);
+    BitVec cutoffs = prefix.make_event_set();
+    for (unf::EventId e = 0; e < prefix.num_events(); ++e)
+        if (prefix.event(e).cutoff) cutoffs.set(e);
     std::size_t leaves = 0;
     for (const core::CodeRelation relation :
          {core::CodeRelation::Equal, core::CodeRelation::LessEq,
@@ -156,8 +172,11 @@ std::size_t check_leaf_views(const stg::Stg& model) {
         const auto outcome = solver.solve(
             relation, [&](const core::LeafView& a, const core::LeafView& b) {
                 for (const core::LeafView* side : {&a, &b}) {
+                    EXPECT_FALSE(side->config.intersects(cutoffs)) << side->config;
+                    EXPECT_TRUE(unf::is_configuration(prefix, side->config))
+                        << side->config;
                     const petri::Marking m =
-                        unf::marking_of(prefix, problem.to_event_set(side->config));
+                        unf::marking_of(prefix, side->config);
                     BitVec places(m.num_places());
                     for (std::size_t p = 0; p < m.num_places(); ++p) {
                         EXPECT_LE(m[p], 1u) << model.name() << ": not 1-safe";
