@@ -136,9 +136,12 @@ NormalcyResult check_normalcy_sg(const StateGraph& sg) {
         result.per_signal[oi].signal = outputs[oi];
 
     // All ordered pairs of comparable codes (including equal codes, where a
-    // 0/1 Nxt mix already violates both normalcy directions).
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-        for (std::size_t j = 0; j < groups.size(); ++j) {
+    // 0/1 Nxt mix already violates both normalcy directions), until every
+    // p/n flag is falsified: each keeps the first violating pair in (i, j)
+    // order, so stopping then changes no witness.
+    std::size_t open_flags = 2 * outputs.size();
+    for (std::size_t i = 0; i < groups.size() && open_flags > 0; ++i) {
+        for (std::size_t j = 0; j < groups.size() && open_flags > 0; ++j) {
             if (!groups[i].code.subset_of(groups[j].code)) continue;
             // code_i <= code_j componentwise.
             for (std::size_t oi = 0; oi < outputs.size(); ++oi) {
@@ -147,6 +150,7 @@ NormalcyResult check_normalcy_sg(const StateGraph& sg) {
                 if (sn.p_normal && groups[i].nxt1[oi] != petri::kNoState &&
                     groups[j].nxt0[oi] != petri::kNoState) {
                     sn.p_normal = false;
+                    --open_flags;
                     sn.p_violation =
                         make_nw(outputs[oi], groups[i].nxt1[oi], groups[j].nxt0[oi]);
                 }
@@ -154,6 +158,7 @@ NormalcyResult check_normalcy_sg(const StateGraph& sg) {
                 if (sn.n_normal && groups[i].nxt0[oi] != petri::kNoState &&
                     groups[j].nxt1[oi] != petri::kNoState) {
                     sn.n_normal = false;
+                    --open_flags;
                     sn.n_violation =
                         make_nw(outputs[oi], groups[i].nxt0[oi], groups[j].nxt1[oi]);
                 }

@@ -45,12 +45,7 @@ Server::Server(ServerConfig cfg)
 
 Server::~Server() {
     request_shutdown();
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(threads_mu_);
-        threads.swap(threads_);
-    }
-    for (std::thread& t : threads) t.join();
+    join_connections(false);
     if (shutdown_pipe_[0] >= 0) ::close(shutdown_pipe_[0]);
     if (shutdown_pipe_[1] >= 0) ::close(shutdown_pipe_[1]);
 }
@@ -127,9 +122,13 @@ int Server::run() {
             if (!conn.valid()) continue;
             connections_accepted_.fetch_add(1, std::memory_order_relaxed);
             obs::counter("svc.connections").add();
+            join_connections(true);
             std::lock_guard<std::mutex> lock(threads_mu_);
-            threads_.emplace_back(&Server::serve_connection, this,
-                                  std::move(conn));
+            Connection& c = connections_.emplace_back();
+            c.thread = std::thread([this, &c, fd = std::move(conn)]() mutable {
+                serve_connection(std::move(fd));
+                c.done.store(true, std::memory_order_release);
+            });
         }
     }
     // Drain: no new connections, wake every connection thread, let each
@@ -138,12 +137,7 @@ int Server::run() {
     listeners_.clear();
     for (const Endpoint& ep : cfg_.listen)
         if (ep.kind == Endpoint::Kind::Unix) ::unlink(ep.path.c_str());
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(threads_mu_);
-        threads.swap(threads_);
-    }
-    for (std::thread& t : threads) t.join();
+    join_connections(false);
     // The scrape listener outlives the drain until here: a prober sees
     // /healthz flip to 503 while in-flight requests finish.
     metrics_http_.stop();
@@ -153,6 +147,18 @@ int Server::run() {
                         .set("checks_run", checks_run_.load())
                         .set("uptime_seconds", uptime_.seconds()));
     return 0;
+}
+
+void Server::join_connections(bool finished_only) {
+    std::lock_guard<std::mutex> lock(threads_mu_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+        if (finished_only && !it->done.load(std::memory_order_acquire)) {
+            ++it;
+            continue;
+        }
+        it->thread.join();
+        it = connections_.erase(it);
+    }
 }
 
 void Server::serve_connection(Fd fd) {

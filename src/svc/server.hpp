@@ -11,7 +11,10 @@
 //   * run() is the accept loop (one thread, usually main);
 //   * every connection gets a dedicated thread that reads one frame at a
 //     time -- requests on one connection are handled in order, concurrency
-//     comes from having many connections;
+//     comes from having many connections.  The accept loop joins the
+//     threads of closed connections before it starts the next one, so a
+//     daemon holds a thread (and its stack) per open connection, not per
+//     connection ever accepted;
 //   * verification itself runs on the one shared Executor.  Connection
 //     threads are external waiters of the pool (they help while blocked),
 //     so any number of them may verify concurrently without oversubscribing
@@ -43,6 +46,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -167,7 +171,17 @@ private:
         std::uint64_t last_used = 0;
     };
 
+    /// One connection's thread; `done` is its last write, so a thread
+    /// whose flag is set is joined at once.
+    struct Connection {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     void serve_connection(Fd fd);
+    /// Join and forget the connection threads: those whose connection has
+    /// closed (`finished_only`), or all of them, waiting for each.
+    void join_connections(bool finished_only);
     /// Handle one decoded request; false ends the connection.
     /// `accepted_before_drain` is whether the frame was read before the
     /// drain flag was set (read-after-drain check/batch requests are
@@ -231,7 +245,7 @@ private:
     int shutdown_pipe_[2] = {-1, -1};  ///< [read, write]; written on drain
 
     std::mutex threads_mu_;
-    std::vector<std::thread> threads_;
+    std::list<Connection> connections_;
 
     std::mutex gate_mu_;
     std::condition_variable gate_cv_;

@@ -19,28 +19,20 @@ bool is_configuration(const Prefix& prefix, BitSpan events) {
     return ok;
 }
 
-std::vector<ConditionId> cut_of(const Prefix& prefix, BitSpan events) {
-    std::vector<bool> marked(prefix.num_conditions(), false);
-    for (ConditionId b : prefix.min_conditions()) marked[b] = true;
-    events.for_each([&](std::size_t e) {
-        for (ConditionId b : prefix.event(static_cast<EventId>(e)).postset)
-            marked[b] = true;
-    });
-    events.for_each([&](std::size_t e) {
-        for (ConditionId b : prefix.event(static_cast<EventId>(e)).preset) {
-            STGCC_ASSERT(marked[b]);
-            marked[b] = false;
-        }
-    });
-    std::vector<ConditionId> cut;
-    for (ConditionId b = 0; b < prefix.num_conditions(); ++b)
-        if (marked[b]) cut.push_back(b);
-    return cut;
-}
-
 petri::Marking marking_of(const Prefix& prefix, BitSpan events) {
-    petri::Marking m(prefix.system().net().num_places());
-    for (ConditionId b : cut_of(prefix, events)) m.add(prefix.condition(b).place);
+    // The marking equation M0 + post(C) - pre(C) over the transitions of
+    // C's events, exact on configurations (section 2.2): every token a
+    // preset consumes is in M0 or some postset, so all postsets go in first.
+    const petri::Net& net = prefix.system().net();
+    petri::Marking m = prefix.system().initial_marking();
+    events.for_each([&](std::size_t e) {
+        for (petri::PlaceId p : net.post(prefix.event(static_cast<EventId>(e)).transition))
+            m.add(p);
+    });
+    events.for_each([&](std::size_t e) {
+        for (petri::PlaceId p : net.pre(prefix.event(static_cast<EventId>(e)).transition))
+            m.remove(p);
+    });
     return m;
 }
 

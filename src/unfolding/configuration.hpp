@@ -2,10 +2,10 @@
 //
 // A configuration is represented as a bit set over the prefix's events,
 // exactly num_events() bits wide (make_event_set() hands out the right
-// width), passed as a non-owning BitSpan so frozen relation rows and owned
-// BitVecs use the same entry points.  These helpers implement Cut(C),
-// Mark(C), Parikh vectors and linearisation into firing sequences of the
-// original net -- the witness "execution paths" the paper produces.
+// width), passed as a non-owning BitSpan so relation rows and owned BitVecs
+// use the same entry points.  These helpers implement Mark(C), Parikh
+// vectors and linearisation into firing sequences of the original net --
+// the witness "execution paths" the paper produces.
 #pragma once
 
 #include <vector>
@@ -17,11 +17,8 @@ namespace stgcc::unf {
 /// True when `events` is causally closed and conflict-free.
 [[nodiscard]] bool is_configuration(const Prefix& prefix, BitSpan events);
 
-/// Cut(C) = (Min(ON) u C*) \ *C : the conditions marked after executing C.
-[[nodiscard]] std::vector<ConditionId> cut_of(const Prefix& prefix,
-                                              BitSpan events);
-
-/// Mark(C): the reachable marking of the original net represented by C.
+/// Mark(C): the reachable marking of the original net represented by C,
+/// by the marking equation M0 + post(C) - pre(C).
 [[nodiscard]] petri::Marking marking_of(const Prefix& prefix, BitSpan events);
 
 /// Events of C in a topological (causality-respecting) order.

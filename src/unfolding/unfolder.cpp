@@ -1,7 +1,6 @@
 #include "unfolding/unfolder.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -13,14 +12,6 @@
 #include "util/hash.hpp"
 
 namespace stgcc::unf {
-
-namespace {
-
-/// A reachable marking of the original net, in canonical (sorted multiset)
-/// form, used as the cut-off hash key.
-using MarkKey = std::vector<petri::PlaceId>;
-
-}  // namespace
 
 /// The one writer of a Prefix (its friend): grows it in the ERV order and
 /// hands it over when the possible-extensions queue runs dry.
@@ -77,7 +68,6 @@ private:
         OrderKey key;
         petri::TransitionId transition;
         std::vector<ConditionId> preset;  // sorted
-        std::uint32_t cause_level;
 
         friend bool operator<(const Candidate& a, const Candidate& b) {
             if (auto c = a.key.compare(b.key); c != 0)
@@ -103,24 +93,7 @@ private:
         for (ConditionId b : minimal)
             for (ConditionId c : minimal)
                 if (b != c) co_[b].set(c);
-        const MarkKey initial = mark_key_of_marking(m0);
-        marking_table_.emplace(initial, kNoEvent);
-    }
-
-    MarkKey mark_key_of_marking(const petri::Marking& m) const {
-        MarkKey key;
-        for (petri::PlaceId p = 0; p < m.num_places(); ++p)
-            for (std::uint32_t k = 0; k < m[p]; ++k) key.push_back(p);
-        return key;
-    }
-
-    /// Marking Mark([e]) of the local configuration of event e.
-    MarkKey mark_key_of_local_config(EventId e) const {
-        MarkKey key;
-        for (ConditionId b : cut_of(prefix_, prefix_.local_config(e)))
-            key.push_back(prefix_.condition(b).place);
-        std::sort(key.begin(), key.end());
-        return key;
+        marking_table_.emplace(m0, kNoEvent);
     }
 
     void ensure_condition_capacity(std::size_t n) {
@@ -173,7 +146,11 @@ private:
                     " can hold two tokens simultaneously)");
     }
 
-    /// Enumerate possible extensions whose preset contains condition b.
+    /// Enumerate the possible extensions whose preset has `trigger` as its
+    /// largest condition.  Conditions are registered in id order (a postset
+    /// all at once, before any of its triggers runs), so every other
+    /// condition of such a preset already exists here, and each (t, preset)
+    /// is generated exactly once: from its last-created condition.
     void extensions_from(ConditionId trigger) {
         const petri::PlaceId p0 = prefix_.condition(trigger).place;
         for (petri::TransitionId t : sys_.net().post_of_place(p0)) {
@@ -194,7 +171,8 @@ private:
             return;
         }
         for (ConditionId c : by_place_[slots[slot]]) {
-            if (c >= mask.size() || !mask.test(c)) continue;
+            if (c > chosen.front()) break;  // by_place_ lists ascend
+            if (!mask.test(c)) continue;
             chosen.push_back(c);
             BitVec next = mask;
             BitVec coc = co_[c];
@@ -208,7 +186,6 @@ private:
     void emit_candidate(petri::TransitionId t, const std::vector<ConditionId>& preset) {
         std::vector<ConditionId> sorted = preset;
         std::sort(sorted.begin(), sorted.end());
-        if (!seen_.emplace(t, sorted).second) return;
 
         // Causes = union of producers' local configurations.
         BitVec causes = prefix_.make_event_set();
@@ -223,7 +200,6 @@ private:
         cand.key = order_key_of_candidate(prefix_, causes, t, cause_level);
         cand.transition = t;
         cand.preset = std::move(sorted);
-        cand.cause_level = cause_level;
         queue_.insert(std::move(cand));
     }
 
@@ -241,7 +217,7 @@ private:
             tick.attr("queue", queue_.size());
         }
 
-        // Add postset conditions (they belong to Cut([e])).
+        // Add the postset conditions of e.
         for (petri::PlaceId p : sys_.net().post(cand.transition))
             prefix_.add_condition(p, e);
         const std::vector<ConditionId>& postset = prefix_.event(e).postset;
@@ -250,8 +226,8 @@ private:
 
         // Cut-off test against markings of existing local configurations
         // (and the initial marking).
-        const MarkKey mark = mark_key_of_local_config(e);
-        auto [it, inserted] = marking_table_.emplace(mark, e);
+        auto [it, inserted] =
+            marking_table_.emplace(marking_of(prefix_, prefix_.local_config(e)), e);
 
         if (!inserted) {
             bool is_cutoff = true;
@@ -283,8 +259,8 @@ private:
     std::size_t cond_capacity_ = 0;
     std::vector<std::vector<ConditionId>> by_place_;
     std::set<Candidate> queue_;
-    std::set<std::pair<petri::TransitionId, std::vector<ConditionId>>> seen_;
-    std::map<MarkKey, EventId> marking_table_;
+    /// Mark([e]) -> the first event reaching it (kNoEvent for M0).
+    std::unordered_map<petri::Marking, EventId, petri::MarkingHash> marking_table_;
 };
 
 namespace {

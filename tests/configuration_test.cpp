@@ -23,8 +23,6 @@ TEST_F(ConfigFixture, EmptyConfigurationIsInitialMarking) {
     BitVec empty = prefix_->make_event_set();
     EXPECT_TRUE(is_configuration(*prefix_, empty));
     EXPECT_EQ(marking_of(*prefix_, empty), model_.system().initial_marking());
-    EXPECT_EQ(cut_of(*prefix_, empty).size(),
-              model_.system().initial_marking().total_tokens());
 }
 
 TEST_F(ConfigFixture, LocalConfigsAreConfigurations) {
@@ -83,13 +81,6 @@ TEST_F(ConfigFixture, ParikhCountsTransitions) {
     auto x = parikh_of(*prefix_, all);
     EXPECT_EQ(x[model_.net().find_transition("dsr+")], 2u);
     EXPECT_EQ(x[model_.net().find_transition("dsr-")], 1u);
-}
-
-TEST_F(ConfigFixture, CutIsMutuallyConcurrentConditions) {
-    for (EventId e = 0; e < prefix_->num_events(); ++e) {
-        auto cut = cut_of(*prefix_, prefix_->local_config(e));
-        EXPECT_FALSE(cut.empty());
-    }
 }
 
 }  // namespace

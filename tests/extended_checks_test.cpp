@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "core/marking_expr.hpp"
@@ -149,20 +150,36 @@ TEST(Deadlock, LargerMullerPipelinesAreLive) {
     }
 }
 
+/// The random STGs of the deadlock sweep: seeds 700-729 with the default
+/// knobs, whose components never stop, and seeds 730-759 with sink places,
+/// where a marking with every component stopped is a deadlock.
+stg::Stg sweep_stg(unsigned seed) {
+    test::RandomStgConfig cfg;
+    if (seed >= 730) cfg.sink_probability = 0.25;
+    return test::random_stg(seed, cfg);
+}
+
 TEST(Deadlock, AgreesWithReachabilityGraphOnRandomStgs) {
-    for (unsigned seed = 700; seed < 730; ++seed) {
-        auto model = test::random_stg(seed);
+    std::size_t deadlocking = 0;
+    for (unsigned seed = 700; seed < 760; ++seed) {
+        auto model = sweep_stg(seed);
         auto prefix = unf::unfold(model.system());
         CodingProblem problem(model, prefix);
         petri::ReachabilityGraph rg(model.system());
         auto r = check_deadlock(problem);
         EXPECT_EQ(r.found, !rg.deadlocks().empty()) << "seed=" << seed;
         if (r.found) {
+            ++deadlocking;
             auto m = model.system().fire_sequence(r.witness->trace);
             ASSERT_TRUE(m.has_value());
             EXPECT_TRUE(model.system().enabled_transitions(*m).empty());
+            // The witness reaches one of the graph's own deadlocks.
+            const auto dead = rg.deadlocks();
+            EXPECT_NE(std::find(dead.begin(), dead.end(), rg.find(*m)), dead.end())
+                << "seed=" << seed;
         }
     }
+    EXPECT_GE(deadlocking, 10u);
 }
 
 /// Renders a witness trace as its transition names, "-" when none.
@@ -227,10 +244,40 @@ TEST(Deadlock, SearchMatchesPinnedTable) {
         {727, 1, 0, "-"},
         {728, 2, 0, "-"},
         {729, 3, 0, "-"},
+        {730, 5, 0, "-"},
+        {731, 3, 0, "-"},
+        {732, 3, 0, "-"},
+        {733, 5, 1, "m0_s2+/1 m1_s2+/0 m1_s2-/1 m1_s1+/4"},
+        {734, 2, 0, "-"},
+        {735, 3, 1, "m0_s1+/0 m1_s0+/0 m0_s2+/1 m1_s2+/1"},
+        {736, 1, 0, "-"},
+        {737, 6, 0, "-"},
+        {738, 3, 1, "m0_s0+/1 m1_s1+/0 m1_s2+/1 m1_s0+/2 m1_s1-/3 m1_s2-/4"},
+        {739, 5, 1, "m0_s1+/0 m1_s0+/0 m0_s1-/1 m1_s1+/1 m0_s2+/3"},
+        {740, 1, 0, "-"},
+        {741, 3, 1, "m0_s0+/0 m1_s2+/0"},
+        {742, 1, 0, "-"},
+        {743, 3, 0, "-"},
+        {744, 5, 1, "m0_s1+/0 m1_s0+/0 m0_s2+/2 m1_s0-/1 m0_s2-/4 m1_s0+/3 m0_s2+/6 m1_s2+/5 m0_s1-/8 m1_s0-/6"},
+        {745, 1, 0, "-"},
+        {746, 1, 0, "-"},
+        {747, 1, 0, "-"},
+        {748, 1, 0, "-"},
+        {749, 3, 1, "m0_s2+/1 m1_s1+/0"},
+        {750, 4, 1, "m0_s1+/0 m1_s2+/0 m0_s0+/1 m1_s0+/1 m0_s1-/2 m1_s1+/3 m0_s2+/4 m1_s2-/5 m0_s2-/6 m1_s1-/6 m0_s2+/8"},
+        {751, 4, 1, "m0_s2+/0 m1_s0+/0 m0_s2-/3 m1_s2+/1 m1_s2-/2 m1_s0-/3"},
+        {752, 1, 0, "-"},
+        {753, 3, 1, "m0_s1+/0 m1_s2+/0 m1_s0+/2"},
+        {754, 5, 1, "m0_s2+/0 m1_s2+/0 m0_s0+/2 m1_s1+/1 m0_s0-/4 m0_s2-/7"},
+        {755, 4, 1, "m0_s1+/1 m1_s2+/0 m1_s0+/1 m1_s1+/3"},
+        {756, 3, 1, "m0_s0+/0 m1_s1+/0 m0_s1+/1 m1_s0+/1 m1_s1-/3 m1_s0-/4"},
+        {757, 3, 1, "m0_s0+/0 m1_s1+/0 m0_s2+/1 m1_s0+/1 m1_s2+/2 m1_s0-/4"},
+        {758, 3, 1, "m0_s0+/0 m1_s1+/0 m1_s2+/1"},
+        {759, 1, 0, "-"},
     };
     for (const Pin& pin : table) {
         SCOPED_TRACE("seed " + std::to_string(pin.seed));
-        expect_pin(test::random_stg(pin.seed), pin);
+        expect_pin(sweep_stg(pin.seed), pin);
     }
 }
 

@@ -12,12 +12,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/result_cache.hpp"
@@ -261,6 +263,58 @@ TEST_F(SvcServerTest, PingStatsAndBadRequestsOverBothTransports) {
         ASSERT_TRUE(after.has_value()) << error;
         EXPECT_TRUE(svc::response_ok(*after));
     }
+}
+
+/// VmSize and VmRSS of this process in kB (/proc/self/status).
+std::pair<long, long> vm_size_and_rss_kb() {
+    std::ifstream in("/proc/self/status");
+    long size = -1, rss = -1;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("VmSize:", 0) == 0) size = std::stol(line.substr(7));
+        if (line.rfind("VmRSS:", 0) == 0) rss = std::stol(line.substr(6));
+    }
+    return {size, rss};
+}
+
+TEST_F(SvcServerTest, SequentialConnectionsKeepMemoryFlat) {
+    // Each connection is closed before the next one opens.  The server
+    // joins the thread of a closed connection, so its stack is released
+    // and 200 connections leave the process no larger than 50 did.
+    //
+    // A connection thread that starts while the previous one is still
+    // exiting gets a malloc arena of its own (64 MiB of address space) that
+    // stays for reuse, so the peak number of live connection threads sets
+    // VmSize.  Three connections held open at once first reach that peak.
+    start();
+    {
+        std::vector<svc::Client> warm;
+        for (int i = 0; i < 3; ++i) warm.push_back(connect(server_->bound()[0]));
+        for (svc::Client& client : warm) {
+            std::string error;
+            ASSERT_TRUE(client.call(
+                obs::Json::object().set("op", "ping").set("id", 0), error))
+                << error;
+        }
+    }
+    std::pair<long, long> after50;
+    for (int i = 1; i <= 200; ++i) {
+        svc::Client client = connect(server_->bound()[0]);
+        std::string error;
+        auto pong = client.call(
+            obs::Json::object().set("op", "ping").set("id", i), error);
+        ASSERT_TRUE(pong.has_value()) << error;
+        client.close();
+        if (i == 50) after50 = vm_size_and_rss_kb();
+    }
+    const auto after200 = vm_size_and_rss_kb();
+    ASSERT_GT(after50.first, 0);
+    ASSERT_GT(after50.second, 0);
+    EXPECT_LE(std::abs(after200.first - after50.first), after50.first / 10)
+        << "VmSize " << after50.first << " kB after 50 connections, "
+        << after200.first << " kB after 200";
+    EXPECT_LE(std::abs(after200.second - after50.second), after50.second / 10)
+        << "VmRSS " << after50.second << " kB after 50 connections, "
+        << after200.second << " kB after 200";
 }
 
 TEST_F(SvcServerTest, CheckMatchesLocalVerifyByteForByte) {

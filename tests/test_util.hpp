@@ -98,6 +98,10 @@ struct RandomStgConfig {
     /// recovers exactly the dummy-free net -- models with dummies must be
     /// verified with reduce = "contract" (or a pipeline containing it).
     double dummy_probability = 0.0;
+    /// Chance that a place other than a component's initial one gets no
+    /// outgoing edge: a component that reaches it stops for good, and a
+    /// marking with every component stopped is a deadlock.
+    double sink_probability = 0.0;
 };
 
 /// Generate a random STG that is consistent and safe *by construction*: a
@@ -146,6 +150,10 @@ inline stg::Stg random_stg(unsigned seed, RandomStgConfig cfg = {}) {
         int edge_counter = 0;
         int dummy_counter = 0;
         for (std::size_t p = 0; p < places.size(); ++p) {
+            // Drawn only when the knob is on, so every other configuration
+            // keeps its random stream (and its nets).
+            if (p > 0 && cfg.sink_probability > 0.0 && coin(cfg.sink_probability))
+                continue;
             const int out_edges = 1 + (coin(cfg.branch_probability) ? 1 : 0);
             for (int e = 0; e < out_edges; ++e) {
                 const int z =
