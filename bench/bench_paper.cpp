@@ -9,7 +9,9 @@
 //   table1     Table 1: net and prefix sizes, and the state-based baseline
 //              ("Pfy", a Petrify-style exhaustive method) against the
 //              unfolding + IP checker ("CLP", this library's CompatSolver),
-//              each the fastest of benchutil::kReps fresh runs.
+//              each the fastest of benchutil::kReps fresh runs; then where
+//              CLP's time goes: parsing the row's .g text, unfolding, the
+//              prefix artifacts and the USC + CSC search.
 //   unfolding  Prefix sizes against net sizes on the Table 1 suite, and the
 //              ERV total adequate order against McMillan's size order.
 //   scalable   Section 8's memory argument: the state space explodes while
@@ -26,16 +28,19 @@
 // to BENCH_paper.json, each tagged with its "table".
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cache/prefix_artifacts.hpp"
 #include "core/checkers.hpp"
 #include "core/extended_checks.hpp"
 #include "core/resolver.hpp"
 #include "ilp/encodings.hpp"
+#include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "stg/builder.hpp"
 #include "stg/state_checks.hpp"
@@ -105,6 +110,40 @@ Clp run_clp(const stg::Stg& model) {
                csc.holds,
                usc.stats,
                csc.stats};
+}
+
+/// Where CLP's time goes on one row, each phase the fastest of `reps`
+/// sequential runs: parsing the row's .g text (part of every stgcheck
+/// verdict), unfolding, the prefix artifacts (consistency analysis and
+/// coding problem) and the USC + CSC search on them.
+struct ClpPhases {
+    double parse = 0, unfold = 0, artifacts = 0, search = 0;
+};
+
+ClpPhases clp_phases(const stg::Stg& model, int reps) {
+    const std::string text = stg::write_astg_string(model);
+    ClpPhases best;
+    for (int r = 0; r < reps; ++r) {
+        Stopwatch w;
+        const stg::Stg parsed = stg::parse_astg_string(text);
+        const double parse = w.lap();
+        unf::Prefix prefix = unf::unfold(model.system());
+        const double unfold = w.lap();
+        auto artifacts = std::make_shared<const cache::PrefixArtifacts>(
+            model, std::move(prefix));
+        const double build = w.lap();
+        core::UnfoldingChecker checker(std::move(artifacts));
+        (void)checker.check_usc();
+        (void)checker.check_csc();
+        const double search = w.lap();
+        check(parsed.net().num_transitions() == model.net().num_transitions(),
+              "a Table 1 row must round-trip through its .g text");
+        if (r == 0 || parse < best.parse) best.parse = parse;
+        if (r == 0 || unfold < best.unfold) best.unfold = unfold;
+        if (r == 0 || build < best.artifacts) best.artifacts = build;
+        if (r == 0 || search < best.search) best.search = search;
+    }
+    return best;
 }
 
 obs::Json counts(const stg::CheckStats& s) {
@@ -216,6 +255,7 @@ void table1(benchutil::BenchReport& report) {
                 "Problem", "S", "T", "Z", "B", "E", "Ec", "states", "Pfy",
                 "CLP", "verdict", "nodes");
     rule(108);
+    std::vector<std::pair<std::string, ClpPhases>> phases;
     for (const auto& nb : stg::bench::table1_suite()) {
         const auto [sg, ip] =
             sg_then_ip(nb.stg, 5'000'000, benchutil::kReps, sg_conflict,
@@ -233,6 +273,8 @@ void table1(benchutil::BenchReport& report) {
                     fmt_time(sg.seconds).c_str(), fmt_time(ip.seconds).c_str(),
                     c.conflict() ? "conflict" : "CSC-free",
                     c.usc_stats.search_nodes + c.csc_stats.search_nodes);
+        const ClpPhases split = clp_phases(nb.stg, benchutil::kReps);
+        phases.emplace_back(nb.name, split);
         report.add_row(
             obs::Json::object()
                 .set("table", "table1")
@@ -250,9 +292,25 @@ void table1(benchutil::BenchReport& report) {
                 .set("unfolding_ip_seconds", ip.seconds)
                 .set("usc", counts(c.usc_stats))
                 .set("csc", counts(c.csc_stats))
-                .set("verdict", c.conflict() ? "conflict" : "csc-free"));
+                .set("verdict", c.conflict() ? "conflict" : "csc-free")
+                .set("phases", obs::Json::object()
+                                   .set("parse_seconds", split.parse)
+                                   .set("unfold_seconds", split.unfold)
+                                   .set("artifacts_seconds", split.artifacts)
+                                   .set("search_seconds", split.search)));
     }
     rule(108);
+    std::printf("\nWhere CLP's time goes (each phase the fastest of %d; "
+                "parse is of the row's .g text)\n\n",
+                benchutil::kReps);
+    std::printf("%-16s | %9s %9s %9s %9s\n", "Problem", "parse", "unfold",
+                "artifacts", "search");
+    rule(60);
+    for (const auto& [name, p] : phases)
+        std::printf("%-16s | %9s %9s %9s %9s\n", name.c_str(),
+                    fmt_time(p.parse).c_str(), fmt_time(p.unfold).c_str(),
+                    fmt_time(p.artifacts).c_str(), fmt_time(p.search).c_str());
+    rule(60);
     std::printf("\n");
 }
 

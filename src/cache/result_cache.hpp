@@ -6,7 +6,7 @@
 //   * the FNV-1a 64 hash of the model file's raw bytes (content-addressed:
 //     renaming or touching the file does not invalidate, editing it does),
 //   * an options signature string (the checker options that can change the
-//     result -- normalcy / reduce / deadlock / persistency -- plus the
+//     result -- normalcy / deadlock / persistency -- plus the
 //     checker version; deliberately NOT --jobs, which the determinism
 //     contract of docs/PARALLELISM.md guarantees result-neutral),
 //   * the cache format version.

@@ -1,6 +1,60 @@
 #include "core/report_codec.hpp"
 
+#include <algorithm>
+#include <sstream>
+
+#include "cache/result_cache.hpp"
+
 namespace stgcc::core {
+
+std::string canonical_text(const stg::Stg& stg) {
+    // Deterministic, name-complete rendering: section per element kind,
+    // arc lists sorted by endpoint name.  Element *order* in the file does
+    // not matter to structural identity, so names are sorted too -- two
+    // nets built in different insertion orders canonicalize identically.
+    const petri::Net& net = stg.net();
+    std::ostringstream out;
+    out << "stgcanon/1\n";
+
+    // Signal *order* is significant (codes and Out sets index by SignalId),
+    // so signal lines are not sorted; place/transition order is not -- the
+    // report codec addresses those by name.
+    out << "signals " << stg.num_signals() << "\n";
+    for (stg::SignalId z = 0; z < stg.num_signals(); ++z)
+        out << stg.signal_name(z) << " "
+            << std::to_string(static_cast<int>(stg.signal_kind(z))) << "\n";
+
+    std::vector<std::string> lines;
+    for (petri::PlaceId p = 0; p < net.num_places(); ++p)
+        lines.push_back(net.place_name(p) + " " +
+                        std::to_string(stg.system().initial_marking()[p]));
+    std::sort(lines.begin(), lines.end());
+    out << "places " << lines.size() << "\n";
+    for (const std::string& l : lines) out << l << "\n";
+
+    lines.clear();
+    for (petri::TransitionId t = 0; t < net.num_transitions(); ++t) {
+        std::string line = net.transition_name(t) + " " + stg.label_text(t);
+        std::vector<std::string> pre, post;
+        for (petri::PlaceId p : net.pre(t)) pre.push_back(net.place_name(p));
+        for (petri::PlaceId p : net.post(t)) post.push_back(net.place_name(p));
+        std::sort(pre.begin(), pre.end());
+        std::sort(post.begin(), post.end());
+        line += " <-";
+        for (const std::string& p : pre) line += " " + p;
+        line += " ->";
+        for (const std::string& p : post) line += " " + p;
+        lines.push_back(std::move(line));
+    }
+    std::sort(lines.begin(), lines.end());
+    out << "transitions " << lines.size() << "\n";
+    for (const std::string& l : lines) out << l << "\n";
+    return out.str();
+}
+
+std::uint64_t semantic_hash(const stg::Stg& stg) {
+    return cache::fnv1a64(canonical_text(stg));
+}
 
 namespace {
 

@@ -5,7 +5,6 @@
 
 #include "core/checkers.hpp"
 #include "core/conflict_cores.hpp"
-#include "core/extended_checks.hpp"
 #include "stg/insertion.hpp"
 #include "stg/state_graph.hpp"
 #include "unfolding/unfolder.hpp"
@@ -42,15 +41,16 @@ std::size_t count_conflict_pairs(const stg::StateGraph& sg, bool target_usc) {
     return pairs;
 }
 
+/// Decide a candidate from its state graph alone: it answers safety,
+/// consistency and deadlock-freedom as exactly as the prefix checks do, and
+/// the conflict-pair count needs it anyway.
 Analysis analyse(const stg::Stg& stg, const ResolveOptions& opts) {
     Analysis a;
     try {
-        unf::Prefix prefix = unf::unfold(stg.system());
-        if (!unf::is_safe(prefix)) return a;
-        CodingProblem problem(stg, prefix);  // throws when inconsistent
-        if (check_deadlock(problem).found) return a;
         stg::StateGraph sg(stg);
-        if (!sg.consistent()) return a;
+        if (!sg.graph().is_safe() || !sg.consistent() ||
+            !sg.graph().deadlocks().empty())
+            return a;
         a.valid = true;
         a.conflict_pairs = count_conflict_pairs(sg, opts.target_usc);
         a.resolved = a.conflict_pairs == 0;

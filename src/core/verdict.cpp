@@ -94,8 +94,7 @@ std::optional<RenderedVerdict> RenderedVerdict::from_json(const obs::Json& v) {
 }
 
 std::string options_signature(const VerifyOptions& opts) {
-    return std::string("v2;normalcy=") + (opts.check_normalcy ? "1" : "0") +
-           ";reduce=" + opts.reduce.spec() +
+    return std::string("v3;normalcy=") + (opts.check_normalcy ? "1" : "0") +
            ";deadlock=" + (opts.check_deadlock ? "1" : "0") +
            ";persistency=" + (opts.check_persistency ? "1" : "0");
 }

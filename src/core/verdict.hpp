@@ -53,9 +53,9 @@ struct RenderedVerdict {
                                              const VerificationReport& report);
 
 /// Options fragment of a verdict's cache key: the checker options that can
-/// change a verdict ("v2;normalcy=1;reduce=none;deadlock=0;persistency=0",
-/// reduce spec canonical).  Jobs, unfolding and search settings are
-/// deliberately absent: verdicts do not depend on them.
+/// change a verdict ("v3;normalcy=1;deadlock=0;persistency=0").  Jobs,
+/// unfolding and search settings are deliberately absent: verdicts do not
+/// depend on them.
 [[nodiscard]] std::string options_signature(const VerifyOptions& opts);
 
 /// Tier-3 lookup / store of a rendered verdict.  Both are no-ops on a

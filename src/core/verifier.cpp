@@ -14,7 +14,7 @@ namespace {
 void run_checks(VerificationReport& report, const VerifyOptions& opts,
                 sched::Executor& ex);
 void translate_report(VerificationReport& report, const stg::Stg& input,
-                      const stg::reduce::WitnessChain& chain);
+                      const stg::WitnessMap& map);
 
 /// Render the "output X disabled by Y via: ..." persistency note on `stg`
 /// (which must be the net the violation's ids refer to).
@@ -25,18 +25,9 @@ std::string persistency_note_text(
            " via: " + stg.sequence_text(v.trace);
 }
 
-/// Run the reduction pipeline on a shared-owned copy of the input (an
-/// empty result, without the copy, when reductions are off).
-stg::reduce::ReduceResult reduce_input(const stg::Stg& input,
-                                       const VerifyOptions& opts) {
-    if (!opts.reduce.enabled) return {};
-    return stg::reduce::run_passes(std::make_shared<const stg::Stg>(input),
-                                   opts.reduce);
-}
-
 /// Options fragment of a semantic ("stgcore") cache entry: only the flags
-/// that change what the checks compute -- the reduce spec is deliberately
-/// absent, because the entry is keyed by the reduced net itself.
+/// that change what the checks compute (the entry is keyed by the checked
+/// net itself).
 std::string semantic_entry_options(const VerifyOptions& opts) {
     return std::string("stgcore/") + std::to_string(kReportCodecVersion) +
            ";normalcy=" + (opts.check_normalcy ? "1" : "0") +
@@ -62,31 +53,36 @@ VerificationReport verify_stg_cached(const stg::Stg& input, VerifyOptions opts,
                                      sched::Executor& ex, bool* semantic_hit) {
     obs::Span span("verify");
     span.attr("stg", input.name());
-    const stg::reduce::ReduceResult red = reduce_input(input, opts);
+    std::shared_ptr<const stg::ContractionResult> contraction;
+    if (input.has_dummies())
+        contraction = std::make_shared<const stg::ContractionResult>(
+            stg::contract_dummies(input));
     // Tier-1 shared artifacts: the prefix, its consistency analysis, the
     // coding problem, leaf tables and the USC=>CSC certificate are
     // computed exactly once and shared by every checking phase.  The
-    // bundle outlives this call inside the report, so the reduced STG it
-    // references is shared-owned.
+    // bundle outlives this call inside the report, so the contracted STG
+    // it references is shared-owned.
     const auto artifacts = [&]() -> cache::PrefixArtifactsPtr {
-        if (red.stg)
-            return std::make_shared<const cache::PrefixArtifacts>(red.stg,
-                                                                  opts.unfold);
+        if (contraction)
+            return std::make_shared<const cache::PrefixArtifacts>(
+                std::shared_ptr<const stg::Stg>(contraction,
+                                                &contraction->stg),
+                opts.unfold);
         return std::make_shared<const cache::PrefixArtifacts>(input,
                                                               opts.unfold);
     };
-    return verify_reduced(input, red, artifacts, opts, &rcache, ex,
-                          semantic_hit);
+    return verify_reduced(input, contraction.get(), artifacts, opts, &rcache,
+                          ex, semantic_hit);
 }
 
 VerificationReport verify_reduced(
-    const stg::Stg& input, const stg::reduce::ReduceResult& red,
+    const stg::Stg& input, const stg::ContractionResult* contraction,
     const std::function<cache::PrefixArtifactsPtr()>& artifacts,
     const VerifyOptions& opts, const cache::ResultCache* rcache,
     sched::Executor& ex, bool* semantic_hit) {
-    const stg::Stg& checked = red.stg ? *red.stg : input;
+    const stg::Stg& checked = contraction ? contraction->stg : input;
     const bool cached = rcache && rcache->enabled();
-    const std::uint64_t key = cached ? stg::reduce::semantic_hash(checked) : 0;
+    const std::uint64_t key = cached ? semantic_hash(checked) : 0;
     const std::string entry = cached ? semantic_entry_options(opts) : "";
     std::optional<VerificationReport> hit;
     if (cached)
@@ -106,29 +102,28 @@ VerificationReport verify_reduced(
             rcache->store("stgcore", key, entry,
                           encode_report(report, checked));
     }
-    report.reduction = red.summary;
-    if (red.summary.any()) report.reduced_stg = checked;
-    translate_report(report, input, red.chain);
+    if (contraction) {
+        report.reduced_stg = checked;
+        translate_report(report, input, contraction->map);
+    }
     return report;
 }
 
 namespace {
 
 /// Rewrite every witness in `r` -- conflict/normalcy traces and markings,
-/// the deadlock trace, the persistency violation -- from the reduced net the
-/// checks ran on back to `input`, via the composed witness chain of the
-/// reduction that produced that net.  Throws ModelError if a trace fails to
-/// replay on `input` (a reduction soundness bug).
+/// the deadlock trace, the persistency violation -- from the contracted net
+/// the checks ran on back to `input`, via the contraction's witness map.
+/// Throws ModelError if a trace fails to replay on `input` (a contraction
+/// soundness bug).
 void translate_report(VerificationReport& r, const stg::Stg& input,
-                      const stg::reduce::WitnessChain& chain) {
+                      const stg::WitnessMap& map) {
     const auto lift = [&](std::vector<petri::TransitionId>& trace,
                           petri::Marking* m) {
-        if (chain.empty()) return;
-        auto translated = chain.translate(trace);
+        auto translated = map.translate(input, trace);
         if (!translated)
-            throw ModelError(
-                "witness back-translation failed on '" + input.name() +
-                "' (reduction soundness bug; re-run with --no-reduce)");
+            throw ModelError("witness back-translation failed on '" +
+                             input.name() + "' (contraction soundness bug)");
         trace = std::move(translated->trace);
         if (m) *m = std::move(translated->marking);
     };
@@ -150,8 +145,8 @@ void translate_report(VerificationReport& r, const stg::Stg& input,
     if (r.deadlock_checked && !r.deadlock_free) lift(r.deadlock_trace, nullptr);
     if (r.persistency_violation) {
         auto& v = *r.persistency_violation;
-        v.output = chain.translate_transition(v.output);
-        v.disabler = chain.translate_transition(v.disabler);
+        v.output = map.to_input[v.output];
+        v.disabler = map.to_input[v.disabler];
         lift(v.trace, nullptr);
     }
 }
@@ -273,32 +268,27 @@ obs::Json stats_json(const stg::CheckStats& s) {
     return j;
 }
 
-/// Machine-readable per-pass reduction accounting (rounds, removals,
-/// remaining dummy names, per-pass counts): the "reduction" member of
-/// report_json and, through it, of every report row.
-obs::Json reduction_json(const stg::reduce::Summary& s) {
-    obs::Json passes = obs::Json::array();
-    for (const stg::reduce::PassStats& p : s.passes)
-        passes.push(obs::Json::object()
-                        .set("pass", p.pass)
-                        .set("applications", p.applications)
-                        .set("places_removed", p.places_removed)
-                        .set("transitions_removed", p.transitions_removed));
-    obs::Json remaining = obs::Json::array();
-    for (const std::string& d : s.remaining_dummies) remaining.push(d);
-    return obs::Json::object()
-        .set("rounds", s.rounds)
-        .set("places_removed", s.places_removed())
-        .set("transitions_removed", s.transitions_removed())
-        .set("remaining_dummies", std::move(remaining))
-        .set("passes", std::move(passes));
+/// What contraction removed from `input` to get `contracted`.  It removes
+/// dummies only; product places may outnumber the merged ones (|P|x|Q|
+/// products replace |P|+|Q| places), so the place count saturates at 0.
+struct Removed {
+    std::size_t transitions = 0;
+    std::size_t places = 0;
+};
+
+Removed removed_by_contraction(const stg::Stg& input,
+                               const stg::Stg& contracted) {
+    const std::size_t before = input.net().num_places();
+    const std::size_t after = contracted.net().num_places();
+    return {input.net().num_transitions() - contracted.net().num_transitions(),
+            before > after ? before - after : 0};
 }
 
 }  // namespace
 
 obs::Json report_json(const stg::Stg& input, const VerificationReport& r) {
     // Witnesses (and therefore sizes too) are reported on the original
-    // input net; reduction work is accounted separately below.
+    // input net; what contraction removed is accounted separately below.
     const stg::Stg& stg = input;
     obs::Json model = obs::Json::object()
                           .set("name", stg.name())
@@ -337,7 +327,12 @@ obs::Json report_json(const stg::Stg& input, const VerificationReport& r) {
 
     obs::Json out = obs::Json::object();
     out.set("model", std::move(model));
-    if (r.reduction.rounds > 0) out.set("reduction", reduction_json(r.reduction));
+    if (r.reduced_stg) {
+        const Removed removed = removed_by_contraction(input, *r.reduced_stg);
+        out.set("reduction", obs::Json::object()
+                                 .set("transitions_removed", removed.transitions)
+                                 .set("places_removed", removed.places));
+    }
     out.set("prefix", std::move(prefix));
     out.set("results", std::move(results));
     out.set("stats", std::move(stats));
@@ -347,21 +342,17 @@ obs::Json report_json(const stg::Stg& input, const VerificationReport& r) {
 std::string format_report(const stg::Stg& input, const VerificationReport& r) {
     std::ostringstream out;
     // Witness traces refer to the original input net: verify_stg (and
-    // stgd's render path) translate them back through the reduction
-    // witness chain before rendering.
+    // stgd's render path) translate them back through the contraction's
+    // witness map before rendering.
     const stg::Stg& stg = input;
     const petri::Net& net = stg.net();
     out << "STG '" << stg.name() << "': |S|=" << net.num_places()
         << " |T|=" << net.num_transitions() << " |Z|=" << stg.num_signals()
         << "\n";
-    if (r.reduction.any()) {
-        out << "reduction: -" << r.reduction.transitions_removed() << "t -"
-            << r.reduction.places_removed() << "p (rounds="
-            << r.reduction.rounds;
-        for (const stg::reduce::PassStats& p : r.reduction.passes)
-            if (p.applications > 0)
-                out << "; " << p.pass << " x" << p.applications;
-        out << ")\n";
+    if (r.reduced_stg) {
+        const Removed removed = removed_by_contraction(input, *r.reduced_stg);
+        out << "reduction: -" << removed.transitions << "t -" << removed.places
+            << "p\n";
     }
     out << "prefix: |B|=" << r.prefix.conditions << " |E|=" << r.prefix.events
         << " |E_cut|=" << r.prefix.cutoffs << "\n";

@@ -1,9 +1,9 @@
 // stgcc -- one-call verification facade and report formatting.
 //
-// Runs the full pipeline of the paper on an STG: build the complete prefix,
-// check consistency, then USC, CSC and (optionally) normalcy with the
-// unfolding + integer-programming method, returning witnesses for every
-// violated property.
+// Runs the full pipeline of the paper on an STG: contract its dummies when
+// it has any, build the complete prefix, check consistency, then USC, CSC
+// and (optionally) normalcy with the unfolding + integer-programming
+// method, returning witnesses for every violated property.
 #pragma once
 
 #include <functional>
@@ -12,7 +12,7 @@
 #include "cache/result_cache.hpp"
 #include "core/checkers.hpp"
 #include "obs/json.hpp"
-#include "stg/reduce/reduce.hpp"
+#include "stg/contraction.hpp"
 
 namespace stgcc::core {
 
@@ -26,12 +26,6 @@ struct VerifyOptions {
     /// concurrency.  Verdicts and witnesses are identical at any value.
     unsigned jobs = 1;
     bool check_normalcy = true;
-    /// Verdict-preserving net reductions run before unfolding
-    /// (docs/REDUCTIONS.md).  All witnesses in the returned report are
-    /// translated back to the *original* input net.  Dummies that resist
-    /// secure contraction still cause a ModelError (the checkers require
-    /// dummy-free STGs).
-    stg::reduce::Options reduce;
     /// Also run the section 5 deadlock check.
     bool check_deadlock = false;
     /// Also check output persistency (speed-independence precondition).
@@ -61,14 +55,13 @@ struct VerificationReport {
     stg::CodingCheckResult csc;
     stg::NormalcyResult normalcy;
     bool normalcy_checked = false;
-    /// Per-pass accounting of the reduction pipeline (empty when it did not
-    /// run or changed nothing).
-    stg::reduce::Summary reduction;
-    /// When reduction changed the net, the STG the checks actually ran on.
-    /// Witness traces in this report are nevertheless expressed on the
-    /// *original* input net: verify_stg translates them back through the
-    /// composed witness chain before returning.  Consumers that need the dummy-free checked net
-    /// itself -- synthesis, the state-graph baseline -- read this field.
+    /// When the input had dummies, the contracted STG the checks actually
+    /// ran on (its presence is what renders the "reduction" line).  Witness
+    /// traces in this report are nevertheless expressed on the *original*
+    /// input net: verify_stg translates them back through the contraction's
+    /// witness map before returning.  Consumers that need the dummy-free
+    /// checked net itself -- synthesis, the state-graph baseline -- read
+    /// this field.
     std::optional<stg::Stg> reduced_stg;
     bool deadlock_checked = false;
     bool deadlock_free = true;
@@ -89,8 +82,10 @@ struct VerificationReport {
     cache::ClauseStore::Efficacy cuts;
 };
 
-/// Run the whole pipeline.  Inconsistent STGs short-circuit (USC/CSC/
-/// normalcy are left at their defaults, consistent == false).
+/// Run the whole pipeline.  An input with dummies is contracted first
+/// (stg/contraction.hpp); a dummy that resists secure contraction is a
+/// ModelError.  Inconsistent STGs short-circuit (USC/CSC/normalcy are left
+/// at their defaults, consistent == false).
 [[nodiscard]] VerificationReport verify_stg(const stg::Stg& stg,
                                             VerifyOptions opts = {});
 
@@ -103,13 +98,13 @@ struct VerificationReport {
                                             sched::Executor& ex);
 
 /// verify_stg plus the shared semantic result-cache tier ("stgcore",
-/// docs/CACHING.md): the input is reduced first and the *reduced* net's
-/// canonical hash keys a stored pre-translation report, so structurally
-/// equivalent inputs -- reordered source text, nets differing only by
-/// reducible structure -- share warm verdict entries even though their
-/// content hashes differ.  On a hit the stored report is decoded against
-/// this input's own reduced net and translated through this input's own
-/// witness chain, so rendering is always faithful to the caller's net.
+/// docs/CACHING.md): the *checked* net's canonical hash keys a stored
+/// pre-translation report, so structurally equivalent inputs -- reordered
+/// source text, dummy nets that contract to one net -- share warm verdict
+/// entries even though their content hashes differ.  On a hit the stored
+/// report is decoded against this input's own checked net and translated
+/// through this input's own witness map, so rendering is always faithful
+/// to the caller's net.
 /// `semantic_hit` (optional) reports whether the verdict came from the
 /// cache; report.artifacts is null in that case.  A disabled cache makes
 /// this plain verify_stg.
@@ -118,16 +113,17 @@ struct VerificationReport {
     const cache::ResultCache& rcache, sched::Executor& ex,
     bool* semantic_hit = nullptr);
 
-/// The back half of verify_stg_cached, for callers that keep the reduction
-/// and the prefix of a model across calls (stgd's bundles).  `red` is the
-/// reduction of `input` (a null red.stg means none ran and the checks see
-/// `input`), and `artifacts` hands out the checked net's prefix bundle --
-/// it is called only when the verdict is not cached.  With a non-null, enabled `rcache`
-/// the "stgcore" entry is looked up first and stored after a fresh run
-/// (never after a cancelled one).  Either way the reduction bookkeeping is
-/// filled in and every witness is translated onto `input`.
+/// The back half of verify_stg_cached, for callers that keep the
+/// contraction and the prefix of a model across calls (stgd's bundles).
+/// `contraction` is contract_dummies(input) when `input` has dummies and
+/// null otherwise (the checks then see `input`), and `artifacts` hands out
+/// the checked net's prefix bundle -- it is called only when the verdict
+/// is not cached.  With a non-null, enabled `rcache` the "stgcore" entry is
+/// looked up first and stored after a fresh run (never after a cancelled
+/// one).  Either way reduced_stg is filled in and every witness is
+/// translated onto `input`.
 [[nodiscard]] VerificationReport verify_reduced(
-    const stg::Stg& input, const stg::reduce::ReduceResult& red,
+    const stg::Stg& input, const stg::ContractionResult* contraction,
     const std::function<cache::PrefixArtifactsPtr()>& artifacts,
     const VerifyOptions& opts, const cache::ResultCache* rcache,
     sched::Executor& ex, bool* semantic_hit = nullptr);

@@ -70,9 +70,6 @@ constexpr const char* kBuiltinCounters[] = {
     "cache.artifacts.built",  "cache.certificates.csc_from_usc",
     "cache.result.hits",      "cache.result.misses",
     "cache.result.stores",    "cache.result.evicted",
-    // Reduction pass manager (docs/REDUCTIONS.md).
-    "stg.reduce.runs",        "stg.reduce.places_removed",
-    "stg.reduce.transitions_removed",
     "cache.result.semantic_hits",
 };
 constexpr const char* kBuiltinGauges[] = {

@@ -14,7 +14,7 @@
 
 namespace stgcc::obs {
 
-inline constexpr int kReportSchemaVersion = 3;
+inline constexpr int kReportSchemaVersion = 4;
 
 /// Wrap `payload` members into the standard report envelope.
 [[nodiscard]] Json make_report(const std::string& tool, Json payload);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "obs/trace.hpp"
+
 namespace stgcc::stg {
 
 namespace {
@@ -47,6 +49,24 @@ WorkNet to_work_net(const Stg& stg) {
         }
     }
     return w;
+}
+
+/// Drop the self-loops of dummy t on constant places: a marked place that
+/// every adjacent transition both consumes and produces keeps its marking
+/// forever, so it never disables t and never distinguishes two markings.
+void drop_constant_loops(WorkNet& w, std::size_t t) {
+    auto& tr = w.transitions[t];
+    if (!tr.alive || tr.label.has_value()) return;
+    const std::set<std::size_t> pre = tr.pre;
+    for (std::size_t p : pre) {
+        WorkNet::Place& place = w.places[p];
+        if (!tr.post.count(p) || place.tokens == 0 || place.pre != place.post)
+            continue;
+        place.pre.erase(t);
+        place.post.erase(t);
+        tr.pre.erase(p);
+        tr.post.erase(p);
+    }
 }
 
 bool contractable(const WorkNet& w, std::size_t t) {
@@ -144,34 +164,78 @@ Stg to_stg(const Stg& original, const WorkNet& w) {
 
 bool is_contractable(const Stg& stg, petri::TransitionId t) {
     STGCC_REQUIRE(t < stg.net().num_transitions());
-    return contractable(to_work_net(stg), t);
+    WorkNet w = to_work_net(stg);
+    drop_constant_loops(w, t);
+    return contractable(w, t);
 }
 
-ContractionResult contract_dummies(const Stg& input, bool series_only) {
+ContractionResult contract_dummies(const Stg& input) {
+    obs::Span span("reduce");
+    span.attr("stg", input.name());
     WorkNet w = to_work_net(input);
     ContractionResult result;
-    const auto eligible = [&](std::size_t t) {
-        if (series_only && (w.transitions[t].pre.size() != 1 ||
-                            w.transitions[t].post.size() != 1))
-            return false;
-        return contractable(w, t);
-    };
     bool progress = true;
     while (progress) {
         progress = false;
         for (std::size_t t = 0; t < w.transitions.size(); ++t) {
-            if (eligible(t)) {
+            drop_constant_loops(w, t);
+            if (contractable(w, t)) {
                 contract(w, t);
                 ++result.contracted;
                 progress = true;
             }
         }
     }
-    for (const auto& tr : w.transitions)
-        if (tr.alive && !tr.label.has_value())
-            result.remaining_dummies.push_back(tr.name);
+    // Transitions are never added, and to_stg keeps the survivors in
+    // order, so the map is the list of survivors.
+    for (std::size_t t = 0; t < w.transitions.size(); ++t) {
+        const auto id = static_cast<petri::TransitionId>(t);
+        (w.transitions[t].alive ? result.map.to_input : result.map.removed)
+            .push_back(id);
+    }
     result.stg = to_stg(input, w);
+    span.attr("transitions_removed", result.contracted);
     return result;
+}
+
+std::optional<TranslatedState> WitnessMap::translate(
+    const Stg& input, const std::vector<petri::TransitionId>& trace) const {
+    const petri::NetSystem& sys = input.system();
+    TranslatedState out;
+    out.marking = sys.initial_marking();
+    out.trace.reserve(trace.size());
+    // Iteration bound against pathological removed-dummy cycles: secure
+    // contraction cannot remove a token-generating loop, so any correct
+    // replay fires each removed dummy a bounded number of times between
+    // visible steps.  Exceeding the bound means a soundness bug upstream.
+    const std::size_t bound = 64 * (removed.size() + 1) + trace.size();
+    std::size_t silent_fired = 0;
+    const auto fire_first_enabled_removed = [&]() -> bool {
+        for (petri::TransitionId d : removed) {
+            if (sys.enabled(out.marking, d)) {
+                out.marking = sys.fire(out.marking, d);
+                out.trace.push_back(d);
+                return true;
+            }
+        }
+        return false;
+    };
+    for (petri::TransitionId ct : trace) {
+        if (ct >= to_input.size()) return std::nullopt;
+        const petri::TransitionId it = to_input[ct];
+        while (!sys.enabled(out.marking, it)) {
+            if (++silent_fired > bound) return std::nullopt;
+            if (!fire_first_enabled_removed()) return std::nullopt;
+        }
+        out.marking = sys.fire(out.marking, it);
+        out.trace.push_back(it);
+    }
+    // Tau-closure: advance past still-enabled removed dummies so the final
+    // marking is the canonical representative of its silent-move class
+    // (type-1 security: firing a removed dummy never disables anything).
+    while (fire_first_enabled_removed())
+        if (++silent_fired > bound) return std::nullopt;
+    return out;
 }
 
 }  // namespace stgcc::stg

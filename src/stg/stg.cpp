@@ -44,10 +44,17 @@ bool Stg::has_dummies() const {
 }
 
 void Stg::require_dummy_free() const {
-    if (has_dummies())
-        throw ModelError("STG '" + name_ +
-                         "' contains dummy transitions; the coding-conflict "
-                         "checkers require a dummy-free STG");
+    if (!has_dummies()) return;
+    std::string names;
+    for (petri::TransitionId t = 0; t < net().num_transitions(); ++t) {
+        if (!is_dummy(t)) continue;
+        if (!names.empty()) names += ", ";
+        names += net().transition_name(t);
+    }
+    throw ModelError("STG '" + name_ + "' contains dummy transitions (" +
+                     names +
+                     "); the coding-conflict checkers require a dummy-free "
+                     "STG");
 }
 
 std::string Stg::label_text(petri::TransitionId t) const {

@@ -75,7 +75,7 @@ public:
     }
     [[nodiscard]] bool has_dummies() const;
 
-    /// Throw ModelError when the STG contains dummy transitions.
+    /// Throw ModelError, naming the dummies, when the STG contains any.
     void require_dummy_free() const;
 
     /// Human-readable label text, e.g. "dsr+" or "tau".

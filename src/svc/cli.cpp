@@ -16,11 +16,6 @@ constexpr const char* kSharedHelp[][2] = {
     {"--jobs N", "worker threads (default: hardware concurrency;\n"
                  "1 = serial; verdicts are identical at any N)"},
     {"--no-normalcy", "skip the normalcy check"},
-    {"--reduce[=LIST]", "verdict-preserving net reductions before unfolding\n"
-                        "(docs/REDUCTIONS.md): all passes, or a comma list\n"
-                        "of contract,series,dup-place,const-place;\n"
-                        "witnesses are still reported on the original net"},
-    {"--no-reduce", "disable reductions (the default)"},
     {"--deadlock", "also run the deadlock check (section 5)"},
     {"--json FILE", "write a machine-readable JSON report"},
     {"--trace FILE", "write a Chrome trace-event JSON (chrome://tracing)"},
@@ -99,12 +94,6 @@ std::optional<int> parse_cli(int argc, char** argv, const CliTool& tool,
             return 0;
         } else if (is("--no-normalcy")) {
             out.check.normalcy = false;
-        } else if (is("--reduce")) {
-            out.check.reduce = "all";
-        } else if (!std::strncmp(a, "--reduce=", 9)) {
-            out.check.reduce = a + 9;
-        } else if (is("--no-reduce")) {
-            out.check.reduce = "none";
         } else if (is("--deadlock")) {
             out.check.deadlock = true;
         } else if (is("--no-cache")) {
@@ -139,13 +128,6 @@ std::optional<int> parse_cli(int argc, char** argv, const CliTool& tool,
     }
     if (!out.input) {
         std::cerr << tool.missing_input << "\n";
-        return 2;
-    }
-    // An unknown pass list is a usage error, not a model error.
-    try {
-        (void)out.check.verify_options();
-    } catch (const std::exception& ex) {
-        std::cerr << "bad --reduce value: " << ex.what() << "\n";
         return 2;
     }
     if (out.check.use_cache) out.cache_dir = resolve_cache_dir(cache_dir);

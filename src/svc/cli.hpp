@@ -2,9 +2,8 @@
 //
 // Both front ends verify STGs with the same checker options, the same
 // result cache and the same stgd client, so those flags are parsed here,
-// once: one spelling, one validation (bad numbers and unknown reduction
-// passes exit 2), one set of --help lines and one $STGCC_CACHE_DIR
-// resolution.  Each tool declares only its own flags (ToolFlag).
+// once: one spelling, one validation (bad numbers exit 2), one set of
+// --help lines and one $STGCC_CACHE_DIR resolution.  Each tool declares only its own flags (ToolFlag).
 #pragma once
 
 #include <cstdint>
@@ -20,8 +19,7 @@ namespace stgcc::svc {
 /// The shared flags, parsed and validated.
 struct CliOptions {
     const char* input = nullptr;  ///< the positional argument (last wins)
-    /// --no-normalcy, --reduce[=LIST], --no-reduce, --deadlock, --no-cache
-    /// (use_cache).  The reduce spec is known to parse.
+    /// --no-normalcy, --deadlock, --no-cache (use_cache).
     CheckOptions check;
     unsigned jobs = 0;             ///< --jobs N (0 = hardware concurrency)
     /// Result-cache root: --cache-dir, else $STGCC_CACHE_DIR; "" (no result

@@ -5,7 +5,6 @@ namespace stgcc::svc {
 obs::Json CheckOptions::to_json() const {
     return obs::Json::object()
         .set("normalcy", normalcy)
-        .set("reduce", reduce)
         .set("deadlock", deadlock)
         .set("persistency", persistency)
         .set("use_cache", use_cache);
@@ -19,7 +18,6 @@ CheckOptions CheckOptions::from_json(const obs::Json* j) {
         return v ? v->as_bool() : fallback;
     };
     opts.normalcy = flag("normalcy", opts.normalcy);
-    if (const obs::Json* r = j->find("reduce")) opts.reduce = r->as_string();
     opts.deadlock = flag("deadlock", opts.deadlock);
     opts.persistency = flag("persistency", opts.persistency);
     opts.use_cache = flag("use_cache", opts.use_cache);
@@ -29,7 +27,6 @@ CheckOptions CheckOptions::from_json(const obs::Json* j) {
 core::VerifyOptions CheckOptions::verify_options() const {
     core::VerifyOptions v;
     v.check_normalcy = normalcy;
-    v.reduce = stg::reduce::Options::parse(reduce);
     v.check_deadlock = deadlock;
     v.check_persistency = persistency;
     return v;

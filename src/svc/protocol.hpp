@@ -38,15 +38,14 @@
 
 namespace stgcc::svc {
 
-inline constexpr std::int64_t kProtocolVersion = 2;
+inline constexpr std::int64_t kProtocolVersion = 3;
 
 /// Checker options carried by check/batch requests -- exactly the flag set
-/// that discriminates cached verdicts (docs/CACHING.md).
+/// that discriminates cached verdicts (docs/CACHING.md).  A "reduce" member
+/// (protocol 2) is ignored: dummies are contracted whenever a model has
+/// them.
 struct CheckOptions {
     bool normalcy = true;
-    /// Reduction-pipeline spec (docs/REDUCTIONS.md): "none", "all", or a
-    /// comma-separated pass list.
-    std::string reduce = "none";
     bool deadlock = false;
     bool persistency = false;
     bool use_cache = true;  ///< result caches for this request
@@ -55,8 +54,7 @@ struct CheckOptions {
     [[nodiscard]] static CheckOptions from_json(const obs::Json* j);
 
     /// The checker configuration these options select (jobs, unfolding and
-    /// search settings stay at their defaults).  Throws ModelError on an
-    /// unparsable reduce spec.
+    /// search settings stay at their defaults).
     [[nodiscard]] core::VerifyOptions verify_options() const;
 };
 

@@ -14,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stg/astg.hpp"
-#include "stg/reduce/reduce.hpp"
 
 namespace stgcc::svc {
 
@@ -486,8 +485,6 @@ Server::Outcome Server::run_check(const std::string& model_text,
     const std::uint64_t hash = cache::fnv1a64(model_text);
     out.model_hash = hash;
     try {
-        // An unparsable reduce spec throws here, before any cache
-        // interaction: no entry is ever keyed by a non-canonical signature.
         core::VerifyOptions vopts = copts.verify_options();
         const std::string sig = core::options_signature(vopts);
         const std::string key = std::to_string(hash) + '|' + sig;
@@ -526,15 +523,16 @@ Server::Outcome Server::run_check(const std::string& model_text,
             out.error_message = kDeadlineQueued;
             return out;
         }
-        const auto bundle = get_bundle(model_text, hash, vopts.reduce);
+        const auto bundle = get_bundle(model_text, hash);
         vopts.search.cancel = deadline;
         // Semantic tier ("stgcore", docs/CACHING.md) through the same core
-        // code as verify_stg_cached: the reduced net's canonical hash keys a
+        // code as verify_stg_cached: the checked net's canonical hash keys a
         // pre-translation report shared with the offline tools and with any
-        // model text reducing to the same net.
+        // model text that checks the same net.
         bool semantic = false;
         const core::VerificationReport report = core::verify_reduced(
-            *bundle->model, bundle->red, [&] { return bundle->artifacts; },
+            *bundle->model, bundle->contraction.get(),
+            [&] { return bundle->artifacts; },
             vopts, copts.use_cache ? &rcache_ : nullptr, ex_, &semantic);
         if (deadline.cancelled()) {
             // A cancelled solve stops early with indeterminate verdicts;
@@ -564,13 +562,11 @@ Server::Outcome Server::run_check(const std::string& model_text,
 }
 
 std::shared_ptr<Server::Bundle> Server::get_bundle(
-    const std::string& model_text, std::uint64_t hash,
-    const stg::reduce::Options& reduce) {
-    const std::string spec = reduce.spec();
+    const std::string& model_text, std::uint64_t hash) {
     {
         std::lock_guard<std::mutex> lock(bundles_mu_);
         for (const auto& b : bundles_) {
-            if (b->hash == hash && b->reduce_spec == spec) {
+            if (b->hash == hash) {
                 b->last_used = ++bundle_clock_;
                 obs::counter("svc.bundle.hits").add();
                 return b;
@@ -582,12 +578,17 @@ std::shared_ptr<Server::Bundle> Server::get_bundle(
     // racing on the same new model at worst build it twice.
     auto b = std::make_shared<Bundle>();
     b->hash = hash;
-    b->reduce_spec = spec;
     b->model =
         std::make_shared<const stg::Stg>(stg::parse_astg_string(model_text));
-    b->red = stg::reduce::run_passes(b->model, reduce);
+    std::shared_ptr<const stg::Stg> checked = b->model;
+    if (b->model->has_dummies()) {
+        b->contraction = std::make_shared<const stg::ContractionResult>(
+            stg::contract_dummies(*b->model));
+        checked = std::shared_ptr<const stg::Stg>(b->contraction,
+                                                  &b->contraction->stg);
+    }
     b->artifacts = std::make_shared<const cache::PrefixArtifacts>(
-        b->red.stg, unf::UnfoldOptions{});
+        std::move(checked), unf::UnfoldOptions{});
     std::lock_guard<std::mutex> lock(bundles_mu_);
     b->last_used = ++bundle_clock_;
     if (cfg_.bundle_slots > 0 && bundles_.size() >= cfg_.bundle_slots) {

@@ -2,7 +2,7 @@
 //
 // A Server owns the long-lived state that per-process CLI runs pay for on
 // every invocation: one sched::Executor shared by all requests, an LRU of
-// prefix-artifact bundles (parse + reduction + unfolding, tier 1), an
+// prefix-artifact bundles (parse + dummy contraction + unfolding, tier 1), an
 // in-memory map of rendered verdicts, and the on-disk result cache
 // (tier 3).  Connections arrive over Unix-domain or TCP listeners speaking
 // the length-prefixed JSON protocol of svc/frame.hpp + svc/protocol.hpp.
@@ -159,14 +159,14 @@ private:
         std::uint64_t model_hash = 0;      ///< fnv1a64 of the model text
     };
 
-    /// Parse + reduction + unfolding of one model text, shared across
-    /// requests (tier-1 reuse across the wire).
+    /// Parse + dummy contraction + unfolding of one model text, shared
+    /// across requests (tier-1 reuse across the wire).
     struct Bundle {
         std::uint64_t hash = 0;
-        std::string reduce_spec;                  ///< canonical pipeline spec
         std::shared_ptr<const stg::Stg> model;  ///< as parsed
-        stg::reduce::ReduceResult red;  ///< checked net (== model unless
-                                        ///< reduced) and its chain to model
+        /// The contracted net and its map back to `model`; null when the
+        /// model has no dummies (the checks then see `model`).
+        std::shared_ptr<const stg::ContractionResult> contraction;
         cache::PrefixArtifactsPtr artifacts;
         std::uint64_t last_used = 0;
     };
@@ -201,8 +201,7 @@ private:
                                     const CheckOptions& copts,
                                     const sched::CancellationToken& deadline);
     [[nodiscard]] std::shared_ptr<Bundle> get_bundle(
-        const std::string& model_text, std::uint64_t hash,
-        const stg::reduce::Options& reduce);
+        const std::string& model_text, std::uint64_t hash);
     /// The request's deadline token (`deadline_ms`, else the server
     /// default; empty when neither is set), armed on `source`.
     [[nodiscard]] sched::CancellationToken arm_deadline(

@@ -93,7 +93,25 @@ private:
         for (ConditionId b : minimal)
             for (ConditionId c : minimal)
                 if (b != c) co_[b].set(c);
-        marking_table_.emplace(m0, kNoEvent);
+        marking_table_.emplace(place_set(m0), kNoEvent);
+    }
+
+    [[noreturn]] void throw_unsafe(petri::PlaceId p) const {
+        throw ModelError("unfolding requires a 1-safe net system (place " +
+                         sys_.net().place_name(p) +
+                         " can hold two tokens simultaneously)");
+    }
+
+    /// A safe marking as its set of marked places, the cut-off table's key.
+    /// A count above 1 means the net is not safe (and a set would merge it
+    /// with the safe marking of the same places).
+    BitVec place_set(const petri::Marking& m) const {
+        BitVec set(m.num_places());
+        for (petri::PlaceId p = 0; p < m.num_places(); ++p) {
+            if (m[p] > 1) throw_unsafe(p);
+            if (m[p] == 1) set.set(p);
+        }
+        return set;
     }
 
     void ensure_condition_capacity(std::size_t n) {
@@ -140,10 +158,7 @@ private:
         const petri::PlaceId place = prefix_.condition(b).place;
         for (ConditionId d : by_place_[place])
             if (d != b && d < co_[b].size() && co_[b].test(d))
-                throw ModelError(
-                    "unfolding requires a 1-safe net system (place " +
-                    sys_.net().place_name(place) +
-                    " can hold two tokens simultaneously)");
+                throw_unsafe(place);
     }
 
     /// Enumerate the possible extensions whose preset has `trigger` as its
@@ -226,8 +241,8 @@ private:
 
         // Cut-off test against markings of existing local configurations
         // (and the initial marking).
-        auto [it, inserted] =
-            marking_table_.emplace(marking_of(prefix_, prefix_.local_config(e)), e);
+        auto [it, inserted] = marking_table_.emplace(
+            place_set(marking_of(prefix_, prefix_.local_config(e))), e);
 
         if (!inserted) {
             bool is_cutoff = true;
@@ -259,8 +274,9 @@ private:
     std::size_t cond_capacity_ = 0;
     std::vector<std::vector<ConditionId>> by_place_;
     std::set<Candidate> queue_;
-    /// Mark([e]) -> the first event reaching it (kNoEvent for M0).
-    std::unordered_map<petri::Marking, EventId, petri::MarkingHash> marking_table_;
+    /// Mark([e]) as a place set -> the first event reaching it (kNoEvent
+    /// for M0): one word per entry when |P| <= 64.
+    std::unordered_map<BitVec, EventId, BitVecHash> marking_table_;
 };
 
 namespace {

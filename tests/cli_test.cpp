@@ -188,8 +188,7 @@ TEST_F(CliTest, StgcheckAndStgbatchShareOneFlagParser) {
         // Every spelling of every shared flag is accepted ...
         for (const std::string& flags :
              {std::string("--jobs 2"), std::string("--jobs 1 --no-normalcy"),
-              std::string("--reduce"), std::string("--reduce=contract,series"),
-              std::string("--reduce --no-reduce"), std::string("--deadlock"),
+              std::string("--deadlock"),
               std::string("--no-cache"),
               "--cache-dir " + in_work("cache"),
               "--json " + in_work("r.json"), "--trace " + in_work("t.json"),
@@ -201,15 +200,14 @@ TEST_F(CliTest, StgcheckAndStgbatchShareOneFlagParser) {
             const auto r = run(tool + " " + help);
             EXPECT_EQ(r.exit_code, 0) << help;
             for (const char* flag :
-                 {"--jobs N", "--no-normalcy", "--reduce[=LIST]", "--no-reduce",
-                  "--deadlock", "--json FILE", "--trace FILE", "--cache-dir DIR",
+                 {"--jobs N", "--no-normalcy", "--deadlock", "--json FILE", "--trace FILE", "--cache-dir DIR",
                   "--no-cache", "--connect EP", "--deadline-ms D"})
                 EXPECT_NE(r.output.find(flag), std::string::npos) << flag;
         }
         // ... and the same malformed values are usage errors in both.
         for (const char* bad :
              {"--jobs x", "--deadline-ms x", "--deadline-ms 5ms",
-              "--reduce=bogus", "--reduce=contract,bogus", "--bogus",
+              "--bogus",
               "--jobs", "--connect unix:/nonexistent/stgd.sock"}) {
             const auto r = run(tool + " " + bad);
             EXPECT_EQ(r.exit_code, 2) << bad << "\n" << r.output;

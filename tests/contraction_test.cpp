@@ -64,7 +64,6 @@ TEST(Contraction, SeriesDummyRemoved) {
     ASSERT_TRUE(model.has_dummies());
     auto result = contract_dummies(model);
     EXPECT_EQ(result.contracted, 1u);
-    EXPECT_TRUE(result.remaining_dummies.empty());
     EXPECT_FALSE(result.stg.has_dummies());
     // Behaviour: the visible state graph is the 4-phase cycle.
     StateGraph sg(result.stg);
@@ -110,8 +109,38 @@ TEST(Contraction, InsecureDummyLeftAlone) {
     auto model = b.build();
     auto result = contract_dummies(model);
     EXPECT_EQ(result.contracted, 0u);
-    EXPECT_EQ(result.remaining_dummies.size(), 1u);
+    EXPECT_TRUE(result.stg.has_dummies());
     EXPECT_FALSE(is_contractable(model, model.net().find_transition("eps")));
+}
+
+TEST(Contraction, ConstantSelfLoopIsNoObstacle) {
+    // eps also loops on `loop`, a marked place that every adjacent
+    // transition both consumes and produces: its marking never changes, so
+    // the loop neither enables nor distinguishes anything.  Contraction
+    // drops eps's arcs to it and then removes eps as a series dummy.
+    StgBuilder b("const-loop");
+    b.input("a").output("x").dummy("eps");
+    b.chain({"a+", "eps", "x+", "a-", "x-", "a+"});
+    b.token_between("x-", "a+");
+    b.place("loop", 1);
+    b.arc("loop", "eps").arc("eps", "loop");
+    const auto model = b.build();
+    EXPECT_TRUE(is_contractable(model, model.net().find_transition("eps")));
+    const auto result = contract_dummies(model);
+    EXPECT_EQ(result.contracted, 1u);
+    EXPECT_FALSE(result.stg.has_dummies());
+
+    // A self-loop place whose marking can change stays an obstacle.
+    StgBuilder v("varying-loop");
+    v.input("a").output("x").dummy("eps");
+    v.chain({"a+", "eps", "x+", "a-", "x-", "a+"});
+    v.token_between("x-", "a+");
+    v.place("loop", 1);
+    v.arc("loop", "eps").arc("eps", "loop").arc("loop", "x+");
+    const auto varying = v.build();
+    EXPECT_FALSE(
+        is_contractable(varying, varying.net().find_transition("eps")));
+    EXPECT_TRUE(contract_dummies(varying).stg.has_dummies());
 }
 
 class ContractionRoundtrip : public ::testing::TestWithParam<int> {};
@@ -129,7 +158,7 @@ TEST_P(ContractionRoundtrip, InsertThenContractPreservesVerdicts) {
     Stg with_dummies = insert_dummies(original, 2);
     ASSERT_TRUE(with_dummies.has_dummies());
     auto result = contract_dummies(with_dummies);
-    EXPECT_TRUE(result.remaining_dummies.empty())
+    EXPECT_FALSE(result.stg.has_dummies())
         << "all inserted dummies are series dummies";
 
     // The contracted STG must be behaviourally identical to the original:

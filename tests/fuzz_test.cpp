@@ -144,7 +144,6 @@ TEST(VerifierFuzz, RandomModelsAgreeWithStateGraph) {
         const auto model = test::random_stg(seed, cfg);
 
         core::VerifyOptions opts;
-        opts.reduce = stg::reduce::Options::parse("contract");
         const auto report = core::verify_stg(model, opts);
         ASSERT_TRUE(report.consistent) << report.inconsistency_reason;
         const stg::Stg& checked =

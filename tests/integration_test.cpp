@@ -7,6 +7,11 @@
 //   -> round-trip through the ASTG format and re-verify once more.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
+#include "cache/result_cache.hpp"
 #include "core/resolver.hpp"
 #include "core/verifier.hpp"
 #include "stg/astg.hpp"
@@ -18,6 +23,50 @@ namespace stgcc {
 namespace {
 
 class PipelineTest : public ::testing::TestWithParam<int> {};
+
+/// What resolve_csc inserts on each Table 1 row it repairs: the steps, and
+/// the FNV-1a hash of the repaired STG written as .g text.
+struct ResolutionPin {
+    std::string steps;
+    std::uint64_t astg_hash = 0;
+};
+
+const std::map<std::string, ResolutionPin>& resolution_pins() {
+    static const std::map<std::string, ResolutionPin> pins = {
+        {"LAZYRING",
+         {"csc0+ after rr1+, csc0- after each consumer of tok1; "
+          "csc1+ after each consumer of tok2, csc1- after rr2+; ",
+          2263742001610882918ull}},
+        {"DUP-4PH-A",
+         {"csc0+ after ad1-, csc0- after bd1-; "
+          "csc1+ after asr-, csc1- after bsr-; ",
+          5732891977256727196ull}},
+        {"DUP-4PH-B",
+         {"csc0+ after ad2-, csc0- after bd2-; "
+          "csc1+ after asr-, csc1- after bsr-; ",
+          4083647077627179909ull}},
+        {"DUP-4PH-MTR-A",
+         {"csc0+ after ad1-, csc0- after bd1-; "
+          "csc1+ after asr-, csc1- after bsr-; ",
+          8269157586994564319ull}},
+    };
+    return pins;
+}
+
+std::string steps_text(const core::ResolutionResult& r) {
+    std::string out;
+    for (const core::ResolutionStep& s : r.steps) {
+        out += s.signal;
+        out += "+ after ";
+        out += s.rising_after;
+        out += ", ";
+        out += s.signal;
+        out += "- after ";
+        out += s.falling_after;
+        out += "; ";
+    }
+    return out;
+}
 
 TEST_P(PipelineTest, FullFrontEnd) {
     auto suite = stg::bench::table1_suite();
@@ -42,6 +91,12 @@ TEST_P(PipelineTest, FullFrontEnd) {
         if (nb.stg.net().num_transitions() > 22) GTEST_SKIP();
         auto resolution = core::resolve_csc(nb.stg);
         ASSERT_TRUE(resolution.resolved) << nb.name;
+        const auto pin = resolution_pins().find(nb.name);
+        ASSERT_NE(pin, resolution_pins().end()) << nb.name;
+        EXPECT_EQ(steps_text(resolution), pin->second.steps) << nb.name;
+        EXPECT_EQ(cache::fnv1a64(stg::write_astg_string(resolution.stg)),
+                  pin->second.astg_hash)
+            << nb.name;
         implementable = resolution.stg;
         auto re = core::verify_stg(implementable, vopts);
         ASSERT_TRUE(re.consistent) << nb.name;

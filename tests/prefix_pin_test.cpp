@@ -21,7 +21,7 @@
 #include "cache/result_cache.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
-#include "stg/reduce/reduce.hpp"
+#include "stg/contraction.hpp"
 #include "test_util.hpp"
 #include "unfolding/unfolder.hpp"
 
@@ -200,13 +200,9 @@ std::string sweep_hash(unsigned first, unsigned last,
     std::string joined;
     for (unsigned s = first; s < last; ++s) {
         const test::RandomStgConfig cfg = knob(s);
-        auto model =
-            std::make_shared<const stg::Stg>(test::random_stg(seed_of(s), cfg));
-        if (model->has_dummies())
-            model = stg::reduce::run_passes(model,
-                                            stg::reduce::Options::parse("contract"))
-                        .stg;
-        joined += hash_of(model->system());
+        stg::Stg model = test::random_stg(seed_of(s), cfg);
+        if (model.has_dummies()) model = stg::contract_dummies(model).stg;
+        joined += hash_of(model.system());
     }
     return hex(cache::fnv1a64(joined));
 }

@@ -179,7 +179,6 @@ TEST_P(DifferentialCacheTest, CacheOnAndOffAreByteIdentical) {
     const auto model = test::random_stg(seed, cfg);
 
     core::VerifyOptions opts;
-    opts.reduce = stg::reduce::Options::parse("contract");  // generated dummies
     opts.check_deadlock = true;
     const auto reference = core::verify_stg(model, opts);
     const std::string text = core::format_report(model, reference);
@@ -222,7 +221,6 @@ TEST_P(DifferentialCacheTest, ContractedVerdictsAgreeWithStateGraph) {
     const auto model = test::random_stg(seed, cfg);
 
     core::VerifyOptions opts;
-    opts.reduce = stg::reduce::Options::parse("contract");
     const auto report = core::verify_stg(model, opts);
     ASSERT_TRUE(report.consistent) << "seed=" << seed;
     const stg::Stg& checked =

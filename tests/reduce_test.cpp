@@ -1,9 +1,9 @@
-// Reduction pass manager tests (docs/REDUCTIONS.md): pass-spec parsing,
-// per-pass soundness on hand-built nets where a naive reduction would flip
-// the verdict, witness back-translation onto the original net, the report
-// codec round-trip, the centralized options signature (one spelling for
-// every cache key), the shared semantic result-cache tier, and the
-// reduce-on/reduce-off differential fleet at jobs 1 and 8.
+// Dummy contraction inside verify (docs/ALGORITHMS.md, "Dummy
+// contraction"): witness back-translation onto the original net, the
+// semantic identity and report codec of the shared "stgcore" cache tier,
+// the one options signature, the dummy-free / dummy-laced differential
+// fleet at jobs 1 and 8, and the CLI (retired --reduce flags, .pnml
+// dispatch).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -12,7 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "cache/result_cache.hpp"
 #include "core/report_codec.hpp"
@@ -21,7 +23,7 @@
 #include "petri/pnml.hpp"
 #include "stg/astg.hpp"
 #include "stg/builder.hpp"
-#include "stg/reduce/reduce.hpp"
+#include "stg/contraction.hpp"
 #include "stg/state_checks.hpp"
 #include "stg/state_graph.hpp"
 #include "svc/protocol.hpp"
@@ -31,157 +33,12 @@ namespace stgcc {
 namespace {
 
 namespace fs = std::filesystem;
-using stg::reduce::Options;
 
-// --- pass-spec parsing ------------------------------------------------------
-
-TEST(ReduceOptions, ParseAndCanonicalSpec) {
-    EXPECT_FALSE(Options::parse("none").enabled);
-    EXPECT_FALSE(Options::parse("off").enabled);
-    EXPECT_EQ(Options::parse("none").spec(), "none");
-
-    const Options all = Options::parse("all");
-    EXPECT_TRUE(all.enabled);
-    EXPECT_EQ(all.spec(), "contract,series,dup-place,const-place");
-    EXPECT_EQ(Options::parse("").spec(), all.spec());
-    EXPECT_EQ(Options::parse("on").spec(), all.spec());
-    EXPECT_EQ(Options::all(), all);
-
-    const Options listed = Options::parse("dup-place,contract");
-    EXPECT_TRUE(listed.enabled);
-    EXPECT_EQ(listed.spec(), "dup-place,contract");  // run order preserved
-
-    EXPECT_THROW((void)Options::parse("contract,bogus"), ModelError);
-    EXPECT_THROW((void)Options::parse(","), ModelError);
-}
-
-TEST(ReduceOptions, KnownPassesResolve) {
-    for (const std::string& name : stg::reduce::known_passes()) {
-        const auto* pass = stg::reduce::find_pass(name);
-        ASSERT_NE(pass, nullptr) << name;
-        EXPECT_EQ(pass->name(), name);
-    }
-    EXPECT_EQ(stg::reduce::find_pass("bogus"), nullptr);
-}
-
-// --- hand-built nets --------------------------------------------------------
-
-/// tiny_handshake plus an explicit duplicate of the implicit <b-,a+> place
-/// (same preset, same postset, same marking) -- dup-place removes it.
-stg::Stg handshake_with_dup() {
-    stg::StgBuilder b("dup-pos");
-    b.input("a").output("b");
-    b.arc("a+", "b+").arc("b+", "a-").arc("a-", "b-").arc("b-", "a+");
-    b.token_between("b-", "a+");
-    b.place("dup0", 1);
-    b.arc("b-", "dup0").arc("dup0", "a+");
-    return b.build();
-}
-
-/// Same shape but the extra place starts EMPTY: equal pre/postsets, unequal
-/// initial marking.  The net deadlocks immediately (a+ can never fire); a
-/// naive duplicate-removal that ignored M0 would delete the empty place and
-/// flip the deadlock verdict to "free".
-stg::Stg handshake_with_starved_dup() {
-    stg::StgBuilder b("dup-neg");
-    b.input("a").output("b");
-    b.arc("a+", "b+").arc("b+", "a-").arc("a-", "b-").arc("b-", "a+");
-    b.token_between("b-", "a+");
-    b.place("dup0", 0);
-    b.arc("b-", "dup0").arc("dup0", "a+");
-    return b.build();
-}
-
-/// tiny_handshake plus a marked pure-self-loop place on a+ -- its marking
-/// is constant, const-place removes it.
-stg::Stg handshake_with_const_place() {
-    stg::StgBuilder b("const-pos");
-    b.input("a").output("b");
-    b.arc("a+", "b+").arc("b+", "a-").arc("a-", "b-").arc("b-", "a+");
-    b.token_between("b-", "a+");
-    b.place("cp", 1);
-    b.arc("cp", "a+").arc("a+", "cp");
-    return b.build();
-}
-
-TEST(ReducePasses, DupPlaceRemovesTrueDuplicate) {
-    const auto model = handshake_with_dup();
-    const auto baseline = test::tiny_handshake();
-
-    core::VerifyOptions on;
-    on.reduce = Options::parse("dup-place");
-    const auto r_on = core::verify_stg(model, on);
-    const auto r_off = core::verify_stg(model, {});
-    const auto r_base = core::verify_stg(baseline, {});
-
-    EXPECT_EQ(r_on.reduction.places_removed(), 1u);
-    EXPECT_EQ(r_on.reduction.transitions_removed(), 0u);
-    ASSERT_TRUE(r_on.reduced_stg.has_value());
-    EXPECT_EQ(r_on.reduced_stg->net().num_places(),
-              model.net().num_places() - 1);
-    // Verdicts agree with both the unreduced run and the duplicate-free net.
-    EXPECT_EQ(r_on.usc.holds, r_off.usc.holds);
-    EXPECT_EQ(r_on.csc.holds, r_off.csc.holds);
-    EXPECT_EQ(r_on.usc.holds, r_base.usc.holds);
-    const std::string text = core::format_report(model, r_on);
-    EXPECT_NE(text.find("dup-place"), std::string::npos);
-}
-
-TEST(ReducePasses, DupPlaceKeepsStarvedSibling) {
-    // The starved duplicate is semantically load-bearing: removing it would
-    // turn a dead net into a live one.  The pass must keep it and the
-    // deadlock verdict must survive reduce=all.
-    const auto model = handshake_with_starved_dup();
-    core::VerifyOptions opts;
-    opts.reduce = Options::all();
-    opts.check_deadlock = true;
-    const auto report = core::verify_stg(model, opts);
-    EXPECT_EQ(report.reduction.places_removed(), 0u);
-    EXPECT_TRUE(report.deadlock_checked);
-    EXPECT_FALSE(report.deadlock_free);
-
-    core::VerifyOptions off;
-    off.check_deadlock = true;
-    const auto r_off = core::verify_stg(model, off);
-    EXPECT_EQ(report.deadlock_free, r_off.deadlock_free);
-}
-
-TEST(ReducePasses, ConstPlaceRemovesMarkedSelfLoop) {
-    const auto model = handshake_with_const_place();
-    core::VerifyOptions on;
-    on.reduce = Options::parse("const-place");
-    const auto r_on = core::verify_stg(model, on);
-    const auto r_off = core::verify_stg(model, {});
-
-    EXPECT_EQ(r_on.reduction.places_removed(), 1u);
-    ASSERT_TRUE(r_on.reduced_stg.has_value());
-    EXPECT_EQ(r_on.reduced_stg->net().find_place("cp"), petri::kNoPlace);
-    EXPECT_EQ(r_on.usc.holds, r_off.usc.holds);
-    EXPECT_EQ(r_on.csc.holds, r_off.csc.holds);
-}
-
-TEST(ReducePasses, ConstPlaceKeepsPlaceWithPureProducer) {
-    // cp gains a producer that never consumes it: its marking is no longer
-    // constant, so removal could merge reachable markings and (for a net
-    // where those markings share a code) manufacture or hide a USC verdict.
-    // The pass must refuse.
-    stg::StgBuilder b("const-neg");
-    b.input("a").output("b");
-    b.arc("a+", "b+").arc("b+", "a-").arc("a-", "b-").arc("b-", "a+");
-    b.token_between("b-", "a+");
-    b.place("cp", 1);
-    b.arc("cp", "a+").arc("a+", "cp").arc("b+", "cp");
-    const auto model = b.build();
-
-    const auto* pass = stg::reduce::find_pass("const-place");
-    ASSERT_NE(pass, nullptr);
-    const auto res = pass->apply(std::make_shared<const stg::Stg>(model));
-    EXPECT_FALSE(res.changed);
-}
+// --- contraction ------------------------------------------------------------
 
 TEST(ReducePasses, SeriesContractsOnlySingletonDummies) {
-    // eps2 joins two branches (|*eps2| = 2): series must skip it, the
-    // general contract pass handles it.
+    // eps joins two branches (|*eps| = 2): the general contraction removes
+    // it with 2x1 product places.
     stg::StgBuilder b("series-vs-contract");
     b.input("a").input("c").output("x").dummy("eps");
     b.arc("a+", "eps").arc("c+", "eps").arc("eps", "x+");
@@ -191,17 +48,12 @@ TEST(ReducePasses, SeriesContractsOnlySingletonDummies) {
     b.token_between("x-", "c+");
     const auto model = b.build();
 
-    const auto series = stg::reduce::run_passes(
-        std::make_shared<const stg::Stg>(model), Options::parse("series"));
-    EXPECT_EQ(series.summary.transitions_removed(), 0u);
-    ASSERT_EQ(series.summary.remaining_dummies.size(), 1u);
-    EXPECT_EQ(series.summary.remaining_dummies[0], "eps");
-
-    const auto contract = stg::reduce::run_passes(
-        std::make_shared<const stg::Stg>(model), Options::parse("contract"));
-    EXPECT_EQ(contract.summary.transitions_removed(), 1u);
-    EXPECT_TRUE(contract.summary.remaining_dummies.empty());
-    EXPECT_FALSE(contract.stg->has_dummies());
+    const auto contract = stg::contract_dummies(model);
+    EXPECT_EQ(contract.contracted, 1u);
+    EXPECT_FALSE(contract.stg.has_dummies());
+    EXPECT_EQ(contract.map.removed,
+              std::vector<petri::TransitionId>{
+                  model.net().find_transition("eps")});
 }
 
 // --- witness back-translation ----------------------------------------------
@@ -212,21 +64,21 @@ TEST(WitnessChain, TranslatedTracesReplayOnInput) {
     b.input("a").output("x").dummy("eps");
     b.chain({"a+", "eps", "x+", "a-", "x-", "a+"});
     b.token_between("x-", "a+");
-    const auto shared = std::make_shared<const stg::Stg>(b.build());
+    const auto model = b.build();
 
-    const auto red = stg::reduce::run_passes(shared, Options::parse("contract"));
-    ASSERT_EQ(red.summary.transitions_removed(), 1u);
-    ASSERT_FALSE(red.chain.empty());
+    const auto contraction = stg::contract_dummies(model);
+    ASSERT_EQ(contraction.contracted, 1u);
+    const stg::WitnessMap& map = contraction.map;
 
-    // Reduced trace a+ x+: on the input net the removed dummy must be
+    // Contracted trace a+ x+: on the input net the removed dummy must be
     // spliced in before x+ becomes enabled.
-    const auto a_plus = red.stg->net().find_transition("a+");
-    const auto x_plus = red.stg->net().find_transition("x+");
+    const auto a_plus = contraction.stg.net().find_transition("a+");
+    const auto x_plus = contraction.stg.net().find_transition("x+");
     ASSERT_NE(a_plus, petri::kNoTransition);
     ASSERT_NE(x_plus, petri::kNoTransition);
-    const auto lifted = red.chain.translate({a_plus, x_plus});
+    const auto lifted = map.translate(model, {a_plus, x_plus});
     ASSERT_TRUE(lifted.has_value());
-    const auto replayed = shared->system().fire_sequence(lifted->trace);
+    const auto replayed = model.system().fire_sequence(lifted->trace);
     ASSERT_TRUE(replayed.has_value());
     EXPECT_TRUE(*replayed == lifted->marking);
     // The lifted trace contains the dummy: strictly longer than the input.
@@ -234,9 +86,9 @@ TEST(WitnessChain, TranslatedTracesReplayOnInput) {
 
     // The empty trace tau-closes past an initially enabled dummy chain --
     // here nothing is initially enabled, so it stays empty.
-    const auto empty = red.chain.translate({});
+    const auto empty = map.translate(model, {});
     ASSERT_TRUE(empty.has_value());
-    EXPECT_TRUE(empty->marking == shared->system().initial_marking());
+    EXPECT_TRUE(empty->marking == model.system().initial_marking());
 }
 
 // --- canonical text / semantic identity ------------------------------------
@@ -262,8 +114,8 @@ TEST(SemanticHash, InsensitiveToConstructionOrder) {
     b2.token_between(cycle.back(), cycle.front());
     const auto s1 = b1.build();
     const auto s2 = b2.build();
-    EXPECT_EQ(stg::reduce::canonical_text(s1), stg::reduce::canonical_text(s2));
-    EXPECT_EQ(stg::reduce::semantic_hash(s1), stg::reduce::semantic_hash(s2));
+    EXPECT_EQ(core::canonical_text(s1), core::canonical_text(s2));
+    EXPECT_EQ(core::semantic_hash(s1), core::semantic_hash(s2));
 }
 
 TEST(SemanticHash, SignalOrderIsSignificant) {
@@ -277,8 +129,8 @@ TEST(SemanticHash, SignalOrderIsSignificant) {
     b2.output("b").input("a");
     b2.arc("a+", "b+").arc("b+", "a-").arc("a-", "b-").arc("b-", "a+");
     b2.token_between("b-", "a+");
-    EXPECT_NE(stg::reduce::semantic_hash(b1.build()),
-              stg::reduce::semantic_hash(b2.build()));
+    EXPECT_NE(core::semantic_hash(b1.build()),
+              core::semantic_hash(b2.build()));
 }
 
 // --- report codec -----------------------------------------------------------
@@ -307,27 +159,25 @@ TEST(ReportCodec, RejectsPayloadFromDifferentNet) {
     EXPECT_FALSE(core::decode_report(payload, other).has_value());
 }
 
-// --- centralized options signature (satellite: one spelling) ----------------
+// --- centralized options signature (one spelling) ---------------------------
 
 TEST(OptionsSignature, OneSpellingSharedByAllCaches) {
     const auto sig = [](const svc::CheckOptions& c) {
         return core::options_signature(c.verify_options());
     };
     svc::CheckOptions copts;
-    EXPECT_EQ(sig(copts), "v2;normalcy=1;reduce=none;deadlock=0;persistency=0");
+    EXPECT_EQ(sig(copts), "v3;normalcy=1;deadlock=0;persistency=0");
+    svc::CheckOptions deadlock = copts;
+    deadlock.deadlock = true;
+    EXPECT_EQ(sig(deadlock), "v3;normalcy=1;deadlock=1;persistency=0");
 
-    // The reduce spec is canonicalized, so "all" and the expanded list key
-    // the same entries.
-    svc::CheckOptions alias = copts;
-    alias.reduce = "all";
-    svc::CheckOptions listed = copts;
-    listed.reduce = "contract,series,dup-place,const-place";
-    EXPECT_EQ(sig(alias), sig(listed));
-    EXPECT_NE(sig(alias), sig(copts));
-
-    // to_json/from_json round-trips the signature.
-    const obs::Json j = listed.to_json();
-    EXPECT_EQ(sig(svc::CheckOptions::from_json(&j)), sig(listed));
+    // to_json/from_json round-trips the signature, and a protocol-2
+    // "reduce" member is ignored.
+    obs::Json j = deadlock.to_json();
+    EXPECT_EQ(j.find("reduce"), nullptr);
+    EXPECT_EQ(sig(svc::CheckOptions::from_json(&j)), sig(deadlock));
+    j.set("reduce", "all");
+    EXPECT_EQ(sig(svc::CheckOptions::from_json(&j)), sig(deadlock));
 }
 
 // --- shared semantic cache tier ---------------------------------------------
@@ -386,9 +236,9 @@ TEST_F(SemanticCacheTest, StructurallyEquivalentInputsShareEntries) {
 }
 
 TEST_F(SemanticCacheTest, ReducedNetsShareEntriesAcrossDummySpellings) {
-    // The same dummy net written in two arc orders: reduce=contract maps
-    // both onto one reduced net, whose hash keys the shared entry.  The
-    // hit is translated through input B's own witness chain.
+    // The same dummy net written in two arc orders: contraction maps both
+    // onto one net, whose hash keys the shared entry.  The hit is
+    // translated through input B's own witness map.
     stg::StgBuilder b1("dummy-warm");
     b1.input("a").output("x").dummy("eps");
     b1.chain({"a+", "eps", "x+", "a-", "x-", "a+"});
@@ -403,7 +253,6 @@ TEST_F(SemanticCacheTest, ReducedNetsShareEntriesAcrossDummySpellings) {
 
     const cache::ResultCache rcache(dir_.string());
     core::VerifyOptions opts;
-    opts.reduce = Options::parse("contract");
     sched::Executor ex(opts.jobs);
     bool hit = true;
     (void)core::verify_stg_cached(a, opts, rcache, ex, &hit);
@@ -412,29 +261,6 @@ TEST_F(SemanticCacheTest, ReducedNetsShareEntriesAcrossDummySpellings) {
     EXPECT_TRUE(hit);
     EXPECT_EQ(core::format_report(b, r2),
               core::format_report(b, core::verify_stg(b, opts)));
-}
-
-TEST_F(SemanticCacheTest, ReduceSpecToggleHitsTheSemanticTier) {
-    // The tier's measured use: a warm cache and a changed reduce spec.  The
-    // verdict entry is keyed on the options, so it misses; VME has nothing
-    // to reduce, so the reduced net hashes like the unreduced one and the
-    // "stgcore" entry answers.
-    const auto model = stg::load_astg_file(std::string(STGCC_MODELS_DIR) +
-                                           "/vme.g");
-    const cache::ResultCache rcache(dir_.string());
-    ASSERT_TRUE(rcache.enabled());
-    core::VerifyOptions off;
-    off.reduce = Options::parse("none");
-    core::VerifyOptions all = off;
-    all.reduce = Options::parse("all");
-    sched::Executor ex(off.jobs);
-    bool hit = true;
-    (void)core::verify_stg_cached(model, off, rcache, ex, &hit);
-    EXPECT_FALSE(hit);
-    const auto replayed = core::verify_stg_cached(model, all, rcache, ex, &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(core::format_report(model, replayed),
-              core::format_report(model, core::verify_stg(model, all)));
 }
 
 // --- differential fleet: reduce on/off, jobs 1 and 8 ------------------------
@@ -447,10 +273,9 @@ int fleet_iters() {
 class ReduceDifferentialTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ReduceDifferentialTest, ReduceIsInvisibleOnDummyFreeModels) {
-    // Dummy-free generated models across the choice/sync knob sweep: the
-    // default pipeline finds nothing to remove, so reduce-on and reduce-off
-    // runs are byte-identical -- verdicts, witnesses, prefix sizes -- at
-    // jobs 1 and 8.
+    // Dummy-free generated models across the choice/sync knob sweep: no
+    // contraction runs, so no report carries a "reduction" line or object,
+    // and jobs 1 and 8 render byte-identically.
     const unsigned seed = GetParam();
     test::RandomStgConfig cfg;
     cfg.machines = 2 + static_cast<int>(seed % 2);
@@ -460,27 +285,27 @@ TEST_P(ReduceDifferentialTest, ReduceIsInvisibleOnDummyFreeModels) {
     cfg.dummy_probability = 0.0;
     const auto model = test::random_stg(seed, cfg);
 
+    std::string first;
     for (const unsigned jobs : {1u, 8u}) {
-        core::VerifyOptions off;
-        off.jobs = jobs;
-        off.check_deadlock = true;
-        core::VerifyOptions on = off;
-        on.reduce = Options::all();
-        const auto r_off = core::verify_stg(model, off);
-        const auto r_on = core::verify_stg(model, on);
-        EXPECT_EQ(core::format_report(model, r_off),
-                  core::format_report(model, r_on))
-            << "seed=" << seed << " jobs=" << jobs;
-        EXPECT_EQ(r_on.reduction.places_removed() +
-                      r_on.reduction.transitions_removed(),
-                  0u)
+        core::VerifyOptions opts;
+        opts.jobs = jobs;
+        opts.check_deadlock = true;
+        const auto report = core::verify_stg(model, opts);
+        const std::string text = core::format_report(model, report);
+        EXPECT_FALSE(report.reduced_stg.has_value()) << "seed=" << seed;
+        EXPECT_EQ(text.find("reduction:"), std::string::npos)
             << "seed=" << seed;
+        EXPECT_EQ(core::report_json(model, report).find("reduction"), nullptr)
+            << "seed=" << seed;
+        if (first.empty())
+            first = text;
+        else
+            EXPECT_EQ(first, text) << "jobs-dependent output, seed=" << seed;
     }
 }
 
-/// Strip the reduction accounting line ("reduction: ...") -- the only
-/// rendered difference allowed between pipeline spellings that converge to
-/// the same reduced net.
+/// Strip the reduction accounting line ("reduction: ..."): the pins below
+/// cover the verdicts, witnesses and prefix sizes.
 std::string strip_reduction_line(const std::string& text) {
     std::string out;
     std::size_t pos = 0;
@@ -496,12 +321,28 @@ std::string strip_reduction_line(const std::string& text) {
     return out;
 }
 
+/// FNV-1a of each dummy-laced fleet model's report (deadlock check on, the
+/// reduction line stripped), taken with the contraction-only pipeline of
+/// the `--reduce=contract` CLI: verdicts and witnesses must not move.
+/// Seeds past the table (STGCC_FLEET_ITERS > 12) are checked for replay
+/// and jobs-independence only.
+std::uint64_t pinned_report_hash(unsigned seed) {
+    static const std::uint64_t pins[] = {
+        12890602734931901475ull, 3807025181182050973ull,
+        17585246427536372922ull, 5777481610717333220ull,
+        17586013102822071610ull, 18085478209630681274ull,
+        10812860155886120773ull, 10169960021508441868ull,
+        8545446896262552783ull,  8360834208787107033ull,
+        11451832026623289113ull, 15078624759408472729ull,
+    };
+    const unsigned i = seed - 9000u;
+    return i < std::size(pins) ? pins[i] : 0;
+}
+
 TEST_P(ReduceDifferentialTest, AllAndContractAgreeOnDummyModels) {
-    // Dummy-carrying models: reduce=none rejects them (the checkers need
-    // dummy-free STGs), so the differential is reduce=all vs the contract
-    // pipeline alone.  Both converge to the same reduced net, so reports
-    // are byte-identical modulo the per-pass accounting line, at jobs 1
-    // and 8 -- and every witness replays on the ORIGINAL net.
+    // Dummy-carrying models: the default run contracts them, renders the
+    // same verdicts and witnesses as the pinned contraction-only run, at
+    // jobs 1 and 8 -- and every witness replays on the ORIGINAL net.
     const unsigned seed = GetParam();
     test::RandomStgConfig cfg;
     cfg.machines = 2;
@@ -509,29 +350,28 @@ TEST_P(ReduceDifferentialTest, AllAndContractAgreeOnDummyModels) {
     cfg.sync_transitions = static_cast<int>(seed % 3);
     cfg.dummy_probability = 0.3;
     const auto model = test::random_stg(seed, cfg);
+    ASSERT_TRUE(model.has_dummies()) << "seed=" << seed;
 
     std::string first;
     for (const unsigned jobs : {1u, 8u}) {
-        core::VerifyOptions all;
-        all.jobs = jobs;
-        all.check_deadlock = true;
-        all.reduce = Options::all();
-        core::VerifyOptions contract = all;
-        contract.reduce = Options::parse("contract");
-        const auto r_all = core::verify_stg(model, all);
-        const auto r_contract = core::verify_stg(model, contract);
-        const std::string t_all =
-            strip_reduction_line(core::format_report(model, r_all));
-        const std::string t_contract =
-            strip_reduction_line(core::format_report(model, r_contract));
-        EXPECT_EQ(t_all, t_contract) << "seed=" << seed << " jobs=" << jobs;
+        core::VerifyOptions opts;
+        opts.jobs = jobs;
+        opts.check_deadlock = true;
+        const auto report = core::verify_stg(model, opts);
+        ASSERT_TRUE(report.reduced_stg.has_value()) << "seed=" << seed;
+        const std::string text =
+            strip_reduction_line(core::format_report(model, report));
+        if (const std::uint64_t pin = pinned_report_hash(seed)) {
+            EXPECT_EQ(cache::fnv1a64(text), pin) << "seed=" << seed << "\n"
+                                                 << text;
+        }
         if (first.empty())
-            first = t_all;
+            first = text;
         else
-            EXPECT_EQ(first, t_all) << "jobs-dependent output, seed=" << seed;
+            EXPECT_EQ(first, text) << "jobs-dependent output, seed=" << seed;
 
-        if (!r_all.usc.holds) {
-            const auto& w = *r_all.usc.witness;
+        if (!report.usc.holds) {
+            const auto& w = *report.usc.witness;
             const auto m1 = model.system().fire_sequence(w.trace1);
             const auto m2 = model.system().fire_sequence(w.trace2);
             ASSERT_TRUE(m1 && m2) << "witness does not replay on the "
@@ -541,9 +381,9 @@ TEST_P(ReduceDifferentialTest, AllAndContractAgreeOnDummyModels) {
                       model.change_vector(w.trace2))
                 << "seed=" << seed;
         }
-        if (r_all.deadlock_checked && !r_all.deadlock_free) {
+        if (report.deadlock_checked && !report.deadlock_free) {
             EXPECT_TRUE(
-                model.system().fire_sequence(r_all.deadlock_trace).has_value())
+                model.system().fire_sequence(report.deadlock_trace).has_value())
                 << "seed=" << seed;
         }
     }
@@ -553,7 +393,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReduceDifferentialTest,
                          ::testing::Range(9000u, 9000u + static_cast<unsigned>(
                                                              fleet_iters())));
 
-// --- CLI: --reduce flags and .pnml dispatch ---------------------------------
+// --- CLI: dummy models, retired flags and .pnml dispatch ----------------------
 
 struct RunResult {
     int exit_code = -1;
@@ -610,32 +450,78 @@ x- a+
 .end
 )";
 
-TEST_F(ReduceCliTest, ReduceFlagSupersedesContract) {
-    const std::string path = write("dum.g", kDummyModel);
-    const auto reduced =
-        run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path + " --reduce");
-    const auto contracted = run_cli(std::string(STGCC_STGCHECK_BIN) + " " +
-                                    path + " --reduce=contract");
-    EXPECT_EQ(reduced.exit_code, 0) << reduced.output;
-    EXPECT_EQ(contracted.exit_code, 0) << contracted.output;
-    // The retired --contract alias is an unknown option.
-    EXPECT_EQ(run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path +
-                      " --contract")
-                  .exit_code,
-              2);
-    EXPECT_NE(reduced.output.find("reduction: -1t "), std::string::npos);
-    EXPECT_EQ(reduced.output.find("dummies contracted"), std::string::npos);
+/// The lines of a report that carry verdicts (not sizes or accounting).
+std::string verdict_lines(const std::string& report) {
+    std::string out;
+    std::size_t pos = 0;
+    while (pos < report.size()) {
+        std::size_t end = report.find('\n', pos);
+        if (end == std::string::npos) end = report.size();
+        const std::string line = report.substr(pos, end - pos);
+        pos = end + 1;
+        for (const char* head : {"consistency:", "USC:", "CSC:", "normalcy:",
+                                 "  x:"})
+            if (line.rfind(head, 0) == 0) {
+                out += line;
+                out += '\n';
+            }
+    }
+    return out;
+}
 
-    const auto bad = run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path +
-                             " --reduce=bogus");
-    EXPECT_EQ(bad.exit_code, 2);
+TEST_F(ReduceCliTest, RetiredReduceFlagsExitTwo) {
+    const std::string path = write("dum.g", kDummyModel);
+    for (const std::string tool : {STGCC_STGCHECK_BIN, STGCC_STGBATCH_BIN})
+        for (const char* flag : {"--reduce", "--reduce=contract", "--no-reduce",
+                                 "--contract"}) {
+            const auto r = run_cli(tool + " " + path + " " + flag);
+            EXPECT_EQ(r.exit_code, 2) << tool << " " << flag << "\n" << r.output;
+            EXPECT_NE(r.output.find("unknown option"), std::string::npos)
+                << flag;
+        }
+    // Without any flag the dummy is contracted.
+    const auto plain =
+        run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path);
+    EXPECT_EQ(plain.exit_code, 0) << plain.output;
+    EXPECT_NE(plain.output.find("reduction: -1t -1p\n"), std::string::npos)
+        << plain.output;
+}
+
+TEST_F(ReduceCliTest, ConstantSelfLoopModelKeepsItsVerdicts) {
+    // eps also loops on the marked place `loop`, which nothing else
+    // touches: contraction drops the loop and removes eps.  The verdict
+    // lines are the ones `--reduce` (all passes) printed for this model.
+    const std::string path = write("loop.g", R"(.model clidum-loop
+.inputs a
+.outputs x
+.dummy eps
+.graph
+a+ eps
+eps x+
+x+ a-
+a- x-
+x- a+
+loop eps
+eps loop
+.marking { <x-,a+> loop }
+.end
+)");
+    const auto r = run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path);
+    EXPECT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_EQ(verdict_lines(r.output),
+              "consistency: ok, v0 = 00\n"
+              "USC: holds\n"
+              "CSC: holds\n"
+              "normalcy: holds\n"
+              "  x: p-normal\n")
+        << r.output;
 }
 
 TEST_F(ReduceCliTest, JsonCarriesReductionAccounting) {
     const std::string path = write("dum.g", kDummyModel);
     const std::string json = (work_ / "out.json").string();
     const auto r = run_cli(std::string(STGCC_STGCHECK_BIN) + " " + path +
-                           " --reduce --json " + json);
+                           " --json " + json);
     ASSERT_EQ(r.exit_code, 0) << r.output;
     const auto bytes = cache::read_file_bytes(json);
     ASSERT_TRUE(bytes.has_value());
@@ -645,12 +531,9 @@ TEST_F(ReduceCliTest, JsonCarriesReductionAccounting) {
     ASSERT_NE(body, nullptr);
     const obs::Json* reduction = body->find("reduction");
     ASSERT_NE(reduction, nullptr) << *bytes;
-    EXPECT_EQ(reduction->find("transitions_removed")->as_int(), 1);
-    EXPECT_EQ(reduction->find("remaining_dummies")->size(), 0u);
+    EXPECT_EQ(reduction->dump(),
+              R"({"transitions_removed":1,"places_removed":1})");
     EXPECT_EQ(body->find("dummies_contracted"), nullptr);
-    const obs::Json* passes = reduction->find("passes");
-    ASSERT_NE(passes, nullptr);
-    EXPECT_GE(passes->size(), 1u);
 }
 
 TEST_F(ReduceCliTest, PnmlExtensionDispatchesToPetriChecks) {
@@ -687,8 +570,7 @@ TEST_F(ReduceCliTest, BatchAggregateCarriesReductionSummary) {
     (void)write("dum.g", kDummyModel);
     const std::string json = (work_ / "batch.json").string();
     const auto r = run_cli(std::string(STGCC_STGBATCH_BIN) + " " +
-                           work_.string() + " --reduce --quiet --json " +
-                           json);
+                           work_.string() + " --quiet --json " + json);
     ASSERT_EQ(r.exit_code, 0) << r.output;
     const auto bytes = cache::read_file_bytes(json);
     ASSERT_TRUE(bytes.has_value());
@@ -700,6 +582,7 @@ TEST_F(ReduceCliTest, BatchAggregateCarriesReductionSummary) {
     ASSERT_NE(reduction, nullptr) << *bytes;
     EXPECT_EQ(reduction->find("models_reduced")->as_int(), 1);
     EXPECT_EQ(reduction->find("transitions_removed")->as_int(), 1);
+    EXPECT_EQ(reduction->find("remaining_dummies"), nullptr);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(Insertion, SeriesInsertionPreservesBehaviourModuloHiding) {
     auto hidden = stg::hide_signal(full, full.find_signal("x"));
     auto contracted = stg::contract_dummies(hidden);
     EXPECT_EQ(contracted.contracted, 2u);
-    EXPECT_TRUE(contracted.remaining_dummies.empty());
+    EXPECT_FALSE(contracted.stg.has_dummies());
     stg::StateGraph sg_orig(model), sg_back(contracted.stg);
     EXPECT_EQ(sg_orig.num_states(), sg_back.num_states());
     EXPECT_EQ(sg_orig.graph().num_edges(), sg_back.graph().num_edges());
@@ -78,7 +78,7 @@ TEST(Resolver, ResolvedStgHidesBackToOriginal) {
     auto hidden = stg::hide_signal(result.stg,
                                    result.stg.find_signal("csc0"));
     auto contracted = stg::contract_dummies(hidden);
-    EXPECT_TRUE(contracted.remaining_dummies.empty());
+    EXPECT_FALSE(contracted.stg.has_dummies());
     stg::StateGraph sg_orig(model), sg_back(contracted.stg);
     EXPECT_EQ(sg_orig.num_states(), sg_back.num_states());
     EXPECT_EQ(sg_orig.graph().num_edges(), sg_back.graph().num_edges());

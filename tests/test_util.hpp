@@ -95,8 +95,8 @@ struct RandomStgConfig {
     /// t -> q the generator emits t -> mid -> tau -> q with a fresh place
     /// `mid` carrying q's code.  `mid` feeds only the dummy, so every
     /// generated dummy is type-1 securely contractable, and contraction
-    /// recovers exactly the dummy-free net -- models with dummies must be
-    /// verified with reduce = "contract" (or a pipeline containing it).
+    /// recovers exactly the dummy-free net (verify_stg contracts models
+    /// with dummies before checking them).
     double dummy_probability = 0.0;
     /// Chance that a place other than a component's initial one gets no
     /// outgoing edge: a component that reaches it stops for good, and a

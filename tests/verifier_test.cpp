@@ -70,18 +70,39 @@ TEST(Verifier, ContractionOptionHandlesDummies) {
     b.chain({"a+", "eps", "x+", "a-", "x-", "a+"});
     b.token_between("x-", "a+");
     auto model = b.build();
-    // Without contraction the checkers reject dummies.
-    EXPECT_THROW((void)verify_stg(model), ModelError);
-    VerifyOptions opts;
-    opts.reduce = stg::reduce::Options::parse("contract");
-    auto report = verify_stg(model, opts);
-    EXPECT_EQ(report.reduction.transitions_removed(), 1u);
+    // The checkers themselves reject dummies; verify_stg contracts them
+    // first, with no option asking for it.
+    EXPECT_THROW(UnfoldingChecker{model}, ModelError);
+    auto report = verify_stg(model);
     ASSERT_TRUE(report.reduced_stg.has_value());
     EXPECT_FALSE(report.reduced_stg->has_dummies());
     EXPECT_TRUE(report.consistent);
     const std::string text = format_report(model, report);
-    EXPECT_NE(text.find("reduction: -1t "), std::string::npos);
+    EXPECT_NE(text.find("reduction: -1t -1p\n"), std::string::npos) << text;
     EXPECT_EQ(text.find("dummies contracted"), std::string::npos);
+}
+
+TEST(Verifier, UncontractableDummyIsAModelErrorNamingIt) {
+    // The place feeding eps also feeds a+ (a choice): contraction is not
+    // type-1 secure, so eps reaches the checkers, which name it.
+    stg::StgBuilder b("choice");
+    b.input("a").input("c").dummy("eps");
+    b.place("p", 1);
+    b.place("q");
+    b.arc("p", "eps").arc("eps", "q");
+    b.arc("p", "a+").arc("a+", "q");
+    b.arc("q", "c+").arc("c+", "c-");
+    b.arc("c-", "a-");
+    b.arc("a-", "p");
+    const auto model = b.build();
+    try {
+        (void)verify_stg(model);
+        ADD_FAILURE() << "a dummy that resists contraction was accepted";
+    } catch (const ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("dummy transitions (eps)"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Verifier, FormatReportMentionsEverything) {

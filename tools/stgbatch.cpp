@@ -81,10 +81,10 @@ struct ModelResult {
 /// Streams one line per finished model, in completion order.
 using Progress = std::function<void(const std::string&, const ModelResult&)>;
 
-/// Reduction totals across the corpus, summed from the (cached or fresh)
-/// report rows so warm and cold runs aggregate identically.
+/// Dummy-contraction totals across the corpus, summed from the (cached or
+/// fresh) report rows so warm and cold runs aggregate identically.
 obs::Json reduction_summary(const std::vector<ModelResult>& results) {
-    std::size_t places = 0, transitions = 0, remaining = 0, reduced = 0;
+    std::size_t places = 0, transitions = 0, reduced = 0;
     for (const ModelResult& r : results) {
         const obs::Json* red = r.row.find("reduction");
         if (!red) continue;
@@ -93,14 +93,11 @@ obs::Json reduction_summary(const std::vector<ModelResult>& results) {
             places += static_cast<std::size_t>(v->as_int());
         if (const obs::Json* v = red->find("transitions_removed"))
             transitions += static_cast<std::size_t>(v->as_int());
-        if (const obs::Json* v = red->find("remaining_dummies"))
-            remaining += v->size();
     }
     return obs::Json::object()
         .set("models_reduced", reduced)
         .set("places_removed", places)
-        .set("transitions_removed", transitions)
-        .set("remaining_dummies", remaining);
+        .set("transitions_removed", transitions);
 }
 
 std::vector<std::string> collect_manifest(const std::string& arg,

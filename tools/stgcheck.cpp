@@ -3,9 +3,9 @@
 // Reads an STG in the petrify/punf interchange format, builds its complete
 // prefix and reports consistency, USC, CSC and normalcy with witness
 // execution paths.  --state-based additionally runs the explicit state-graph
-// baseline for comparison; --dot dumps the prefix as Graphviz; --reduce runs
-// the verdict-preserving reduction pipeline first (docs/REDUCTIONS.md);
-// --deadlock runs the section 5 deadlock check; --synthesize derives
+// baseline for comparison; --dot dumps the prefix as Graphviz; a model with
+// dummy transitions is contracted first (docs/ALGORITHMS.md, "Dummy
+// contraction"); --deadlock runs the section 5 deadlock check; --synthesize derives
 // next-state covers (requires CSC).  A `.pnml` input file is dispatched to
 // the Petri-side analyses instead: reachability-graph construction,
 // boundedness and deadlock.  The flags shared with stgbatch are parsed by
@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
         const auto report = core::verify_stg(model, opts, ex);
         const auto verdict = core::render_verdict(model, report);
         print_verdict(verdict, timer.seconds());
-        // Extras that need the checked (reduced, dummy-free) net read it
+        // Extras that need the checked (contracted, dummy-free) net read it
         // from the report; witnesses and the deadlock trace were already
         // translated back to `model`.
         const stg::Stg& checked =
