@@ -1,27 +1,17 @@
 // Dummy-contraction benchmark (docs/ALGORITHMS.md, "Dummy contraction"):
-// what contracting before unfolding buys at each layer.
-//
-//  * prefix shrink -- a dummy-laced handshake family is unfolded raw and
-//    verified (which contracts it): events removed from the complete
-//    prefix (the paper's |E|) and the end-to-end verify time.
-//  * semantic cache -- two textually different spellings of each model
-//    (rotated construction order) hash differently but contract onto one
-//    net; the second spelling must warm-hit the shared stgcore tier.
+// what contracting before unfolding buys.  A dummy-laced handshake family
+// is unfolded raw and verified (which contracts it): events removed from
+// the complete prefix (the paper's |E|) and the end-to-end verify time.
 //
 // Verdicts are asserted identical to the same family without dummies while
 // measuring -- a benchmark run doubles as a differential check.  Writes
 // BENCH_reduce.json.
-#include <unistd.h>
-
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "cache/result_cache.hpp"
 #include "core/verifier.hpp"
-#include "stg/astg.hpp"
 #include "stg/builder.hpp"
 #include "unfolding/unfolder.hpp"
 #include "util/stopwatch.hpp"
@@ -30,21 +20,17 @@ using namespace stgcc;
 
 namespace {
 
-namespace fs = std::filesystem;
-
 /// n independent four-phase handshakes, each with a dummy spliced between
 /// the request and the acknowledge (a series dummy: |*e| = |e*| = 1), or
-/// without the dummies when `dummies` is false.  `reversed` rotates the arc
-/// insertion order -- same net, same signal order, different source text
-/// (and thus a different content hash).
-stg::Stg dummy_pipeline(int n, bool reversed = false, bool dummies = true) {
+/// without the dummies when `dummies` is false.
+stg::Stg dummy_pipeline(int n, bool dummies = true) {
     stg::StgBuilder b("dummy_pipe" + std::to_string(n));
     for (int i = 0; i < n; ++i) {
         const std::string s = std::to_string(i);
         b.input("r" + s).output("a" + s);
         if (dummies) b.dummy("e" + s);
     }
-    auto add_stage = [&](int i) {
+    for (int i = 0; i < n; ++i) {
         const std::string s = std::to_string(i);
         if (dummies)
             b.chain({"r" + s + "+", "e" + s, "a" + s + "+", "r" + s + "-",
@@ -53,8 +39,7 @@ stg::Stg dummy_pipeline(int n, bool reversed = false, bool dummies = true) {
             b.chain({"r" + s + "+", "a" + s + "+", "r" + s + "-",
                      "a" + s + "-", "r" + s + "+"});
         b.token_between("a" + s + "-", "r" + s + "+");
-    };
-    for (int i = 0; i < n; ++i) add_stage(reversed ? n - 1 - i : i);
+    }
     return b.build();
 }
 
@@ -79,7 +64,7 @@ int main() {
         Stopwatch timer;
         const auto contracted = core::verify_stg(model);
         const double seconds = timer.seconds();
-        const auto plain = core::verify_stg(dummy_pipeline(n, false, false));
+        const auto plain = core::verify_stg(dummy_pipeline(n, false));
 
         const std::size_t removed =
             raw_prefix.num_events() - contracted.prefix.events;
@@ -102,54 +87,6 @@ int main() {
                            .set("verify_seconds", seconds)
                            .set("verdicts_identical", agree));
     }
-
-    // --- semantic cache tier: warm hits on contracted-net keys -----------
-    std::printf("\nSemantic cache: rotated spellings, contracted-net keys\n");
-    benchutil::rule(78);
-    const fs::path cache_dir =
-        fs::temp_directory_path() /
-        ("stgcc_bench_reduce_" + std::to_string(::getpid()));
-    fs::remove_all(cache_dir);
-    {
-        const cache::ResultCache rcache(cache_dir.string());
-        std::size_t hits = 0, pairs = 0;
-        for (const int n : {2, 4, 6}) {
-            const auto a = dummy_pipeline(n, false);
-            const auto b = dummy_pipeline(n, true);
-            const std::uint64_t ha =
-                cache::fnv1a64(stg::write_astg_string(a));
-            const std::uint64_t hb =
-                cache::fnv1a64(stg::write_astg_string(b));
-            core::VerifyOptions opts;
-            sched::Executor ex(opts.jobs);
-            bool hit = false;
-            const auto ra = core::verify_stg_cached(a, opts, rcache, ex, &hit);
-            Stopwatch warm;
-            const auto rb = core::verify_stg_cached(b, opts, rcache, ex, &hit);
-            const double warm_s = warm.seconds();
-            ++pairs;
-            if (hit) ++hits;
-            const bool agree = verdict_string(ra) == verdict_string(rb);
-            std::printf("  dummy_pipe%-4d content hashes %s  warm %-6s %8s%s\n",
-                        n, ha == hb ? "EQUAL (bad)" : "differ",
-                        hit ? "HIT" : "miss",
-                        benchutil::fmt_time(warm_s).c_str(),
-                        agree ? "" : "  VERDICT MISMATCH");
-            report.add_row(obs::Json::object()
-                               .set("benchmark", "semantic_warm_hit")
-                               .set("model", "dummy_pipe" + std::to_string(n))
-                               .set("content_hashes_differ", ha != hb)
-                               .set("warm_hit", hit)
-                               .set("warm_seconds", warm_s)
-                               .set("verdicts_identical", agree));
-        }
-        std::printf("  warm-hit rate: %zu/%zu\n", hits, pairs);
-        report.add_row(obs::Json::object()
-                           .set("benchmark", "semantic_warm_hit_rate")
-                           .set("hits", hits)
-                           .set("pairs", pairs));
-    }
-    fs::remove_all(cache_dir);
 
     std::printf("\n");
     report.write();

@@ -140,6 +140,10 @@ ResolutionResult resolve_csc(const stg::Stg& input, ResolveOptions opts) {
             }
 
         const std::string signal_name = "csc" + std::to_string(round);
+        // Every candidate of this round inserts into the same copy of the
+        // net with the new signal declared.
+        const auto [base, z] =
+            stg::with_internal_signal(result.stg, signal_name);
         stg::Stg best;
         Analysis best_analysis;
         ResolutionStep best_step;
@@ -181,8 +185,6 @@ ResolutionResult resolve_csc(const stg::Stg& input, ResolveOptions opts) {
             {
                 if (tried >= opts.max_candidates) break;
                 ++tried;
-                auto [base, z] =
-                    stg::with_internal_signal(result.stg, signal_name);
                 stg::Stg plus = apply(base, p1,
                                       stg::Label{z, stg::Polarity::Rising},
                                       signal_name + "+");

@@ -122,8 +122,7 @@ RenderedVerdict verdict_cached(const std::string& model_text,
     const std::string sig = options_signature(opts);
     if (auto hit = load_verdict(rcache, hash, sig)) return *std::move(hit);
     const stg::Stg model = stg::parse_astg_string(model_text);
-    RenderedVerdict v =
-        render_verdict(model, verify_stg_cached(model, opts, rcache, ex));
+    RenderedVerdict v = render_verdict(model, verify_stg(model, opts, ex));
     store_verdict(rcache, hash, sig, v);
     return v;
 }

@@ -68,9 +68,9 @@ void store_verdict(const cache::ResultCache& rcache,
                    const RenderedVerdict& verdict);
 
 /// The whole per-model path of stgcheck and stgbatch: the cached verdict of
-/// `model_text` when there is one, otherwise parse it, verify_stg_cached on
-/// `ex` (so the semantic tier applies), render and store.  Throws
-/// ModelError when the text does not parse or verify.
+/// `model_text` when there is one, otherwise parse it, verify_stg on `ex`,
+/// render and store.  Throws ModelError when the text does not parse or
+/// verify.
 [[nodiscard]] RenderedVerdict verdict_cached(const std::string& model_text,
                                              const VerifyOptions& opts,
                                              const cache::ResultCache& rcache,

@@ -1,11 +1,10 @@
 #include "core/verifier.hpp"
 
+#include <functional>
 #include <sstream>
 
 #include "core/extended_checks.hpp"
 #include "core/persistency.hpp"
-#include "core/report_codec.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace stgcc::core {
@@ -25,16 +24,6 @@ std::string persistency_note_text(
            " via: " + stg.sequence_text(v.trace);
 }
 
-/// Options fragment of a semantic ("stgcore") cache entry: only the flags
-/// that change what the checks compute (the entry is keyed by the checked
-/// net itself).
-std::string semantic_entry_options(const VerifyOptions& opts) {
-    return std::string("stgcore/") + std::to_string(kReportCodecVersion) +
-           ";normalcy=" + (opts.check_normalcy ? "1" : "0") +
-           ";deadlock=" + (opts.check_deadlock ? "1" : "0") +
-           ";persistency=" + (opts.check_persistency ? "1" : "0");
-}
-
 }  // namespace
 
 VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts) {
@@ -44,13 +33,6 @@ VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts) {
 
 VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts,
                               sched::Executor& ex) {
-    return verify_stg_cached(input, std::move(opts), cache::ResultCache(""),
-                             ex);
-}
-
-VerificationReport verify_stg_cached(const stg::Stg& input, VerifyOptions opts,
-                                     const cache::ResultCache& rcache,
-                                     sched::Executor& ex, bool* semantic_hit) {
     obs::Span span("verify");
     span.attr("stg", input.name());
     std::shared_ptr<const stg::ContractionResult> contraction;
@@ -62,48 +44,28 @@ VerificationReport verify_stg_cached(const stg::Stg& input, VerifyOptions opts,
     // computed exactly once and shared by every checking phase.  The
     // bundle outlives this call inside the report, so the contracted STG
     // it references is shared-owned.
-    const auto artifacts = [&]() -> cache::PrefixArtifactsPtr {
-        if (contraction)
-            return std::make_shared<const cache::PrefixArtifacts>(
-                std::shared_ptr<const stg::Stg>(contraction,
-                                                &contraction->stg),
-                opts.unfold);
-        return std::make_shared<const cache::PrefixArtifacts>(input,
-                                                              opts.unfold);
-    };
-    return verify_reduced(input, contraction.get(), artifacts, opts, &rcache,
-                          ex, semantic_hit);
+    auto artifacts =
+        contraction
+            ? std::make_shared<const cache::PrefixArtifacts>(
+                  std::shared_ptr<const stg::Stg>(contraction,
+                                                  &contraction->stg),
+                  opts.unfold)
+            : std::make_shared<const cache::PrefixArtifacts>(input,
+                                                             opts.unfold);
+    return verify_reduced(input, contraction.get(), std::move(artifacts), opts,
+                          ex);
 }
 
-VerificationReport verify_reduced(
-    const stg::Stg& input, const stg::ContractionResult* contraction,
-    const std::function<cache::PrefixArtifactsPtr()>& artifacts,
-    const VerifyOptions& opts, const cache::ResultCache* rcache,
-    sched::Executor& ex, bool* semantic_hit) {
-    const stg::Stg& checked = contraction ? contraction->stg : input;
-    const bool cached = rcache && rcache->enabled();
-    const std::uint64_t key = cached ? semantic_hash(checked) : 0;
-    const std::string entry = cached ? semantic_entry_options(opts) : "";
-    std::optional<VerificationReport> hit;
-    if (cached)
-        if (const auto payload = rcache->load("stgcore", key, entry))
-            hit = decode_report(*payload, checked);
-    if (semantic_hit) *semantic_hit = hit.has_value();
+VerificationReport verify_reduced(const stg::Stg& input,
+                                  const stg::ContractionResult* contraction,
+                                  cache::PrefixArtifactsPtr artifacts,
+                                  const VerifyOptions& opts,
+                                  sched::Executor& ex) {
     VerificationReport report;
-    if (hit) {
-        obs::counter("cache.result.semantic_hits").add(1);
-        report = *std::move(hit);
-        report.jobs = ex.jobs();
-    } else {
-        report.artifacts = artifacts();
-        run_checks(report, opts, ex);
-        // A cancelled solve stops early with indeterminate verdicts.
-        if (cached && !opts.search.cancel.cancelled())
-            rcache->store("stgcore", key, entry,
-                          encode_report(report, checked));
-    }
+    report.artifacts = std::move(artifacts);
+    run_checks(report, opts, ex);
     if (contraction) {
-        report.reduced_stg = checked;
+        report.reduced_stg = contraction->stg;
         translate_report(report, input, contraction->map);
     }
     return report;

@@ -6,10 +6,8 @@
 // method, returning witnesses for every violated property.
 #pragma once
 
-#include <functional>
 #include <string>
 
-#include "cache/result_cache.hpp"
 #include "core/checkers.hpp"
 #include "obs/json.hpp"
 #include "stg/contraction.hpp"
@@ -42,9 +40,9 @@ struct VerificationReport {
     /// Shared per-prefix artifact bundle the checks ran on (tier-1 cache):
     /// prefix, consistency, coding problem, USC=>CSC certificate.  Lets
     /// consumers such as `stgcheck --cores` / `--dot` reuse the prefix
-    /// instead of re-unfolding.  Null only on the early contract-failure
-    /// paths; drop it (reset()) to release prefix memory when keeping many
-    /// reports, as `stgbatch` does.
+    /// instead of re-unfolding.  Every returned report holds it; drop it
+    /// (reset()) to release prefix memory when keeping many reports, as
+    /// `stgbatch` does.
     cache::PrefixArtifactsPtr artifacts;
     PrefixStats prefix;
     unsigned jobs = 1;  ///< resolved worker count the checks ran with
@@ -97,36 +95,16 @@ struct VerificationReport {
                                             VerifyOptions opts,
                                             sched::Executor& ex);
 
-/// verify_stg plus the shared semantic result-cache tier ("stgcore",
-/// docs/CACHING.md): the *checked* net's canonical hash keys a stored
-/// pre-translation report, so structurally equivalent inputs -- reordered
-/// source text, dummy nets that contract to one net -- share warm verdict
-/// entries even though their content hashes differ.  On a hit the stored
-/// report is decoded against this input's own checked net and translated
-/// through this input's own witness map, so rendering is always faithful
-/// to the caller's net.
-/// `semantic_hit` (optional) reports whether the verdict came from the
-/// cache; report.artifacts is null in that case.  A disabled cache makes
-/// this plain verify_stg.
-[[nodiscard]] VerificationReport verify_stg_cached(
-    const stg::Stg& input, VerifyOptions opts,
-    const cache::ResultCache& rcache, sched::Executor& ex,
-    bool* semantic_hit = nullptr);
-
-/// The back half of verify_stg_cached, for callers that keep the
-/// contraction and the prefix of a model across calls (stgd's bundles).
-/// `contraction` is contract_dummies(input) when `input` has dummies and
-/// null otherwise (the checks then see `input`), and `artifacts` hands out
-/// the checked net's prefix bundle -- it is called only when the verdict
-/// is not cached.  With a non-null, enabled `rcache` the "stgcore" entry is
-/// looked up first and stored after a fresh run (never after a cancelled
-/// one).  Either way reduced_stg is filled in and every witness is
-/// translated onto `input`.
+/// The back half of verify_stg, for callers that keep the contraction and
+/// the prefix of a model across calls (stgd's bundles).  `contraction` is
+/// contract_dummies(input) when `input` has dummies and null otherwise (the
+/// checks then see `input`); `artifacts` is the checked net's prefix
+/// bundle.  reduced_stg is filled in and every witness is translated onto
+/// `input`.
 [[nodiscard]] VerificationReport verify_reduced(
     const stg::Stg& input, const stg::ContractionResult* contraction,
-    const std::function<cache::PrefixArtifactsPtr()>& artifacts,
-    const VerifyOptions& opts, const cache::ResultCache* rcache,
-    sched::Executor& ex, bool* semantic_hit = nullptr);
+    cache::PrefixArtifactsPtr artifacts, const VerifyOptions& opts,
+    sched::Executor& ex);
 
 /// Multi-line human-readable report (used by the examples and the CLI).
 [[nodiscard]] std::string format_report(const stg::Stg& stg,

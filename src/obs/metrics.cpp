@@ -70,7 +70,6 @@ constexpr const char* kBuiltinCounters[] = {
     "cache.artifacts.built",  "cache.certificates.csc_from_usc",
     "cache.result.hits",      "cache.result.misses",
     "cache.result.stores",    "cache.result.evicted",
-    "cache.result.semantic_hits",
 };
 constexpr const char* kBuiltinGauges[] = {
     "unfold.pe_queue_peak", "unfold.co_pairs", "sg.hash_load_permille",

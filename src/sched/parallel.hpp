@@ -38,6 +38,10 @@ namespace stgcc::sched {
 /// `jobs == 0` resolves to the hardware concurrency.
 class Executor {
 public:
+    /// The largest worker count the command lines accept (`--jobs`); each
+    /// worker is an OS thread.
+    static constexpr unsigned kMaxJobs = 1024;
+
     explicit Executor(unsigned jobs = 1);
     ~Executor();
 

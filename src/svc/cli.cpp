@@ -1,11 +1,11 @@
 #include "svc/cli.hpp"
 
-#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
 
+#include "sched/parallel.hpp"
 #include "util/decimal.hpp"
 
 namespace stgcc::svc {
@@ -99,7 +99,8 @@ std::optional<int> parse_cli(int argc, char** argv, const CliTool& tool,
         } else if (is("--no-cache")) {
             out.check.use_cache = false;
         } else if (value_flag("--jobs")) {
-            if (!parse_flag_number("--jobs", argv[++i], number, UINT_MAX))
+            if (!parse_flag_number("--jobs", argv[++i], number,
+                                   sched::Executor::kMaxJobs))
                 return 2;
             out.jobs = static_cast<unsigned>(number);
         } else if (value_flag("--deadline-ms")) {

@@ -525,15 +525,9 @@ Server::Outcome Server::run_check(const std::string& model_text,
         }
         const auto bundle = get_bundle(model_text, hash);
         vopts.search.cancel = deadline;
-        // Semantic tier ("stgcore", docs/CACHING.md) through the same core
-        // code as verify_stg_cached: the checked net's canonical hash keys a
-        // pre-translation report shared with the offline tools and with any
-        // model text that checks the same net.
-        bool semantic = false;
         const core::VerificationReport report = core::verify_reduced(
-            *bundle->model, bundle->contraction.get(),
-            [&] { return bundle->artifacts; },
-            vopts, copts.use_cache ? &rcache_ : nullptr, ex_, &semantic);
+            *bundle->model, bundle->contraction.get(), bundle->artifacts,
+            vopts, ex_);
         if (deadline.cancelled()) {
             // A cancelled solve stops early with indeterminate verdicts;
             // discard rather than serve a partial result.
@@ -541,7 +535,6 @@ Server::Outcome Server::run_check(const std::string& model_text,
             out.error_message = kDeadlineVerify;
             return out;
         }
-        if (semantic) out.cache_tier = "semantic";
         out.r = core::render_verdict(*bundle->model, report);
         out.ok = true;
         checks_run_.fetch_add(1, std::memory_order_relaxed);

@@ -150,7 +150,7 @@ private:
         std::string error_code;
         std::string error_message;
         core::RenderedVerdict r;
-        /// "memory" / "disk" / "semantic" / nullptr (a fresh solve).
+        /// "memory" / "disk" / nullptr (a fresh solve).
         const char* cache_tier = nullptr;
         /// The "cached" response member: the tier name, or false.
         [[nodiscard]] obs::Json cached() const {

@@ -18,6 +18,7 @@
 
 #include "cache/result_cache.hpp"
 #include "obs/json.hpp"
+#include "sched/parallel.hpp"
 #include "svc/cli.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
@@ -150,8 +151,8 @@ TEST_F(CliTest, BadJobsValuesExitTwoAtTheParser) {
         const auto rc = svc::parse_cli(4, argv, tool, out);
         return std::make_pair(rc, ::testing::internal::GetCapturedStderr());
     };
-    for (const char* bad : {"-1", "", " 3", "+2", "4294967296",
-                            "18446744073709551616", "3x"}) {
+    for (const char* bad : {"-1", "", " 3", "+2", "1025", "4294967295",
+                            "4294967296", "18446744073709551616", "3x"}) {
         svc::CliOptions out;
         const auto [rc, err] = parse(bad, out);
         EXPECT_EQ(rc, std::optional<int>(2)) << "'" << bad << "'";
@@ -159,7 +160,7 @@ TEST_F(CliTest, BadJobsValuesExitTwoAtTheParser) {
     }
     for (const auto& [text, jobs] :
          {std::pair<const char*, unsigned>{"0", 0u}, {"8", 8u},
-          {"4294967295", 4294967295u}}) {
+          {"1024", sched::Executor::kMaxJobs}}) {
         svc::CliOptions out;
         EXPECT_EQ(parse(text, out).first, std::nullopt) << text;
         EXPECT_EQ(out.jobs, jobs);
@@ -173,6 +174,25 @@ TEST_F(CliTest, BadJobsValuesExitTwoAtTheParser) {
               std::string::npos);
     ASSERT_TRUE(svc::parse_flag_number("--deadline-ms", "18446744073709551615", v));
     EXPECT_EQ(v, UINT64_MAX);
+}
+
+TEST_F(CliTest, JobsAboveTheCapExitTwoInEveryBinary) {
+    // Each worker is an OS thread, so a count past Executor::kMaxJobs is a
+    // usage error before any pool is built.
+    {
+        std::ofstream m(in_work("one.txt"));
+        m << model("johnson4.g") << "\n";
+    }
+    for (const std::string& tool :
+         {std::string(STGCC_STGCHECK_BIN) + " " + model("johnson4.g"),
+          std::string(STGCC_STGBATCH_BIN) + " " + in_work("one.txt"),
+          std::string(STGCC_STGD_BIN) + " --listen unix:" +
+              in_work("stgd.sock")}) {
+        const auto r = run(tool + " --jobs 1025");
+        EXPECT_EQ(r.exit_code, 2) << tool << "\n" << r.output;
+        EXPECT_NE(r.output.find("bad --jobs value: 1025"), std::string::npos)
+            << tool << "\n" << r.output;
+    }
 }
 
 TEST_F(CliTest, StgcheckAndStgbatchShareOneFlagParser) {
@@ -365,17 +385,18 @@ TEST_F(CliTest, OneVerdictEntryIsWarmForStgcheckStgbatchAndStgd) {
     const auto check = run(std::string(STGCC_STGCHECK_BIN) + " " +
                            model("vme.g") + " --cache-dir " + cache);
     EXPECT_EQ(check.exit_code, 1) << check.output;
-    const auto entries = [&](const std::string& tag) {
+    // Entries whose file name starts with `prefix` ("" counts them all).
+    const auto entries = [&](const std::string& prefix) {
         std::size_t n = 0;
         for (const auto& e : fs::directory_iterator(cache)) {
             const std::string name = e.path().filename().string();
-            if (name.rfind(tag + "-", 0) == 0 && e.path().extension() == ".json")
+            if (name.rfind(prefix, 0) == 0 && e.path().extension() == ".json")
                 ++n;
         }
         return n;
     };
-    EXPECT_EQ(entries("verdict"), 1u);
-    EXPECT_EQ(entries("stgcore"), 1u);
+    EXPECT_EQ(entries("verdict-"), 1u);
+    EXPECT_EQ(entries(""), 1u);
 
     // stgbatch replays stgcheck's entry: one hit, nothing unfolded.
     {
@@ -426,9 +447,9 @@ TEST_F(CliTest, OneVerdictEntryIsWarmForStgcheckStgbatchAndStgd) {
     EXPECT_EQ(response->find("cached")->as_string(), "disk");
     EXPECT_EQ(strip_timing(response->find("report")->as_string()),
               strip_timing(check.output));
-    // Three tools, one model: still one rendered entry and one semantic one.
-    EXPECT_EQ(entries("verdict"), 1u);
-    EXPECT_EQ(entries("stgcore"), 1u);
+    // Three tools, one model: still one rendered entry and nothing else.
+    EXPECT_EQ(entries("verdict-"), 1u);
+    EXPECT_EQ(entries(""), 1u);
 }
 
 TEST_F(CliTest, CorruptedCacheEntriesFallBackToCleanRecompute) {

@@ -10,12 +10,15 @@
 #include <vector>
 
 #include "core/checkers.hpp"
+#include "core/verdict.hpp"
 #include "core/verifier.hpp"
+#include "obs/metrics.hpp"
 #include "sched/parallel.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "stg/state_checks.hpp"
 #include "stg/state_graph.hpp"
+#include "test_util.hpp"
 
 namespace stgcc::core {
 namespace {
@@ -56,17 +59,27 @@ TEST(ParallelDeterminism, CacheOnAndOffReportsByteIdentical) {
     // across the jobs matrix on the determinism corpus -- the fixed-model
     // counterpart of the random DifferentialCacheTest fleet: a cold cached
     // run at jobs 1 and a warm (replayed) run at jobs 8 both render the
-    // uncached jobs-1 report.
+    // uncached jobs-1 verdict of the same model text.
     const fs::path dir =
         fs::path(::testing::TempDir()) / "stgcc_parallel_determinism_cache";
     fs::remove_all(dir);
     const cache::ResultCache rcache(dir.string());
-    for (const auto& model : determinism_models()) {
-        const std::string reference = report_text(model, 1);
+    obs::Counter& hits = obs::counter("cache.result.hits");
+    for (const auto& built : determinism_models()) {
+        const std::string text = stg::write_astg_string(built);
+        const stg::Stg model = stg::parse_astg_string(text);
+        const RenderedVerdict reference =
+            render_verdict(model, verify_stg(model, {}));
         for (const unsigned jobs : {1u, 8u}) {
             sched::Executor ex(jobs);
-            const auto report = verify_stg_cached(model, {}, rcache, ex);
-            EXPECT_EQ(format_report(model, report), reference)
+            const std::uint64_t hits_before = hits.value();
+            const RenderedVerdict v = verdict_cached(text, {}, rcache, ex);
+            EXPECT_EQ(v.report, reference.report)
+                << "model " << model.name() << " jobs=" << jobs;
+            EXPECT_EQ(test::canonical_json(v.json),
+                      test::canonical_json(reference.json))
+                << "model " << model.name() << " jobs=" << jobs;
+            EXPECT_EQ(hits.value(), hits_before + (jobs == 8 ? 1 : 0))
                 << "model " << model.name() << " jobs=" << jobs;
         }
     }

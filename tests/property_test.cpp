@@ -8,9 +8,12 @@
 
 #include "core/checkers.hpp"
 #include "core/extended_checks.hpp"
+#include "core/verdict.hpp"
 #include "core/verifier.hpp"
 #include "ilp/encodings.hpp"
+#include "obs/metrics.hpp"
 #include "petri/reachability.hpp"
+#include "stg/astg.hpp"
 #include "stg/state_checks.hpp"
 #include "stg/state_graph.hpp"
 #include "unfolding/configuration.hpp"
@@ -150,13 +153,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomSyncStgTest,
 // Larger random nets -- three machines, choice places, cross-machine syncs
 // and spliced dummy transitions (contracted before checking) -- verified
 // across one jobs x result-cache matrix: cache off at jobs 1 (the
-// reference) and jobs 8, cache on at jobs 1 (a cold pass that stores the
-// semantic entry) and jobs 8 (a warm pass that replays it).  The
-// human-readable report must be byte-identical across the matrix and the
-// machine-readable report identical after stripping the volatile
-// timing/stats fields; this is the executable form of the soundness
-// argument in docs/CACHING.md.  The fleet size scales with STGCC_DIFF_ITERS
-// (the nightly CI job runs 10x).
+// reference) and jobs 8, then core::verdict_cached on the model's text at
+// jobs 1 (a cold pass that stores the rendered verdict) and jobs 8 (a warm
+// pass that replays it).  The human-readable report must be byte-identical
+// across the matrix and the machine-readable report identical after
+// stripping the volatile timing/stats fields; this is the executable form
+// of the soundness argument in docs/CACHING.md.  The fleet size scales
+// with STGCC_DIFF_ITERS (the nightly CI job runs 10x).
 
 unsigned diff_iters() {
     if (const char* env = std::getenv("STGCC_DIFF_ITERS")) {
@@ -176,19 +179,20 @@ TEST_P(DifferentialCacheTest, CacheOnAndOffAreByteIdentical) {
     cfg.places_per_machine = 10;
     cfg.sync_transitions = 2;
     cfg.dummy_probability = 0.2;
-    const auto model = test::random_stg(seed, cfg);
+    const std::string model_text =
+        stg::write_astg_string(test::random_stg(seed, cfg));
+    const auto model = stg::parse_astg_string(model_text);
 
     core::VerifyOptions opts;
     opts.check_deadlock = true;
-    const auto reference = core::verify_stg(model, opts);
-    const std::string text = core::format_report(model, reference);
-    const std::string json =
-        test::canonical_json(core::report_json(model, reference));
-    const auto agrees = [&](const core::VerificationReport& r,
+    const auto reference =
+        core::render_verdict(model, core::verify_stg(model, opts));
+    const std::string json = test::canonical_json(reference.json);
+    const auto agrees = [&](const core::RenderedVerdict& v,
                             const char* config) {
-        EXPECT_EQ(core::format_report(model, r), text)
+        EXPECT_EQ(v.report, reference.report)
             << "seed=" << seed << " " << config;
-        EXPECT_EQ(test::canonical_json(core::report_json(model, r)), json)
+        EXPECT_EQ(test::canonical_json(v.json), json)
             << "seed=" << seed << " " << config;
     };
 
@@ -197,15 +201,17 @@ TEST_P(DifferentialCacheTest, CacheOnAndOffAreByteIdentical) {
     fs::remove_all(dir);
     const cache::ResultCache rcache(dir.string());
     opts.jobs = 8;
-    agrees(core::verify_stg(model, opts), "jobs=8 cache=off");
-    bool hit = true;
+    agrees(core::render_verdict(model, core::verify_stg(model, opts)),
+           "jobs=8 cache=off");
+    obs::Counter& hits = obs::counter("cache.result.hits");
+    const std::uint64_t hits_before = hits.value();
     sched::Executor serial(1), wide(8);
-    agrees(core::verify_stg_cached(model, opts, rcache, serial, &hit),
+    agrees(core::verdict_cached(model_text, opts, rcache, serial),
            "jobs=1 cache=cold");
-    EXPECT_FALSE(hit) << "seed=" << seed;
-    agrees(core::verify_stg_cached(model, opts, rcache, wide, &hit),
+    EXPECT_EQ(hits.value(), hits_before) << "seed=" << seed;
+    agrees(core::verdict_cached(model_text, opts, rcache, wide),
            "jobs=8 cache=warm");
-    EXPECT_TRUE(hit) << "seed=" << seed;
+    EXPECT_EQ(hits.value(), hits_before + 1) << "seed=" << seed;
     fs::remove_all(dir);
 }
 

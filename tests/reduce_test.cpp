@@ -1,9 +1,7 @@
 // Dummy contraction inside verify (docs/ALGORITHMS.md, "Dummy
-// contraction"): witness back-translation onto the original net, the
-// semantic identity and report codec of the shared "stgcore" cache tier,
-// the one options signature, the dummy-free / dummy-laced differential
-// fleet at jobs 1 and 8, and the CLI (retired --reduce flags, .pnml
-// dispatch).
+// contraction"): witness back-translation onto the original net, the one
+// options signature, the dummy-free / dummy-laced differential fleet at
+// jobs 1 and 8, and the CLI (retired --reduce flags, .pnml dispatch).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -17,7 +15,6 @@
 #include <vector>
 
 #include "cache/result_cache.hpp"
-#include "core/report_codec.hpp"
 #include "core/verdict.hpp"
 #include "core/verifier.hpp"
 #include "petri/pnml.hpp"
@@ -91,74 +88,6 @@ TEST(WitnessChain, TranslatedTracesReplayOnInput) {
     EXPECT_TRUE(empty->marking == model.system().initial_marking());
 }
 
-// --- canonical text / semantic identity ------------------------------------
-
-TEST(SemanticHash, InsensitiveToConstructionOrder) {
-    // The same net assembled in two different arc orders: place/transition
-    // ids differ, canonical text (sorted by name) does not.
-    stg::StgBuilder b1("canon");
-    b1.input("x").output("y").output("z");
-    stg::StgBuilder b2("canon");
-    b2.input("x").output("y").output("z");
-    const std::vector<std::string> cycle = {"x+/1", "y+/1", "x-/1", "y-/1",
-                                            "z+",   "x+/2", "y+/2", "x-/2",
-                                            "y-/2", "z-"};
-    const std::size_t n = cycle.size();
-    for (std::size_t i = 0; i < n; ++i)
-        b1.arc(cycle[i], cycle[(i + 1) % n]);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t j = (i + 4) % n;  // rotated insertion order
-        b2.arc(cycle[j], cycle[(j + 1) % n]);
-    }
-    b1.token_between(cycle.back(), cycle.front());
-    b2.token_between(cycle.back(), cycle.front());
-    const auto s1 = b1.build();
-    const auto s2 = b2.build();
-    EXPECT_EQ(core::canonical_text(s1), core::canonical_text(s2));
-    EXPECT_EQ(core::semantic_hash(s1), core::semantic_hash(s2));
-}
-
-TEST(SemanticHash, SignalOrderIsSignificant) {
-    // Codes are bit strings indexed by SignalId, so two nets that differ
-    // only in signal declaration order must NOT share a semantic hash.
-    stg::StgBuilder b1("sig-order");
-    b1.input("a").output("b");
-    b1.arc("a+", "b+").arc("b+", "a-").arc("a-", "b-").arc("b-", "a+");
-    b1.token_between("b-", "a+");
-    stg::StgBuilder b2("sig-order");
-    b2.output("b").input("a");
-    b2.arc("a+", "b+").arc("b+", "a-").arc("a-", "b-").arc("b-", "a+");
-    b2.token_between("b-", "a+");
-    EXPECT_NE(core::semantic_hash(b1.build()),
-              core::semantic_hash(b2.build()));
-}
-
-// --- report codec -----------------------------------------------------------
-
-TEST(ReportCodec, RoundTripsConflictsAndDeadlock) {
-    const auto model = test::tiny_conflict();
-    core::VerifyOptions opts;
-    opts.check_deadlock = true;
-    const auto report = core::verify_stg(model, opts);
-    ASSERT_FALSE(report.usc.holds);
-
-    const obs::Json payload = core::encode_report(report, model);
-    const auto decoded = core::decode_report(payload, model);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(core::format_report(model, report),
-              core::format_report(model, *decoded));
-}
-
-TEST(ReportCodec, RejectsPayloadFromDifferentNet) {
-    const auto model = test::tiny_conflict();
-    const auto other = test::tiny_handshake();
-    const auto report = core::verify_stg(model, {});
-    const obs::Json payload = core::encode_report(report, model);
-    // Decoding against a net that lacks the witnesses' transitions fails
-    // closed (nullopt), never mis-renders.
-    EXPECT_FALSE(core::decode_report(payload, other).has_value());
-}
-
 // --- centralized options signature (one spelling) ---------------------------
 
 TEST(OptionsSignature, OneSpellingSharedByAllCaches) {
@@ -178,89 +107,6 @@ TEST(OptionsSignature, OneSpellingSharedByAllCaches) {
     EXPECT_EQ(sig(svc::CheckOptions::from_json(&j)), sig(deadlock));
     j.set("reduce", "all");
     EXPECT_EQ(sig(svc::CheckOptions::from_json(&j)), sig(deadlock));
-}
-
-// --- shared semantic cache tier ---------------------------------------------
-
-class SemanticCacheTest : public ::testing::Test {
-protected:
-    void SetUp() override {
-        // One directory per test: ctest -j runs the cases concurrently.
-        dir_ = fs::path(::testing::TempDir()) /
-               ("stgcc_semantic_cache_" +
-                std::string(::testing::UnitTest::GetInstance()
-                                ->current_test_info()
-                                ->name()));
-        fs::remove_all(dir_);
-        fs::create_directories(dir_);
-    }
-    void TearDown() override { fs::remove_all(dir_); }
-    fs::path dir_;
-};
-
-TEST_F(SemanticCacheTest, StructurallyEquivalentInputsShareEntries) {
-    // Two source spellings of the same net (rotated arc insertion): their
-    // content hashes differ, their reduced-net hashes agree, so the second
-    // verification replays the first one's stored verdict.
-    stg::StgBuilder b1("warm");
-    b1.input("x").output("y").output("z");
-    stg::StgBuilder b2("warm");
-    b2.input("x").output("y").output("z");
-    const std::vector<std::string> cycle = {"x+/1", "y+/1", "x-/1", "y-/1",
-                                            "z+",   "x+/2", "y+/2", "x-/2",
-                                            "y-/2", "z-"};
-    const std::size_t n = cycle.size();
-    for (std::size_t i = 0; i < n; ++i)
-        b1.arc(cycle[i], cycle[(i + 1) % n]);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t j = (i + 3) % n;
-        b2.arc(cycle[j], cycle[(j + 1) % n]);
-    }
-    b1.token_between(cycle.back(), cycle.front());
-    b2.token_between(cycle.back(), cycle.front());
-    const auto a = b1.build();
-    const auto b = b2.build();
-
-    const cache::ResultCache rcache(dir_.string());
-    ASSERT_TRUE(rcache.enabled());
-    core::VerifyOptions opts;
-    sched::Executor ex(opts.jobs);
-    bool hit = true;
-    const auto r1 = core::verify_stg_cached(a, opts, rcache, ex, &hit);
-    EXPECT_FALSE(hit);
-    const auto r2 = core::verify_stg_cached(b, opts, rcache, ex, &hit);
-    EXPECT_TRUE(hit);
-    // The replayed report renders faithfully on input B.
-    const auto fresh = core::verify_stg(b, opts);
-    EXPECT_EQ(core::format_report(b, r2), core::format_report(b, fresh));
-}
-
-TEST_F(SemanticCacheTest, ReducedNetsShareEntriesAcrossDummySpellings) {
-    // The same dummy net written in two arc orders: contraction maps both
-    // onto one net, whose hash keys the shared entry.  The hit is
-    // translated through input B's own witness map.
-    stg::StgBuilder b1("dummy-warm");
-    b1.input("a").output("x").dummy("eps");
-    b1.chain({"a+", "eps", "x+", "a-", "x-", "a+"});
-    b1.token_between("x-", "a+");
-    stg::StgBuilder b2("dummy-warm");
-    b2.input("a").output("x").dummy("eps");
-    b2.chain({"x+", "a-", "x-", "a+"});
-    b2.arc("a+", "eps").arc("eps", "x+");
-    b2.token_between("x-", "a+");
-    const auto a = b1.build();
-    const auto b = b2.build();
-
-    const cache::ResultCache rcache(dir_.string());
-    core::VerifyOptions opts;
-    sched::Executor ex(opts.jobs);
-    bool hit = true;
-    (void)core::verify_stg_cached(a, opts, rcache, ex, &hit);
-    EXPECT_FALSE(hit);
-    const auto r2 = core::verify_stg_cached(b, opts, rcache, ex, &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(core::format_report(b, r2),
-              core::format_report(b, core::verify_stg(b, opts)));
 }
 
 // --- differential fleet: reduce on/off, jobs 1 and 8 ------------------------

@@ -14,8 +14,7 @@
 // (--cache-dir or $STGCC_CACHE_DIR), each model goes through
 // core::verdict_cached -- the rendered-verdict entry keyed by the model
 // file's content hash and the checker options, shared with stgcheck and
-// stgd, then the semantic tier -- so a warm corpus run replays hits without
-// re-verifying.  --no-cache disables the result caches only (verdicts and
+// stgd -- so a warm corpus run replays hits without re-verifying.  --no-cache disables the result caches only (verdicts and
 // search work are unchanged).
 //
 // Exit codes: 0 = every model satisfies all checked properties,

@@ -238,8 +238,7 @@ int main(int argc, char** argv) {
         }
         Stopwatch timer;
         // The whole stdout of a run without extras is the rendered verdict,
-        // so it goes through the result cache (and, on a miss, the shared
-        // semantic tier).
+        // so it goes through the result cache.
         if (!local_only && !cli.json) {
             const auto verdict = core::verdict_cached(*text, opts, rcache, ex);
             print_verdict(verdict, timer.seconds());

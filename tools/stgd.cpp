@@ -12,12 +12,12 @@
 // drain -- the listeners close, every accepted request is answered, then
 // the process exits 0 after writing a final stats snapshot (--stats FILE,
 // or a summary line to stderr).
-#include <climits>
 #include <csignal>
 #include <cstring>
 #include <iostream>
 
 #include "obs/metrics.hpp"
+#include "sched/parallel.hpp"
 #include "svc/cli.hpp"
 #include "svc/server.hpp"
 
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
             cfg.listen.push_back(*ep);
         } else if (!std::strcmp(argv[i], "--jobs")) {
             std::uint64_t v = 0;
-            if (!uint_arg("--jobs", v, UINT_MAX)) return 2;
+            if (!uint_arg("--jobs", v, sched::Executor::kMaxJobs)) return 2;
             cfg.jobs = static_cast<unsigned>(v);
         } else if (!std::strcmp(argv[i], "--max-inflight")) {
             std::uint64_t v = 0;
