@@ -71,7 +71,8 @@ public:
     PrefixArtifacts(const stg::Stg& stg, unf::Prefix prefix);
 
     /// Owning variant: keeps `stg` alive alongside the artifacts (used by
-    /// verify_stg for contracted STGs, whose report outlives the local).
+    /// core::prepare_stg for contracted STGs, whose report outlives the
+    /// local).
     PrefixArtifacts(std::shared_ptr<const stg::Stg> stg,
                     unf::UnfoldOptions opts = {});
 

@@ -9,8 +9,6 @@
 #ifdef _WIN32
 #include <process.h>
 #else
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 #endif
 
@@ -46,50 +44,6 @@ std::string hex64(std::uint64_t v) {
     for (int i = 15; i >= 0; --i, v >>= 4) out[i] = digits[v & 0xf];
     return out;
 }
-
-/// Per-entry advisory writer lock (`<entry>.lock`).  Serialises concurrent
-/// publishers of the *same* key across threads and processes; entries for a
-/// key are deterministic, so a contending writer can safely skip its store
-/// instead of waiting -- the winner publishes the identical payload.
-/// Non-POSIX builds degrade to no lock (unique temp names still keep the
-/// rename atomic).
-class EntryWriteLock {
-public:
-    explicit EntryWriteLock(const std::string& entry_path) {
-#ifndef _WIN32
-        fd_ = ::open((entry_path + ".lock").c_str(),
-                     O_CREAT | O_RDWR | O_CLOEXEC, 0666);
-        if (fd_ < 0) return;  // lockless fallback; rename stays atomic
-        if (::flock(fd_, LOCK_EX | LOCK_NB) == 0) {
-            locked_ = true;
-        } else {
-            busy_ = true;
-            ::close(fd_);
-            fd_ = -1;
-        }
-#else
-        (void)entry_path;
-#endif
-    }
-    ~EntryWriteLock() {
-#ifndef _WIN32
-        if (fd_ >= 0) {
-            if (locked_) ::flock(fd_, LOCK_UN);
-            ::close(fd_);
-        }
-#endif
-    }
-    EntryWriteLock(const EntryWriteLock&) = delete;
-    EntryWriteLock& operator=(const EntryWriteLock&) = delete;
-
-    /// Another writer holds the lock right now.
-    [[nodiscard]] bool busy() const noexcept { return busy_; }
-
-private:
-    int fd_ = -1;
-    bool locked_ = false;
-    bool busy_ = false;
-};
 
 }  // namespace
 
@@ -151,20 +105,13 @@ bool ResultCache::store(std::string_view tool, std::uint64_t content_hash,
                           .set("options", options)
                           .set("value", std::move(value));
     const std::string path = entry_path(tool, content_hash, options);
-    // Two-writer discipline: a per-entry advisory lock serialises
-    // publishers of the same key (daemon worker threads, racing CI
-    // processes).  Contenders skip -- the lock holder is publishing the
-    // identical deterministic payload, so a skipped store forfeits nothing.
-    const EntryWriteLock lock(path);
-    if (lock.busy()) {
-        obs::counter("cache.result.lock_busy").add();
-        return false;
-    }
     // Atomic publish: write a writer-unique temp file, then rename over the
     // final name.  Readers either see the old entry, the new one, or none.
     // The temp name carries pid *and* a process-wide sequence number: two
     // threads of one process must never interleave writes into one temp
-    // file (that was how racing writers could corrupt an entry).
+    // file (that was how racing writers could corrupt an entry).  Racing
+    // writers of one key publish identical deterministic bytes, so the
+    // last rename wins with nothing lost.
     static std::atomic<std::uint64_t> temp_seq{0};
     const std::string tmp =
         path + ".tmp." + std::to_string(::getpid()) + "." +

@@ -16,17 +16,18 @@
 //     "value": <payload> }
 // filed under a tool tag ("verdict" for the rendered verdict all three
 // front ends share, core/verdict.hpp) and written atomically (writer-unique
-// temp file + rename) under a per-entry advisory lock (`<entry>.lock`,
-// flock): concurrent writers of the same key -- daemon worker threads of
-// `stgd`, or two processes racing on a shared cache dir -- can never
-// interleave bytes into one temp file, and a contending writer skips its
-// store (the lock holder publishes the identical deterministic payload).
+// temp file + rename): concurrent writers of the same key -- daemon worker
+// threads of `stgd`, or two processes racing on a shared cache dir -- can
+// never interleave bytes into one temp file, and since every writer of a
+// key publishes the identical deterministic payload, whichever rename
+// lands last leaves a whole entry.  Once the writes finish, the directory
+// holds the entries and nothing else.
 // load() re-validates all three key fields against the request; any
 // mismatch, truncation or parse error counts as a miss, the offending
 // entry is evicted (deleted), and the caller recomputes -- a corrupted
 // cache can cost time, never correctness.
 //
-// Counters: cache.result.{hits,misses,stores,evicted,lock_busy}.
+// Counters: cache.result.{hits,misses,stores,evicted}.
 #pragma once
 
 #include <cstdint>

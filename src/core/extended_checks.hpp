@@ -2,9 +2,10 @@
 // and the deadlock-checking lineage of [8] that motivated the approach).
 //
 // All checks run on the unfolding prefix with the ReachSolver; none builds
-// the state graph.  They require a SAFE net (checked exactly on the prefix
-// via unf-level analysis; the deadlock constraints sum preset token counts,
-// which characterises enabledness only for safe nets).  They take the
+// the state graph.  The net is safe by construction: the unfolder admits
+// only 1-safe systems, and a Prefix comes only from the unfolder (the
+// deadlock constraints sum preset token counts, which characterises
+// enabledness only for safe nets).  They take the
 // SearchOptions of every prefix search: `max_nodes` bounds the solve and
 // `cancel` stops it early with found == false and cancelled == true.
 #pragma once
@@ -48,12 +49,3 @@ struct ReachabilityResult {
                                                  SearchOptions opts = {});
 
 }  // namespace stgcc::core
-
-namespace stgcc::unf {
-
-/// Exact safety check on a complete prefix: the net system is safe iff no
-/// two conditions with the same original place can be marked together,
-/// i.e. no such pair is concurrent.
-[[nodiscard]] bool is_safe(const Prefix& prefix);
-
-}  // namespace stgcc::unf

@@ -31,42 +31,44 @@ VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts) {
     return verify_stg(input, std::move(opts), ex);
 }
 
+PreparedStg prepare_stg(const stg::Stg& input, const unf::UnfoldOptions& opts) {
+    PreparedStg prepared;
+    if (!input.has_dummies()) {
+        prepared.artifacts =
+            std::make_shared<const cache::PrefixArtifacts>(input, opts);
+        return prepared;
+    }
+    prepared.contraction = std::make_shared<const stg::ContractionResult>(
+        stg::contract_dummies(input));
+    // The bundle can outlive the caller's locals (a report keeps it), so it
+    // shares ownership of the contracted STG it references.
+    prepared.artifacts = std::make_shared<const cache::PrefixArtifacts>(
+        std::shared_ptr<const stg::Stg>(prepared.contraction,
+                                        &prepared.contraction->stg),
+        opts);
+    return prepared;
+}
+
 VerificationReport verify_stg(const stg::Stg& input, VerifyOptions opts,
                               sched::Executor& ex) {
     obs::Span span("verify");
     span.attr("stg", input.name());
-    std::shared_ptr<const stg::ContractionResult> contraction;
-    if (input.has_dummies())
-        contraction = std::make_shared<const stg::ContractionResult>(
-            stg::contract_dummies(input));
     // Tier-1 shared artifacts: the prefix, its consistency analysis, the
     // coding problem, leaf tables and the USC=>CSC certificate are
-    // computed exactly once and shared by every checking phase.  The
-    // bundle outlives this call inside the report, so the contracted STG
-    // it references is shared-owned.
-    auto artifacts =
-        contraction
-            ? std::make_shared<const cache::PrefixArtifacts>(
-                  std::shared_ptr<const stg::Stg>(contraction,
-                                                  &contraction->stg),
-                  opts.unfold)
-            : std::make_shared<const cache::PrefixArtifacts>(input,
-                                                             opts.unfold);
-    return verify_reduced(input, contraction.get(), std::move(artifacts), opts,
-                          ex);
+    // computed exactly once and shared by every checking phase.
+    return verify_reduced(input, prepare_stg(input, opts.unfold), opts, ex);
 }
 
 VerificationReport verify_reduced(const stg::Stg& input,
-                                  const stg::ContractionResult* contraction,
-                                  cache::PrefixArtifactsPtr artifacts,
+                                  const PreparedStg& prepared,
                                   const VerifyOptions& opts,
                                   sched::Executor& ex) {
     VerificationReport report;
-    report.artifacts = std::move(artifacts);
+    report.artifacts = prepared.artifacts;
     run_checks(report, opts, ex);
-    if (contraction) {
-        report.reduced_stg = contraction->stg;
-        translate_report(report, input, contraction->map);
+    if (prepared.contraction) {
+        report.reduced_stg = prepared.contraction->stg;
+        translate_report(report, input, prepared.contraction->map);
     }
     return report;
 }

@@ -80,6 +80,24 @@ struct VerificationReport {
     cache::ClauseStore::Efficacy cuts;
 };
 
+/// The net the checks run on, and its prefix bundle.  prepare_stg is the
+/// one place that decides it: an input with dummies is contracted
+/// (stg/contraction.hpp; a dummy that resists secure contraction is a
+/// ModelError), and the PrefixArtifacts are built on the contracted net or
+/// else on the input itself, which is not copied.
+struct PreparedStg {
+    /// contract_dummies(input) when the input has dummies; null otherwise
+    /// (the checks then see the input).
+    std::shared_ptr<const stg::ContractionResult> contraction;
+    /// The checked net's prefix bundle.  It shares ownership of the
+    /// contraction, but only refers to a dummy-free input: the caller keeps
+    /// that input alive as long as the artifacts.
+    cache::PrefixArtifactsPtr artifacts;
+};
+
+[[nodiscard]] PreparedStg prepare_stg(const stg::Stg& input,
+                                      const unf::UnfoldOptions& opts);
+
 /// Run the whole pipeline.  An input with dummies is contracted first
 /// (stg/contraction.hpp); a dummy that resists secure contraction is a
 /// ModelError.  Inconsistent STGs short-circuit (USC/CSC/normalcy are left
@@ -95,16 +113,14 @@ struct VerificationReport {
                                             VerifyOptions opts,
                                             sched::Executor& ex);
 
-/// The back half of verify_stg, for callers that keep the contraction and
-/// the prefix of a model across calls (stgd's bundles).  `contraction` is
-/// contract_dummies(input) when `input` has dummies and null otherwise (the
-/// checks then see `input`); `artifacts` is the checked net's prefix
-/// bundle.  reduced_stg is filled in and every witness is translated onto
-/// `input`.
-[[nodiscard]] VerificationReport verify_reduced(
-    const stg::Stg& input, const stg::ContractionResult* contraction,
-    cache::PrefixArtifactsPtr artifacts, const VerifyOptions& opts,
-    sched::Executor& ex);
+/// The back half of verify_stg, for callers that keep the preparation of
+/// a model across calls (stgd's bundles).  `prepared` is
+/// prepare_stg(input, ...).  reduced_stg is filled in and every witness is
+/// translated onto `input`.
+[[nodiscard]] VerificationReport verify_reduced(const stg::Stg& input,
+                                                const PreparedStg& prepared,
+                                                const VerifyOptions& opts,
+                                                sched::Executor& ex);
 
 /// Multi-line human-readable report (used by the examples and the CLI).
 [[nodiscard]] std::string format_report(const stg::Stg& stg,

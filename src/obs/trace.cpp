@@ -174,37 +174,4 @@ std::string Tracer::chrome_trace_json() const {
     return out;
 }
 
-namespace {
-
-std::string fmt_duration(std::uint64_t ns) {
-    char buf[32];
-    const double s = static_cast<double>(ns) / 1e9;
-    if (s < 1e-3)
-        std::snprintf(buf, sizeof buf, "%.1fus", s * 1e6);
-    else if (s < 1.0)
-        std::snprintf(buf, sizeof buf, "%.2fms", s * 1e3);
-    else
-        std::snprintf(buf, sizeof buf, "%.3fs", s);
-    return buf;
-}
-
-}  // namespace
-
-std::string Tracer::tree_summary() const {
-    const std::vector<SpanRecord> spans = snapshot();
-    std::string out;
-    for (const SpanRecord& s : spans) {
-        out.append(2 * static_cast<std::size_t>(s.depth), ' ');
-        out += s.name;
-        out += "  ";
-        out += s.open ? "(open)"
-                      : fmt_duration(s.end_ns - s.start_ns);
-        for (const auto& [k, v] : s.attrs) {
-            out += "  " + k + "=" + v.dump();
-        }
-        out += "\n";
-    }
-    return out;
-}
-
 }  // namespace stgcc::obs

@@ -99,9 +99,6 @@ public:
     /// timestamps), one event per line for stable golden-file diffs.
     [[nodiscard]] std::string chrome_trace_json() const;
 
-    /// Indented human-readable tree with durations and attributes.
-    [[nodiscard]] std::string tree_summary() const;
-
 private:
     Tracer() = default;
 

@@ -22,8 +22,7 @@ namespace stgcc::sched {
 using Task = std::function<void()>;
 
 /// Deque over an arbitrary movable payload.  The pool instantiates it with
-/// its task-plus-telemetry record; `WorkDeque` below keeps the historical
-/// plain-Task alias used by tests and examples.
+/// its task-plus-telemetry record.
 template <class T>
 class WorkDequeT {
 public:
@@ -65,7 +64,5 @@ private:
     mutable std::mutex mu_;
     std::deque<T> q_;
 };
-
-using WorkDeque = WorkDequeT<Task>;
 
 }  // namespace stgcc::sched

@@ -70,16 +70,6 @@ void parallel_for(Executor& ex, std::size_t n,
 /// all are done.  Exception of the lowest failing slot is rethrown.
 void parallel_invoke(Executor& ex, std::vector<std::function<void()>> fns);
 
-/// Map i -> fn(i) into a vector ordered by index (deterministic reduction
-/// in submission order).  R must be default-constructible and movable.
-template <class R>
-std::vector<R> parallel_map(Executor& ex, std::size_t n,
-                            const std::function<R(std::size_t)>& fn) {
-    std::vector<R> out(n);
-    parallel_for(ex, n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-}
-
 /// A hit returned by find_first.
 template <class R>
 struct FirstHit {

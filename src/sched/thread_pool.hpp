@@ -1,7 +1,7 @@
 // stgcc -- work-stealing thread pool and task groups.
 //
 // A WorkStealingPool owns a fixed set of workers, each with its own
-// WorkDeque; external submissions land in a shared injector deque.  An idle
+// WorkDequeT; external submissions land in a shared injector deque.  An idle
 // worker takes from (in order) its own deque bottom, the injector, then the
 // other workers' deque tops, scanning round-robin from its right-hand
 // neighbour.  A full unsuccessful scan parks the worker on a condition

@@ -333,10 +333,4 @@ std::string write_astg_string(const Stg& stg) {
     return out.str();
 }
 
-void save_astg_file(const std::string& path, const Stg& stg) {
-    std::ofstream out(path);
-    if (!out) throw ModelError("cannot write ASTG file: " + path);
-    write_astg(out, stg);
-}
-
 }  // namespace stgcc::stg

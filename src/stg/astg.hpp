@@ -25,6 +25,5 @@ namespace stgcc::stg {
 /// consumer) are collapsed to direct transition->transition arcs.
 void write_astg(std::ostream& out, const Stg& stg);
 [[nodiscard]] std::string write_astg_string(const Stg& stg);
-void save_astg_file(const std::string& path, const Stg& stg);
 
 }  // namespace stgcc::stg

@@ -1,7 +1,6 @@
 #include "stg/state_graph.hpp"
 
 #include <deque>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -82,28 +81,6 @@ StateGraph::StateGraph(const Stg& stg, petri::ReachOptions opts)
             for (SignalId z = 0; z < z_count; ++z)
                 if (v0[z] == 1) initial_code_.set(z);
     }
-}
-
-std::string StateGraph::to_dot() const {
-    STGCC_REQUIRE(consistent_);
-    std::string out = "digraph sg {\n  rankdir=TB;\n";
-    // Group states by code to make coding conflicts visible.
-    std::unordered_map<BitVec, std::size_t, BitVecHash> group_size;
-    for (petri::StateId s = 0; s < rg_.num_states(); ++s) ++group_size[code(s)];
-    for (petri::StateId s = 0; s < rg_.num_states(); ++s) {
-        const Code c = code(s);
-        out += "  s" + std::to_string(s) + " [label=\"" + c.to_string() + "\"";
-        if (group_size[c] > 1) out += ",style=filled,fillcolor=lightsalmon";
-        if (s == 0) out += ",peripheries=2";
-        out += "];\n";
-    }
-    for (petri::StateId s = 0; s < rg_.num_states(); ++s)
-        for (const auto& edge : rg_.successors(s))
-            out += "  s" + std::to_string(s) + " -> s" +
-                   std::to_string(edge.target) + " [label=\"" +
-                   stg_->label_text(edge.transition) + "\"];\n";
-    out += "}\n";
-    return out;
 }
 
 Code StateGraph::code(petri::StateId s) const {

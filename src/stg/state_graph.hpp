@@ -53,11 +53,6 @@ public:
         return stg_->nxt(rg_.marking(s), code(s), z);
     }
 
-    /// Graphviz rendering: states labelled with their codes (USC/CSC
-    /// conflict groups share a code label, making conflicts visible), edges
-    /// with signal-edge labels.  Requires consistency.
-    [[nodiscard]] std::string to_dot() const;
-
 private:
     const Stg* stg_;
     petri::ReachabilityGraph rg_;

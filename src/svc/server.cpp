@@ -525,9 +525,8 @@ Server::Outcome Server::run_check(const std::string& model_text,
         }
         const auto bundle = get_bundle(model_text, hash);
         vopts.search.cancel = deadline;
-        const core::VerificationReport report = core::verify_reduced(
-            *bundle->model, bundle->contraction.get(), bundle->artifacts,
-            vopts, ex_);
+        const core::VerificationReport report =
+            core::verify_reduced(*bundle->model, bundle->prepared, vopts, ex_);
         if (deadline.cancelled()) {
             // A cancelled solve stops early with indeterminate verdicts;
             // discard rather than serve a partial result.
@@ -573,15 +572,7 @@ std::shared_ptr<Server::Bundle> Server::get_bundle(
     b->hash = hash;
     b->model =
         std::make_shared<const stg::Stg>(stg::parse_astg_string(model_text));
-    std::shared_ptr<const stg::Stg> checked = b->model;
-    if (b->model->has_dummies()) {
-        b->contraction = std::make_shared<const stg::ContractionResult>(
-            stg::contract_dummies(*b->model));
-        checked = std::shared_ptr<const stg::Stg>(b->contraction,
-                                                  &b->contraction->stg);
-    }
-    b->artifacts = std::make_shared<const cache::PrefixArtifacts>(
-        std::move(checked), unf::UnfoldOptions{});
+    b->prepared = core::prepare_stg(*b->model, unf::UnfoldOptions{});
     std::lock_guard<std::mutex> lock(bundles_mu_);
     b->last_used = ++bundle_clock_;
     if (cfg_.bundle_slots > 0 && bundles_.size() >= cfg_.bundle_slots) {

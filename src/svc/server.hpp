@@ -164,10 +164,9 @@ private:
     struct Bundle {
         std::uint64_t hash = 0;
         std::shared_ptr<const stg::Stg> model;  ///< as parsed
-        /// The contracted net and its map back to `model`; null when the
-        /// model has no dummies (the checks then see `model`).
-        std::shared_ptr<const stg::ContractionResult> contraction;
-        cache::PrefixArtifactsPtr artifacts;
+        /// core::prepare_stg(*model); declared after `model`, which its
+        /// artifacts may refer to.
+        core::PreparedStg prepared;
         std::uint64_t last_used = 0;
     };
 

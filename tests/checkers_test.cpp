@@ -53,6 +53,14 @@ TEST(Checkers, VmeCscConflictMatchesPaperFig1) {
     outs.insert(name_of(w.out1));
     outs.insert(name_of(w.out2));
     EXPECT_EQ(outs, (std::set<std::string>{"d", "lds"}));
+    // The absolute code is the code of the states both traces reach.
+    stg::StateGraph sg(model);
+    const auto s1 = sg.graph().find(w.m1);
+    const auto s2 = sg.graph().find(w.m2);
+    ASSERT_NE(s1, petri::kNoState);
+    ASSERT_NE(s2, petri::kNoState);
+    EXPECT_EQ(sg.code(s1), w.code);
+    EXPECT_EQ(sg.code(s2), w.code);
 }
 
 TEST(Checkers, ResolvedVmeHoldsCoding) {

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -395,8 +396,15 @@ TEST_F(CliTest, OneVerdictEntryIsWarmForStgcheckStgbatchAndStgd) {
         }
         return n;
     };
+    // Every file in the directory, whatever its name: no lock or temp file
+    // stays beside the entries.
+    const auto files = [&] {
+        return std::distance(fs::directory_iterator(cache),
+                             fs::directory_iterator{});
+    };
     EXPECT_EQ(entries("verdict-"), 1u);
     EXPECT_EQ(entries(""), 1u);
+    EXPECT_EQ(files(), 1);
 
     // stgbatch replays stgcheck's entry: one hit, nothing unfolded.
     {
@@ -450,6 +458,7 @@ TEST_F(CliTest, OneVerdictEntryIsWarmForStgcheckStgbatchAndStgd) {
     // Three tools, one model: still one rendered entry and nothing else.
     EXPECT_EQ(entries("verdict-"), 1u);
     EXPECT_EQ(entries(""), 1u);
+    EXPECT_EQ(files(), 1);
 }
 
 TEST_F(CliTest, CorruptedCacheEntriesFallBackToCleanRecompute) {

@@ -170,20 +170,6 @@ TEST_F(ObsTest, ChromeTraceMatchesGoldenFile) {
     EXPECT_EQ(got, want.str());
 }
 
-TEST_F(ObsTest, TreeSummaryShowsNesting) {
-    set_enabled(true);
-    {
-        Span a("phase");
-        { Span b("step"); }
-    }
-    const std::string tree = Tracer::instance().tree_summary();
-    const auto phase_pos = tree.find("phase");
-    const auto step_pos = tree.find("  step");
-    EXPECT_NE(phase_pos, std::string::npos);
-    EXPECT_NE(step_pos, std::string::npos);
-    EXPECT_LT(phase_pos, step_pos);
-}
-
 TEST_F(ObsTest, VerifyPipelineEmitsNestedPhaseSpans) {
     set_enabled(true);
     auto model = stg::bench::vme_bus();

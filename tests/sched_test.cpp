@@ -517,16 +517,6 @@ TEST(SchedParallelFor, RethrowsLowestFailingIndex) {
     }
 }
 
-TEST(SchedParallelMap, ResultsOrderedByIndex) {
-    for (unsigned jobs : {1u, 4u}) {
-        Executor ex(jobs);
-        auto squares = parallel_map<std::size_t>(
-            ex, 64, [](std::size_t i) { return i * i; });
-        ASSERT_EQ(squares.size(), 64u);
-        for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(squares[i], i * i);
-    }
-}
-
 TEST(SchedFindFirst, ReturnsLowestIndexHitNotFirstFinisher) {
     for (unsigned jobs : {1u, 4u, 8u}) {
         Executor ex(jobs);
@@ -586,7 +576,7 @@ TEST(SchedFindFirst, CancelsIndicesAboveTheHit) {
 }
 
 TEST(SchedDeque, LifoOwnerFifoThief) {
-    WorkDeque dq;
+    WorkDequeT<Task> dq;
     int order = 0;
     for (int i = 0; i < 3; ++i)
         dq.push_bottom([i, &order] { order = order * 10 + i; });

@@ -124,27 +124,5 @@ TEST(StateGraph, RandomStgsConsistent) {
     }
 }
 
-
-TEST(StateGraph, DotExportMarksConflictGroups) {
-    auto model = stg::bench::vme_bus();
-    StateGraph sg(model);
-    const std::string dot = sg.to_dot();
-    EXPECT_NE(dot.find("digraph sg"), std::string::npos);
-    // The two conflicting states share the 11010 code and are highlighted.
-    EXPECT_NE(dot.find("lightsalmon"), std::string::npos);
-    EXPECT_NE(dot.find("11010"), std::string::npos);
-    EXPECT_NE(dot.find("dsr+"), std::string::npos);
-}
-
-TEST(StateGraph, DotExportRequiresConsistency) {
-    StgBuilder b("bad-dot");
-    b.input("a");
-    b.arc("a+/1", "a+/2").arc("a+/2", "a-").arc("a-", "a+/1");
-    b.token_between("a-", "a+/1");
-    auto model = b.build();
-    StateGraph sg(model);
-    EXPECT_THROW((void)sg.to_dot(), ContractViolation);
-}
-
 }  // namespace
 }  // namespace stgcc::stg
