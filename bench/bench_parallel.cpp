@@ -1,12 +1,16 @@
 // Parallel-runtime benchmark: corpus wall-clock of the Table 1 suite at
 // jobs = 1/2/4/8 (model-level + within-model parallelism on one shared
-// pool, exactly the stgbatch configuration), and the per-signal CSC
-// fan-out speedup on the largest conflict-free instances (the exhaustive
-// searches that dominate checking time).  Writes BENCH_parallel.json.
+// pool, exactly the stgbatch configuration), the per-signal CSC fan-out
+// speedup on the largest conflict-free instances (the exhaustive searches
+// that dominate checking time), and the USC search split by first
+// difference on CF-ASYM-B and CF-SYM-D at jobs 1 and 4.  Writes
+// BENCH_parallel.json.
 //
-// Verdicts are asserted identical across jobs values while measuring --
-// a benchmark run doubles as a determinism check.  Speedups are whatever
+// Verdicts (and the USC split's nodes and leaves) are asserted identical
+// across jobs values while measuring -- a benchmark run doubles as a
+// determinism check.  Speedups are whatever
 // the hardware gives: on a single-core container they hover around 1.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -122,6 +126,52 @@ int main() {
                            .set("signals", signals)
                            .set("seconds_jobs1", s1)
                            .set("seconds_jobs8", s8)
+                           .set("speedup", speedup));
+    }
+
+    std::printf("\nUSC split by first difference (fastest of 5 per jobs value):"
+                "\n\n");
+    std::printf("%-16s %10s %10s %12s %12s %10s\n", "model", "nodes", "leaves",
+                "jobs=1", "jobs=4", "speedup");
+    benchutil::rule(76);
+    for (const auto& entry : suite) {
+        if (entry.name != "CF-ASYM-B-CSC" && entry.name != "CF-SYM-D-CSC")
+            continue;
+        core::UnfoldingChecker checker(entry.stg);
+        sched::Executor serial(1);
+        sched::Executor pool(4);
+        stg::CheckStats stats[2];
+        double best[2] = {1e9, 1e9};
+        for (int rep = 0; rep < 5; ++rep) {
+            for (int k = 0; k < 2; ++k) {
+                Stopwatch t;
+                stats[k] = checker.check_usc({}, k == 0 ? serial : pool).stats;
+                best[k] = std::min(best[k], t.seconds());
+            }
+        }
+        if (stats[0].search_nodes != stats[1].search_nodes ||
+            stats[0].leaves != stats[1].leaves) {
+            std::fprintf(stderr,
+                         "FATAL: USC split on %s grew another tree: %zu/%zu "
+                         "nodes/leaves at jobs 1, %zu/%zu at jobs 4\n",
+                         entry.name.c_str(), stats[0].search_nodes,
+                         stats[0].leaves, stats[1].search_nodes, stats[1].leaves);
+            return 1;
+        }
+        const double speedup = best[1] > 0 ? best[0] / best[1] : 1.0;
+        std::printf("%-16s %10zu %10zu %12s %12s %9.2fx\n", entry.name.c_str(),
+                    stats[0].search_nodes, stats[0].leaves,
+                    benchutil::fmt_time(best[0]).c_str(),
+                    benchutil::fmt_time(best[1]).c_str(), speedup);
+        report.add_row(obs::Json::object()
+                           .set("section", "usc_split")
+                           .set("model", entry.name)
+                           .set("nodes", stats[0].search_nodes)
+                           .set("leaves", stats[0].leaves)
+                           .set("nodes_jobs4", stats[1].search_nodes)
+                           .set("leaves_jobs4", stats[1].leaves)
+                           .set("seconds_jobs1", best[0])
+                           .set("seconds_jobs4", best[1])
                            .set("speedup", speedup));
     }
 

@@ -1,6 +1,7 @@
 #include "core/checkers.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -70,13 +71,21 @@ UnfoldingChecker::UnfoldingChecker(cache::PrefixArtifactsPtr artifacts)
       problem_(&artifacts_->problem()) {}  // throws when inconsistent
 
 stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts) const {
+    sched::Executor serial(1);  // starts no pool
+    return check_usc(opts, serial);
+}
+
+stg::CodingCheckResult UnfoldingChecker::check_usc(SearchOptions opts,
+                                                   sched::Executor& ex) const {
     obs::Span span("solve.usc");
     CompatSolver solver(*problem_, opts);
     auto outcome = solver.solve(
-        CodeRelation::Equal, [](const LeafView& a, const LeafView& b) {
+        CodeRelation::Equal,
+        [](const LeafView& a, const LeafView& b) {
             // USC separating predicate: the markings must differ.
             return !(a.places == b.places);
-        });
+        },
+        ex);
     stg::CodingCheckResult result;
     result.stats = outcome.stats;
     if (outcome.found) {
@@ -158,11 +167,24 @@ stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts) const {
     // (lo = x'').  Each flag keeps the *first* violating pair in enumeration
     // order, which is deterministic.
     stg::NormalcyResult result;
-    for (const stg::SignalId z : stg_->circuit_driven_signals())
+    // The open flags as |Z|-bit sets, p and n apart, and where each signal
+    // sits in per_signal (ascending signal order, as circuit_driven_signals
+    // lists them).
+    using Word = BitSpan::Word;
+    constexpr std::size_t kWordBits = BitSpan::kWordBits;
+    const std::size_t ncw = problem_->initial_code().span().num_words();
+    std::vector<Word> open_p(ncw), open_n(ncw);
+    std::vector<std::size_t> slot(stg_->num_signals());
+    for (const stg::SignalId z : stg_->circuit_driven_signals()) {
+        slot[z] = result.per_signal.size();
         result.per_signal.emplace_back().signal = z;
+        open_p[z / kWordBits] |= Word{1} << (z % kWordBits);
+        open_n[z / kWordBits] |= Word{1} << (z % kWordBits);
+    }
     const auto open = [&] {
-        return std::ranges::any_of(result.per_signal,
-                                   &stg::SignalNormalcy::normal);
+        for (std::size_t w = 0; w < ncw; ++w)
+            if (open_p[w] | open_n[w]) return true;
+        return false;
     };
 
     for (const CodeRelation rel :
@@ -176,27 +198,37 @@ stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts) const {
                                              const LeafView& b) {
             const LeafView& lo = less_eq ? a : b;
             const LeafView& hi = less_eq ? b : a;
-            for (stg::SignalNormalcy& sn : result.per_signal) {
-                if (!sn.normal()) continue;
-                const stg::SignalId z = sn.signal;
+            bool violated = false;
+            for (std::size_t w = 0; w < ncw; ++w) {
                 // Nxt_z flips the code bit exactly when z is enabled.
-                const bool nxt_lo =
-                    problem_->enabled(lo.places, z) != lo.code.test(z);
-                const bool nxt_hi =
-                    problem_->enabled(hi.places, z) != hi.code.test(z);
-                if (sn.p_normal && nxt_lo && !nxt_hi) {
-                    sn.p_normal = false;
-                    sn.p_violation = make_normalcy_witness(
-                        *problem_, z, lo.config, hi.config);
-                }
-                if (sn.n_normal && !nxt_lo && nxt_hi) {
-                    sn.n_normal = false;
-                    sn.n_violation = make_normalcy_witness(
-                        *problem_, z, lo.config, hi.config);
+                const Word nxt_lo =
+                    lo.code.words()[w] ^ problem_->out_word(lo.places, w);
+                const Word nxt_hi =
+                    hi.code.words()[w] ^ problem_->out_word(hi.places, w);
+                const Word p = nxt_lo & ~nxt_hi & open_p[w];
+                const Word n = ~nxt_lo & nxt_hi & open_n[w];
+                if ((p | n) == 0) continue;
+                violated = true;
+                open_p[w] &= ~p;
+                open_n[w] &= ~n;
+                for (Word bits = p | n; bits; bits &= bits - 1) {
+                    const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+                    const auto z = static_cast<stg::SignalId>(w * kWordBits + b);
+                    stg::SignalNormalcy& sn = result.per_signal[slot[z]];
+                    if ((p >> b) & 1) {
+                        sn.p_normal = false;
+                        sn.p_violation = make_normalcy_witness(
+                            *problem_, z, lo.config, hi.config);
+                    }
+                    if ((n >> b) & 1) {
+                        sn.n_normal = false;
+                        sn.n_violation = make_normalcy_witness(
+                            *problem_, z, lo.config, hi.config);
+                    }
                 }
             }
             // Stop early only when no signal can still be classified normal.
-            return !open();
+            return violated && !open();
         });
         result.stats.add(outcome.stats);
     }

@@ -54,9 +54,16 @@ public:
     }
 
     /// Unique State Coding: search for two configurations with equal codes
-    /// and different markings.  An exhaustive, uncancelled search that finds
-    /// none records the USC=>CSC certificate on the artifacts.
+    /// and different markings, serially.  An exhaustive, uncancelled search
+    /// that finds none records the USC=>CSC certificate on the artifacts.
     [[nodiscard]] stg::CodingCheckResult check_usc(SearchOptions opts = {}) const;
+
+    /// The same search with its first-difference subtrees spread over `ex`
+    /// (CompatSolver::solve on an executor).  The witness and the stats
+    /// equal the serial run's at any `--jobs`; the certificate is recorded
+    /// only when no subtree was cut by `opts.cancel`.
+    [[nodiscard]] stg::CodingCheckResult check_usc(SearchOptions opts,
+                                                  sched::Executor& ex) const;
 
     /// Complete State Coding: two configurations with equal codes and
     /// different enabled-output sets.  The paper's staged USC-then-CSC

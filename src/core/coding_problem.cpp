@@ -1,5 +1,6 @@
 #include "core/coding_problem.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "obs/metrics.hpp"
@@ -76,10 +77,14 @@ void CodingProblem::build(const unf::PrefixConsistency& consistency) {
     out_begin_.assign(1, 0);
     for (const auto& ts : outs) out_begin_.push_back(out_begin_.back() + ts.size());
     out_presets_ = util::BitMatrix(arena_, out_begin_.back(), np);
-    for (stg::SignalId z = 0; z < outs.size(); ++z)
-        for (std::size_t k = 0; k < outs[z].size(); ++k)
+    out_signal_.resize(out_begin_.back());
+    for (stg::SignalId z = 0; z < outs.size(); ++z) {
+        for (std::size_t k = 0; k < outs[z].size(); ++k) {
+            out_signal_[out_begin_[z] + k] = z;
             for (petri::PlaceId p : net.pre(outs[z][k]))
                 out_presets_.set(out_begin_[z] + k, p);
+        }
+    }
 
     obs::gauge("mem.arena_bytes")
         .set(static_cast<std::int64_t>(util::Arena::process_live_bytes()));
@@ -101,6 +106,33 @@ stg::Code CodingProblem::code_of(BitSpan config) const {
         if (std::popcount(parity) & 1) code.assign_bit(z, !code.test(z));
     }
     return code;
+}
+
+BitSpan::Word CodingProblem::out_word(BitSpan places, std::size_t w) const {
+    using Word = BitSpan::Word;
+    constexpr std::size_t kWordBits = BitSpan::kWordBits;
+    // The rows of the signals of word w are contiguous: rows are grouped
+    // by signal in ascending order.
+    const std::size_t nz = out_begin_.size() - 1;
+    const std::size_t end = out_begin_[std::min(w * kWordBits + kWordBits, nz)];
+    const std::size_t begin = out_begin_[std::min(w * kWordBits, nz)];
+    const std::size_t npw = out_presets_.stride();
+    const Word* marked = places.words();
+    Word out = 0;
+    if (npw == 1) {  // |P| <= 64: one word per preset, no inner loop
+        const Word unmarked = ~marked[0];
+        for (std::size_t k = begin; k < end; ++k)
+            out |= Word{(out_presets_.row(k).words()[0] & unmarked) == 0}
+                   << (out_signal_[k] % kWordBits);
+        return out;
+    }
+    for (std::size_t k = begin; k < end; ++k) {
+        const Word* preset = out_presets_.row(k).words();
+        Word missing = 0;
+        for (std::size_t i = 0; i < npw; ++i) missing |= preset[i] & ~marked[i];
+        out |= Word{missing == 0} << (out_signal_[k] % kWordBits);
+    }
+    return out;
 }
 
 bool CodingProblem::enabled(BitSpan places, stg::SignalId z) const {

@@ -100,6 +100,11 @@ public:
     /// Stg::out_signals; always false for an input signal).
     [[nodiscard]] bool enabled(BitSpan places, stg::SignalId z) const;
 
+    /// Out of that marking as a |Z|-bit set, one word at a time: bit i of
+    /// out_word(places, w) is enabled(places, 64 w + i).  One pass over the
+    /// preset masks of those signals.
+    [[nodiscard]] BitSpan::Word out_word(BitSpan places, std::size_t w) const;
+
 private:
     void build(const unf::PrefixConsistency& consistency);
 
@@ -114,6 +119,7 @@ private:
     /// signal: the rows of z are [out_begin_[z], out_begin_[z + 1]).
     util::BitMatrix out_presets_;
     std::vector<std::size_t> out_begin_;      ///< num_signals + 1 offsets
+    std::vector<stg::SignalId> out_signal_;   ///< the signal of each row
     std::vector<stg::SignalId> signal_;
     stg::Code initial_code_;
     BitVec initial_places_;

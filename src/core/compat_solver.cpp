@@ -358,12 +358,14 @@ bool CompatSolver::timed_assign(int side, std::size_t idx, int value) {
 }
 
 template <std::size_t NW>
-void CompatSolver::search(const PairPredicate& accept) {
+void CompatSolver::search(const PairPredicate& accept, std::size_t first,
+                          std::size_t last) {
     // Outer loop over the first index d where the two vectors differ; a
     // cut-off is 0 on both sides, so it is never the first difference.
-    const std::size_t q = problem_->size();
     const BitSpan cutoffs = problem_->cutoffs();
-    for (std::size_t d = 0; d < q && !outcome_.found && !cancelled_; ++d) {
+    for (std::size_t j = 0; j < first; ++j)
+        below_[j / kWordBits] |= Word{1} << (j % kWordBits);
+    for (std::size_t d = first; d < last && !outcome_.found && !cancelled_; ++d) {
         // Indices below d are linked equal on both sides.
         if (d > 0)
             below_[(d - 1) / kWordBits] |= Word{1} << ((d - 1) % kWordBits);
@@ -388,10 +390,8 @@ const char* relation_name(CodeRelation r) {
 
 }  // namespace
 
-SearchOutcome CompatSolver::solve(CodeRelation relation,
-                                  const PairPredicate& accept) {
-    obs::Span span("compat.solve");
-    span.attr("relation", relation_name(relation));
+void CompatSolver::run(CodeRelation relation, const PairPredicate& accept,
+                       std::size_t first, std::size_t last) {
     relation_ = relation;
     conflict_free_mode_ = opts_.use_conflict_free_optimisation &&
                           problem_->dynamically_conflict_free();
@@ -433,22 +433,104 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
 
     cancelled_ = false;
     if (npw_ == 1 && ncw_ == 1 && nw_ == 1)
-        search<1>(accept);
+        search<1>(accept, first, last);
     else if (npw_ == 1 && ncw_ == 1 && nw_ == 2)
-        search<2>(accept);
+        search<2>(accept, first, last);
     else
-        search<0>(accept);
+        search<0>(accept, first, last);
+    outcome_.cancelled = cancelled_;
+    outcome_.stats = stats_;
+    outcome_.stats.bound_seconds = static_cast<double>(bound_ns_) / 1e9;
+}
+
+SearchOutcome CompatSolver::solve(CodeRelation relation,
+                                  const PairPredicate& accept) {
+    obs::Span span("compat.solve");
+    run(relation, accept, 0, problem_->size());
+    outcome_.stats.seconds = span.seconds();
+    publish(span);
+    return outcome_;
+}
+
+SearchOutcome CompatSolver::solve(CodeRelation relation,
+                                  const PairPredicate& accept,
+                                  sched::Executor& ex) {
+    if (!ex.parallel()) return solve(relation, accept);
+    obs::Span span("compat.solve");
+    std::vector<std::size_t> firsts;  // the subtrees: every non-cut-off d
+    const BitSpan cutoffs = problem_->cutoffs();
+    for (std::size_t d = 0; d < problem_->size(); ++d)
+        if (!cutoffs.test(d)) firsts.push_back(d);
+
+    // What each subtree's solver leaves behind for the fold below.
+    struct Subtree {
+        stg::CheckStats stats;
+        std::uint64_t bound_ns = 0, signal_prunes = 0, closure_prunes = 0;
+        bool cancelled = false;
+    };
+    std::vector<Subtree> subtrees(firsts.size());
+    auto hit = sched::find_first<SearchOutcome>(
+        ex, firsts.size(),
+        [&](std::size_t i, const sched::CancellationToken& token)
+            -> std::optional<SearchOutcome> {
+            SearchOptions local = opts_;
+            // The early-stop token must not drop the caller's token: either
+            // cancels this subtree.  A subtree polls first at its 1024th
+            // node, and most have fewer, so the token is also read here.
+            local.cancel = sched::CancellationToken::combine(opts_.cancel, token);
+            if (local.cancel.cancelled()) {
+                subtrees[i].cancelled = true;
+                return std::nullopt;
+            }
+            CompatSolver sub(*problem_, local);
+            sub.run(relation, accept, firsts[i], firsts[i] + 1);
+            subtrees[i] = {sub.stats_, sub.bound_ns_, sub.signal_prunes_,
+                           sub.closure_prunes_, sub.cancelled_};
+            if (!sub.outcome_.found) return std::nullopt;
+            return std::move(sub.outcome_);
+        });
+
+    // Fold the subtrees up to the winner, which ran to completion at every
+    // jobs value; the cancelled ones above it depend on the schedule.  Only
+    // opts.cancel can cut a subtree at or below the winner, and then the
+    // search reads cancelled with no witness, as a cut serial run does.
+    relation_ = relation;
+    conflict_free_mode_ = opts_.use_conflict_free_optimisation &&
+                          problem_->dynamically_conflict_free();
+    stats_ = stg::CheckStats{};
+    bound_ns_ = signal_prunes_ = closure_prunes_ = 0;
+    cancelled_ = false;
+    const std::size_t counted = hit ? hit->index + 1 : firsts.size();
+    for (std::size_t i = 0; i < counted; ++i) {
+        stats_.add(subtrees[i].stats);
+        bound_ns_ += subtrees[i].bound_ns;
+        signal_prunes_ += subtrees[i].signal_prunes;
+        closure_prunes_ += subtrees[i].closure_prunes;
+        cancelled_ = cancelled_ || subtrees[i].cancelled;
+    }
+    // Each subtree had the whole node budget; the serial run stops once the
+    // nodes up to its last leaf exceed it, which is this sum.
+    if (stats_.search_nodes > opts_.max_nodes)
+        throw ModelError("CompatSolver: node limit exceeded (" +
+                         std::to_string(opts_.max_nodes) + ")");
+    outcome_ = hit && !cancelled_ ? std::move(hit->value) : SearchOutcome{};
     outcome_.cancelled = cancelled_;
     outcome_.stats = stats_;
     outcome_.stats.seconds = span.seconds();
     outcome_.stats.bound_seconds = static_cast<double>(bound_ns_) / 1e9;
+    publish(span);
+    span.attr("subtrees", firsts.size());
+    return outcome_;
+}
 
+void CompatSolver::publish(obs::Span& span) const {
     obs::counter("compat.solves").add();
     obs::counter("compat.nodes").add(stats_.search_nodes);
     obs::counter("compat.leaves").add(stats_.leaves);
     obs::counter("compat.signal_prunes").add(signal_prunes_);
     obs::counter("compat.closure_prunes").add(closure_prunes_);
-    span.attr("vars", 2 * q);
+    span.attr("relation", relation_name(relation_));
+    span.attr("vars", 2 * problem_->size());
     span.attr("conflict_free_mode", conflict_free_mode_);
     span.attr("nodes", stats_.search_nodes);
     span.attr("leaves", stats_.leaves);
@@ -457,7 +539,6 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     span.attr("bound_ns", bound_ns_);
     span.attr("found", outcome_.found);
     if (cancelled_) span.attr("cancelled", true);
-    return outcome_;
 }
 
 }  // namespace stgcc::core

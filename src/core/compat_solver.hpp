@@ -23,7 +23,11 @@
 // cut-offs, which are 0 on both sides), which both
 // removes the C' = C'' diagonal and halves the symmetric search space --
 // this realises the paper's "M' <lex M''" separating constraint at the
-// level of Parikh vectors.
+// level of Parikh vectors.  The subtrees of distinct d share no pair, so
+// solve() on a pooled executor hands them out in ascending d through
+// sched::find_first, one solver per subtree; the lowest-d hit is the one
+// the serial loop finds, and the stats summed over the subtrees up to it
+// are the serial run's.
 //
 // Inside a first-difference subtree the search branches on the highest
 // event still open on either side (x' before x'', value 0 first).  Events
@@ -60,7 +64,12 @@
 
 #include "core/coding_problem.hpp"
 #include "sched/cancellation.hpp"
+#include "sched/parallel.hpp"
 #include "stg/results.hpp"
+
+namespace stgcc::obs {
+class Span;
+}
 
 namespace stgcc::core {
 
@@ -118,6 +127,17 @@ public:
     [[nodiscard]] SearchOutcome solve(CodeRelation relation,
                                       const PairPredicate& accept);
 
+    /// The same search with its first-difference subtrees handed out in
+    /// ascending d through sched::find_first on `ex`, so `accept` must be
+    /// safe to call concurrently.  The witness is the lowest-d hit and the
+    /// stats are summed over the subtrees up to it (all of them when none
+    /// hits), so both equal the serial run's at any jobs value; the outcome
+    /// reads cancelled when a subtree that counts was cut by opts.cancel.
+    /// A serial executor runs solve(relation, accept).
+    [[nodiscard]] SearchOutcome solve(CodeRelation relation,
+                                      const PairPredicate& accept,
+                                      sched::Executor& ex);
+
 private:
     using Word = BitSpan::Word;
     static constexpr std::size_t kWordBits = BitSpan::kWordBits;
@@ -143,9 +163,17 @@ private:
     template <std::size_t NW>
     struct Widths;
 
-    /// The first-difference loop: one dfs per first differing index d.
+    /// Reset the search state for `relation` and run the first-difference
+    /// subtrees d in [first, last), the indices below `first` linked equal.
+    void run(CodeRelation relation, const PairPredicate& accept,
+             std::size_t first, std::size_t last);
+    /// The first-difference loop: one dfs per first differing index d in
+    /// [first, last).
     template <std::size_t NW>
-    void search(const PairPredicate& accept);
+    void search(const PairPredicate& accept, std::size_t first, std::size_t last);
+    /// Record the finished search on its compat.solve span and in the
+    /// compat.* counters: once per check, however it was split.
+    void publish(obs::Span& span) const;
     template <std::size_t NW>
     bool assign(int side, std::size_t idx, int value);
     /// assign() with the bound-time stopwatch around it while a trace is

@@ -145,7 +145,7 @@ void run_checks(VerificationReport& report, const VerifyOptions& opts,
     report.jobs = ex.jobs();
     std::vector<std::function<void()>> phases;
     phases.emplace_back([&] {
-        report.usc = checker.check_usc(opts.search);
+        report.usc = checker.check_usc(opts.search, ex);
         report.csc = checker.check_csc(opts.search, ex);
     });
     if (opts.check_normalcy) {

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -83,7 +84,10 @@ struct FirstHit {
 /// above the best hit so far are cancelled; tasks below it always run to
 /// completion, so the winner is schedule-independent.  Serial executors
 /// evaluate indices in order and stop at the first hit -- the identical
-/// winner by construction.
+/// winner by construction.  A call that throws below the winner (or with
+/// no winner) rethrows, the lowest such index first, as the serial loop
+/// would; a throw above the winner is dropped, since the serial loop never
+/// reaches that index.
 template <class R>
 std::optional<FirstHit<R>> find_first(
     Executor& ex, std::size_t n,
@@ -99,8 +103,8 @@ std::optional<FirstHit<R>> find_first(
     }
 
     // Indices are dispensed in ascending order from a shared counter by a
-    // bounded set of loop tasks (one per executing thread, pool workers
-    // plus the helping caller) instead of queueing one task per index.
+    // bounded set of loops (one per executing thread, pool workers plus
+    // the caller) instead of queueing one task per index.
     // Per-index tasks submitted from a worker would drain LIFO -- highest
     // index first, the exact reverse of the serial early-stop order -- so
     // a low-index hit would be reached only after every higher index had
@@ -109,45 +113,88 @@ std::optional<FirstHit<R>> find_first(
     // work it performs stays within (completed prefix below the winner) +
     // (one in-flight probe per thread), schedule-independent in verdict
     // and near-serial in total work.
-    std::vector<CancellationSource> sources(n);
-    std::vector<std::optional<R>> results(n);
-    std::vector<std::exception_ptr> errors(n);
+    //
+    // State is kept per lane, not per index (an index count can run into
+    // the hundreds, a lane count is jobs + 1): the index each lane is on
+    // with a cancellation source for it, the best hit and the lowest throw.
+    const std::size_t lanes =
+        std::min<std::size_t>(n, static_cast<std::size_t>(ex.jobs()) + 1);
+    std::vector<CancellationSource> sources(lanes);
+    std::vector<std::size_t> on(lanes, n);  // n: between indices
+    std::optional<R> result;
+    std::exception_ptr error;
+    std::size_t error_at = n;
     std::mutex mu;
     std::size_t best = n;
     std::atomic<std::size_t> next{0};
-    const std::size_t lanes =
-        std::min<std::size_t>(n, static_cast<std::size_t>(ex.jobs()) + 1);
-    TaskGroup group(ex.pool());
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-        group.run([&] {
-            for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                 i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
-                {
-                    std::lock_guard<std::mutex> lock(mu);
-                    if (i > best) continue;  // beaten by a lower index
-                }
-                std::optional<R> r;
-                try {
-                    r = fn(i, sources[i].token());
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                    continue;
-                }
-                if (!r) continue;
+    const auto lane = [&](std::size_t k) {
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+             i = next.fetch_add(1, std::memory_order_relaxed)) {
+            CancellationToken token;
+            {
                 std::lock_guard<std::mutex> lock(mu);
-                results[i] = std::move(r);
-                if (i < best) {
-                    best = i;
-                    for (std::size_t j = i + 1; j < n; ++j) sources[j].cancel();
-                }
+                if (i > best) continue;  // beaten by a lower index
+                sources[k] = CancellationSource();
+                on[k] = i;
+                token = sources[k].token();
             }
+            std::optional<R> r;
+            std::exception_ptr thrown;
+            try {
+                r = fn(i, token);
+            } catch (...) {
+                thrown = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            on[k] = n;
+            if (thrown && i < error_at) {
+                error_at = i;
+                error = thrown;
+            }
+            if (!r || i >= best) continue;
+            best = i;
+            result = std::move(r);
+            for (std::size_t j = 0; j < lanes; ++j)
+                if (on[j] != n && on[j] > i) sources[j].cancel();
+        }
+    };
+    // One lane runs on the calling thread, the others are pool tasks.  Once
+    // the caller's lane finds the indices exhausted it closes the lanes: a
+    // lane task that starts after that returns at once without touching
+    // this frame, so the caller waits only for the lanes already running,
+    // each on its last index, and it waits parked.  A helping wait could
+    // pick up any queued task -- under stgbatch another model's whole
+    // verification -- and run it nested on this stack, holding this result
+    // back and both verifications' memory at once.
+    struct Lanes {
+        std::mutex mu;
+        std::condition_variable idle;
+        bool closed = false;
+        std::size_t running = 0;
+    };
+    const auto shared = std::make_shared<Lanes>();
+    const auto* body = &lane;
+    for (std::size_t k = 1; k < lanes; ++k) {
+        ex.pool()->submit([shared, body, k] {
+            {
+                std::lock_guard<std::mutex> lock(shared->mu);
+                if (shared->closed) return;
+                ++shared->running;
+            }
+            (*body)(k);
+            std::lock_guard<std::mutex> lock(shared->mu);
+            if (--shared->running == 0) shared->idle.notify_all();
         });
     }
-    group.wait();
-    for (auto& e : errors)
-        if (e) std::rethrow_exception(e);
+    lane(0);
+    {
+        std::unique_lock<std::mutex> lock(shared->mu);
+        shared->closed = true;
+        shared->idle.wait(lock, [&] { return shared->running == 0; });
+    }
+    if (error_at < best) std::rethrow_exception(error);
     if (best == n) return std::nullopt;
-    return FirstHit<R>{best, std::move(*results[best])};
+    return FirstHit<R>{best, std::move(*result)};
 }
 
 }  // namespace stgcc::sched

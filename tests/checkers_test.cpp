@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
+#include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "stg/state_checks.hpp"
 #include "stg/state_graph.hpp"
@@ -153,6 +157,11 @@ TEST(Checkers, UscCertificateNeedsAnExhaustiveUncancelledSearch) {
     (void)checker.check_usc(cancelled);
     EXPECT_FALSE(checker.artifacts()->clauses().usc_holds());
     EXPECT_GT(checker.check_csc().stats.search_nodes, 0u);
+    // The same on the pooled path, where the subtrees are cut one by one.
+    sched::Executor pool(4);
+    (void)checker.check_usc(cancelled, pool);
+    EXPECT_FALSE(checker.artifacts()->clauses().usc_holds());
+    EXPECT_GT(checker.check_csc().stats.search_nodes, 0u);
 
     ASSERT_TRUE(checker.check_usc().holds);
     EXPECT_TRUE(checker.artifacts()->clauses().usc_holds());
@@ -163,6 +172,30 @@ TEST(Checkers, UscCertificateNeedsAnExhaustiveUncancelledSearch) {
     const auto fanned = checker.check_csc({}, serial);
     EXPECT_TRUE(fanned.holds);
     EXPECT_EQ(fanned.stats.search_nodes, 0u);
+}
+
+TEST(Checkers, UscDeadlineMidSearchOnAPoolRecordsNoCertificate) {
+    // A deadline that passes while CF-ASYM-B's USC subtrees run on four
+    // workers: some subtrees are cut, so no certificate, and CSC searches.
+    const stg::Stg model = stg::load_astg_file(std::string(STGCC_MODELS_DIR) +
+                                               "/cf_asym_b_csc.g");
+    UnfoldingChecker checker(model);
+    sched::CancellationSource source;
+    source.cancel_after(std::chrono::milliseconds(1));
+    SearchOptions deadline;
+    deadline.cancel = source.token();
+    sched::Executor pool(4);
+    const auto usc = checker.check_usc(deadline, pool);
+    ASSERT_TRUE(source.cancelled());
+    // 59,038 nodes uncut (tests/golden/search_counts.json).
+    EXPECT_LT(usc.stats.search_nodes, 59038u);
+    EXPECT_FALSE(checker.artifacts()->clauses().usc_holds());
+    // A pre-cancelled CSC stops at its first poll: nodes, but no full run.
+    sched::CancellationSource stop;
+    stop.cancel();
+    SearchOptions cut;
+    cut.cancel = stop.token();
+    EXPECT_GT(checker.check_csc(cut).stats.search_nodes, 0u);
 }
 
 TEST(Checkers, StatsReported) {

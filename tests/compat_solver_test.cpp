@@ -230,6 +230,31 @@ TEST(CompatSolver, NodeLimitThrows) {
         ModelError);
 }
 
+TEST(CompatSolver, NodeLimitOnAPoolIsTheSerialOne) {
+    // Split over a pool, each subtree gets the whole budget, and the limit
+    // holds for the sum: the search throws exactly when the serial one
+    // does, not when one subtree alone exceeds it.
+    auto model = stg::bench::counterflow(4, true);
+    auto prefix = unf::unfold(model.system());
+    CodingProblem problem(model, prefix);
+    const auto reject = [](const LeafView&, const LeafView&) { return false; };
+    const std::size_t nodes = CompatSolver(problem).solve(CodeRelation::Equal, reject)
+                                  .stats.search_nodes;
+    sched::Executor pool(4);
+    SearchOptions opts;
+    opts.max_nodes = nodes;
+    EXPECT_EQ(CompatSolver(problem, opts)
+                  .solve(CodeRelation::Equal, reject, pool)
+                  .stats.search_nodes,
+              nodes);
+    opts.max_nodes = nodes - 1;
+    EXPECT_THROW((void)CompatSolver(problem, opts).solve(CodeRelation::Equal, reject),
+                 ModelError);
+    EXPECT_THROW(
+        (void)CompatSolver(problem, opts).solve(CodeRelation::Equal, reject, pool),
+        ModelError);
+}
+
 TEST(CompatSolver, ParallelHandshakesDecidedByPropagationAlone) {
     // In PAR(n) every cut-off-free configuration has a distinct code, and
     // the per-signal interval propagation proves it without any branching.

@@ -5,7 +5,10 @@
 // CI job can select them with `ctest -R 'Sched|Parallel'`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -145,6 +148,122 @@ TEST(ParallelChecker, PerSignalCscStatsMatchSerialOnEveryRun) {
             EXPECT_EQ(got.leaves, want.leaves);
             EXPECT_EQ(got.propagations, want.propagations);
             EXPECT_EQ(got.max_depth, want.max_depth);
+        }
+    }
+}
+
+/// Read a model file of models/.
+std::string model_text(const std::string& name) {
+    std::ifstream in(std::string(STGCC_MODELS_DIR) + "/" + name + ".g");
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/// The parallel composition of two .g texts: the second one's signals and
+/// places get the prefix "v" (its transitions are named after its signals,
+/// so they follow).
+std::string compose(const std::string& a, const std::string& b) {
+    std::vector<std::string> inputs, outputs, graph, marking;
+    const auto read = [&](const std::string& text, const std::string& pre) {
+        std::istringstream lines(text);
+        for (std::string line; std::getline(lines, line);) {
+            std::istringstream words(line);
+            std::string head;
+            if (!(words >> head)) continue;
+            if (head == ".model" || head == ".graph" || head == ".end") continue;
+            if (head == ".marking") {
+                std::string body = line.substr(line.find('{') + 1);
+                body = body.substr(0, body.find('}'));
+                std::istringstream marks(body);
+                for (std::string m; marks >> m;) {
+                    if (m.front() == '<') {
+                        const std::size_t comma = m.find(',');
+                        m = "<" + pre + m.substr(1, comma) + pre + m.substr(comma + 1);
+                    } else {
+                        m = pre + m;
+                    }
+                    marking.push_back(m);
+                }
+                continue;
+            }
+            std::vector<std::string>& into =
+                head == ".inputs" ? inputs : head == ".outputs" ? outputs : graph;
+            std::string row = head == ".inputs" || head == ".outputs" ? "" : pre + head;
+            for (std::string w; words >> w;) {
+                if (!row.empty()) row += ' ';
+                row += pre + w;
+            }
+            into.push_back(row);
+        }
+    };
+    read(a, "");
+    read(b, "v");
+    std::string out = ".model composed\n.inputs";
+    for (const auto& l : inputs) out += " " + l;
+    out += "\n.outputs";
+    for (const auto& l : outputs) out += " " + l;
+    out += "\n.graph\n";
+    for (const auto& l : graph) out += l + "\n";
+    out += ".marking {";
+    for (const auto& m : marking) out += " " + m;
+    return out + " }\n.end\n";
+}
+
+/// What the split USC search must reproduce: the verdict, the rendered
+/// witness and the deterministic search counts.
+std::string usc_fingerprint(const stg::Stg& model, const stg::CodingCheckResult& r) {
+    std::string out = r.holds ? "holds\n" : "VIOLATED\n";
+    if (r.witness) out += format_witness(model, *r.witness);
+    for (const std::size_t n : {r.stats.search_nodes, r.stats.leaves,
+                                r.stats.propagations, r.stats.max_depth}) {
+        out += std::to_string(n);
+        out += ' ';
+    }
+    return out;
+}
+
+TEST(ParallelChecker, UscSplitMatchesSerialOnEveryRun) {
+    // The first-difference subtrees handed out over a pool give the jobs-1
+    // witness and counts at every jobs value, on every run.  Besides the
+    // corpus and the Table 1 suite: vme composed with CF-SYM-C either way
+    // round.  With vme second, its conflict is found after 69 nodes while
+    // the lanes above it are inside CF-SYM-C subtrees of thousands of
+    // nodes, so they are cancelled mid-search; with vme first, the winner
+    // comes after 24,939 nodes.
+    struct Case {
+        std::string name;
+        stg::Stg stg;
+    };
+    std::vector<Case> cases;
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(STGCC_MODELS_DIR))
+        if (entry.path().extension() == ".g") files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    for (const fs::path& f : files)
+        cases.push_back({f.stem().string(), stg::load_astg_file(f.string())});
+    ASSERT_EQ(cases.size(), 22u);
+    for (auto& nb : stg::bench::table1_suite())
+        cases.push_back({"table1 " + nb.name, std::move(nb.stg)});
+    cases.push_back({"cf_sym_c+vme", stg::parse_astg_string(compose(
+                                         model_text("cf_sym_c_csc"), model_text("vme")))});
+    cases.push_back({"vme+cf_sym_c", stg::parse_astg_string(compose(
+                                         model_text("vme"), model_text("cf_sym_c_csc")))});
+
+    sched::Executor serial(1), pool2(2), pool4(4), pool8(8);
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const UnfoldingChecker checker(c.stg);
+        const std::string want = usc_fingerprint(c.stg, checker.check_usc({}, serial));
+        // The CF rows and the compositions are where the subtrees are big
+        // enough for the schedule to vary.
+        const bool heavy = c.name.find("cf") != std::string::npos ||
+                           c.name.find("CF") != std::string::npos;
+        for (int run = 0; run < (heavy ? 20 : 1); ++run) {
+            for (sched::Executor* ex : {&pool2, &pool4, &pool8}) {
+                EXPECT_EQ(usc_fingerprint(c.stg, checker.check_usc({}, *ex)), want)
+                    << "jobs " << ex->jobs() << " run " << run;
+            }
         }
     }
 }

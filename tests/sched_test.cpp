@@ -575,6 +575,26 @@ TEST(SchedFindFirst, CancelsIndicesAboveTheHit) {
     EXPECT_EQ(hit->value, 1);
 }
 
+TEST(SchedFindFirst, ThrowsOnlyBelowTheWinner) {
+    // As in the serial loop: a throw below the winner surfaces, a throw
+    // above it (an index the serial loop never reaches) does not.
+    for (unsigned jobs : {1u, 4u}) {
+        Executor ex(jobs);
+        const auto probe = [](std::size_t hit, std::size_t bad) {
+            return [=](std::size_t i, const CancellationToken&) -> std::optional<int> {
+                if (i == bad) throw std::runtime_error("bad index");
+                if (i == hit) return static_cast<int>(i);
+                return std::nullopt;
+            };
+        };
+        const auto above = find_first<int>(ex, 16, probe(3, 9));
+        ASSERT_TRUE(above.has_value()) << "jobs " << jobs;
+        EXPECT_EQ(above->index, 3u);
+        EXPECT_THROW((void)find_first<int>(ex, 16, probe(9, 3)), std::runtime_error)
+            << "jobs " << jobs;
+    }
+}
+
 TEST(SchedDeque, LifoOwnerFifoThief) {
     WorkDequeT<Task> dq;
     int order = 0;

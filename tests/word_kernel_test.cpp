@@ -10,7 +10,8 @@
 //    with |P|, |Z| <= 64: johnson32, seq16), two plane words (counterflow4,
 //    whose second word holds 3 events, and CF-ASYM-B, whose second word
 //    holds 42) and the runtime widths (|P| > 64, |Z| > 64 or q > 128), so
-//    the pins hold each instantiation to one search tree.  A case's name
+//    the pins hold each instantiation to one search tree.  USC runs
+//    serially and split over a pool, to the same pin.  A case's name
 //    gives the count of non-cut-off events it was chosen at; each of the
 //    generated prefixes has one cut-off.
 //  * SolverLeafView: at every leaf of exhaustive solves under each code
@@ -18,10 +19,16 @@
 //    no cut-off in it (eq. 3), the place set and code the solver carries on
 //    its trail for each side equal unf::marking_of and
 //    CodingProblem::code_of of that side's configuration, and Out of the
-//    place set equals Stg::out_signals.
+//    place set, per signal and as words, equals Stg::out_signals.
+//  * NormalcyPin: the rendered normalcy section of the corpus and of the
+//    random sweep hashes to the value pinned before the leaf predicate read
+//    Out as words, which holds the witnesses and their order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -30,7 +37,9 @@
 #include <vector>
 
 #include "core/checkers.hpp"
+#include "cache/result_cache.hpp"
 #include "core/compat_solver.hpp"
+#include "core/verifier.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
 #include "stg/contraction.hpp"
@@ -113,6 +122,10 @@ TEST_P(WordEdgeTest, ChecksAgreeWithStateGraph) {
     const auto usc = checker.check_usc();
     EXPECT_EQ(usc.holds, stg::check_usc_sg(sg).holds);
     expect_tree(usc.stats, c.usc, "USC");
+    sched::Executor pool(4);
+    const auto usc_split = checker.check_usc({}, pool);
+    EXPECT_EQ(usc_split.holds, usc.holds);
+    expect_tree(usc_split.stats, c.usc, "USC split over a pool");
     const bool csc = stg::check_csc_sg(sg).holds;
     // Run CSC before any USC certificate could answer it: a fresh checker.
     const core::UnfoldingChecker fresh(model);
@@ -189,6 +202,10 @@ std::size_t check_leaf_views(const stg::Stg& model) {
                     for (stg::SignalId z = 0; z < model.num_signals(); ++z)
                         EXPECT_EQ(problem.enabled(side->places, z), out.test(z))
                             << side->config << " signal " << model.signal_name(z);
+                    for (std::size_t w = 0; w < out.span().num_words(); ++w)
+                        EXPECT_EQ(problem.out_word(side->places, w),
+                                  out.span().words()[w])
+                            << side->config << " Out word " << w;
                 }
                 return false;
             });
@@ -213,6 +230,13 @@ TEST(SolverLeafView, AgreesWithMarkingOutAndCodeOnCorpus) {
     EXPECT_GT(leaves, 0u);
 }
 
+TEST(SolverLeafView, AgreesWithMarkingOutAndCodeOnTwoCodeWords) {
+    // |Z| = 65: the Out set and the code take two words.
+    const stg::Stg model = stg::bench::johnson_counter(65);
+    ASSERT_EQ(model.num_signals(), 65u);
+    EXPECT_GT(check_leaf_views(model), 0u);
+}
+
 TEST(SolverLeafView, AgreesWithMarkingOutAndCodeOnRandomStgs) {
     // The random-STG sweep of the unfolding tests: plain choice, heavy
     // choice, non-free-choice sync and dummy-spliced knobs (contracted
@@ -233,6 +257,76 @@ TEST(SolverLeafView, AgreesWithMarkingOutAndCodeOnRandomStgs) {
         }
     }
     EXPECT_GT(leaves, 0u);
+}
+
+/// The normalcy section of a model's rendered report (default options):
+/// from its "normalcy:" line to the end, or the error verify_stg throws.
+std::string normalcy_section(const stg::Stg& model) {
+    try {
+        const std::string report =
+            core::format_report(model, core::verify_stg(model, {}));
+        const std::size_t at = report.find("normalcy:");
+        return at == std::string::npos ? "" : report.substr(at);
+    } catch (const std::exception& e) {
+        return std::string("error: ") + e.what();
+    }
+}
+
+std::string hex(std::uint64_t h) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(NormalcyPin, RenderedSectionsMatchPinnedHashes) {
+    // FNV-1a 64 of the normalcy section per corpus model, and of the
+    // concatenated sections of each half of the random sweep (seeds
+    // 700-729 with the default knobs, 730-759 with sink places), pinned
+    // when every leaf still called enabled() once per signal and side.
+    std::vector<std::pair<std::string, std::string>> got;
+    for (const fs::path& file : model_files())
+        got.emplace_back(file.stem().string(),
+                         hex(cache::fnv1a64(normalcy_section(
+                             stg::load_astg_file(file.string())))));
+    for (const unsigned first : {700u, 730u}) {
+        std::string sections;
+        for (unsigned seed = first; seed < first + 30; ++seed) {
+            test::RandomStgConfig cfg;
+            if (seed >= 730) cfg.sink_probability = 0.25;
+            sections += normalcy_section(test::random_stg(seed, cfg));
+            sections += '\n';
+        }
+        got.emplace_back("random " + std::to_string(first) + "-" +
+                             std::to_string(first + 29),
+                         hex(cache::fnv1a64(sections)));
+    }
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"cf_asym_a_csc", "b42986bcfa9d3796"},
+        {"cf_asym_b_csc", "ed1a7d69723c392f"},
+        {"cf_sym_a_csc", "856f2f3200c63969"},
+        {"cf_sym_b_csc", "0db9fb381dd90732"},
+        {"cf_sym_c_csc", "5d7bc21fd50e7bc2"},
+        {"cf_sym_d_csc", "fd7c7489118d59b5"},
+        {"dup_4ph_a", "61f6cbc945febd53"},
+        {"dup_4ph_b", "9e5a0172fef4947a"},
+        {"dup_4ph_mtr_a", "64ed3e471d1ffb0c"},
+        {"dup_4ph_mtr_b", "0d803371922a7345"},
+        {"dup_mod_a", "722b5fed60bd3dbb"},
+        {"dup_mod_b", "6ae7c613eaf29964"},
+        {"dup_mod_c", "7313e0a1f82ba8f5"},
+        {"envelope2", "d553395ebf8a4355"},
+        {"johnson4", "3fa4b6cb1850e4cd"},
+        {"lazyring", "433a4bee73ae7498"},
+        {"muller4", "d26e136db09c4b7c"},
+        {"par4", "2e8ffab1c3d737fc"},
+        {"ring", "0ecf5f2c3ef2a8b4"},
+        {"seq4", "2e8ffab1c3d737fc"},
+        {"vme", "c8679775a0d5a7c6"},
+        {"vme_csc", "a8792c6cda92e5ea"},
+        {"random 700-729", "4cfc0c997daec4a3"},
+        {"random 730-759", "65f60d804e357afb"},
+    };
+    EXPECT_EQ(got, pinned);
 }
 
 }  // namespace
