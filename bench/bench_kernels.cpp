@@ -3,9 +3,9 @@
 //
 // Per conflict-free counterflow model (models/cf_*_csc.g, the six CF rows
 // of Table 1) and per check (USC, normalcy) at jobs 1 with default options:
-// search nodes, leaves and ns/node.  Node and leaf counts are deterministic
-// and must equal tests/golden/search_counts.json (the nightly job fails when
-// they differ); ns/node is the kernel speed and is reported, not gated -- a
+// search nodes, leaves and ns/node.  Node, leaf and propagation counts and
+// the depth are deterministic and must equal tests/golden/search_counts.json
+// (the nightly job fails when they differ); ns/node is the kernel speed and is reported, not gated -- a
 // shared host is too noisy for a timing gate.  Each solve runs --reps times
 // (default 3); the fastest run is reported, and next to it the median and
 // the interquartile range of all runs, so the spread of one invocation is
@@ -145,6 +145,8 @@ int main(int argc, char** argv) {
                                .set("check", check)
                                .set("search_nodes", nodes)
                                .set("leaves", s.stats.leaves)
+                               .set("propagations", s.stats.propagations)
+                               .set("max_depth", s.stats.max_depth)
                                .set("seconds", s.fastest)
                                .set("ns_per_node", ns)
                                .set("ns_per_node_median", median)

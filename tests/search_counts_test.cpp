@@ -1,11 +1,12 @@
-// Pins the shape of the Unf-compatible search tree: the number of search
-// nodes and leaf-predicate evaluations of the USC, CSC and normalcy checks
-// of every model in models/, verified serially (jobs 1) with default
-// options.  Node counts are deterministic, so any change to the branching
-// order, the Theorem 1 closure, the interval pruning or the first-difference
-// enumeration shows up here even when every verdict and witness survives.
-// Kernel rewrites must leave this table untouched: then ns/node is the only
-// number that moves.
+// Pins the shape of the Unf-compatible search tree and the kernel's work in
+// it: the number of search nodes, leaf-predicate evaluations, committed
+// variable assignments (propagations) and the deepest node of the USC, CSC
+// and normalcy checks of every model in models/, verified serially (jobs 1)
+// with default options.  All four are deterministic, so any change to the
+// branching order, the Theorem 1 closure, the interval pruning or the
+// first-difference enumeration shows up here even when every verdict and
+// witness survives.  Kernel rewrites must leave this table untouched: then
+// ns/node is the only number that moves.
 //
 // Regenerate only after an intended change to the search itself with
 //   STGCC_UPDATE_GOLDEN=1 ./build/tests/stgcc_tests --gtest_filter='SearchCounts*'
@@ -50,7 +51,9 @@ std::vector<fs::path> model_files() {
 obs::Json counts(const stg::CheckStats& s) {
     return obs::Json::object()
         .set("search_nodes", s.search_nodes)
-        .set("leaves", s.leaves);
+        .set("leaves", s.leaves)
+        .set("propagations", s.propagations)
+        .set("max_depth", s.max_depth);
 }
 
 /// One row per model: {"usc": {...}, "csc": {...}, "normalcy": {...}}.
@@ -92,7 +95,8 @@ TEST(SearchCounts, MatchPinnedTable) {
         ASSERT_NE(want, nullptr) << name << " missing from " << table_path();
         const obs::Json got = measure(f);
         for (const char* check : {"usc", "csc", "normalcy"})
-            for (const char* field : {"search_nodes", "leaves"}) {
+            for (const char* field :
+                 {"search_nodes", "leaves", "propagations", "max_depth"}) {
                 const obs::Json* w = want->find(check);
                 ASSERT_NE(w, nullptr) << name << "." << check;
                 ASSERT_NE(w->find(field), nullptr)
