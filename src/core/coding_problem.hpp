@@ -9,7 +9,7 @@
 //   * its signal, and per signal the rising (code contribution +1) and
 //     falling (-1) events as bit masks, cut-off bits clear,
 //   * its place flow pre(t) xor post(t), from which the solver keeps the
-//     marked-place set of each side of the pair on its trail.
+//     marked-place set of each side of the pair in its search levels.
 // It also records the derived initial code v0, the initial place set M0,
 // the preset place mask of every circuit-driven transition (Out of a place
 // set, read by the leaf predicates) and whether the STG is dynamically

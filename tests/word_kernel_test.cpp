@@ -14,10 +14,13 @@
 //    serially and split over a pool, to the same pin.  A case's name
 //    gives the count of non-cut-off events it was chosen at; each of the
 //    generated prefixes has one cut-off.
+//  * WordEdgeLevels: the cases run back to back on one thread, whose
+//    level stack each solve inherits from the one before at another width,
+//    give the counts and witnesses of the same cases run on fresh threads.
 //  * SolverLeafView: at every leaf of exhaustive solves under each code
 //    relation, each side's event set is a configuration of the prefix with
-//    no cut-off in it (eq. 3), the place set and code the solver carries on
-//    its trail for each side equal unf::marking_of and
+//    no cut-off in it (eq. 3), the place set and code the solver carries in
+//    its search level for each side equal unf::marking_of and
 //    CodingProblem::code_of of that side's configuration, and Out of the
 //    place set, per signal and as words, equals Stg::out_signals.
 //  * NormalcyPin: the rendered normalcy section of the corpus and of the
@@ -34,6 +37,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkers.hpp"
@@ -153,6 +157,59 @@ TEST_P(WordEdgeTest, ChecksAgreeWithStateGraph) {
 INSTANTIATE_TEST_SUITE_P(
     Generators, WordEdgeTest, ::testing::ValuesIn(edge_cases()),
     [](const ::testing::TestParamInfo<EdgeCase>& info) { return info.param.name; });
+
+/// A WordEdge case's USC and normalcy searches as text: verdicts, rendered
+/// witnesses and the search nodes, leaves, propagations and depth.
+std::string search_fingerprint(const EdgeCase& c) {
+    const stg::Stg model = c.make();
+    const core::UnfoldingChecker checker(model);
+    std::string out;
+    const auto add_counts = [&](const stg::CheckStats& s) {
+        for (const std::size_t n : {s.search_nodes, s.leaves, s.propagations, s.max_depth}) {
+            out += std::to_string(n);
+            out += ' ';
+        }
+        out += '\n';
+    };
+    const auto usc = checker.check_usc();
+    out += usc.holds ? "usc holds\n" : "usc violated\n";
+    if (usc.witness) out += core::format_witness(model, *usc.witness);
+    add_counts(usc.stats);
+    const auto nrm = checker.check_normalcy();
+    for (const auto& sig : nrm.per_signal) {
+        out += model.signal_name(sig.signal);
+        out += sig.p_normal ? " p" : " -";
+        out += sig.n_normal ? "n\n" : "-\n";
+        for (const auto* w : {&sig.p_violation, &sig.n_violation})
+            if (*w) out += core::format_normalcy_witness(model, **w);
+    }
+    add_counts(nrm.stats);
+    return out;
+}
+
+TEST(WordEdgeLevels, BackToBackOnOneThreadMatchFreshThreads) {
+    // The cases alternate between one plane word, two and the runtime
+    // widths, and so between level sizes.  Run forward and then backward
+    // on one thread, each solve starts on the level stack the previous
+    // one grew; each must match the case run alone on a new thread.
+    const auto cases = edge_cases();
+    std::vector<std::string> fresh;
+    for (const EdgeCase& c : cases)
+        std::thread([&] { fresh.push_back(search_fingerprint(c)); }).join();
+    std::vector<std::string> forward, backward;
+    std::thread([&] {
+        for (const EdgeCase& c : cases) forward.push_back(search_fingerprint(c));
+        for (auto c = cases.rbegin(); c != cases.rend(); ++c)
+            backward.insert(backward.begin(), search_fingerprint(*c));
+    }).join();
+    ASSERT_EQ(fresh.size(), cases.size());
+    ASSERT_EQ(forward.size(), cases.size());
+    ASSERT_EQ(backward.size(), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(forward[i], fresh[i]) << cases[i].name << " (forward)";
+        EXPECT_EQ(backward[i], fresh[i]) << cases[i].name << " (backward)";
+    }
+}
 
 /// Corpus models whose prefix has at most this many events get the leaf
 /// view check: 18 of the 22, all but the four largest counterflow rows,
