@@ -1,9 +1,10 @@
 #include "svc/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <string_view>
 
 #include "sched/parallel.hpp"
 #include "util/decimal.hpp"
@@ -12,25 +13,9 @@ namespace stgcc::svc {
 
 namespace {
 
-constexpr const char* kSharedHelp[][2] = {
-    {"--jobs N", "worker threads (default: hardware concurrency;\n"
-                 "1 = serial; verdicts are identical at any N)"},
-    {"--no-normalcy", "skip the normalcy check"},
-    {"--deadlock", "also run the deadlock check (section 5)"},
-    {"--json FILE", "write a machine-readable JSON report"},
-    {"--trace FILE", "write a Chrome trace-event JSON (chrome://tracing)"},
-    {"--cache-dir DIR", "on-disk result cache (docs/CACHING.md; default:\n"
-                        "$STGCC_CACHE_DIR; unset = no result cache)"},
-    {"--no-cache", "disable the result caches (verdicts are unchanged)"},
-    {"--connect EP", "verify through a running stgd at EP (unix:/path or\n"
-                     "host:port; docs/SERVICE.md); output and exit codes\n"
-                     "match a local run"},
-    {"--deadline-ms D", "per-request deadline (--connect only)"},
-    {"-h, --help", "print this help"},
-};
-
 void print_flag(std::ostream& out, const std::string& flag, const char* help) {
     out << "  " << std::left << std::setw(20) << flag;
+    if (flag.size() >= 20) out << "\n" << std::string(22, ' ');
     for (; *help; ++help) {
         out << *help;
         if (*help == '\n') out << std::string(22, ' ');
@@ -58,79 +43,99 @@ std::string resolve_cache_dir(const char* flag) {
 
 void print_usage(std::ostream& out, const CliTool& tool) {
     out << tool.usage << "\noptions:\n";
-    for (const auto& [flag, help] : kSharedHelp) print_flag(out, flag, help);
-    if (!tool.flags.empty()) {
-        out << "\n";
-        for (const ToolFlag& f : tool.flags)
-            print_flag(out,
-                       f.arg ? std::string(f.name) + " " + f.arg : f.name,
-                       f.help);
-    }
+    for (const ToolFlag& f : tool.flags)
+        print_flag(out, f.arg ? std::string(f.name) + " " + f.arg : f.name,
+                   f.help);
+    print_flag(out, "-h, --help", "print this help");
     out << "\n" << tool.exit_codes;
 }
 
-std::optional<int> parse_cli(int argc, char** argv, const CliTool& tool,
-                             CliOptions& out) {
-    if (argc < 2) {
-        print_usage(std::cerr, tool);
-        return 2;
-    }
-    const char* cache_dir = nullptr;
+std::optional<int> parse_args(int argc, char** argv, const CliTool& tool) {
     for (int i = 1; i < argc; ++i) {
-        const char* a = argv[i];
-        // Value flags take the next argument, whatever it looks like; a
-        // value flag in last position is an unknown option.
-        const bool has_value = i + 1 < argc;
-        const auto is = [&](const char* flag) { return !std::strcmp(a, flag); };
-        const auto value_flag = [&](const char* flag) {
-            return has_value && is(flag);
-        };
-        const ToolFlag* own = nullptr;
-        for (const ToolFlag& f : tool.flags)
-            if (is(f.name) && (f.on || has_value)) own = &f;
-        std::uint64_t number = 0;
-        if (is("-h") || is("--help")) {
+        const std::string_view a = argv[i];
+        if (a == "-h" || a == "--help") {
             print_usage(std::cout, tool);
             return 0;
-        } else if (is("--no-normalcy")) {
-            out.check.normalcy = false;
-        } else if (is("--deadlock")) {
-            out.check.deadlock = true;
-        } else if (is("--no-cache")) {
-            out.check.use_cache = false;
-        } else if (value_flag("--jobs")) {
-            if (!parse_flag_number("--jobs", argv[++i], number,
-                                   sched::Executor::kMaxJobs))
-                return 2;
-            out.jobs = static_cast<unsigned>(number);
-        } else if (value_flag("--deadline-ms")) {
-            if (!parse_flag_number("--deadline-ms", argv[++i], out.deadline_ms))
-                return 2;
-        } else if (value_flag("--cache-dir")) {
-            cache_dir = argv[++i];
-        } else if (value_flag("--connect")) {
-            out.connect = argv[++i];
-        } else if (value_flag("--json")) {
-            out.json = argv[++i];
-        } else if (value_flag("--trace")) {
-            out.trace = argv[++i];
-        } else if (own) {
-            if (own->on)
-                *own->on = true;
-            else
-                *own->value = argv[++i];
-        } else if (a[0] != '-') {
-            out.input = a;
-        } else {
+        }
+        if (!a.starts_with('-') && tool.positionals) {
+            tool.positionals->push_back(argv[i]);
+            continue;
+        }
+        const auto flag =
+            std::find_if(tool.flags.begin(), tool.flags.end(),
+                         [&](const ToolFlag& f) { return a == f.name; });
+        if (flag == tool.flags.end()) {
             std::cerr << "unknown option: " << a << "\n";
             print_usage(std::cerr, tool);
             return 2;
         }
+        if (bool* const* on = std::get_if<bool*>(&flag->target)) {
+            **on = true;
+            continue;
+        }
+        // A value flag takes the next argument, whatever it looks like.
+        if (i + 1 == argc) {
+            std::cerr << a << " needs a value\n";
+            return 2;
+        }
+        const char* text = argv[++i];
+        if (const char** const* value = std::get_if<const char**>(&flag->target))
+            **value = text;
+        else if (const auto* values =
+                     std::get_if<std::vector<const char*>*>(&flag->target))
+            (*values)->push_back(text);
+        else if (const FlagNumber& n = std::get<FlagNumber>(flag->target);
+                 !parse_flag_number(flag->name, text, *n.value, n.max))
+            return 2;
     }
-    if (!out.input) {
+    if (tool.missing_input && tool.positionals->empty()) {
         std::cerr << tool.missing_input << "\n";
+        print_usage(std::cerr, tool);
         return 2;
     }
+    return std::nullopt;
+}
+
+std::optional<int> parse_cli(int argc, char** argv, const CliTool& tool,
+                             CliOptions& out) {
+    bool no_normalcy = false, no_cache = false;
+    std::uint64_t jobs = out.jobs;
+    const char* cache_dir = nullptr;
+    std::vector<const char*> inputs;
+    CliTool shared = tool;
+    shared.positionals = &inputs;
+    shared.flags = {
+        {"--jobs",
+         "worker threads (default: hardware concurrency;\n"
+         "1 = serial; verdicts are identical at any N)",
+         FlagNumber{&jobs, sched::Executor::kMaxJobs}, "N"},
+        {"--no-normalcy", "skip the normalcy check", &no_normalcy},
+        {"--deadlock", "also run the deadlock check (section 5)",
+         &out.check.deadlock},
+        {"--json", "write a machine-readable JSON report", &out.json, "FILE"},
+        {"--trace", "write a Chrome trace-event JSON (chrome://tracing)",
+         &out.trace, "FILE"},
+        {"--cache-dir",
+         "on-disk result cache (docs/CACHING.md; default:\n"
+         "$STGCC_CACHE_DIR; unset = no result cache)",
+         &cache_dir, "DIR"},
+        {"--no-cache", "disable the result caches (verdicts are unchanged)",
+         &no_cache},
+        {"--connect",
+         "verify through a running stgd at EP (unix:/path or\n"
+         "host:port; docs/SERVICE.md); output and exit codes\n"
+         "match a local run",
+         &out.connect, "EP"},
+        {"--deadline-ms", "per-request deadline (--connect only)",
+         FlagNumber{&out.deadline_ms}, "D"},
+    };
+    shared.flags.insert(shared.flags.end(), tool.flags.begin(),
+                        tool.flags.end());
+    if (const auto rc = parse_args(argc, argv, shared)) return rc;
+    out.input = inputs.back();
+    out.jobs = static_cast<unsigned>(jobs);
+    if (no_normalcy) out.check.normalcy = false;
+    if (no_cache) out.check.use_cache = false;
     if (out.check.use_cache) out.cache_dir = resolve_cache_dir(cache_dir);
     return std::nullopt;
 }

@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/decimal.hpp"
+
 namespace stgcc::svc {
 
 void Fd::reset() noexcept {
@@ -45,14 +47,12 @@ std::optional<Endpoint> parse_endpoint(const std::string& text,
     }
     ep.kind = Endpoint::Kind::Tcp;
     ep.host = text.substr(0, colon);
-    const std::string port_text = text.substr(colon + 1);
-    char* end = nullptr;
-    const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-    if (port_text.empty() || !end || *end != '\0' || port > 65535) {
+    const auto port = util::parse_decimal(text.substr(colon + 1), 65535);
+    if (!port) {
         error = "bad port in '" + text + "'";
         return std::nullopt;
     }
-    ep.port = static_cast<std::uint16_t>(port);
+    ep.port = static_cast<std::uint16_t>(*port);
     return ep;
 }
 

@@ -52,12 +52,7 @@ TEST(PrefixArtifacts, InconsistentStgDiagnosedOnceProblemThrows) {
 class ResultCacheTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::path(::testing::TempDir()) /
-               ("stgcc_cache_" +
-                std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-                "_" + ::testing::UnitTest::GetInstance()
-                          ->current_test_info()
-                          ->name());
+        dir_ = test::test_temp_path("stgcc_cache_");
         fs::remove_all(dir_);
     }
     void TearDown() override { fs::remove_all(dir_); }

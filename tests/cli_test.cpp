@@ -87,10 +87,7 @@ std::string canonical_file(const std::string& path) {
 class CliTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        work_ = fs::path(::testing::TempDir()) /
-                ("stgcc_cli_" + std::string(::testing::UnitTest::GetInstance()
-                                                ->current_test_info()
-                                                ->name()));
+        work_ = test::test_temp_path("stgcc_cli_");
         fs::remove_all(work_);
         fs::create_directories(work_);
     }
@@ -201,10 +198,11 @@ TEST_F(CliTest, StgcheckAndStgbatchShareOneFlagParser) {
         std::ofstream m(in_work("one.txt"));
         m << model("johnson4.g") << "\n";
     }
-    const std::string tools[2] = {
-        std::string(STGCC_STGCHECK_BIN) + " " + model("johnson4.g"),
-        std::string(STGCC_STGBATCH_BIN) + " " + in_work("one.txt")};
-    for (const std::string& tool : tools) {
+    const std::string stgcheck =
+        std::string(STGCC_STGCHECK_BIN) + " " + model("johnson4.g");
+    const std::string stgbatch =
+        std::string(STGCC_STGBATCH_BIN) + " " + in_work("one.txt");
+    for (const std::string& tool : {stgcheck, stgbatch}) {
         SCOPED_TRACE(tool);
         // Every spelling of every shared flag is accepted ...
         for (const std::string& flags :
@@ -217,28 +215,107 @@ TEST_F(CliTest, StgcheckAndStgbatchShareOneFlagParser) {
             const auto r = run(tool + " " + flags);
             EXPECT_EQ(r.exit_code, 0) << flags << "\n" << r.output;
         }
-        for (const char* help : {"-h", "--help"}) {
-            const auto r = run(tool + " " + help);
-            EXPECT_EQ(r.exit_code, 0) << help;
-            for (const char* flag :
-                 {"--jobs N", "--no-normalcy", "--deadlock", "--json FILE", "--trace FILE", "--cache-dir DIR",
-                  "--no-cache", "--connect EP", "--deadline-ms D"})
-                EXPECT_NE(r.output.find(flag), std::string::npos) << flag;
-        }
-        // ... and the same malformed values are usage errors in both.
-        for (const char* bad :
-             {"--jobs x", "--deadline-ms x", "--deadline-ms 5ms",
-              "--bogus",
-              "--jobs", "--connect unix:/nonexistent/stgd.sock"}) {
-            const auto r = run(tool + " " + bad);
-            EXPECT_EQ(r.exit_code, 2) << bad << "\n" << r.output;
-        }
+        // ... and a stgd that is not there is an error in both.
+        EXPECT_EQ(run(tool + " --connect unix:/nonexistent/stgd.sock").exit_code,
+                  2);
     }
     // Tool-specific flags stay with their tool.
-    EXPECT_EQ(run(tools[0] + " --persistency").exit_code, 0);
-    EXPECT_EQ(run(tools[1] + " --persistency").exit_code, 2);
-    EXPECT_EQ(run(tools[1] + " --quiet").exit_code, 0);
-    EXPECT_EQ(run(tools[0] + " --quiet").exit_code, 2);
+    EXPECT_EQ(run(stgcheck + " --persistency").exit_code, 0);
+    EXPECT_EQ(run(stgbatch + " --persistency").exit_code, 2);
+    EXPECT_EQ(run(stgbatch + " --quiet").exit_code, 0);
+    EXPECT_EQ(run(stgcheck + " --quiet").exit_code, 2);
+
+    // All five tools parse through one flag table: each help lists exactly
+    // the flags its parser takes ("--flag ARG" for a value flag), and every
+    // tool reports the same usage errors the same way.  No command below
+    // gets past the parser, so no daemon starts.
+    struct Tool {
+        std::string command;  ///< the binary plus the arguments it needs
+        std::vector<std::string> flags;
+        std::vector<std::string> bad_numbers;
+    };
+    const std::vector<std::string> shared = {
+        "--jobs N",     "--no-normalcy", "--deadlock",
+        "--json FILE",  "--trace FILE",  "--cache-dir DIR",
+        "--no-cache",   "--connect EP",  "--deadline-ms D"};
+    const auto with_shared = [&](std::vector<std::string> own) {
+        own.insert(own.begin(), shared.begin(), shared.end());
+        return own;
+    };
+    const std::vector<std::string> shared_bad = {"--jobs x", "--deadline-ms x",
+                                                 "--deadline-ms 5ms"};
+    const Tool tools[] = {
+        {stgcheck,
+         with_shared({"--persistency", "--state-based", "--synthesize",
+                      "--cores", "--dot FILE", "--metrics"}),
+         shared_bad},
+        {stgbatch, with_shared({"--quiet"}), shared_bad},
+        {std::string(STGCC_STGD_BIN) + " --listen unix:" + in_work("d.sock"),
+         {"--listen EP", "--jobs N", "--cache-dir DIR", "--max-inflight N",
+          "--deadline-ms D", "--bundle-slots N", "--stats FILE",
+          "--metrics-listen EP", "--event-log FILE", "--event-log-level L",
+          "--event-log-max-bytes N", "--quiet"},
+         {"--jobs x", "--bundle-slots -1", "--event-log-max-bytes 1x"}},
+        {std::string(STGCC_STGPROF_BIN) + " " + STGCC_GOLDEN_DIR +
+             "/stgprof_trace.json",
+         {"--compare", "--threshold R", "--reemit FILE"},
+         {}},
+        {std::string(STGCC_STGTOP_BIN) + " --connect unix:" + in_work("d.sock"),
+         {"--connect EP", "--interval MS", "--once"},
+         {"--interval x"}}};
+    for (const Tool& tool : tools) {
+        SCOPED_TRACE(tool.command);
+        for (const char* help : {"-h", "--help"}) {
+            const auto r = run(tool.command + " " + help);
+            EXPECT_EQ(r.exit_code, 0) << help;
+            const auto listed = [&](const std::string& flag) {
+                return r.output.find("\n  " + flag + " ") != std::string::npos ||
+                       r.output.find("\n  " + flag + "\n") != std::string::npos;
+            };
+            for (const std::string& flag : tool.flags)
+                EXPECT_TRUE(listed(flag)) << flag << "\n" << r.output;
+            EXPECT_TRUE(listed("-h, --help")) << r.output;
+            std::size_t lines = 0;
+            for (auto at = r.output.find("\n  -"); at != std::string::npos;
+                 at = r.output.find("\n  -", at + 1))
+                ++lines;
+            EXPECT_EQ(lines, tool.flags.size() + 1) << r.output;
+        }
+        const auto bogus = run(tool.command + " --bogus");
+        EXPECT_EQ(bogus.exit_code, 2) << bogus.output;
+        EXPECT_NE(bogus.output.find("unknown option: --bogus"),
+                  std::string::npos)
+            << bogus.output;
+        for (const std::string& flag : tool.flags) {
+            const std::string name = flag.substr(0, flag.find(' '));
+            if (name == flag) {
+                // A switch is taken, and parsing goes on past it.
+                const auto r = run(tool.command + " " + name + " --bogus");
+                EXPECT_EQ(r.exit_code, 2) << name;
+                EXPECT_NE(r.output.find("unknown option: --bogus"),
+                          std::string::npos)
+                    << name << "\n" << r.output;
+            } else {
+                // A value flag in last position has no value.
+                const auto r = run(tool.command + " " + name);
+                EXPECT_EQ(r.exit_code, 2) << name;
+                EXPECT_NE(r.output.find(name + " needs a value"),
+                          std::string::npos)
+                    << name << "\n" << r.output;
+            }
+        }
+        for (const std::string& bad : tool.bad_numbers) {
+            const auto r = run(tool.command + " " + bad);
+            EXPECT_EQ(r.exit_code, 2) << bad;
+            EXPECT_NE(r.output.find("bad " + bad.substr(0, bad.find(' ')) +
+                                    " value"),
+                      std::string::npos)
+                << bad << "\n" << r.output;
+        }
+    }
+    const auto one_file = run(std::string(STGCC_STGPROF_BIN) + " --compare " +
+                              STGCC_GOLDEN_DIR + "/stgprof_batch_a.json");
+    EXPECT_EQ(one_file.exit_code, 2) << one_file.output;
 }
 
 TEST_F(CliTest, StgbatchExitCodesCoverOkViolatedAndError) {

@@ -20,6 +20,7 @@
 #include "obs/expo.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "test_util.hpp"
 
 namespace stgcc {
 namespace {
@@ -214,11 +215,7 @@ TEST(RollingWindow, ToJsonShapeMatchesTheStatsContract) {
 class EventLogTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::path(::testing::TempDir()) /
-               ("stgcc_eventlog_" +
-                std::string(::testing::UnitTest::GetInstance()
-                                ->current_test_info()
-                                ->name()));
+        dir_ = test::test_temp_path("stgcc_eventlog_");
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

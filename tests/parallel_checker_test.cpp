@@ -66,8 +66,7 @@ TEST(ParallelDeterminism, CacheOnAndOffReportsByteIdentical) {
     // counterpart of the random DifferentialCacheTest fleet: a cold cached
     // run at jobs 1 and a warm (replayed) run at jobs 8 both render the
     // uncached jobs-1 verdict of the same model text.
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "stgcc_parallel_determinism_cache";
+    const fs::path dir = test::temp_path("stgcc_parallel_determinism_cache");
     fs::remove_all(dir);
     const cache::ResultCache rcache(dir.string());
     obs::Counter& hits = obs::counter("cache.result.hits");

@@ -196,8 +196,8 @@ TEST_P(DifferentialCacheTest, CacheOnAndOffAreByteIdentical) {
             << "seed=" << seed << " " << config;
     };
 
-    const fs::path dir = fs::path(::testing::TempDir()) /
-                         ("stgcc_diff_fleet_" + std::to_string(seed));
+    const fs::path dir =
+        test::temp_path("stgcc_diff_fleet_" + std::to_string(seed));
     fs::remove_all(dir);
     const cache::ResultCache rcache(dir.string());
     opts.jobs = 8;

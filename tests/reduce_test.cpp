@@ -262,11 +262,7 @@ RunResult run_cli(const std::string& command) {
 class ReduceCliTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        work_ = fs::path(::testing::TempDir()) /
-                ("stgcc_reduce_cli_" +
-                 std::string(::testing::UnitTest::GetInstance()
-                                 ->current_test_info()
-                                 ->name()));
+        work_ = test::test_temp_path("stgcc_reduce_cli_");
         fs::remove_all(work_);
         fs::create_directories(work_);
     }

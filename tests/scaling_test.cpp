@@ -235,8 +235,7 @@ std::string canonical_report(const std::string& path) {
 // ambient $STGCC_CACHE_DIR) so every jobs value does the full verification
 // work instead of replaying the first run's rows.
 TEST(ScalingDeterminism, CorpusReportsByteIdenticalAcrossJobsMatrix) {
-    const fs::path work =
-        fs::path(::testing::TempDir()) / "stgcc_scaling_matrix";
+    const fs::path work = test::temp_path("stgcc_scaling_matrix");
     fs::remove_all(work);
     fs::create_directories(work);
 

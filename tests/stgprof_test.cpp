@@ -25,6 +25,7 @@
 
 #include "cache/result_cache.hpp"
 #include "obs/profile.hpp"
+#include "test_util.hpp"
 
 namespace stgcc {
 namespace {
@@ -227,7 +228,8 @@ TEST(StgprofBinary, UsageAndInputErrorsExitTwo) {
 }
 
 TEST(StgprofBinary, ReemitWritesByteStableTrace) {
-    const fs::path out = fs::path(::testing::TempDir()) / "stgprof_reemit.json";
+    fs::path out = test::temp_path("stgprof_reemit");
+    out += ".json";
     fs::remove(out);
     const auto r = run(kStgprof + " " + kGolden + "/stgprof_trace.json" +
                        " --reemit " + out.string());

@@ -146,7 +146,8 @@ TEST(SvcEndpoint, ParsesTheDocumentedSyntax) {
     EXPECT_TRUE(any->host.empty());
     EXPECT_EQ(any->port, 0);
 
-    for (const char* bad : {"unix:", "nonsense", "host:notaport", "h:70000"}) {
+    for (const char* bad : {"unix:", "nonsense", "host:notaport", "h:70000",
+                            "h:+80", "h: 80", "h:-0"}) {
         EXPECT_FALSE(svc::parse_endpoint(bad, error).has_value()) << bad;
     }
 }
@@ -171,13 +172,7 @@ obs::Json check_request(std::int64_t id, const std::string& model,
 class SvcServerTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        // Per test and per process: two test runs at once (a second ctest
-        // loading the machine) must not share a socket path.
-        std::string name = "stgcc_svc_";
-        name += ::testing::UnitTest::GetInstance()->current_test_info()->name();
-        name += '_';
-        name += std::to_string(::getpid());
-        work_ = fs::path(::testing::TempDir()) / name;
+        work_ = test::test_temp_path("stgcc_svc_");
         fs::remove_all(work_);
         fs::create_directories(work_);
     }
@@ -1014,8 +1009,7 @@ RunResult run_shell(const std::string& command) {
 }
 
 TEST(SvcDaemonBinary, SigtermDrainExitsZeroAndServesClients) {
-    const fs::path work =
-        fs::path(::testing::TempDir()) / "stgcc_svc_daemon_bin";
+    const fs::path work = test::temp_path("stgcc_svc_daemon_bin");
     fs::remove_all(work);
     fs::create_directories(work);
     const std::string sock = (work / "d.sock").string();

@@ -1,7 +1,11 @@
-// stgcc tests -- shared helpers: small hand-built STGs and a random
-// consistent-STG generator used by the property tests.
+// stgcc tests -- shared helpers: per-process temp paths, small hand-built
+// STGs and a random consistent-STG generator used by the property tests.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -11,6 +15,20 @@
 #include "stg/stg.hpp"
 
 namespace stgcc::test {
+
+/// A path under gtest's TempDir() named `name` plus this process's id, so
+/// two test runs of one tree at once never share it.
+inline std::filesystem::path temp_path(std::string name) {
+    name += '_';
+    name += std::to_string(::getpid());
+    return std::filesystem::path(::testing::TempDir()) / name;
+}
+
+/// temp_path of `prefix` plus the running test's name.
+inline std::filesystem::path test_temp_path(std::string prefix) {
+    prefix += ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    return temp_path(std::move(prefix));
+}
 
 /// Canonical dump of a machine-readable report with every volatile field
 /// removed: "seconds" (wall clock), "stats" (schedule-dependent search

@@ -7,8 +7,9 @@
 // model-parallel: each model runs a full serial verify_stg pipeline, and
 // the pool spreads models over workers.  One result line is streamed per
 // model as it finishes; the aggregate JSON report (--json) lists models in
-// manifest order, so verdicts are byte-stable at any --jobs value.  The
-// flags shared with stgcheck are parsed by svc::parse_cli (svc/cli.hpp).
+// manifest order, so verdicts are byte-stable at any --jobs value.  Its one
+// own flag, --quiet, is parsed by svc::parse_cli (svc/cli.hpp) after the
+// flags shared with stgcheck.
 //
 // Caching (docs/CACHING.md): with a cache directory configured
 // (--cache-dir or $STGCC_CACHE_DIR), each model goes through

@@ -8,8 +8,8 @@
 // contraction"); --deadlock runs the section 5 deadlock check; --synthesize derives
 // next-state covers (requires CSC).  A `.pnml` input file is dispatched to
 // the Petri-side analyses instead: reachability-graph construction,
-// boundedness and deadlock.  The flags shared with stgbatch are parsed by
-// svc::parse_cli (svc/cli.hpp).
+// boundedness and deadlock.  Its own flags are a table that
+// svc::parse_cli (svc/cli.hpp) parses after the flags shared with stgbatch.
 //
 // Observability: --trace writes a Chrome trace-event JSON (load it in
 // chrome://tracing or https://ui.perfetto.dev), --metrics prints the metrics
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
           &synthesize},
          {"--cores", "print conflict-core height map on USC violation",
           &cores},
-         {"--dot", "dump the prefix as Graphviz", nullptr, &dot_path, "FILE"},
+         {"--dot", "dump the prefix as Graphviz", &dot_path, "FILE"},
          {"--metrics", "print the metrics registry after checking", &metrics}},
         "exit codes: 0 = all properties hold, 1 = conflict found,\n"
         "            2 = usage/IO error, 3 = internal error\n"};

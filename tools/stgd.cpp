@@ -12,9 +12,14 @@
 // drain -- the listeners close, every accepted request is answered, then
 // the process exits 0 after writing a final stats snapshot (--stats FILE,
 // or a summary line to stderr).
+//
+// The flags are one table parsed by svc::parse_args (svc/cli.hpp), which
+// also prints it as --help; the endpoints and the log level are checked
+// here, on the parsed text, before anything is bound.
 #include <csignal>
-#include <cstring>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "sched/parallel.hpp"
@@ -22,44 +27,6 @@
 #include "svc/server.hpp"
 
 namespace {
-
-void print_usage(std::ostream& out) {
-    out << "usage: stgd --listen ENDPOINT [options]\n"
-           "\n"
-           "endpoints (repeatable; at least one):\n"
-           "  --listen unix:/path/to.sock   Unix-domain socket\n"
-           "  --listen host:port            TCP (\":0\" = loopback, kernel "
-           "port;\n"
-           "                                the bound address is printed)\n"
-           "\n"
-           "options:\n"
-           "  --jobs N            worker threads of the shared pool\n"
-           "                      (default: hardware concurrency)\n"
-           "  --cache-dir DIR     on-disk result cache (default: "
-           "$STGCC_CACHE_DIR;\n"
-           "                      unset = no disk cache)\n"
-           "  --max-inflight N    concurrently verifying requests "
-           "(default: jobs)\n"
-           "  --deadline-ms D     default per-request deadline "
-           "(default: none)\n"
-           "  --bundle-slots N    in-memory prefix bundles kept "
-           "(default: 8)\n"
-           "  --stats FILE        write the final stats snapshot JSON on "
-           "exit\n"
-           "  --metrics-listen EP HTTP scrape endpoint serving /metrics,\n"
-           "                      /healthz and /buildinfo (same endpoint\n"
-           "                      syntax as --listen; default: none)\n"
-           "  --event-log FILE    structured JSONL event log "
-           "(docs/OBSERVABILITY.md)\n"
-           "  --event-log-level L minimum record level: debug, info, warn,\n"
-           "                      error (default: info)\n"
-           "  --event-log-max-bytes N\n"
-           "                      rotate the event log past N bytes "
-           "(default: 64 MiB)\n"
-           "  --quiet             suppress the startup/shutdown lines\n"
-           "\n"
-           "exit codes: 0 = clean drain, 2 = usage or bind error\n";
-}
 
 stgcc::svc::Server* g_server = nullptr;
 
@@ -72,80 +39,84 @@ void handle_signal(int) {
 int main(int argc, char** argv) {
     using namespace stgcc;
     svc::ServerConfig cfg;
-    const char* stats_path = nullptr;
+    std::vector<const char*> listen;
+    const char *cache_dir = nullptr, *stats_path = nullptr,
+               *metrics_listen = nullptr, *event_log = nullptr,
+               *event_log_level = nullptr;
+    std::uint64_t jobs = cfg.jobs, max_inflight = cfg.max_inflight,
+                  bundle_slots = cfg.bundle_slots;
     bool quiet = false;
-    const char* cache_dir_flag = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        const auto uint_arg = [&](const char* name, std::uint64_t& out,
-                                  std::uint64_t max = UINT64_MAX) {
-            if (i + 1 < argc)
-                return svc::parse_flag_number(name, argv[++i], out, max);
-            std::cerr << name << " needs a value\n";
-            return false;
-        };
-        if (!std::strcmp(argv[i], "--listen") && i + 1 < argc) {
-            std::string error;
-            const auto ep = svc::parse_endpoint(argv[++i], error);
-            if (!ep) {
-                std::cerr << "error: " << error << "\n";
-                return 2;
-            }
-            cfg.listen.push_back(*ep);
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            std::uint64_t v = 0;
-            if (!uint_arg("--jobs", v, sched::Executor::kMaxJobs)) return 2;
-            cfg.jobs = static_cast<unsigned>(v);
-        } else if (!std::strcmp(argv[i], "--max-inflight")) {
-            std::uint64_t v = 0;
-            if (!uint_arg("--max-inflight", v)) return 2;
-            cfg.max_inflight = static_cast<std::size_t>(v);
-        } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-            if (!uint_arg("--deadline-ms", cfg.default_deadline_ms)) return 2;
-        } else if (!std::strcmp(argv[i], "--bundle-slots")) {
-            std::uint64_t v = 0;
-            if (!uint_arg("--bundle-slots", v)) return 2;
-            cfg.bundle_slots = static_cast<std::size_t>(v);
-        } else if (!std::strcmp(argv[i], "--metrics-listen") && i + 1 < argc) {
-            std::string error;
-            const auto ep = svc::parse_endpoint(argv[++i], error);
-            if (!ep) {
-                std::cerr << "error: " << error << "\n";
-                return 2;
-            }
-            cfg.metrics_listen = *ep;
-        } else if (!std::strcmp(argv[i], "--event-log") && i + 1 < argc) {
-            cfg.event_log_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--event-log-level") && i + 1 < argc) {
-            if (!obs::parse_log_level(argv[++i], cfg.event_log_level)) {
-                std::cerr << "bad --event-log-level value: " << argv[i]
-                          << " (debug, info, warn or error)\n";
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--event-log-max-bytes")) {
-            if (!uint_arg("--event-log-max-bytes", cfg.event_log_max_bytes))
-                return 2;
-        } else if (!std::strcmp(argv[i], "--cache-dir") && i + 1 < argc) {
-            cache_dir_flag = argv[++i];
-        } else if (!std::strcmp(argv[i], "--stats") && i + 1 < argc) {
-            stats_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--quiet")) {
-            quiet = true;
-        } else if (!std::strcmp(argv[i], "--help") ||
-                   !std::strcmp(argv[i], "-h")) {
-            print_usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "unknown option: " << argv[i] << "\n";
-            print_usage(std::cerr);
-            return 2;
-        }
-    }
-    if (cfg.listen.empty()) {
+    const svc::CliTool tool{
+        "usage: stgd --listen ENDPOINT [options]\n",
+        nullptr,
+        {{"--listen",
+          "serve on EP; repeatable, at least one:\n"
+          "unix:/path/to.sock (Unix-domain socket) or\n"
+          "host:port (TCP; \":0\" = loopback, kernel port;\n"
+          "the bound address is printed)",
+          &listen, "EP"},
+         {"--jobs",
+          "worker threads of the shared pool\n"
+          "(default: hardware concurrency)",
+          svc::FlagNumber{&jobs, sched::Executor::kMaxJobs}, "N"},
+         {"--cache-dir",
+          "on-disk result cache (default: $STGCC_CACHE_DIR;\n"
+          "unset = no disk cache)",
+          &cache_dir, "DIR"},
+         {"--max-inflight", "concurrently verifying requests (default: jobs)",
+          svc::FlagNumber{&max_inflight}, "N"},
+         {"--deadline-ms", "default per-request deadline (default: none)",
+          svc::FlagNumber{&cfg.default_deadline_ms}, "D"},
+         {"--bundle-slots", "in-memory prefix bundles kept (default: 8)",
+          svc::FlagNumber{&bundle_slots}, "N"},
+         {"--stats", "write the final stats snapshot JSON on exit",
+          &stats_path, "FILE"},
+         {"--metrics-listen",
+          "HTTP scrape endpoint serving /metrics,\n"
+          "/healthz and /buildinfo (same endpoint\n"
+          "syntax as --listen; default: none)",
+          &metrics_listen, "EP"},
+         {"--event-log", "structured JSONL event log (docs/OBSERVABILITY.md)",
+          &event_log, "FILE"},
+         {"--event-log-level",
+          "minimum record level: debug, info, warn,\n"
+          "error (default: info)",
+          &event_log_level, "L"},
+         {"--event-log-max-bytes",
+          "rotate the event log past N bytes (default: 64 MiB)",
+          svc::FlagNumber{&cfg.event_log_max_bytes}, "N"},
+         {"--quiet", "suppress the startup/shutdown lines", &quiet}},
+        "exit codes: 0 = clean drain, 2 = usage or bind error\n"};
+    if (const auto rc = svc::parse_args(argc, argv, tool)) return *rc;
+    if (listen.empty()) {
         std::cerr << "error: at least one --listen endpoint is required\n";
-        print_usage(std::cerr);
+        svc::print_usage(std::cerr, tool);
         return 2;
     }
-    cfg.cache_dir = svc::resolve_cache_dir(cache_dir_flag);
+    const auto endpoint = [](const char* text) {
+        std::string error;
+        auto ep = svc::parse_endpoint(text, error);
+        if (!ep) std::cerr << "error: " << error << "\n";
+        return ep;
+    };
+    for (const char* text : listen) {
+        const auto ep = endpoint(text);
+        if (!ep) return 2;
+        cfg.listen.push_back(*ep);
+    }
+    if (metrics_listen && !(cfg.metrics_listen = endpoint(metrics_listen)))
+        return 2;
+    if (event_log_level &&
+        !obs::parse_log_level(event_log_level, cfg.event_log_level)) {
+        std::cerr << "bad --event-log-level value: " << event_log_level
+                  << " (debug, info, warn or error)\n";
+        return 2;
+    }
+    if (event_log) cfg.event_log_path = event_log;
+    cfg.jobs = static_cast<unsigned>(jobs);
+    cfg.max_inflight = static_cast<std::size_t>(max_inflight);
+    cfg.bundle_slots = static_cast<std::size_t>(bundle_slots);
+    cfg.cache_dir = svc::resolve_cache_dir(cache_dir);
 
     // No trace is ever recorded here: nothing would read the spans, and
     // the buffer would grow with every request.  The stats op and the final

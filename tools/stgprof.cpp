@@ -7,13 +7,15 @@
 // Default mode prints the execution profile: parallel-efficiency and
 // speedup bounds from the scheduler's work-span tallies, the critical path,
 // queue-delay percentiles and per-span self time.  `--compare A B` instead
-// triages a regression between two stgbatch reports.  The analysis lives
-// in src/obs/profile.cpp; docs/OBSERVABILITY.md has the workflow.
+// triages a regression between two stgbatch reports: --compare is a switch
+// over exactly two positional files.  The flags are parsed by
+// svc::parse_args (svc/cli.hpp); --threshold's number is checked here.  The
+// analysis lives in src/obs/profile.cpp; docs/OBSERVABILITY.md has the
+// workflow.
 //
 // Exit codes: 0 = report printed, 2 = usage or input error.
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -21,28 +23,11 @@
 #include <vector>
 
 #include "obs/profile.hpp"
+#include "svc/cli.hpp"
 
 namespace {
 
 using namespace stgcc;
-
-void print_usage(std::ostream& out) {
-    out << "usage: stgprof <artefact.json>... [options]\n"
-           "       stgprof --compare A.json B.json [--threshold R]\n"
-           "\n"
-           "artefacts are auto-detected: Chrome traces (--trace output),\n"
-           "stgcheck/stgbatch --json reports, BENCH_*.json files\n"
-           "\n"
-           "options:\n"
-           "  --compare A B    regression triage between two stgbatch\n"
-           "                   reports instead of the profile\n"
-           "  --threshold R    per-model regression ratio for --compare\n"
-           "                   (default: 1.25)\n"
-           "  --reemit FILE    re-emit the parsed trace to FILE (byte-\n"
-           "                   stable round trip; pipeline interposition)\n"
-           "\n"
-           "exit codes: 0 = report printed, 2 = usage/input error\n";
-}
 
 std::optional<obs::Json> load_json(const char* path) {
     obs::InputSet probe;
@@ -62,55 +47,54 @@ std::optional<obs::Json> load_json(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        print_usage(std::cerr);
-        return 2;
-    }
     std::vector<const char*> inputs;
-    const char* compare_a = nullptr;
-    const char* compare_b = nullptr;
-    const char* reemit_path = nullptr;
+    bool compare = false;
+    const char *threshold_text = nullptr, *reemit_path = nullptr;
+    const svc::CliTool tool{
+        "usage: stgprof <artefact.json>... [options]\n"
+        "       stgprof --compare A.json B.json [--threshold R]\n"
+        "\n"
+        "artefacts are auto-detected: Chrome traces (--trace output),\n"
+        "stgcheck/stgbatch --json reports, BENCH_*.json files\n",
+        "no input files",
+        {{"--compare",
+          "regression triage between the two stgbatch reports\n"
+          "A and B instead of the profile",
+          &compare},
+         {"--threshold",
+          "per-model regression ratio for --compare\n"
+          "(default: 1.25)",
+          &threshold_text, "R"},
+         {"--reemit",
+          "re-emit the parsed trace to FILE (byte-stable\n"
+          "round trip; pipeline interposition)",
+          &reemit_path, "FILE"}},
+        "exit codes: 0 = report printed, 2 = usage/input error\n",
+        &inputs};
+    if (const auto rc = svc::parse_args(argc, argv, tool)) return *rc;
     double threshold = 1.25;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-            print_usage(std::cout);
-            return 0;
-        } else if (!std::strcmp(argv[i], "--compare") && i + 2 < argc) {
-            compare_a = argv[++i];
-            compare_b = argv[++i];
-        } else if (!std::strcmp(argv[i], "--threshold") && i + 1 < argc) {
-            char* end = nullptr;
-            threshold = std::strtod(argv[++i], &end);
-            // NaN would slip past `<= 0.0` and make --compare flag nothing.
-            if (!end || *end != '\0' || !std::isfinite(threshold) ||
-                threshold <= 0.0) {
-                std::cerr << "bad --threshold value\n";
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--reemit") && i + 1 < argc) {
-            reemit_path = argv[++i];
-        } else if (argv[i][0] != '-') {
-            inputs.push_back(argv[i]);
-        } else {
-            std::cerr << "unknown option: " << argv[i] << "\n";
-            print_usage(std::cerr);
+    if (threshold_text) {
+        char* end = nullptr;
+        threshold = std::strtod(threshold_text, &end);
+        // NaN would slip past `<= 0.0` and make --compare flag nothing.
+        if (*end != '\0' || !std::isfinite(threshold) || threshold <= 0.0) {
+            std::cerr << "bad --threshold value: " << threshold_text << "\n";
             return 2;
         }
     }
 
-    if (compare_a) {
-        const auto a = load_json(compare_a);
-        const auto b = load_json(compare_b);
+    if (compare) {
+        if (inputs.size() != 2) {
+            std::cerr << "--compare needs exactly two files\n";
+            return 2;
+        }
+        const auto a = load_json(inputs[0]);
+        const auto b = load_json(inputs[1]);
         if (!a || !b) return 2;
         std::cout << obs::compare_reports(*a, *b, threshold);
         return 0;
     }
 
-    if (inputs.empty()) {
-        std::cerr << "no input files\n";
-        print_usage(std::cerr);
-        return 2;
-    }
     obs::InputSet in;
     for (const char* path : inputs) {
         std::string error;

@@ -8,12 +8,11 @@
 //
 // `--once` prints a single snapshot and exits -- the CI smoke and scripts
 // use it; interactive runs repaint the terminal every `--interval` ms
-// until interrupted.
+// until interrupted.  The flags are parsed by svc::parse_args (svc/cli.hpp).
 //
 // Exit codes: 0 = clean exit, 2 = usage or connection error.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -27,18 +26,6 @@
 namespace {
 
 using namespace stgcc;
-
-void print_usage(std::ostream& out) {
-    out << "usage: stgtop --connect ENDPOINT [options]\n"
-           "\n"
-           "options:\n"
-           "  --connect EP     stgd endpoint (unix:/path or host:port)\n"
-           "  --interval MS    poll period in milliseconds (default: 1000)\n"
-           "  --once           print one snapshot and exit (no screen "
-           "clearing)\n"
-           "\n"
-           "exit codes: 0 = clean exit, 2 = usage or connection error\n";
-}
 
 double num(const obs::Json* parent, const char* key) {
     if (!parent) return 0.0;
@@ -151,35 +138,29 @@ int main(int argc, char** argv) {
     const char* connect = nullptr;
     std::uint64_t interval_ms = 1000;
     bool once = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--connect") && i + 1 < argc)
-            connect = argv[++i];
-        else if (!std::strcmp(argv[i], "--interval") && i + 1 < argc) {
-            // Capped at what std::chrono::milliseconds holds, so the sleep
-            // can never wrap negative and busy-poll the daemon.
-            if (!svc::parse_flag_number(
-                    "--interval", argv[++i], interval_ms,
-                    static_cast<std::uint64_t>(
-                        std::chrono::milliseconds::max().count())))
-                return 2;
-            if (interval_ms == 0) {
-                std::cerr << "bad --interval value: " << argv[i] << "\n";
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--once"))
-            once = true;
-        else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-            print_usage(std::cout);
-            return 0;
-        } else {
-            std::cerr << "unknown option: " << argv[i] << "\n";
-            print_usage(std::cerr);
-            return 2;
-        }
+    const svc::CliTool tool{
+        "usage: stgtop --connect ENDPOINT [options]\n",
+        nullptr,
+        {{"--connect", "stgd endpoint (unix:/path or host:port)", &connect,
+          "EP"},
+         // Capped at what std::chrono::milliseconds holds, so the sleep can
+         // never wrap negative and busy-poll the daemon.
+         {"--interval", "poll period in milliseconds (default: 1000)",
+          svc::FlagNumber{&interval_ms,
+                          static_cast<std::uint64_t>(
+                              std::chrono::milliseconds::max().count())},
+          "MS"},
+         {"--once", "print one snapshot and exit (no screen clearing)",
+          &once}},
+        "exit codes: 0 = clean exit, 2 = usage or connection error\n"};
+    if (const auto rc = svc::parse_args(argc, argv, tool)) return *rc;
+    if (interval_ms == 0) {
+        std::cerr << "bad --interval value: 0\n";
+        return 2;
     }
     if (!connect) {
         std::cerr << "error: --connect is required\n";
-        print_usage(std::cerr);
+        svc::print_usage(std::cerr, tool);
         return 2;
     }
 
