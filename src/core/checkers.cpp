@@ -156,6 +156,43 @@ stg::CodingCheckResult UnfoldingChecker::check_csc(SearchOptions opts,
     return result;
 }
 
+NormalcyFlags::NormalcyFlags(const CodingProblem& problem)
+    : problem_(&problem),
+      open_p_(problem.initial_code().span().num_words()),
+      open_n_(open_p_.size()) {
+    for (const stg::SignalId z : problem.stg().circuit_driven_signals()) {
+        open_p_[z / BitSpan::kWordBits] |= Word{1} << (z % BitSpan::kWordBits);
+        open_n_[z / BitSpan::kWordBits] |= Word{1} << (z % BitSpan::kWordBits);
+    }
+}
+
+bool NormalcyFlags::open() const noexcept {
+    for (std::size_t w = 0; w < words(); ++w)
+        if (open_p_[w] | open_n_[w]) return true;
+    return false;
+}
+
+NormalcyFlags::Word NormalcyFlags::nxt(const LeafView& side, std::size_t w) const {
+    return side.code.words()[w] ^ problem_->out_word(side.places, w);
+}
+
+std::pair<NormalcyFlags::Word, NormalcyFlags::Word> NormalcyFlags::close(
+    std::size_t w, Word nxt_lo, Word nxt_hi) noexcept {
+    const Word p = nxt_lo & ~nxt_hi & open_p_[w];
+    const Word n = ~nxt_lo & nxt_hi & open_n_[w];
+    open_p_[w] &= ~p;
+    open_n_[w] &= ~n;
+    return {p, n};
+}
+
+bool NormalcyFlags::reachable(bool lo, const LeafView& side) const {
+    for (std::size_t w = 0; w < words(); ++w) {
+        const Word p_side = lo ? nxt(side, w) : ~nxt(side, w);
+        if ((p_side & open_p_[w]) | (~p_side & open_n_[w])) return true;
+    }
+    return false;
+}
+
 stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts) const {
     obs::Span span("solve.normalcy");
     // One record through both orientations: every flag starts open, the
@@ -167,53 +204,35 @@ stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts) const {
     // (lo = x'').  Each flag keeps the *first* violating pair in enumeration
     // order, which is deterministic.
     stg::NormalcyResult result;
-    // The open flags as |Z|-bit sets, p and n apart, and where each signal
-    // sits in per_signal (ascending signal order, as circuit_driven_signals
-    // lists them).
-    using Word = BitSpan::Word;
-    constexpr std::size_t kWordBits = BitSpan::kWordBits;
-    const std::size_t ncw = problem_->initial_code().span().num_words();
-    std::vector<Word> open_p(ncw), open_n(ncw);
+    NormalcyFlags flags(*problem_);
+    // Where each signal sits in per_signal (ascending signal order, as
+    // circuit_driven_signals lists them).
+    using Word = NormalcyFlags::Word;
     std::vector<std::size_t> slot(stg_->num_signals());
     for (const stg::SignalId z : stg_->circuit_driven_signals()) {
         slot[z] = result.per_signal.size();
         result.per_signal.emplace_back().signal = z;
-        open_p[z / kWordBits] |= Word{1} << (z % kWordBits);
-        open_n[z / kWordBits] |= Word{1} << (z % kWordBits);
     }
-    const auto open = [&] {
-        for (std::size_t w = 0; w < ncw; ++w)
-            if (open_p[w] | open_n[w]) return true;
-        return false;
-    };
 
     for (const CodeRelation rel :
          {CodeRelation::LessEq, CodeRelation::GreaterEq}) {
-        if (!open()) break;
+        if (!flags.open()) break;
         const bool less_eq = rel == CodeRelation::LessEq;
         obs::Span pass("solve.normalcy.pass");
         pass.attr("relation", less_eq ? "less_eq" : "greater_eq");
         CompatSolver solver(*problem_, opts);
-        auto outcome = solver.solve(rel, [&](const LeafView& a,
-                                             const LeafView& b) {
+        const auto leaf = [&](const LeafView& a, const LeafView& b) {
             const LeafView& lo = less_eq ? a : b;
             const LeafView& hi = less_eq ? b : a;
             bool violated = false;
-            for (std::size_t w = 0; w < ncw; ++w) {
-                // Nxt_z flips the code bit exactly when z is enabled.
-                const Word nxt_lo =
-                    lo.code.words()[w] ^ problem_->out_word(lo.places, w);
-                const Word nxt_hi =
-                    hi.code.words()[w] ^ problem_->out_word(hi.places, w);
-                const Word p = nxt_lo & ~nxt_hi & open_p[w];
-                const Word n = ~nxt_lo & nxt_hi & open_n[w];
+            for (std::size_t w = 0; w < flags.words(); ++w) {
+                const auto [p, n] = flags.close(w, flags.nxt(lo, w), flags.nxt(hi, w));
                 if ((p | n) == 0) continue;
                 violated = true;
-                open_p[w] &= ~p;
-                open_n[w] &= ~n;
                 for (Word bits = p | n; bits; bits &= bits - 1) {
                     const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-                    const auto z = static_cast<stg::SignalId>(w * kWordBits + b);
+                    const auto z =
+                        static_cast<stg::SignalId>(w * BitSpan::kWordBits + b);
                     stg::SignalNormalcy& sn = result.per_signal[slot[z]];
                     if ((p >> b) & 1) {
                         sn.p_normal = false;
@@ -228,8 +247,15 @@ stg::NormalcyResult UnfoldingChecker::check_normalcy(SearchOptions opts) const {
                 }
             }
             // Stop early only when no signal can still be classified normal.
-            return violated && !open();
-        });
+            return violated && !flags.open();
+        };
+        // A subtree whose finished side cannot break an open flag has no
+        // leaf that closes one: skipping it leaves the closing leaves, their
+        // order and the stopping leaf as they were.
+        const auto side = [&](int s, const LeafView& v) {
+            return flags.reachable((s == 0) == less_eq, v);
+        };
+        auto outcome = solver.solve(rel, leaf, side);
         result.stats.add(outcome.stats);
     }
     result.normal =

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "cache/prefix_artifacts.hpp"
 #include "core/coding_problem.hpp"
@@ -22,6 +24,44 @@
 #include "unfolding/unfolder.hpp"
 
 namespace stgcc::core {
+
+/// The normalcy flags of one check that no leaf has falsified yet, as
+/// |Z|-bit word sets, p and n apart, with the two tests each normalcy pass
+/// hands CompatSolver: close() at its leaves and reachable() as its side
+/// test.  In a pass, lo is the side with the smaller code: x' under LessEq,
+/// x'' under GreaterEq.
+class NormalcyFlags {
+public:
+    using Word = BitSpan::Word;
+
+    /// Both flags of every circuit-driven signal open.
+    explicit NormalcyFlags(const CodingProblem& problem);
+
+    /// Whether any flag is still open.
+    [[nodiscard]] bool open() const noexcept;
+
+    /// Words per |Z|-bit set.
+    [[nodiscard]] std::size_t words() const noexcept { return open_p_.size(); }
+
+    /// Nxt of one side in code word w: Nxt_z flips the code bit exactly
+    /// where z is enabled.
+    [[nodiscard]] Word nxt(const LeafView& side, std::size_t w) const;
+
+    /// Close, in code word w, the open flags that an ordered pair with these
+    /// Nxt words falsifies -- p where Nxt_lo = 1 and Nxt_hi = 0, n where
+    /// Nxt_lo = 0 and Nxt_hi = 1 -- and return them as {p, n}.
+    std::pair<Word, Word> close(std::size_t w, Word nxt_lo, Word nxt_hi) noexcept;
+
+    /// Side test: whether `side`, finished while the other side is still
+    /// open, can be one half of a pair that falsifies an open flag.  As lo
+    /// it can break p only where its Nxt is 1 and n only where it is 0; as
+    /// hi the other way round.
+    [[nodiscard]] bool reachable(bool lo, const LeafView& side) const;
+
+private:
+    const CodingProblem* problem_;
+    std::vector<Word> open_p_, open_n_;
+};
 
 class UnfoldingChecker {
 public:

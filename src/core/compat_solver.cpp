@@ -290,7 +290,7 @@ void CompatSolver::descend(std::size_t level) {
 
 template <std::size_t NW>
 bool CompatSolver::dfs(const PairPredicate& accept, std::size_t level,
-                       std::size_t depth) {
+                       std::size_t depth, std::size_t reachable_at) {
     if (++stats_.search_nodes > opts_.max_nodes)
         throw ModelError("CompatSolver: node limit exceeded (" +
                          std::to_string(opts_.max_nodes) + ")");
@@ -326,21 +326,44 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t level,
               static_cast<std::size_t>(std::countl_zero(open));
         break;
     }
+    const auto view = [&](int s) {
+        return LeafView{
+            BitSpan(state_ + plane(s, 1) * nw, q),
+            BitSpan(state_ + width.places_at + s * width.npw,
+                    problem_->initial_places().size()),
+            BitSpan(state_ + width.code_at + s * width.ncw,
+                    problem_->initial_code().size())};
+    };
     if (idx >= q) {
         ++stats_.leaves;
-        const std::size_t np = problem_->initial_places().size();
-        const std::size_t nz = problem_->initial_code().size();
-        LeafView side[2];
-        for (int s = 0; s < 2; ++s)
-            side[s] = LeafView{
-                BitSpan(state_ + plane(s, 1) * nw, q),
-                BitSpan(state_ + width.places_at + s * width.npw, np),
-                BitSpan(state_ + width.code_at + s * width.ncw, nz)};
-        if (!accept(side[0], side[1])) return false;
+        const LeafView a = view(0), b = view(1);
+        if (!accept(a, b)) return false;
         outcome_.found = true;
-        outcome_.ca = BitVec(side[0].config);
-        outcome_.cb = BitVec(side[1].config);
+        outcome_.ca = BitVec(a.config);
+        outcome_.cb = BitVec(b.config);
         return true;
+    }
+    if (side_test_ && reachable_at != stats_.leaves) {
+        // A side with no open variable left is the same in every leaf
+        // below, so the side test is asked about it.  Its answer changes
+        // only at leaves (a normalcy pass closes flags there, inside the
+        // subtree), so a true answer higher up this path holds until the
+        // next leaf: reachable_at is the leaf count it was given at.  At
+        // most one side is finished, else this node would be a leaf.
+        for (int s = 0; s < 2; ++s) {
+            const Word* ones = s == 0 ? o0 : o1;
+            const Word* zeros = s == 0 ? z0 : z1;
+            Word open = 0;
+            for (std::size_t w = 0; w < nw; ++w)
+                open |= ~(ones[w] | zeros[w]) & (w + 1 == nw ? tail : ~Word{0});
+            if (open != 0) continue;
+            if (!(*side_test_)(s, view(s))) {
+                ++side_prunes_;
+                return false;
+            }
+            reachable_at = stats_.leaves;
+            break;
+        }
     }
     const Word bit = Word{1} << (idx % kWordBits);
     const std::size_t w = idx / kWordBits;
@@ -349,10 +372,12 @@ bool CompatSolver::dfs(const PairPredicate& accept, std::size_t level,
     // Value 0 on a copy of this level one up; value 1, the last branch, on
     // this level itself, which nothing reads after it.
     descend(level);
-    if (timed_assign<NW>(side, idx, 0) && dfs<NW>(accept, level + 1, depth + 1))
+    if (timed_assign<NW>(side, idx, 0) &&
+        dfs<NW>(accept, level + 1, depth + 1, reachable_at))
         return true;
     resume(level);
-    return timed_assign<NW>(side, idx, 1) && dfs<NW>(accept, level, depth + 1);
+    return timed_assign<NW>(side, idx, 1) &&
+           dfs<NW>(accept, level, depth + 1, reachable_at);
 }
 
 template <std::size_t NW>
@@ -384,7 +409,7 @@ void CompatSolver::search(const PairPredicate& accept, std::size_t first,
         // Each subtree starts on a copy of level 0, the state before d.
         descend(0);
         if (timed_assign<NW>(0, d, 0) && timed_assign<NW>(1, d, 1))
-            (void)dfs<NW>(accept, 1, 0);
+            (void)dfs<NW>(accept, 1, 0, kNotAsked);
     }
 }
 
@@ -402,8 +427,10 @@ const char* relation_name(CodeRelation r) {
 }  // namespace
 
 void CompatSolver::run(CodeRelation relation, const PairPredicate& accept,
-                       std::size_t first, std::size_t last) {
+                       const SideTest& side_test, std::size_t first,
+                       std::size_t last) {
     relation_ = relation;
+    side_test_ = side_test ? &side_test : nullptr;
     conflict_free_mode_ = opts_.use_conflict_free_optimisation &&
                           problem_->dynamically_conflict_free();
     const std::size_t q = problem_->size();
@@ -452,7 +479,7 @@ void CompatSolver::run(CodeRelation relation, const PairPredicate& accept,
     stats_ = stg::CheckStats{};
     outcome_ = SearchOutcome{};
     bound_ns_ = 0;
-    signal_prunes_ = closure_prunes_ = 0;
+    signal_prunes_ = closure_prunes_ = side_prunes_ = 0;
 
     cancelled_ = false;
     if (npw_ == 1 && ncw_ == 1 && nw_ == 1)
@@ -467,9 +494,10 @@ void CompatSolver::run(CodeRelation relation, const PairPredicate& accept,
 }
 
 SearchOutcome CompatSolver::solve(CodeRelation relation,
-                                  const PairPredicate& accept) {
+                                  const PairPredicate& accept,
+                                  const SideTest& side_test) {
     obs::Span span("compat.solve");
-    run(relation, accept, 0, problem_->size());
+    run(relation, accept, side_test, 0, problem_->size());
     outcome_.stats.seconds = span.seconds();
     publish(span);
     return outcome_;
@@ -506,7 +534,7 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
                 return std::nullopt;
             }
             CompatSolver sub(*problem_, local);
-            sub.run(relation, accept, firsts[i], firsts[i] + 1);
+            sub.run(relation, accept, {}, firsts[i], firsts[i] + 1);
             subtrees[i] = {sub.stats_, sub.bound_ns_, sub.signal_prunes_,
                            sub.closure_prunes_, sub.cancelled_};
             if (!sub.outcome_.found) return std::nullopt;
@@ -521,7 +549,7 @@ SearchOutcome CompatSolver::solve(CodeRelation relation,
     conflict_free_mode_ = opts_.use_conflict_free_optimisation &&
                           problem_->dynamically_conflict_free();
     stats_ = stg::CheckStats{};
-    bound_ns_ = signal_prunes_ = closure_prunes_ = 0;
+    bound_ns_ = signal_prunes_ = closure_prunes_ = side_prunes_ = 0;
     cancelled_ = false;
     const std::size_t counted = hit ? hit->index + 1 : firsts.size();
     for (std::size_t i = 0; i < counted; ++i) {
@@ -552,6 +580,7 @@ void CompatSolver::publish(obs::Span& span) const {
     obs::counter("compat.leaves").add(stats_.leaves);
     obs::counter("compat.signal_prunes").add(signal_prunes_);
     obs::counter("compat.closure_prunes").add(closure_prunes_);
+    obs::counter("compat.side_prunes").add(side_prunes_);
     span.attr("relation", relation_name(relation_));
     span.attr("vars", 2 * problem_->size());
     span.attr("conflict_free_mode", conflict_free_mode_);
@@ -560,6 +589,7 @@ void CompatSolver::publish(obs::Span& span) const {
     span.attr("propagations", stats_.propagations);
     span.attr("max_depth", stats_.max_depth);
     span.attr("bound_ns", bound_ns_);
+    span.attr("side_prunes", side_prunes_);
     span.attr("found", outcome_.found);
     if (cancelled_) span.attr("cancelled", true);
 }

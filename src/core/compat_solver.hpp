@@ -36,6 +36,15 @@
 // decision.  The leaves of an exhaustive search are the solutions, whatever
 // the order; the number of nodes is what the order decides.
 //
+// A caller may pass a side test to the serial solve().  At every inner node
+// where one side has no open variable left, that side is final in every
+// leaf below, so the solver hands its view to the side test; false prunes
+// the node as if none of its leaves were accepted.  A true answer is
+// reused down the path until the next leaf, the only place the answer can
+// change.  Normalcy passes one that asks whether the finished side's Nxt
+// can still falsify a flag that is open; USC and CSC pass none
+// (docs/ALGORITHMS.md, section 4).
+//
 // When the STG is dynamically conflict-free, the section 7 optimisation
 // restricts the search to set-ordered pairs C' subset C'' via the extra
 // propagation x'_e <= x''_e (Proposition 1).
@@ -116,6 +125,15 @@ struct LeafView {
 /// continues enumeration.
 using PairPredicate = std::function<bool(const LeafView& a, const LeafView& b)>;
 
+/// Side test: given a side (0 = x', 1 = x'') that has no open variable left
+/// at an inner search node, decide whether some leaf below could still be
+/// accepted.  Returning false skips the node's subtree; it must do so only
+/// where the predicate would reject every leaf below, so the accepted
+/// leaves, their order and the outcome stay those of the search without it.
+/// Its answer on one view may change only when a leaf has been visited: a
+/// true answer holds below the node until the next leaf.
+using SideTest = std::function<bool(int side, const LeafView& view)>;
+
 struct SearchOutcome {
     bool found = false;
     bool cancelled = false;  ///< search stopped by SearchOptions::cancel
@@ -128,10 +146,13 @@ public:
     explicit CompatSolver(const CodingProblem& problem, SearchOptions opts = {});
 
     /// Run the search.  `accept` is consulted at every candidate pair that
-    /// satisfies all linear constraints; it must not start another solve
-    /// on the same thread, which would share this one's search levels.
+    /// satisfies all linear constraints, and `side_test`, when given, at
+    /// every inner node with a finished side; neither may start another
+    /// solve on the same thread, which would share this one's search
+    /// levels.
     [[nodiscard]] SearchOutcome solve(CodeRelation relation,
-                                      const PairPredicate& accept);
+                                      const PairPredicate& accept,
+                                      const SideTest& side_test = {});
 
     /// The same search with its first-difference subtrees handed out in
     /// ascending d through sched::find_first on `ex`, so `accept` must be
@@ -172,7 +193,7 @@ private:
     /// Reset the search state for `relation` and run the first-difference
     /// subtrees d in [first, last), the indices below `first` linked equal.
     void run(CodeRelation relation, const PairPredicate& accept,
-             std::size_t first, std::size_t last);
+             const SideTest& side_test, std::size_t first, std::size_t last);
     /// The first-difference loop: one dfs per first differing index d in
     /// [first, last).
     template <std::size_t NW>
@@ -203,8 +224,12 @@ private:
         state_ = levels_->data() + level * level_words_;
     }
     /// One search node on the current level, `level`, at depth `depth`.
+    /// `reachable_at` is the leaf count at which the side test last
+    /// answered true on this path, or kNotAsked.
     template <std::size_t NW>
-    bool dfs(const PairPredicate& accept, std::size_t level, std::size_t depth);
+    bool dfs(const PairPredicate& accept, std::size_t level, std::size_t depth,
+             std::size_t reachable_at);
+    static constexpr std::size_t kNotAsked = ~std::size_t{0};
 
     const CodingProblem* problem_;
     SearchOptions opts_;
@@ -234,6 +259,8 @@ private:
     // Prune tallies, published to the compat.* counters once per solve.
     std::uint64_t signal_prunes_ = 0;   ///< interval infeasibility proofs
     std::uint64_t closure_prunes_ = 0;  ///< Theorem 1 forcing clashes
+    std::uint64_t side_prunes_ = 0;     ///< subtrees the side test skipped
+    const SideTest* side_test_ = nullptr;  ///< null when the caller gave none
     SearchOutcome outcome_;
 };
 

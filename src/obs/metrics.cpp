@@ -64,7 +64,7 @@ constexpr const char* kBuiltinCounters[] = {
     "unfold.cutoffs",   "bb.solves",          "bb.nodes",
     "bb.leaves",        "bb.propagations",    "compat.solves",
     "compat.nodes",     "compat.leaves",      "compat.signal_prunes",
-    "compat.closure_prunes", "sg.builds",     "sg.states",
+    "compat.closure_prunes", "compat.side_prunes", "sg.builds", "sg.states",
     "sg.edges",         "sched.tasks_submitted", "sched.tasks_executed",
     "sched.tasks_stolen", "sched.worker_busy_ns", "sched.park_ns",
     "cache.artifacts.built",  "cache.certificates.csc_from_usc",

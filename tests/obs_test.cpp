@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -343,17 +344,21 @@ TEST_F(ObsTest, SolverCountersRecordWithoutTracing) {
     opts.jobs = 1;
     Counter& signal = counter("compat.signal_prunes");
     Counter& closure = counter("compat.closure_prunes");
+    Counter& side = counter("compat.side_prunes");
     auto prunes = [&] {
-        const std::uint64_t s0 = signal.value(), c0 = closure.value();
+        const std::uint64_t s0 = signal.value(), c0 = closure.value(),
+                            d0 = side.value();
         (void)core::verify_stg(model, opts);
-        return std::pair{signal.value() - s0, closure.value() - c0};
+        return std::tuple{signal.value() - s0, closure.value() - c0,
+                          side.value() - d0};
     };
 
     ASSERT_FALSE(enabled());
     const auto untraced = prunes();
     EXPECT_EQ(Tracer::instance().num_spans(), 0u);
-    EXPECT_GT(untraced.first, 0u);
-    EXPECT_GT(untraced.second, 0u);
+    EXPECT_GT(std::get<0>(untraced), 0u);
+    EXPECT_GT(std::get<1>(untraced), 0u);
+    EXPECT_GT(std::get<2>(untraced), 0u);  // the normalcy side test
 
     set_enabled(true);
     const auto traced = prunes();

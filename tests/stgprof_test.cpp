@@ -227,6 +227,24 @@ TEST(StgprofBinary, UsageAndInputErrorsExitTwo) {
     }
 }
 
+TEST(StgprofBinary, FlagsOfTheOtherModeAreUsageErrors) {
+    // --reemit needs a trace, which --compare never reads, and --threshold
+    // only steers --compare: either would be dropped without a word.
+    fs::path out = test::temp_path("stgprof_compare_reemit");
+    fs::remove(out);
+    const auto reemit = run(kStgprof + " --compare " + kGolden +
+                            "/stgprof_batch_a.json " + kGolden +
+                            "/stgprof_batch_b.json --reemit " + out.string());
+    EXPECT_EQ(reemit.exit_code, 2);
+    EXPECT_NE(reemit.output.find("--reemit"), std::string::npos) << reemit.output;
+    EXPECT_FALSE(fs::exists(out));
+    const auto threshold = run(kStgprof + " " + kGolden +
+                               "/stgprof_trace.json --threshold 2");
+    EXPECT_EQ(threshold.exit_code, 2);
+    EXPECT_NE(threshold.output.find("--threshold"), std::string::npos)
+        << threshold.output;
+}
+
 TEST(StgprofBinary, ReemitWritesByteStableTrace) {
     fs::path out = test::temp_path("stgprof_reemit");
     out += ".json";

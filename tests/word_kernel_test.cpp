@@ -26,6 +26,9 @@
 //  * NormalcyPin: the rendered normalcy section of the corpus and of the
 //    random sweep hashes to the value pinned before the leaf predicate read
 //    Out as words, which holds the witnesses and their order.
+//  * NormalcySideTest: both normalcy passes run with and without the side
+//    test close the same flags at the same leaves, in the same order, and
+//    the side test never adds a node.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,6 +46,7 @@
 #include "core/checkers.hpp"
 #include "cache/result_cache.hpp"
 #include "core/compat_solver.hpp"
+#include "obs/metrics.hpp"
 #include "core/verifier.hpp"
 #include "stg/astg.hpp"
 #include "stg/benchmarks.hpp"
@@ -74,27 +78,27 @@ std::vector<EdgeCase> edge_cases() {
     using namespace stg::bench;
     return {
         {"johnson32_q63", 64, [] { return johnson_counter(32); },
-         {0, 0}, {0, 0}, {2047, 1055}},
+         {0, 0}, {0, 0}, {1987, 1024}},
         {"seq16_q63", 64, [] { return sequential_handshakes(16); },
-         {15, 1}, {3600, 1920}, {1987, 1040}},
+         {15, 1}, {3600, 1920}, {1087, 575}},
         {"duplex7_q64", 65, [] { return duplex_channel(7, false, true); },
          {3, 1}, {16, 9}, {4267, 2181}},
         {"envelope8_q65", 66, [] { return phase_envelope(8); },
-         {29, 1}, {29, 1}, {4529, 1785}},
+         {29, 1}, {29, 1}, {2149, 674}},
         {"johnson33_q65", 66, [] { return johnson_counter(33); },
-         {0, 0}, {0, 0}, {2177, 1121}},
+         {0, 0}, {0, 0}, {2115, 1089}},
         {"counterflow4_q66", 67, [] { return counterflow(4, true); },
-         {5125, 2224}, {41000, 17792}, {15998, 7967}},
+         {5125, 2224}, {41000, 17792}, {5930, 2669}},
         {"johnson64_q127", 128, [] { return johnson_counter(64); },
-         {0, 0}, {0, 0}, {8191, 4159}},
+         {0, 0}, {0, 0}, {8067, 4096}},
         {"seq32_q127", 128, [] { return sequential_handshakes(32); },
-         {31, 1}, {30752, 15872}, {8067, 4128}},
+         {31, 1}, {30752, 15872}, {4223, 2175}},
         {"duplex15_q128", 129, [] { return duplex_channel(15, false, true); },
          {3, 1}, {16, 9}, {13739, 6965}},
         {"envelope16_q129", 130, [] { return phase_envelope(16); },
-         {61, 1}, {61, 1}, {18633, 7025}},
+         {61, 1}, {61, 1}, {8517, 2498}},
         {"johnson65_q129", 130, [] { return johnson_counter(65); },
-         {0, 0}, {0, 0}, {8449, 4289}},
+         {0, 0}, {0, 0}, {8323, 4225}},
         // USC and normalcy as in tests/golden/search_counts.json; CSC on a
         // fresh checker, which no USC certificate answers.
         {"cf_asym_b_q105", 106,
@@ -102,7 +106,7 @@ std::vector<EdgeCase> edge_cases() {
              return stg::load_astg_file(std::string(STGCC_MODELS_DIR) +
                                         "/cf_asym_b_csc.g");
          },
-         {59038, 23570}, {649418, 259270}, {148570, 74239}},
+         {59038, 23570}, {649418, 259270}, {59720, 29252}},
     };
 }
 
@@ -384,6 +388,132 @@ TEST(NormalcyPin, RenderedSectionsMatchPinnedHashes) {
         {"random 730-759", "65f60d804e357afb"},
     };
     EXPECT_EQ(got, pinned);
+}
+
+/// A leaf of a normalcy pass that closed flags: both sides' configurations
+/// (lo first) and the p and n flags it closed, per code word.
+struct ClosingLeaf {
+    BitVec lo, hi;
+    std::vector<BitSpan::Word> p, n;
+    bool operator==(const ClosingLeaf&) const = default;
+};
+
+void PrintTo(const ClosingLeaf& c, std::ostream* os) {
+    *os << "lo " << c.lo << " hi " << c.hi << " p";
+    for (const auto w : c.p) *os << ' ' << w;
+    *os << " n";
+    for (const auto w : c.n) *os << ' ' << w;
+}
+
+struct NormalcyRun {
+    std::vector<ClosingLeaf> closing;
+    std::size_t nodes = 0;
+    std::uint64_t side_prunes = 0;
+};
+
+/// check_normalcy's two passes on one record of open flags, through
+/// CompatSolver directly, with or without NormalcyFlags::reachable as the
+/// side test.
+NormalcyRun run_normalcy(const core::CodingProblem& problem, bool side_test) {
+    core::NormalcyFlags flags(problem);
+    NormalcyRun run;
+    obs::Counter& prunes = obs::counter("compat.side_prunes");
+    for (const core::CodeRelation rel :
+         {core::CodeRelation::LessEq, core::CodeRelation::GreaterEq}) {
+        if (!flags.open()) break;
+        const bool less_eq = rel == core::CodeRelation::LessEq;
+        const auto leaf = [&](const core::LeafView& a, const core::LeafView& b) {
+            const core::LeafView& lo = less_eq ? a : b;
+            const core::LeafView& hi = less_eq ? b : a;
+            ClosingLeaf closed{BitVec(lo.config), BitVec(hi.config), {}, {}};
+            bool any = false;
+            for (std::size_t w = 0; w < flags.words(); ++w) {
+                const auto [p, n] = flags.close(w, flags.nxt(lo, w), flags.nxt(hi, w));
+                closed.p.push_back(p);
+                closed.n.push_back(n);
+                any = any || (p | n) != 0;
+            }
+            if (any) run.closing.push_back(std::move(closed));
+            return any && !flags.open();
+        };
+        core::SideTest side;
+        if (side_test)
+            side = [&](int s, const core::LeafView& v) {
+                return flags.reachable((s == 0) == less_eq, v);
+            };
+        const std::uint64_t before = prunes.value();
+        core::CompatSolver solver(problem);
+        run.nodes += solver.solve(rel, leaf, side).stats.search_nodes;
+        run.side_prunes += prunes.value() - before;
+    }
+    return run;
+}
+
+/// Compare the two runs on one model; returns the side test's run.  A model
+/// the checker refuses (inconsistent, or dummies contraction cannot remove)
+/// is skipped with an empty run.
+NormalcyRun expect_side_test_sound(const stg::Stg& raw) {
+    std::unique_ptr<core::UnfoldingChecker> checker;
+    const stg::Stg model = raw.has_dummies() ? stg::contract_dummies(raw).stg : raw;
+    try {
+        checker = std::make_unique<core::UnfoldingChecker>(model);
+    } catch (const std::exception&) {
+        return {};
+    }
+    const NormalcyRun plain = run_normalcy(checker->problem(), false);
+    const NormalcyRun pruned = run_normalcy(checker->problem(), true);
+    EXPECT_EQ(plain.side_prunes, 0u);
+    EXPECT_EQ(pruned.closing, plain.closing);
+    EXPECT_LE(pruned.nodes, plain.nodes);
+    // The two passes above are check_normalcy's.
+    EXPECT_EQ(checker->check_normalcy().stats.search_nodes, pruned.nodes);
+    return pruned;
+}
+
+TEST(NormalcySideTest, ClosesTheSameFlagsAtTheSameLeavesOnCorpus) {
+    const auto files = model_files();
+    ASSERT_FALSE(files.empty()) << "no .g files under " STGCC_MODELS_DIR;
+    std::size_t checked = 0;
+    for (const fs::path& file : files) {
+        SCOPED_TRACE(file.filename().string());
+        const NormalcyRun run =
+            expect_side_test_sound(stg::load_astg_file(file.string()));
+        if (file.stem().string().starts_with("cf_")) {
+            EXPECT_GT(run.side_prunes, 0u);
+            EXPECT_FALSE(run.closing.empty());
+        }
+        checked += run.nodes > 0;
+    }
+    EXPECT_EQ(checked, files.size());
+}
+
+TEST(NormalcySideTest, ClosesTheSameFlagsAtTheSameLeavesOnRandomStgs) {
+    // The NormalcyPin sweep: seeds 700-729 with the default knobs, 730-759
+    // with sink places.
+    std::size_t checked = 0;
+    std::uint64_t prunes = 0;
+    for (unsigned seed = 700; seed < 760; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        test::RandomStgConfig cfg;
+        if (seed >= 730) cfg.sink_probability = 0.25;
+        const NormalcyRun run = expect_side_test_sound(test::random_stg(seed, cfg));
+        checked += run.nodes > 0;
+        prunes += run.side_prunes;
+    }
+    EXPECT_EQ(checked, 60u);
+    EXPECT_GT(prunes, 0u);
+}
+
+TEST(NormalcySideTest, ClosesTheSameFlagsAtTheSameLeavesOnParAndPipelines) {
+    using namespace stg::bench;
+    for (int n = 2; n <= 4; ++n) {
+        SCOPED_TRACE("PAR(" + std::to_string(n) + ")");
+        EXPECT_GT(expect_side_test_sound(parallel_handshakes(n)).side_prunes, 0u);
+    }
+    for (int n = 2; n <= 3; ++n) {
+        SCOPED_TRACE("pipeline(" + std::to_string(n) + ")");
+        EXPECT_GT(expect_side_test_sound(handshake_pipeline(n)).side_prunes, 0u);
+    }
 }
 
 }  // namespace

@@ -8,8 +8,9 @@
 // speedup bounds from the scheduler's work-span tallies, the critical path,
 // queue-delay percentiles and per-span self time.  `--compare A B` instead
 // triages a regression between two stgbatch reports: --compare is a switch
-// over exactly two positional files.  The flags are parsed by
-// svc::parse_args (svc/cli.hpp); --threshold's number is checked here.  The
+// over exactly two positional files; --threshold goes only with it and
+// --reemit only without it.  The flags are parsed by svc::parse_args
+// (svc/cli.hpp); --threshold's number is checked here.  The
 // analysis lives in src/obs/profile.cpp; docs/OBSERVABILITY.md has the
 // workflow.
 //
@@ -72,6 +73,17 @@ int main(int argc, char** argv) {
         "exit codes: 0 = report printed, 2 = usage/input error\n",
         &inputs};
     if (const auto rc = svc::parse_args(argc, argv, tool)) return *rc;
+    // Each mode takes only its own flags: --reemit needs a trace, which
+    // --compare's two reports never are, and --threshold only steers
+    // --compare.
+    if (compare && reemit_path) {
+        std::cerr << "--reemit cannot be combined with --compare\n";
+        return 2;
+    }
+    if (!compare && threshold_text) {
+        std::cerr << "--threshold needs --compare\n";
+        return 2;
+    }
     double threshold = 1.25;
     if (threshold_text) {
         char* end = nullptr;
